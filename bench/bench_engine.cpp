@@ -135,38 +135,6 @@ BENCHMARK(BM_SystemRun)
     ->Arg(static_cast<int>(MachineKind::CacheBased))
     ->Unit(benchmark::kMillisecond);
 
-// The parallel-engine scaling pair: the SAME 8-tile FT point on the
-// hybrid-coherent machine, run with 1/2/4/8 relaxed tile threads (Arg =
-// tile threads; 1 is the serial reference engine).  The speedup of the
-// 8-thread row over the 1-thread row is what perf_gate.py
-// --parallel-speedup enforces in CI — it reads the host core count from
-// the benchmark context and skips on hosts too small to exhibit any
-// parallelism.  Relaxed mode (skew bound 8192, the default) is the
-// engine's fast path; lockstep q=0 serializes tiles by construction and
-// would measure nothing but synchronization overhead.
-void BM_SystemRunParallel(benchmark::State& state) {
-  driver::SweepPoint point;
-  point.label = "bench_engine/system_run_parallel";
-  point.machine = driver::machine_name(MachineKind::HybridCoherent);
-  point.workload = "FT";
-  point.scale = 0.2;
-  point.knobs["cores"] = "8";
-  EngineConfig engine;
-  engine.tile_threads = static_cast<unsigned>(state.range(0));
-  engine.sync = EngineConfig::Sync::Relaxed;
-  std::uint64_t sim_cycles = 0;
-  for (auto _ : state) {
-    const driver::PointResult res = driver::run_point(point, engine);
-    sim_cycles += res.report.cycles();
-    benchmark::DoNotOptimize(res.report.amat);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim_cycles));
-  state.counters["sim_cycles_per_sec"] =
-      benchmark::Counter(static_cast<double>(sim_cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SystemRunParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // Functional fast-forward in isolation: replay_functional's descriptor loop
 // against the real (warming) cache/directory/LM/prefetcher state, with no
 // sampling controller or detailed pipeline around it.  This is the per-uop

@@ -32,6 +32,12 @@ rm -rf build/obs_smoke
 python3 scripts/trace_summary.py build/obs_smoke/traces --quiet
 python3 scripts/metrics_lint.py build/obs_smoke/metrics.prom
 
+# Sampled trace: the sampler's detail/fast-forward spans must nest cleanly
+# next to the per-tile phase spans.
+(cd build && ./hm_sweep run --filter fig9 --sample interval --scale 0.3 \
+  --jobs 2 --quiet --trace-dir obs_smoke/sampled_traces)
+python3 scripts/trace_summary.py build/obs_smoke/sampled_traces --quiet
+
 # Docs check: registry-vs-EXPERIMENTS.md consistency already ran as part of
 # ctest (docs_test); here, sweep every relative markdown link in the
 # top-level docs for dead targets, including ones docs_test doesn't cover.

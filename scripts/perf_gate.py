@@ -41,25 +41,13 @@ layer is compiled in, no sink is installed, and throughput must still be
 within the regression threshold of the committed (pre-observability)
 baseline — i.e. the disabled-path cost is bounded by bench noise.
 
-Parallel-speedup check: --parallel-speedup MIN additionally requires the
-fresh measurement's BM_SystemRunParallel/8 throughput (8 relaxed tile
-threads on an 8-tile point) to be at least MIN x the BM_SystemRunParallel/1
-row (the serial reference engine) — both from the SAME fresh pass, so the
-check is host-relative and immune to the absolute-throughput caveat above.
-Hosts with fewer than 2*MIN cores cannot physically exhibit the required
-speedup, so the check SKIPS (with a loud note) when the benchmark context
-reports num_cpus below that — it enforces on multi-core CI runners and
-stays quiet on the 1-vCPU baseline-measurement host.  Like the regression
-gate, a failing first pass is re-measured once before failing CI.  A
-confirmed failure prints the raw per-rep samples behind every pass so the
-CI log shows whether the medians hid a wild spread (host noise) or a
-consistent miss.
-
 Sampled-speedup check: --sampled-speedup MIN requires the sampled engine's
 BM_SystemRunSampled row to be at least MIN x the matching BM_SystemRun row
-(the detailed engine on the same point) in the same fresh pass.  Both
-sides are single-threaded, so there is no cpu-count skip; the same one
-re-measure courtesy and per-rep failure dump apply.
+(the detailed engine on the same point) in the same fresh pass, so the
+check is host-relative.  Like the regression gate, a failing first pass is
+re-measured once before failing CI, and a confirmed failure prints the raw
+per-rep samples behind every pass so the CI log shows whether the medians
+hid a wild spread (host noise) or a consistent miss.
 
 Exit codes: 0 gate passed, 1 regression detected, 2 usage/environment
 error (missing files, benchmark crash, malformed JSON).
@@ -117,7 +105,6 @@ def check_obs_disabled(doc: dict, source: str) -> None:
         )
 
 
-PARALLEL_BENCH = "BM_SystemRunParallel"
 SERIAL_BENCH = "BM_SystemRun"
 SAMPLED_BENCH = "BM_SystemRunSampled"
 
@@ -129,16 +116,6 @@ def find_row(medians: dict, prefix: str) -> "float | None":
         if name == prefix or name.startswith(prefix + "/"):
             return ips
     return None
-
-
-def parallel_speedup(medians: dict) -> "float | None":
-    """Throughput ratio of the 8-tile-thread row over the 1-thread (serial
-    engine) row, or None if either is missing."""
-    serial = find_row(medians, f"{PARALLEL_BENCH}/1")
-    parallel = find_row(medians, f"{PARALLEL_BENCH}/8")
-    if serial is None or parallel is None:
-        return None
-    return parallel / serial
 
 
 def sampled_speedup(medians: dict) -> "float | None":
@@ -202,15 +179,10 @@ def main() -> int:
                     help="require the hm_observability=disabled context tag "
                          "on every scored measurement, making the threshold "
                          "comparison an observability-overhead gate")
-    ap.add_argument("--parallel-speedup", type=float, metavar="MIN",
-                    help="require BM_SystemRunParallel/8 to be at least MIN x "
-                         "the /1 row in the fresh measurement; skipped when "
-                         "the host has fewer than 2*MIN cpus")
     ap.add_argument("--sampled-speedup", type=float, metavar="MIN",
                     help="require BM_SystemRunSampled to be at least MIN x "
                          "the matching BM_SystemRun row in the fresh "
-                         "measurement (host-relative, single-threaded: no "
-                         "cpu-count skip)")
+                         "measurement (host-relative)")
     args = ap.parse_args()
 
     if args.reps < 1:
@@ -222,7 +194,6 @@ def main() -> int:
     if not baseline:
         fail(f"{args.baseline}: no benchmarks with items_per_second")
 
-    host_cpus = [None]  # num_cpus from the fresh measurement's context
     rep_history = []  # list of per-pass rep lists (name -> ips dicts)
 
     def measure() -> dict:
@@ -235,7 +206,6 @@ def main() -> int:
             doc = run_bench(args.bench, args.min_time, r + 1)
             if args.obs_overhead:
                 check_obs_disabled(doc, f"{args.bench} rep {r + 1}")
-            host_cpus[0] = doc.get("context", {}).get("num_cpus")
             reps.append(throughputs(doc))
         rep_history.append(reps)
         medians = {}
@@ -260,7 +230,6 @@ def main() -> int:
         fresh_doc = load_json(args.fresh)
         if args.obs_overhead:
             check_obs_disabled(fresh_doc, args.fresh)
-        host_cpus[0] = fresh_doc.get("context", {}).get("num_cpus")
         fresh = throughputs(fresh_doc)
     else:
         if not os.access(args.bench, os.X_OK):
@@ -315,50 +284,8 @@ def main() -> int:
     else:
         regressions = [(name, fresh[name] / baseline[name]) for name in regressions]
 
-    # --parallel-speedup: a host-relative check on the SAME fresh medians —
-    # the 8-tile-thread row must beat the serial row by the required factor.
-    speedup_failed = False
-    if args.parallel_speedup is not None:
-        need = args.parallel_speedup
-        if need <= 1.0:
-            fail("--parallel-speedup must be > 1")
-        min_cpus = max(2, int(2 * need))
-        cpus = host_cpus[0]
-        if not isinstance(cpus, int):
-            fail("fresh measurement context lacks num_cpus; cannot judge "
-                 "whether the host can exhibit parallel speedup")
-        sp = parallel_speedup(fresh)
-        if sp is None:
-            fail(f"--parallel-speedup: {PARALLEL_BENCH}/1 and /8 are not both "
-                 "present in the fresh measurement (rebuild bench_engine)")
-        if cpus < min_cpus:
-            print(f"perf_gate: parallel-speedup check SKIPPED — host has "
-                  f"{cpus} cpu(s), fewer than the {min_cpus} needed to "
-                  f"exhibit {need:.1f}x (measured {sp:.2f}x for the record)")
-        elif sp >= need:
-            print(f"perf_gate: parallel speedup OK — {sp:.2f}x at 8 tile "
-                  f"threads (>= {need:.1f}x required, {cpus} cpus)")
-        elif not args.fresh:
-            # Same noisy-host courtesy as the regression gate: one re-measure.
-            print(f"perf_gate: parallel speedup {sp:.2f}x < {need:.1f}x — "
-                  "re-measuring once to rule out host noise")
-            sp2 = parallel_speedup(measure())
-            if sp2 is not None and sp2 >= need:
-                print(f"perf_gate: parallel speedup OK on second pass — "
-                      f"{sp2:.2f}x (first pass was host noise)")
-            else:
-                speedup_failed = True
-                sp = sp2 if sp2 is not None else sp
-        else:
-            speedup_failed = True
-        if speedup_failed:
-            print("perf_gate: per-rep samples behind the failing "
-                  "parallel-speedup check:")
-            print_rep_samples(PARALLEL_BENCH)
-
     # --sampled-speedup: the sampled engine's point-throughput gain over the
-    # detailed engine on the same point.  Single-threaded on both sides, so
-    # unlike --parallel-speedup there is no cpu-count skip.
+    # detailed engine on the same point, from the same fresh medians.
     sampled_failed = False
     if args.sampled_speedup is not None:
         need_s = args.sampled_speedup
@@ -395,11 +322,6 @@ def main() -> int:
         print(f"perf_gate: FAIL — {len(regressions)} benchmark(s) regressed "
               f">{args.threshold:.0%} in both passes "
               f"(worst: {worst[0]} at {worst[1]:.2f}x)",
-              file=sys.stderr)
-        return 1
-    if speedup_failed:
-        print(f"perf_gate: FAIL — parallel engine speedup {sp:.2f}x at 8 tile "
-              f"threads is below the required {args.parallel_speedup:.1f}x",
               file=sys.stderr)
         return 1
     if sampled_failed:

@@ -15,10 +15,7 @@ files, a sweep.trace.json, and a profile.json.  For every file it:
     it (execution lanes emit disjoint or cleanly stacked windows; overlap
     means a broken emitter).  Lanes named "res.*" are exempt: their spans
     are resource-delay windows of concurrent waiters, which overlap by
-    nature (two requests queued on the same port at overlapping times).
-    Lanes named "tileN" are likewise exempt: the parallel engine's tile
-    threads emit their slice spans concurrently and timestamps round to
-    microseconds, so adjacent slices can appear to overlap at an edge;
+    nature (two requests queued on the same port at overlapping times);
   * flags dropped events (otherData.dropped_events != 0) so a capped sink
     is never mistaken for a complete timeline.
 
@@ -34,7 +31,6 @@ reference consumer for the trace format.
 import argparse
 import json
 import os
-import re
 import sys
 
 
@@ -94,15 +90,9 @@ def validate_trace(path: str, problems: list) -> dict:
 
     # Spans within a lane must be properly nested or disjoint: sort by
     # (start, -end) and walk a stack of open intervals.  "res.*" lanes hold
-    # overlapping delay windows of concurrent waiters — skipped.  "tileN"
-    # lanes are the parallel engine's per-tile slice timelines: slices are
-    # emitted from concurrent tile threads and timestamps round to
-    # microseconds, so back-to-back slices can appear to overlap by an
-    # edge — also skipped.
-    tile_lane = re.compile(r"tile\d+$")
+    # overlapping delay windows of concurrent waiters — skipped.
     for (pid, tid), spans in lanes.items():
-        name_of_lane = lane_names.get((pid, tid), "")
-        if name_of_lane.startswith("res.") or tile_lane.match(name_of_lane):
+        if lane_names.get((pid, tid), "").startswith("res."):
             continue
         spans.sort(key=lambda s: (s[0], -s[1]))
         stack = []

@@ -20,11 +20,9 @@
 // Either way the filter perturbs only *timing* (which L1s get snooped, and
 // which NoC invalidation messages travel): functional values live in the
 // ByteStore image, and the tag caches are timing state, so lossiness here
-// cannot corrupt results — the same safety argument the relaxed parallel
-// engine's deferred invalidations rely on.
+// cannot corrupt results.
 //
-// Thread-safety: none; the Uncore mutates the filter only inside
-// engine-locked sections (same rule as every shared timeline).
+// Thread-safety: none, like every shared timeline (common/occupancy.hpp).
 #pragma once
 
 #include <array>

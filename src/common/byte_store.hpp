@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstring>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 
@@ -23,17 +22,7 @@ class ByteStore {
  public:
   static constexpr Bytes kPageSize = 4096;
 
-  /// Concurrency gate for the relaxed parallel engine: when on, read/write
-  /// serialize on an internal mutex (the page map's try_emplace is the
-  /// hazard).  Toggled by the System while single-threaded; off (the
-  /// default) costs one predictable branch per call.  copy_from stays
-  /// chunk-atomic only — its reader and writer sides lock independently,
-  /// which is exactly the coherence the timing model claims (DMA transfers
-  /// serialize on the simulated bus, not on functional bytes).
-  void set_concurrent(bool on) { concurrent_ = on; }
-
   void write(Addr addr, std::span<const std::byte> data) {
-    MaybeLock lock(*this);
     for (std::size_t i = 0; i < data.size();) {
       Page& page = page_for(addr + i);
       const std::size_t off = static_cast<std::size_t>((addr + i) % kPageSize);
@@ -44,7 +33,6 @@ class ByteStore {
   }
 
   void read(Addr addr, std::span<std::byte> out) const {
-    MaybeLock lock(*this);
     for (std::size_t i = 0; i < out.size();) {
       const std::size_t off = static_cast<std::size_t>((addr + i) % kPageSize);
       const std::size_t chunk = std::min(out.size() - i, static_cast<std::size_t>(kPageSize) - off);
@@ -104,23 +92,6 @@ class ByteStore {
  private:
   using Page = std::array<std::byte, kPageSize>;
 
-  /// Locks mu_ only when the concurrency gate is on.
-  class MaybeLock {
-   public:
-    explicit MaybeLock(const ByteStore& s)
-        : mu_(s.concurrent_ ? &s.mu_ : nullptr) {
-      if (mu_ != nullptr) mu_->lock();
-    }
-    ~MaybeLock() {
-      if (mu_ != nullptr) mu_->unlock();
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-
-   private:
-    std::mutex* mu_;
-  };
-
   Page& page_for(Addr addr) {
     auto [it, inserted] = pages_.try_emplace(addr / kPageSize);
     if (inserted) it->second.fill(std::byte{0});
@@ -128,8 +99,6 @@ class ByteStore {
   }
 
   std::unordered_map<Addr, Page> pages_;
-  bool concurrent_ = false;
-  mutable std::mutex mu_;
 };
 
 }  // namespace hm

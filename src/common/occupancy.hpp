@@ -35,13 +35,10 @@
 // overflows) and binds them into the owning structure's StatGroup; the
 // uncore's L2/L3 ports, DRAM and the DMA bus all arbitrate through it.
 //
-// Thread-safety: none here by design.  Timelines are not internally
-// synchronized — chunk-directory growth (touch_chunk's resize + slab
-// bump) and the booking bit-twiddles race if called concurrently.  The
-// parallel engine keeps them safe by construction: every book()/book_span()
-// against a SHARED timeline happens inside a section holding the uncore's
-// engine mutex (see Uncore::set_engine_locking; serial/lockstep engines are
-// single-booker by schedule and skip the lock entirely).
+// Thread-safety: none.  Timelines are not internally synchronized —
+// chunk-directory growth (touch_chunk's resize + slab bump) and the
+// booking bit-twiddles race if called concurrently.  One System runs on
+// one thread, so every booking against a shared timeline is serial.
 #pragma once
 
 #include <cassert>

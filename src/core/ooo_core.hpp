@@ -102,8 +102,8 @@ class OooCore {
   /// sliced and unsliced paths can never drift apart.
   RunResult run(InstrStream& program, const CancelToken* cancel = nullptr);
 
-  // --- resumable stepper (parallel multi-tile engine) ---------------------
-  // A tile thread runs the same model in bounded quanta: begin_run binds the
+  // --- resumable stepper (quantum schedule, sampling) ----------------------
+  // System::run advances each tile in bounded quanta: begin_run binds the
   // stream and allocates the pipeline state, step_until advances until the
   // dispatch front (the model's monotone progress measure) passes the cycle
   // limit or the stream ends, finish_run yields the aggregate result.  The
@@ -145,8 +145,7 @@ class OooCore {
                          std::uint64_t count, double cpi);
 
   /// The dispatch front: cycle of the current fetch group.  Monotone over a
-  /// run; the parallel engine's skew measure.  Valid between begin_run and
-  /// finish_run.
+  /// run.  Valid between begin_run and finish_run.
   Cycle front() const;
 
   /// Completes the run: finalizes and returns the RunResult, releasing the

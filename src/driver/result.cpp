@@ -412,6 +412,7 @@ std::optional<PointResult> RunCache::lookup(const SweepPoint& p) const {
   PointResult r = it->second;
   r.point = p;
   r.from_cache = true;
+  r.profile = PointProfile{};  // a hit executes nothing: not measured
   return r;
 }
 

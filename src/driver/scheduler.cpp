@@ -35,10 +35,6 @@ unsigned SweepScheduler::auto_jobs() {
   return n == 0 ? 1 : n;
 }
 
-unsigned SweepScheduler::auto_jobs(unsigned tile_threads) {
-  return std::max(1u, auto_jobs() / std::max(1u, tile_threads));
-}
-
 std::vector<std::string> SweepScheduler::run(std::size_t n, const Body& body,
                                              const Progress& progress) {
   std::vector<std::string> errors(n);

@@ -32,10 +32,6 @@ class SweepScheduler {
 
   unsigned jobs() const { return jobs_; }
   static unsigned auto_jobs();
-  /// Auto job count when every job itself runs @p tile_threads engine
-  /// threads: hardware_concurrency / tile_threads (>= 1), so jobs x
-  /// tile_threads never oversubscribes the host by default.
-  static unsigned auto_jobs(unsigned tile_threads);
 
   /// Run body(i) exactly once for every i in [0, n).  Returns n error
   /// strings ("" = success); exceptions escaping a body land in its slot.

@@ -329,7 +329,6 @@ struct SweepMetrics {
   obs::Counter& occ_delay =
       reg().counter("hm_occupancy_delay_cycles_total", "");
   obs::Counter& sim_cycles = reg().counter("hm_sim_cycles_total", "");
-  obs::Histogram& tile_skew = reg().histogram("hm_tile_skew_cycles", "", {});
   obs::Histogram& sampled_fraction = reg().histogram("hm_sampled_fraction", "", {});
   obs::Histogram& sample_error = reg().histogram("hm_sample_error", "", {});
   obs::Counter& noc_msgs = reg().counter("hm_noc_messages_total", "");
@@ -419,20 +418,18 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   out.spec = &spec;
   out.points.resize(points.size());
 
-  // Engine configurations that can change results (relaxed sync, or a
-  // finite lockstep quantum) must never feed the caches or the journal:
-  // the canonical point identity elides engine knobs — sound because the
-  // default lockstep engine is byte-identical to serial — so an
-  // approximate result stored under that identity would later satisfy an
-  // exact lookup.  Disable all three for such sweeps.
+  // Engine configurations that can change results (sampling, or a finite
+  // quantum) must never feed the caches or the journal: the canonical point
+  // identity elides engine knobs — sound because the default engine IS the
+  // serial reference — so a result stored under that identity would later
+  // satisfy a serial lookup.  Disable all three for such sweeps.
   const bool engine_alters = engine_alters_results(opt.engine);
   if (engine_alters && (!opt.journal_dir.empty() || !opt.cache_dir.empty() ||
                         opt.session_cache != nullptr))
     HM_WARN("sweep " << spec.name
-                     << ": engine config alters results (sampled simulation, "
-                        "relaxed sync or finite lockstep quantum) — memo "
-                        "cache, session cache and journal disabled for this "
-                        "sweep");
+                     << ": engine config alters results (sampled simulation "
+                        "or finite quantum) — memo cache, session cache and "
+                        "journal disabled for this sweep");
   const std::string journal_dir = engine_alters ? std::string{} : opt.journal_dir;
   RunCache* const session_cache = engine_alters ? nullptr : opt.session_cache;
 
@@ -523,11 +520,7 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   std::atomic<std::size_t> retries{0};
   std::atomic<double> busy_seconds{0.0};
   std::atomic<bool> observer_armed{static_cast<bool>(opt.point_observer)};
-  // Auto job count accounts for per-point tile threads so jobs x
-  // tile_threads does not oversubscribe the host by default.
-  SweepScheduler scheduler(opt.jobs == 0
-                               ? SweepScheduler::auto_jobs(opt.engine.tile_threads)
-                               : opt.jobs);
+  SweepScheduler scheduler(opt.jobs);
   mx.workers.set(static_cast<double>(scheduler.jobs()));
   mx.queue_depth.set(static_cast<double>(todo.size()));
   // Queue depth rides the existing exception-guarded progress callback; the
@@ -576,9 +569,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
           mx.ph_serialize.observe(r.profile.serialize_seconds);
         }
         mx.sim_cycles.inc(static_cast<double>(r.report.cycles()));
-        if (opt.engine.tile_threads > 1 &&
-            opt.engine.sync == EngineConfig::Sync::Relaxed)
-          mx.tile_skew.observe(static_cast<double>(r.report.max_tile_skew));
         if (opt.engine.sampling.enabled()) {
           mx.sampled_fraction.observe(r.report.sampled_fraction);
           mx.sample_error.observe(r.report.sample_error);

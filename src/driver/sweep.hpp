@@ -37,16 +37,15 @@ namespace hm::driver {
 /// original bench binaries, so address streams match across variants.
 PointResult run_point(const SweepPoint& p, const CancelToken* cancel = nullptr);
 
-/// run_point with an explicit engine configuration (tile threads, sync
-/// mode, quantum/skew).  Engine knobs never enter the point's canonical
-/// identity: the default lockstep engine is byte-identical to serial at any
-/// thread count, and configurations where that does not hold
+/// run_point with an explicit engine configuration (quantum, sampling).
+/// Engine knobs never enter the point's canonical identity: the default
+/// engine IS the serial reference, and configurations that change results
 /// (engine_alters_results) are kept out of caches/journals by run_sweep.
 PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
                       const CancelToken* cancel = nullptr);
 
 struct SweepOptions {
-  unsigned jobs = 0;                     ///< worker threads; 0 = auto (cores / tile_threads)
+  unsigned jobs = 0;                     ///< worker threads; 0 = auto (host cores)
   std::string cache_dir;                 ///< on-disk memo cache; "" = off
   RunCache* session_cache = nullptr;     ///< cross-experiment in-memory cache
   std::optional<double> scale_override;  ///< quick-look rescale (not the paper tables)
@@ -59,14 +58,13 @@ struct SweepOptions {
   std::map<std::string, std::string> knob_overrides;
   std::function<void(std::size_t done, std::size_t total)> progress;
 
-  /// Parallel multi-tile engine for every executed point (see
-  /// hm::EngineConfig).  Elided from the canonical point identity — cache
-  /// and journal keys are engine-independent — which is sound because the
-  /// default lockstep engine is byte-identical to serial.  When the
-  /// configuration can change results (engine_alters_results: relaxed mode
-  /// or a finite lockstep quantum), run_sweep disables the disk cache, the
-  /// session cache and the journal for the sweep so approximate numbers
-  /// never contaminate exact ones.
+  /// Engine for every executed point (see hm::EngineConfig).  Elided from
+  /// the canonical point identity — cache and journal keys are engine-
+  /// independent — which is sound because the default engine IS the serial
+  /// reference.  When the configuration can change results
+  /// (engine_alters_results: sampling or a finite quantum), run_sweep
+  /// disables the disk cache, the session cache and the journal for the
+  /// sweep so approximate numbers never contaminate exact ones.
   EngineConfig engine;
 
   // Fault tolerance.  Retries apply to ErrorClass::Transient only; the

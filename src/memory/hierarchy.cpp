@@ -138,21 +138,14 @@ void MemoryHierarchy::run_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& 
     // fill: it consumes bus bandwidth and DRAM accesses, which is exactly
     // the pollution cost the paper's §4.3 analysis charges to prefetching.
     sc.bus_l1_l2++;
-    {
-      // The L2 peek and the fill it seeds must sit under one guard: the
-      // peek's victim slot is only replayable while no other tile mutated
-      // the set.
-      UncoreGuard lock(uncore_);
-      const auto p2 = l2_.peek(line);
-      if (!p2.hit) fetch_below_l2(now, line, p2, sc);
-      // An L1 prefetch pulls the line across the NoC to this tile: book
-      // the response leg (identity when flat).
-      noc_response(now, line);
-    }
+    const auto p2 = l2_.peek(line);
+    if (!p2.hit) fetch_below_l2(now, line, p2, sc);
+    // An L1 prefetch pulls the line across the NoC to this tile: book the
+    // response leg (identity when flat).
+    noc_response(now, line);
     if (auto v = l1d_.fill_at(p1, line, /*from_prefetch=*/true); v && v->dirty) {
       // L1 is write-through: victims are never dirty.  Kept for generality
       // when the cache-based machine is configured write-back.
-      UncoreGuard lock(uncore_);
       handle_l2_victim(now, *v, sc);
     }
     note_l1_fill(line);
@@ -235,7 +228,6 @@ Cycle MemoryHierarchy::wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc) {
   sc.wt_traffic++;
   sc.bus_l1_l2++;
   Cycle drain;
-  UncoreGuard lock(uncore_);
   if (l2_.access(addr, AccessType::Write).hit) {
     drain = book_l2(now, addr, sc) + cfg_.l2.latency;
   } else {
@@ -250,13 +242,6 @@ Cycle MemoryHierarchy::wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc) {
 }
 
 AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr pc) {
-  // Relaxed parallel mode: apply L1 invalidations other tiles' dma-puts
-  // queued for this port before looking anything up.  One predictable
-  // branch serial/lockstep; one relaxed atomic load per access otherwise.
-  if (uncore_.engine_locking() &&
-      uncore_.has_pending_invalidations(port_id_)) [[unlikely]]
-    uncore_.drain_pending_invalidations(port_id_);
-
   Scratch sc;
   if (type == AccessType::Read) {
     sc.loads++;
@@ -291,18 +276,11 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
     // (merging + structural hazards) and allocate the line in L1 at the
     // victim slot the single-pass lookup already selected.
     ServedBy served = ServedBy::CacheL2;
-    Cycle below;
-    {
-      UncoreGuard lock(uncore_);
-      below = fill_from_below(now + l1_lat, addr, pc, served, sc);
-    }
+    const Cycle below = fill_from_below(now + l1_lat, addr, pc, served, sc);
     const Addr line = l1d_.line_base(addr);
     const Cycle ready = mshr_.on_miss(line, now + l1_lat, below);
 
-    if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) {
-      UncoreGuard lock(uncore_);
-      handle_l2_victim(now, *v, sc);
-    }
+    if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) handle_l2_victim(now, *v, sc);
     note_l1_fill(addr);
     if (type == AccessType::Write) l1d_.set_dirty_at(l1r);
 
@@ -471,9 +449,6 @@ Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, 
 }
 
 Cycle MemoryHierarchy::dma_read_line(Cycle now, Addr line_addr) {
-  if (uncore_.engine_locking() &&
-      uncore_.has_pending_invalidations(port_id_)) [[unlikely]]
-    uncore_.drain_pending_invalidations(port_id_);
   ++hot_.bus_dma;
   // Coherent dma-get: snoop top-down; copy from the first level that holds
   // the line (the SM is internally coherent so any resident copy is valid),
@@ -486,9 +461,8 @@ Cycle MemoryHierarchy::dma_write_line(Cycle now, Addr line_addr) {
   ++hot_.bus_dma;
   // Coherent dma-put: the uncore writes the line to main memory and
   // broadcasts the invalidation — shared levels plus every tile's L1
-  // (§3.4.2: the DMA data is the valid version everywhere).  Passing the
-  // port id lets the relaxed parallel engine queue the remote-L1
-  // invalidations instead of touching other threads' private caches.
+  // (§3.4.2: the DMA data is the valid version everywhere).  The port id
+  // is the request's NoC source node.
   return uncore_.dma_put_line(now, line_addr, port_id_);
 }
 

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/occupancy.hpp"
@@ -79,8 +78,7 @@ class MemoryHierarchy {
   /// directory-visible and prefetcher state stay warm and activity counters
   /// stay exact — but books no port/DRAM occupancy and skips the MSHRs.
   /// Returns an approximate completion cycle (configured latencies, no
-  /// queueing) used only for write-window modelling.  Serial engine only:
-  /// must not run concurrently with other tiles.
+  /// queueing) used only for write-window modelling.
   Cycle functional_access(Cycle now, Addr addr, AccessType type, Addr pc);
 
   /// Coherent dma-get bus request for one line: read from this tile's L1 if
@@ -139,28 +137,6 @@ class MemoryHierarchy {
   /// Shared implementation of the two public constructors: @p shared is the
   /// machine's uncore, or null to own a private single-tile one.
   MemoryHierarchy(HierarchyConfig cfg, Uncore* shared);
-
-  /// Scoped engine-mutex guard for the shared-uncore sections (L2/L3/DRAM
-  /// content and ports, shared prefetchers).  A no-op — one predictable
-  /// branch — unless the uncore's engine locking is on (relaxed parallel
-  /// mode).  The guarded sections are the outermost shared entry points
-  /// (access miss path, wt_store tail, L1-prefetch fill, DMA ops), so the
-  /// guard never nests.
-  class UncoreGuard {
-   public:
-    explicit UncoreGuard(Uncore& u)
-        : mu_(u.engine_locking() ? &u.engine_mutex() : nullptr) {
-      if (mu_ != nullptr) mu_->lock();
-    }
-    ~UncoreGuard() {
-      if (mu_ != nullptr) mu_->unlock();
-    }
-    UncoreGuard(const UncoreGuard&) = delete;
-    UncoreGuard& operator=(const UncoreGuard&) = delete;
-
-   private:
-    std::mutex* mu_;
-  };
 
   /// Per-access scratch for the hierarchy-level counters: the hot path
   /// accumulates into plain integers and access() commits them to the
@@ -245,7 +221,7 @@ class MemoryHierarchy {
   // keeps the shared timelines dense across fast-forwarded regions so the
   // detailed intervals between them observe realistic contention, and the
   // queued drain times give the replayed store buffer real back-pressure.
-  // No MSHRs, no UncoreGuard: the sampled engine is serial by construction.
+  // No MSHRs.
   Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                    SetAssocCache::LookupResult* l2_loc = nullptr);
   void functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc);

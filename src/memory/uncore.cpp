@@ -56,34 +56,10 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
 
 unsigned Uncore::register_l1(SetAssocCache* l1) {
   l1s_.push_back(l1);
-  pending_.push_back(std::make_unique<PendingInval>());
   return static_cast<unsigned>(l1s_.size() - 1);
 }
 
-void Uncore::set_engine_locking(bool on) {
-  engine_locking_ = on;
-  if (!on)
-    for (unsigned p = 0; p < pending_.size(); ++p) drain_pending_invalidations(p);
-}
-
-void Uncore::drain_pending_invalidations(unsigned port) {
-  PendingInval& q = *pending_[port];
-  std::lock_guard<std::mutex> lk(q.mu);
-  for (const Addr line : q.lines) l1s_[port]->invalidate(line);
-  q.lines.clear();
-  q.count.store(0, std::memory_order_relaxed);
-}
-
-void Uncore::queue_pending_inval(unsigned port, Addr line_addr) {
-  PendingInval& q = *pending_[port];
-  std::lock_guard<std::mutex> qlk(q.mu);
-  q.lines.push_back(line_addr);
-  q.count.fetch_add(1, std::memory_order_relaxed);
-}
-
 Cycle Uncore::dma_get_line(Cycle now, Addr line_addr, unsigned initiator_port) {
-  std::unique_lock<std::mutex> lk(engine_mu_, std::defer_lock);
-  if (engine_locking_) lk.lock();
   // The initiating tile already snooped its own L1; the SM is internally
   // coherent, so any resident copy in the shared levels is valid.
   if (noc_ != nullptr) [[unlikely]] {
@@ -106,9 +82,6 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
   // copy is invalidated (dirty or not — the DMA data is the valid version,
   // see §3.4.2).  The invalidation is broadcast to every tile's L1: a chunk
   // written back by tile A's DMAC kills stale copies tile B may hold.
-  std::unique_lock<std::mutex> lk(engine_mu_, std::defer_lock);
-  if (engine_locking_) lk.lock();
-
   if (noc_ != nullptr) [[unlikely]] {
     // Sliced path: the line travels to its home node, whose sharer filter
     // decides between targeted invalidations (one header flit to each
@@ -129,10 +102,7 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
           bits &= bits - 1;
           if (t >= l1s_.size()) continue;
           noc_->traverse(home, t, arrive, 1);
-          if (engine_locking_ && initiator_port != kNoPort && t != initiator_port)
-            queue_pending_inval(t, line_addr);
-          else
-            l1s_[t]->invalidate(line_addr);
+          l1s_[t]->invalidate(line_addr);
           if (t != src) dma_invalidate_broadcasts_->inc();
         }
       }
@@ -140,12 +110,7 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
       // Untracked line: fall back to the full broadcast (modeled as a
       // dedicated invalidation tree — counted, but not booked per link).
       ++noc_dir_broadcasts_;
-      for (unsigned p = 0; p < l1s_.size(); ++p) {
-        if (engine_locking_ && initiator_port != kNoPort && p != initiator_port)
-          queue_pending_inval(p, line_addr);
-        else
-          l1s_[p]->invalidate(line_addr);
-      }
+      for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
       if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
     }
     l2_.invalidate(line_addr);
@@ -153,20 +118,7 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
     return mem_.access(arrive, AccessType::Write, dram_channel_of(line_addr));
   }
 
-  if (engine_locking_ && initiator_port != kNoPort) {
-    // Remote L1s belong to other tile threads: queue their invalidations
-    // (drained at the owner's next access) and touch only the initiator's
-    // L1 and the engine-locked shared levels here.
-    for (unsigned p = 0; p < l1s_.size(); ++p) {
-      if (p == initiator_port) {
-        l1s_[p]->invalidate(line_addr);
-        continue;
-      }
-      queue_pending_inval(p, line_addr);
-    }
-  } else {
-    for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
-  }
+  for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
   if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
   l2_.invalidate(line_addr);
   l3_.invalidate(line_addr);

@@ -39,9 +39,7 @@
 // historical single-arbiter code paths byte-identical.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "coherence/sharer_filter.hpp"
@@ -102,8 +100,7 @@ class Uncore {
   Uncore& operator=(Uncore&&) = delete;
 
   /// Attach one tile's L1 (invalidation-broadcast target).  Returns the
-  /// port id (registration order), the tile's handle into the deferred-
-  /// invalidation queues of the parallel engine.
+  /// port id (registration order), which is also the tile's NoC node.
   unsigned register_l1(SetAssocCache* l1);
 
   /// Coherent dma-get bus request for one line below the initiating tile's
@@ -117,10 +114,8 @@ class Uncore {
   /// invalidate the line in the shared levels and in EVERY tile's L1 —
   /// including tiles other than the initiator, which is what keeps a
   /// dma-put from tile A coherent with a line cached by tile B.
-  /// @p initiator_port identifies the calling tile (kNoPort = standalone /
-  /// serial call): under engine locking, remote tiles' L1s are private to
-  /// their own threads, so their invalidations are queued and applied by
-  /// the owner at its next access instead of being touched cross-thread.
+  /// @p initiator_port is the calling tile's NoC source node (kNoPort =
+  /// standalone caller, treated as node 0).
   static constexpr unsigned kNoPort = ~0u;
   Cycle dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port = kNoPort);
 
@@ -138,8 +133,6 @@ class Uncore {
   /// port (@p initiator_port; cross-tile serialization comes from link,
   /// slice-port and channel contention on the per-line operations instead).
   Cycle dma_bus_grant(Cycle ready, Cycle len, unsigned initiator_port = ~0u) {
-    std::unique_lock<std::mutex> lk(engine_mu_, std::defer_lock);
-    if (engine_locking_) lk.lock();
     if (noc_ != nullptr) [[unlikely]]
       return dma_inj_[initiator_port == kNoPort ? 0 : initiator_port]->book_span(ready, len);
     return dma_bus_.book_span(ready, len);
@@ -199,12 +192,9 @@ class Uncore {
   SharedResource& slice_l3_port(unsigned slice) { return *slice_l3_ports_[slice]; }
 
   /// Sharer-filter hook: tile @p port filled @p line into its L1.  No-op
-  /// when flat.  Takes the engine mutex itself in relaxed mode (L1 fills
-  /// happen outside the miss path's engine-locked section).
+  /// when flat.
   void note_l1_fill(unsigned port, Addr line) {
     if (noc_ == nullptr) return;
-    std::unique_lock<std::mutex> lk(engine_mu_, std::defer_lock);
-    if (engine_locking_) lk.lock();
     sharers_->note_fill(home_of(line), line, port);
   }
 
@@ -223,53 +213,10 @@ class Uncore {
   std::uint64_t noc_dir_filtered() const { return noc_dir_filtered_; }
   std::uint64_t noc_dir_broadcasts() const { return noc_dir_broadcasts_; }
 
-  // --- parallel engine gate ----------------------------------------------
-  // In the relaxed parallel mode, tile threads run concurrently and every
-  // shared-uncore section (L2/L3/DRAM content + ports, prefetchers, DMA
-  // bus, and the occupancy-timeline slab growth underneath them) is
-  // serialized on one engine mutex.  The gate is a plain bool: System
-  // toggles it while single-threaded (before spawning / after joining the
-  // tile threads), so the serial and lockstep engines pay one predictable
-  // branch per shared section and take no lock.  The chunk slab allocator
-  // in common/occupancy.hpp is safe under the parallel engine *because* of
-  // this gate: every book()/book_span() that can grow a timeline happens
-  // inside an engine-locked section.
-
-  /// Enable/disable engine locking.  Must be called with no tile thread
-  /// running.  Disabling drains any still-queued L1 invalidations so the
-  /// post-run cache contents are settled.
-  void set_engine_locking(bool on);
-  bool engine_locking() const { return engine_locking_; }
-  std::mutex& engine_mutex() { return engine_mu_; }
-
-  /// True when other tiles' dma-puts queued invalidations for @p port.
-  /// Single relaxed atomic load — the tile-thread hot-path check.
-  bool has_pending_invalidations(unsigned port) const {
-    return pending_[port]->count.load(std::memory_order_relaxed) != 0;
-  }
-  /// Apply and clear the invalidations queued for @p port.  Called by the
-  /// owning tile's thread.
-  void drain_pending_invalidations(unsigned port);
-
   StatGroup& stats() { return stats_; }
   const StatGroup& stats() const { return stats_; }
 
  private:
-  /// Deferred cross-tile L1 invalidations (relaxed parallel mode): a
-  /// dma-put initiator queues the line for every other port; owners drain
-  /// at their next hierarchy access.  Timing-only approximation — the
-  /// invalidation lands within one skew bound of where the serial engine
-  /// would apply it; values live in the functional image either way.
-  struct PendingInval {
-    std::atomic<std::uint32_t> count{0};
-    std::mutex mu;
-    std::vector<Addr> lines;
-  };
-
-  /// Queue one L1 invalidation for @p port (relaxed engine) — caller holds
-  /// the engine mutex for the shared side; the per-port queue has its own.
-  void queue_pending_inval(unsigned port, Addr line_addr);
-
   HierarchyConfig cfg_;
   SetAssocCache l2_;
   SetAssocCache l3_;
@@ -280,9 +227,6 @@ class Uncore {
   SharedResource l3_port_;
   SharedResource dma_bus_;  ///< gap-1 timeline; commands book whole windows
   std::vector<SetAssocCache*> l1s_;  ///< broadcast targets, port order
-  std::vector<std::unique_ptr<PendingInval>> pending_;  ///< parallel to l1s_
-  bool engine_locking_ = false;
-  std::mutex engine_mu_;
   StatGroup stats_;
   Counter* dma_invalidate_broadcasts_;
 

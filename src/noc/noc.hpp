@@ -29,10 +29,8 @@
 //
 // Routing is deterministic (XY on the mesh; shorter arc, clockwise on
 // ties, on the ring) so the same access stream books the same links at
-// the same cycles regardless of --jobs or the lockstep tile-thread
-// schedule.  Thread-safety follows the occupancy-timeline rule: traverse()
-// books shared timelines, so in the relaxed parallel engine every call
-// happens inside an engine-locked uncore section.
+// the same cycles regardless of --jobs.  Thread-safety follows the
+// occupancy-timeline rule: none (traverse() books shared timelines).
 #pragma once
 
 #include <cstdint>

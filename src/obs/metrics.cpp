@@ -264,10 +264,6 @@ void register_builtin_metrics(MetricsRegistry& reg) {
               "resources (sum over executed points)");
   reg.counter("hm_sim_cycles_total",
               "Simulated cycles across all executed points");
-  reg.histogram("hm_tile_skew_cycles",
-                "Maximum grant-time cycle skew between tile threads per "
-                "executed point (relaxed parallel engine only)",
-                {0.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0});
   reg.histogram("hm_sampled_fraction",
                 "Fraction of uops replayed functionally per executed point "
                 "(sampled engine only)",

@@ -1,14 +1,9 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "core/replay.hpp"
 #include "obs/trace.hpp"
@@ -34,34 +29,6 @@ void emit_tile_phase_trace(std::size_t tile, const RunResult& r) {
       obs::sim_span(lane, kPhaseNames[p], at, r.phase_cycles[p]);
     at += r.phase_cycles[p];
   }
-}
-
-// Pre-interned wall-track lane ids for the parallel engines' per-tile slice
-// spans ("tile0", "tile1", ...).  Lanes are created by the main thread
-// before the workers spawn so lane numbering is deterministic.  These wall
-// lanes carry one span per scheduling slice; slices of one tile are
-// sequential, but µs rounding (and, in relaxed mode, emission from
-// different worker threads) can make adjacent spans look overlapping —
-// scripts/trace_summary.py exempts tile lanes from its nesting check for
-// exactly this reason, like the "res.*" lanes.
-std::vector<std::uint32_t> make_tile_wall_lanes(obs::TraceSink* sink, std::size_t n) {
-  std::vector<std::uint32_t> lanes(n, 0);
-  if (sink == nullptr) return lanes;
-  char name[24];
-  for (std::size_t i = 0; i < n; ++i) {
-    std::snprintf(name, sizeof name, "tile%u", static_cast<unsigned>(i));
-    lanes[i] = sink->lane(obs::TraceSink::Track::Wall, name);
-  }
-  return lanes;
-}
-
-void emit_slice_span(obs::TraceSink* sink, std::uint32_t lane,
-                     std::chrono::steady_clock::time_point t0,
-                     Cycle front_after) {
-  const std::uint64_t ts = sink->to_us(t0);
-  const std::uint64_t end = sink->to_us(std::chrono::steady_clock::now());
-  sink->span(obs::TraceSink::Track::Wall, lane, "tile.slice", ts,
-             end > ts ? end - ts : 1, "front", static_cast<double>(front_after));
 }
 
 }  // namespace
@@ -113,60 +80,64 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
   // asserted zero by the paper-table and scaling flows.
   const std::size_t n = programs.size();
   std::vector<RunResult> results(n);
-  Cycle max_skew = 0;
   double sample_error = 0.0;
   double sampled_fraction = 0.0;
-  // Sampling forces the serial engine: per-tile alternation of detailed and
-  // functional intervals is only meaningful on the deterministic tile-order
-  // schedule, and this is what makes sampled results independent of
-  // --tile-threads (tests/sampling_test.cpp asserts it).
-  const bool sampling = engine_.sampling.enabled();
-  const unsigned threads =
-      sampling ? 1u
-               : std::min<unsigned>(engine_.tile_threads, static_cast<unsigned>(n));
-  if (threads <= 1) {
-    // Serial reference engine: one tile after another, in tile order.
+  // Coarse cancellation boundary, polled before every tile turn: a watchdog
+  // that fires while a tile is mid-turn is observed here before the next
+  // turn starts, so a multi-tile run never outlives its deadline by more
+  // than one poll stride.  The per-uop poll inside the core covers the rest.
+  const auto check_cancel = [cancel] {
+    if (cancel != nullptr && cancel->cancelled())
+      throw CancelledError(CancelledError::Reason::External,
+                           "run cancelled (watchdog or external)");
+  };
+  if (engine_.sampling.enabled()) {
+    // Sampling runs each tile whole: per-tile alternation of detailed and
+    // functional intervals is defined on the tile-order schedule only.
+    if (engine_.quantum != 0)
+      throw std::invalid_argument("sampling cannot be combined with a finite quantum");
     std::uint64_t ff_uops_total = 0;
     std::uint64_t uops_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      // Coarse cancellation boundary: a watchdog that fires while tile i is
-      // mid-stream is also observed here before tile i+1 starts, so a
-      // multi-tile run never outlives its deadline by more than one poll
-      // stride.  The per-uop poll inside OooCore::run covers the rest.
-      if (cancel != nullptr && cancel->cancelled())
-        throw CancelledError(CancelledError::Reason::External,
-                             "run cancelled (watchdog or external)");
-      if (sampling) {
-        TileSampleStats ts;
-        results[i] = run_tile_sampled(i, *programs[i], cancel, ts);
-        ff_uops_total += ts.ff_uops;
-        uops_total += ts.total_uops;
-        sample_error = std::max(sample_error, ts.error_bound);
-      } else {
-        programs[i]->reset();
-        results[i] = tiles_[i]->core().run(*programs[i], cancel);
-      }
+      check_cancel();
+      TileSampleStats ts;
+      results[i] = run_tile_sampled(i, *programs[i], cancel, ts);
+      ff_uops_total += ts.ff_uops;
+      uops_total += ts.total_uops;
+      sample_error = std::max(sample_error, ts.error_bound);
       if (obs::tracing_active()) [[unlikely]] emit_tile_phase_trace(i, results[i]);
     }
     if (uops_total > 0)
       sampled_fraction = static_cast<double>(ff_uops_total) /
                          static_cast<double>(uops_total);
   } else {
-    if (engine_.sync == EngineConfig::Sync::Lockstep) {
-      run_tiles_lockstep(programs, results, cancel, threads);
-    } else {
-      max_skew = run_tiles_relaxed(programs, results, cancel, threads);
-    }
-    // Per-tile phase traces are emitted from the main thread after the
-    // workers joined, in tile order, so the trace stream is deterministic
-    // whenever the results are.
-    if (obs::tracing_active()) [[unlikely]] {
-      for (std::size_t i = 0; i < n; ++i) emit_tile_phase_trace(i, results[i]);
+    // Quantum schedule: round r advances every unfinished tile, in tile
+    // order, through dispatch cycle (r+1)*Q - 1.  Q = 0 makes each turn run
+    // its tile to completion, so round 0 IS the serial tile loop.  A tile's
+    // pipeline state is allocated at its first turn and released when it
+    // finishes, so the serial schedule holds one tile's state at a time.
+    const Cycle quantum = engine_.quantum;
+    std::vector<char> done(n, 0);
+    std::size_t remaining = n;
+    for (Cycle round = 0; remaining > 0; ++round) {
+      const Cycle limit = quantum == 0 ? kNoCycle : (round + 1) * quantum - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (done[i]) continue;
+        check_cancel();
+        if (round == 0) {
+          programs[i]->reset();
+          tiles_[i]->core().begin_run(*programs[i]);
+        }
+        if (!tiles_[i]->core().step_until(limit, cancel)) continue;
+        results[i] = tiles_[i]->core().finish_run();
+        done[i] = 1;
+        --remaining;
+        if (obs::tracing_active()) [[unlikely]] emit_tile_phase_trace(i, results[i]);
+      }
     }
   }
 
   RunReport report;
-  report.max_tile_skew = max_skew;
   report.sample_error = sample_error;
   report.sampled_fraction = sampled_fraction;
 
@@ -302,226 +273,6 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engines.
-//
-// Both engines statically assign tile i to worker w = i % threads, so every
-// tile's core state (begin_run / step_until / finish_run) is touched by
-// exactly one thread for the whole run.  Workers inherit the spawning
-// thread's trace sink (TraceSink emission is thread-safe), and exceptions —
-// cancellation included — are captured, flagged through `abort` so every
-// other worker unblocks, and rethrown on the main thread after the join.
-
-void System::run_tiles_lockstep(const std::vector<InstrStream*>& programs,
-                                std::vector<RunResult>& results,
-                                const CancelToken* cancel, unsigned threads) {
-  // Deterministic turn-taking: exactly one tile advances at a time.  `cur`
-  // is the tile whose turn it is; each turn runs the tile for one quantum
-  // (round r covers dispatch cycles [r*Q, (r+1)*Q); Q=0 means the turn runs
-  // the tile to completion) and then passes the token to the next
-  // unfinished tile in cyclic tile order, bumping the round on wrap-around.
-  // The (round, tile) schedule is a pure function of (programs, Q) — thread
-  // count and OS scheduling cannot perturb it — and with Q=0 it degenerates
-  // to the serial engine's tile loop, which is what makes the default
-  // lockstep engine byte-identical to tile_threads=1.
-  const std::size_t n = programs.size();
-  const Cycle quantum = engine_.quantum;
-  obs::TraceSink* sink = obs::tracing_active() ? obs::thread_sink() : nullptr;
-  const std::vector<std::uint32_t> wall_lane = make_tile_wall_lanes(sink, n);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<char> done(n, 0);
-  std::size_t cur = 0;
-  std::size_t remaining = n;
-  Cycle round = 0;
-  bool abort = false;
-  std::exception_ptr error;
-
-  auto worker = [&](unsigned w) {
-    obs::ScopedThreadSink install(sink);
-    try {
-      std::size_t my_left = 0;
-      for (std::size_t i = w; i < n; i += threads) {
-        programs[i]->reset();
-        tiles_[i]->core().begin_run(*programs[i]);
-        ++my_left;
-      }
-      while (my_left > 0) {
-        std::size_t i;
-        Cycle limit;
-        {
-          std::unique_lock<std::mutex> lk(mu);
-          // `cur` always denotes an unfinished tile while any remain, and
-          // tile cur belongs to exactly one worker — so at most one
-          // worker's predicate is true at a time (turn token).
-          cv.wait(lk, [&] { return abort || cur % threads == w; });
-          if (abort) break;
-          i = cur;
-          limit = quantum == 0 ? kNoCycle : (round + 1) * quantum - 1;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const bool fin = tiles_[i]->core().step_until(limit, cancel);
-        if (sink != nullptr)
-          emit_slice_span(sink, wall_lane[i], t0, tiles_[i]->core().front());
-        if (fin) results[i] = tiles_[i]->core().finish_run();
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          if (fin) {
-            done[i] = 1;
-            --remaining;
-            --my_left;
-          }
-          if (remaining > 0) {
-            std::size_t j = i;
-            do {
-              ++j;
-              if (j >= n) {
-                j = 0;
-                ++round;
-              }
-            } while (done[j]);
-            cur = j;
-          }
-        }
-        cv.notify_all();
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!error) error = std::current_exception();
-        abort = true;
-      }
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-  for (std::thread& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
-}
-
-Cycle System::run_tiles_relaxed(const std::vector<InstrStream*>& programs,
-                                std::vector<RunResult>& results,
-                                const CancelToken* cancel, unsigned threads) {
-  // Skew-bounded free-run: tiles execute concurrently; shared-uncore
-  // sections serialize on the uncore's engine mutex (set_engine_locking)
-  // and the functional image's page map takes its own lock
-  // (set_concurrent).  The scheduler grants a tile a slice only while its
-  // dispatch front is within `skew_bound` cycles of the slowest unfinished
-  // tile, and each slice runs to that moving limit — so grant-time skew is
-  // provably < bound, and the slowest tile is always runnable (progress).
-  // A worker round-robins over its OWN tiles rather than blocking on one:
-  // blocking on a single stalled tile while another of its tiles is the
-  // global laggard would deadlock the whole run.
-  const std::size_t n = programs.size();
-  const Cycle bound = std::max<Cycle>(1, engine_.skew_bound);
-  obs::TraceSink* sink = obs::tracing_active() ? obs::thread_sink() : nullptr;
-  const std::vector<std::uint32_t> wall_lane = make_tile_wall_lanes(sink, n);
-
-  uncore_.set_engine_locking(true);
-  image_.set_concurrent(true);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Cycle> front(n, 0);
-  std::vector<char> done(n, 0);
-  Cycle max_skew = 0;
-  bool abort = false;
-  std::exception_ptr error;
-
-  // Minimum dispatch front over unfinished tiles; call under mu with at
-  // least one tile unfinished (guaranteed: a querying worker owns one).
-  auto min_front = [&] {
-    Cycle m = kNoCycle;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!done[i]) m = std::min(m, front[i]);
-    return m;
-  };
-
-  auto worker = [&](unsigned w) {
-    obs::ScopedThreadSink install(sink);
-    try {
-      std::vector<std::size_t> mine;
-      for (std::size_t i = w; i < n; i += threads) {
-        programs[i]->reset();
-        tiles_[i]->core().begin_run(*programs[i]);
-        mine.push_back(i);
-      }
-      std::size_t my_left = mine.size();
-      std::size_t rr = 0;  // rotates which owned tile is tried first
-      while (my_left > 0) {
-        std::size_t i = n;
-        Cycle limit = 0;
-        {
-          std::unique_lock<std::mutex> lk(mu);
-          cv.wait(lk, [&] {
-            if (abort) return true;
-            const Cycle m = min_front();
-            for (std::size_t k = 0; k < mine.size(); ++k) {
-              const std::size_t c = mine[(rr + k) % mine.size()];
-              if (!done[c] && front[c] < m + bound) return true;
-            }
-            return false;
-          });
-          if (abort) break;
-          const Cycle m = min_front();
-          for (std::size_t k = 0; k < mine.size(); ++k) {
-            const std::size_t c = mine[(rr + k) % mine.size()];
-            if (!done[c] && front[c] < m + bound) {
-              i = c;
-              break;
-            }
-          }
-          rr = (rr + 1) % mine.size();
-          max_skew = std::max(max_skew, front[i] - m);
-          // Slices end strictly below m + bound; a single long-latency op
-          // can carry the front past the limit (ops are not preemptible),
-          // after which the tile simply blocks until the laggard catches
-          // up.  Bounded slices also bound cancellation latency.
-          limit = m + bound - 1;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const bool fin = tiles_[i]->core().step_until(limit, cancel);
-        const Cycle f = tiles_[i]->core().front();
-        if (fin) results[i] = tiles_[i]->core().finish_run();
-        if (sink != nullptr) emit_slice_span(sink, wall_lane[i], t0, f);
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          front[i] = f;
-          if (fin) {
-            done[i] = 1;
-            --my_left;
-          }
-        }
-        cv.notify_all();
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!error) error = std::current_exception();
-        abort = true;
-      }
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-  for (std::thread& t : pool) t.join();
-
-  // Back to single-threaded: drop the locking gates (draining any still-
-  // queued cross-tile L1 invalidations) before aggregation reads the
-  // caches' statistics.
-  uncore_.set_engine_locking(false);
-  image_.set_concurrent(false);
-  if (error) std::rethrow_exception(error);
-  return max_skew;
-}
-
-// ---------------------------------------------------------------------------
 // Sampled engine.
 
 namespace {
@@ -572,8 +323,10 @@ RunResult System::run_tile_sampled(std::size_t tile, InstrStream& program,
   const std::uint64_t ff_budget =
       std::max<std::uint64_t>(batch->shape.uops, sc.ff_uops);
 
-  char lane[24];
-  std::snprintf(lane, sizeof lane, "tile%u", static_cast<unsigned>(tile));
+  // Sampling spans get their own lane: they cut across the stacked phase
+  // attribution spans on "tileN", which are not a literal timeline.
+  char lane[32];
+  std::snprintf(lane, sizeof lane, "tile%u.sample", static_cast<unsigned>(tile));
   const bool tracing = obs::tracing_active();
 
   double cpi = 1.0;

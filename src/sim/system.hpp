@@ -18,28 +18,6 @@
 
 namespace hm {
 
-/// Parallel multi-tile engine configuration.  The default (tile_threads=1)
-/// is the serial reference engine: tiles run to completion one after
-/// another in tile order.  With tile_threads > 1 a SPMD run executes on a
-/// per-point tile thread pool in one of two synchronization modes:
-///
-///  * Lockstep — deterministic turn-taking: exactly one tile advances at a
-///    time, in tile order, each turn bounded by `quantum` simulated cycles
-///    (0 = run-to-completion turns).  The (round, tile) schedule is a pure
-///    function of the configuration, so results are byte-identical across
-///    runs and thread counts; with quantum=0 the schedule IS the serial
-///    engine's, making the default lockstep engine byte-identical to
-///    tile_threads=1 at any thread count.  A finite quantum interleaves
-///    shared-uncore bookings at quantum granularity — deterministic, but a
-///    different (more barrier-faithful) contention model than serial.
-///  * Relaxed — true concurrency: tiles free-run on worker threads, shared
-///    uncore sections serialize on one engine mutex, and a skew bound keeps
-///    any tile's dispatch front within `skew_bound` cycles of the slowest
-///    unfinished tile at every scheduling point.  Results are NOT
-///    deterministic (booking interleave follows wall-clock scheduling);
-///    aggregate instruction counts are exact, timing varies within the
-///    skew bound.  The observed maximum grant-time skew is reported in
-///    RunReport::max_tile_skew.
 /// Sampled-simulation configuration (interval sampling à la SMARTS): the
 /// controller alternates detailed execution with functional fast-forward of
 /// batch-compiled work iterations.  Each sampling unit runs `warmup_uops` of
@@ -59,26 +37,28 @@ struct SamplingConfig {
   bool enabled() const { return mode != Mode::Off; }
 };
 
+/// Engine configuration.  Every run executes on the calling thread.
+///
+/// `quantum` picks the multi-tile schedule.  0 (the default) is the serial
+/// reference engine: tiles run to completion one after another in tile
+/// order.  A finite quantum Q interleaves the tiles in simulated time: round
+/// r advances every unfinished tile, in tile order, until its dispatch front
+/// passes (r+1)*Q - 1, so shared-uncore bookings interleave at quantum
+/// granularity.  Both are deterministic; a finite quantum is a different
+/// (more barrier-faithful) contention model than serial, not a faster one.
+/// Sampling runs each tile whole and therefore rejects a finite quantum.
 struct EngineConfig {
-  enum class Sync : std::uint8_t { Lockstep, Relaxed };
-  unsigned tile_threads = 1;  ///< <=1: serial reference engine
-  Sync sync = Sync::Lockstep;
-  Cycle quantum = 0;          ///< lockstep turn length; 0 = whole-run turns
-  Cycle skew_bound = 8192;    ///< relaxed max front skew (cycles, >= 1)
-  /// Sampled simulation.  When enabled the run is forced onto the serial
-  /// engine (tile_threads is ignored), so sampled results are deterministic
-  /// across thread-count knobs; cycles/energy become estimates.
+  Cycle quantum = 0;  ///< tile turn length in cycles; 0 = whole-run turns
+  /// Sampled simulation; cycles/energy become estimates.
   SamplingConfig sampling;
 };
 
 /// True when @p e can produce results that differ from the serial engine
-/// (sampling estimates, relaxed interleaving, or lockstep with a finite
-/// quantum).  Callers keying caches/journals on the canonical point
-/// identity — which elides engine knobs — must not store such results.
+/// (sampling estimates, or a finite quantum).  Callers keying caches/
+/// journals on the canonical point identity — which elides engine knobs —
+/// must not store such results.
 inline bool engine_alters_results(const EngineConfig& e) {
-  return e.sampling.enabled() ||
-         (e.tile_threads > 1 &&
-          (e.sync == EngineConfig::Sync::Relaxed || e.quantum != 0));
+  return e.sampling.enabled() || e.quantum != 0;
 }
 
 /// Per-tile section of a run: one entry per tile that executed a program.
@@ -148,18 +128,11 @@ struct RunReport {
 
   std::vector<TileReport> tiles;  ///< per-tile sections, tile order
 
-  /// Relaxed parallel engine only: maximum observed cycle skew between any
-  /// tile's dispatch front and the slowest unfinished tile, measured at
-  /// every scheduling grant.  Bounded by EngineConfig::skew_bound.  Always
-  /// 0 for the serial and lockstep engines.  In-memory diagnostic — never
-  /// serialized (golden/cache formats are engine-independent).
-  Cycle max_tile_skew = 0;
-
   /// Sampled engine only: conservative relative error bound on the cycle
   /// (and hence energy) estimate, derived from the spread of the measured
   /// per-interval CPI samples over the fast-forwarded uops — worst tile of
   /// the run.  0 when sampling is off or nothing was fast-forwarded.
-  /// In-memory diagnostic — never serialized, like max_tile_skew.
+  /// In-memory diagnostic — never serialized.
   double sample_error = 0.0;
 
   /// Sampled engine only: fraction of all retired uops that were replayed
@@ -196,20 +169,20 @@ class System {
 
   /// SPMD run: one program per tile (programs.size() <= num_tiles()), all
   /// started cold at local cycle 0 with a barrier at the end of the stream
-  /// — the aggregate cycle count is the slowest tile.  Tiles execute in
-  /// tile order against the shared uncore, which is what makes the
-  /// contention (port slots, DMA bus windows) deterministic.
-  /// @p cancel (optional) is checked at coarse boundaries — between tiles
-  /// here, and every kCancelCheckStride uops inside each tile's core — so
-  /// a watchdog deadline or cycle budget aborts the run with
-  /// CancelledError instead of wedging the calling sweep worker.
+  /// — the aggregate cycle count is the slowest tile.  Tiles take turns
+  /// in tile order against the shared uncore (see EngineConfig), which is
+  /// what makes the contention (port slots, DMA bus windows) deterministic.
+  /// @p cancel (optional) is checked at coarse boundaries — before every
+  /// tile turn here, and every kCancelCheckStride uops inside each tile's
+  /// core — so a watchdog deadline or cycle budget aborts the run with
+  /// CancelledError instead of wedging the calling sweep worker.  Throws
+  /// std::invalid_argument when sampling is combined with a finite quantum.
   RunReport run(const std::vector<InstrStream*>& programs,
                 const CancelToken* cancel = nullptr);
 
-  /// Select the engine for subsequent run() calls.  Takes effect only on
-  /// multi-program SPMD runs with tile_threads > 1; single-program and
-  /// single-tile runs always use the serial reference engine.  See
-  /// EngineConfig for the determinism contract.
+  /// Select the engine for subsequent run() calls.  The quantum matters
+  /// only on multi-program SPMD runs (a lone tile's turns concatenate to
+  /// the serial run).  See EngineConfig for the determinism contract.
   void set_engine(const EngineConfig& engine) { engine_ = engine; }
   const EngineConfig& engine() const { return engine_; }
 
@@ -231,17 +204,6 @@ class System {
 
  private:
   void reset_timing_state();
-
-  /// Tile-execution phase of an SPMD run, parallel engines.  Each fills
-  /// results[i] for every tile with a program; cancellation and tile-thread
-  /// errors propagate as exceptions after all workers joined.
-  void run_tiles_lockstep(const std::vector<InstrStream*>& programs,
-                          std::vector<RunResult>& results,
-                          const CancelToken* cancel, unsigned threads);
-  /// Returns the maximum grant-time cycle skew observed (<= skew_bound).
-  Cycle run_tiles_relaxed(const std::vector<InstrStream*>& programs,
-                          std::vector<RunResult>& results,
-                          const CancelToken* cancel, unsigned threads);
 
   /// Per-tile outcome of a sampled run (feeds RunReport::sample_error and
   /// RunReport::sampled_fraction).

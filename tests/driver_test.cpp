@@ -389,6 +389,55 @@ TEST_F(MemoCacheTest, SessionCacheSharesPointsAcrossExperiments) {
   }
 }
 
+TEST_F(MemoCacheTest, SessionCacheHitsAreNotCountedAsExecuted) {
+  // A second experiment sharing every point is served entirely from the
+  // session cache: nothing is simulated, so nothing counts as executed and
+  // no phase time is attributed.
+  ExperimentSpec a = tiny_spec();
+  ExperimentSpec b = tiny_spec();
+  b.name = "test_tiny_other";
+  RunCache session;
+  SweepOptions opt;
+  opt.jobs = 2;
+  opt.session_cache = &session;
+  const SweepOutcome first = run_sweep(a, opt);
+  EXPECT_EQ(first.executed, first.points.size());
+  const SweepOutcome second = run_sweep(b, opt);
+  EXPECT_EQ(second.cache_hits, second.points.size());
+  EXPECT_EQ(second.executed, 0u);
+  EXPECT_EQ(second.simulate_seconds, 0.0);
+  for (const PointResult& r : second.points) EXPECT_FALSE(r.profile.measured);
+}
+
+TEST(Sweep, FiniteQuantumKeepsResultsOutOfTheSessionCache) {
+  // A finite-quantum result must never be stored under the (engine-
+  // independent) canonical identity: a later serial sweep would consume it.
+  ExperimentSpec spec;
+  spec.name = "quantum_cache_gate_test";
+  spec.title = "quantum cache gate";
+  spec.scale = 0.02;
+  Grid g;
+  g.base = {{"machine", "hybrid_coherent"}, {"workload", "FT"}, {"cores", "4"}};
+  spec.grids.push_back(g);
+
+  RunCache session;
+  SweepOptions opt;
+  opt.jobs = 1;
+  opt.session_cache = &session;
+  opt.engine.quantum = 64;
+  const SweepOutcome out = run_sweep(spec, opt);
+  ASSERT_EQ(out.failures, 0u);
+  const std::vector<SweepPoint> pts = expand(spec);
+  ASSERT_EQ(pts.size(), 1u);
+  EXPECT_FALSE(session.lookup(pts.front()).has_value())
+      << "finite-quantum result leaked into the session cache";
+
+  // The serial default engine still populates it.
+  opt.engine = EngineConfig{};
+  run_sweep(spec, opt);
+  EXPECT_TRUE(session.lookup(pts.front()).has_value());
+}
+
 // ------------------------------------------------------------- registry ----
 
 TEST(Registry, BuiltinsAndPaperExperimentsAreRegistered) {

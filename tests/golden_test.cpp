@@ -14,6 +14,11 @@
 //    kernels: tests/golden/irregular.txt holds the rendered table at scale
 //    0.05, and tests/golden/irregular_1core.txt the full single-core
 //    RunReport serialization of every kernel on both machines.
+//  * A finite engine quantum is its own deterministic contention model:
+//    tests/golden/quantum_schedule.txt holds three 4-core points run at
+//    quantum 64, captured from the multi-threaded lockstep engine (4
+//    threads) that the single-threaded quantum schedule replaced; the
+//    schedule must reproduce those bytes.
 //
 // If an intentional engine change alters simulated metrics, regenerate
 // every golden with scripts/update_goldens.sh (it reruns this binary with
@@ -66,18 +71,14 @@ void expect_golden(const std::string& name, const std::string& got, const char* 
 }
 
 /// Render the named experiment at the golden scale (0.05) and assert zero
-/// failures and zero occupancy-horizon overflows along the way.  @p engine
-/// selects the tile engine — the default lockstep engine at any thread
-/// count must reproduce the very same golden bytes (the parallel-engine
-/// determinism contract).
-std::string rendered_table(const char* name, const hm::EngineConfig& engine = {}) {
+/// failures and zero occupancy-horizon overflows along the way.
+std::string rendered_table(const char* name) {
   const ExperimentSpec* spec = find_experiment(name);
   if (spec == nullptr) return {};
 
   SweepOptions opt;
   opt.jobs = 2;  // parallel == serial is separately enforced by driver_test
   opt.scale_override = 0.05;
-  opt.engine = engine;
   const SweepOutcome out = run_sweep(*spec, opt);
   EXPECT_EQ(out.failures, 0u);
 
@@ -104,29 +105,11 @@ INSTANTIATE_TEST_SUITE_P(AllNinePaperExperiments, PaperGolden,
                                            "table3", "ablation_directory",
                                            "ablation_double_store", "ablation_prefetch"));
 
-/// Parallel-engine half of the contract: the default lockstep engine at 4
-/// tile threads reproduces the very same golden bytes.
-class PaperGoldenTileThreads : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(PaperGoldenTileThreads, TableIsByteIdenticalWith4TileThreads) {
-  hm::EngineConfig engine;
-  engine.tile_threads = 4;
-  const std::string got = rendered_table(GetParam(), engine);
-  ASSERT_FALSE(got.empty()) << GetParam();
-  expect_golden(GetParam(), got,
-                "table drifted under the lockstep parallel engine");
-}
-
-INSTANTIATE_TEST_SUITE_P(AllNinePaperExperiments, PaperGoldenTileThreads,
-                         ::testing::Values("table1", "fig7", "fig8", "fig9", "fig10",
-                                           "table3", "ablation_directory",
-                                           "ablation_double_store", "ablation_prefetch"));
-
 // ---------------------------------------------------------------------------
 
 /// The 2-core capture: one SPMD point per machine kind, every RunReport
 /// field serialized.
-std::string multicore_2core_text(const hm::EngineConfig& engine = {}) {
+std::string multicore_2core_text() {
   std::string text;
   for (const char* machine : {"hybrid_coherent", "cache_based"}) {
     SweepPoint p;
@@ -135,7 +118,7 @@ std::string multicore_2core_text(const hm::EngineConfig& engine = {}) {
     p.workload = "FT";
     p.scale = 0.05;
     p.knobs["cores"] = "2";
-    const PointResult r = run_point(p, engine);
+    const PointResult r = run_point(p);
     if (!r.ok) return "FAILED: " + r.error;
     text += p.label;
     text += '\n';
@@ -150,18 +133,6 @@ TEST(MulticoreGolden, TwoCoreReportIsByteIdentical) {
   ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
   expect_golden("multicore_2core", got,
                 "2-core SPMD report drifted from the occupancy-engine capture");
-}
-
-TEST(MulticoreGolden, TwoCoreReportIsByteIdenticalWith4TileThreads) {
-  // The multi-tile golden is the one the parallel engine can actually
-  // perturb (single-core points always take the serial path) — pin it
-  // under the default lockstep engine at 4 tile threads too.
-  hm::EngineConfig engine;
-  engine.tile_threads = 4;
-  const std::string got = multicore_2core_text(engine);
-  ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
-  expect_golden("multicore_2core", got,
-                "2-core SPMD report drifted under the lockstep parallel engine");
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +181,7 @@ TEST(IrregularGolden, SingleCoreReportsAreByteIdentical) {
 /// noc_* section — of fixed mesh and ring points.  These are NEW point
 /// identities (topology is a machine knob), so they extend the golden set
 /// without touching any flat capture.
-std::string topology_text(const hm::EngineConfig& engine = {}) {
+std::string topology_text() {
   std::string text;
   const struct {
     const char* machine;
@@ -231,7 +202,7 @@ std::string topology_text(const hm::EngineConfig& engine = {}) {
     p.scale = 0.05;
     p.knobs["cores"] = c.cores;
     p.knobs["topology"] = c.topology;
-    const PointResult r = run_point(p, engine);
+    const PointResult r = run_point(p);
     if (!r.ok) return "FAILED: " + r.error;
     text += p.label;
     text += '\n';
@@ -248,15 +219,6 @@ TEST(TopologyGolden, MeshAndRingReportsAreByteIdentical) {
                 "mesh/ring reports drifted from the NoC-engine capture");
 }
 
-TEST(TopologyGolden, MeshAndRingReportsAreByteIdenticalWith4TileThreads) {
-  hm::EngineConfig engine;
-  engine.tile_threads = 4;
-  const std::string got = topology_text(engine);
-  ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
-  expect_golden("topology_reports", got,
-                "mesh/ring reports drifted under the lockstep parallel engine");
-}
-
 TEST(TopologyGolden, ScalingMeshTableIsByteIdentical) {
   const std::string got = rendered_table("scaling_mesh");
   ASSERT_FALSE(got.empty());
@@ -267,6 +229,52 @@ TEST(TopologyGolden, IrregularMeshTableIsByteIdentical) {
   const std::string got = rendered_table("irregular_mesh");
   ASSERT_FALSE(got.empty());
   expect_golden("irregular_mesh", got, "irregular_mesh table drifted");
+}
+
+// ---------------------------------------------------------------------------
+
+/// Quantum-schedule capture: full RunReport serialization of three 4-core
+/// points at quantum 64 (flat hybrid and cache-based FT, mesh CG), scale
+/// 0.02.  A finite quantum interleaves the tiles' shared-uncore bookings,
+/// so these bytes differ from the serial engine's — they pin the (round,
+/// tile) turn order itself.
+std::string quantum_schedule_text() {
+  hm::EngineConfig engine;
+  engine.quantum = 64;
+  std::string text;
+  const struct {
+    const char* workload;
+    const char* machine;
+    const char* topology;
+  } captures[] = {
+      {"FT", "hybrid_coherent", "flat"},
+      {"FT", "cache_based", "flat"},
+      {"CG", "hybrid_coherent", "mesh"},
+  };
+  for (const auto& c : captures) {
+    SweepPoint p;
+    p.label = std::string("golden_quantum64/") + c.workload + "/" + c.machine + "/" +
+              c.topology + "/4";
+    p.machine = c.machine;
+    p.workload = c.workload;
+    p.scale = 0.02;
+    p.knobs["cores"] = "4";
+    if (std::string(c.topology) != "flat") p.knobs["topology"] = c.topology;
+    const PointResult r = run_point(p, engine);
+    if (!r.ok) return "FAILED: " + r.error;
+    text += p.label;
+    text += '\n';
+    hm::append_report_fields(text, r.report);
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(QuantumGolden, Quantum64ReportsAreByteIdentical) {
+  const std::string got = quantum_schedule_text();
+  ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
+  expect_golden("quantum_schedule", got,
+                "quantum-64 reports drifted from the captured turn order");
 }
 
 }  // namespace

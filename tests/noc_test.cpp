@@ -1,6 +1,6 @@
 // NoC invariants: Manhattan routing on an idle mesh, flat vs 1x1-mesh
 // equivalence, counted-never-silent per-link overflow accounting, and
-// deterministic routing across repeated runs and lockstep tile threads.
+// deterministic routing across repeated runs.
 #include "noc/noc.hpp"
 
 #include <gtest/gtest.h>
@@ -150,20 +150,11 @@ TEST(Noc, FlatMachineMatchesUnitMesh) {
   EXPECT_EQ(mesh.report.noc_hops, 0u);  // a single node never crosses a link
 }
 
-TEST(Noc, MeshRoutingIsDeterministicAcrossRunsAndLockstepThreads) {
+TEST(Noc, MeshRoutingIsDeterministicAcrossRuns) {
   const driver::PointResult serial = driver::run_point(cg_point("mesh", "4"));
   const driver::PointResult again = driver::run_point(cg_point("mesh", "4"));
   ASSERT_TRUE(serial.ok) << serial.error;
   EXPECT_EQ(serialized(serial.report), serialized(again.report));
-  // Lockstep tile threads at the default whole-run quantum are documented
-  // byte-identical to serial — the NoC must not break that (all link
-  // bookings happen inside engine-locked sections).
-  EngineConfig engine;
-  engine.tile_threads = 2;
-  const driver::PointResult lockstep =
-      driver::run_point(cg_point("mesh", "4"), engine);
-  ASSERT_TRUE(lockstep.ok) << lockstep.error;
-  EXPECT_EQ(serialized(serial.report), serialized(lockstep.report));
 }
 
 TEST(Noc, MeshReportSurvivesSerializationRoundTrip) {

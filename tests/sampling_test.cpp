@@ -13,9 +13,8 @@
 //  * Sampling off is byte-identical to the serial reference engine; the
 //    golden suite pins the same bytes independently.
 //  * Sampled results are estimates: they must be gated out of the memo /
-//    session caches and the journal, exactly like relaxed-engine results.
-//  * Sampled runs are deterministic across sweep --jobs and engine
-//    tile-thread knobs (sampling forces the serial engine).
+//    session caches and the journal, exactly like finite-quantum results.
+//  * Sampled runs are deterministic across sweep --jobs.
 //  * MemoCache counts stale-engine-version entries separately from
 //    corruption, and the sweep summary surfaces them.
 #include <gtest/gtest.h>
@@ -195,9 +194,6 @@ TEST(Sampling, SampledRunsDifferFromDetailedOnlyInTiming) {
 
 TEST(Sampling, SamplingAltersResults) {
   EXPECT_TRUE(engine_alters_results(sampled()));
-  EngineConfig with_threads = sampled();
-  with_threads.tile_threads = 8;  // forced serial, still an estimate
-  EXPECT_TRUE(engine_alters_results(with_threads));
   EXPECT_FALSE(engine_alters_results(EngineConfig{}));
 }
 
@@ -323,9 +319,9 @@ TEST_F(SamplingDiskTest, StaleEngineVersionEntriesAreCountedNotCorrupt) {
 
 // --- determinism -----------------------------------------------------------
 
-TEST(Sampling, DeterministicAcrossJobsAndTileThreads) {
-  // Sampling forces the serial engine, so neither the sweep's worker count
-  // nor the engine's tile-thread knob may change a single byte.
+TEST(Sampling, DeterministicAcrossJobs) {
+  // Each point runs on one thread, so the sweep's worker count may not
+  // change a single byte.
   ExperimentSpec spec;
   spec.name = "sampling_determinism_test";
   spec.title = "sampling determinism";
@@ -340,10 +336,6 @@ TEST(Sampling, DeterministicAcrossJobsAndTileThreads) {
   const std::string one = to_json(run_sweep(spec, opt));
   opt.jobs = 4;
   EXPECT_EQ(one, to_json(run_sweep(spec, opt))) << "--jobs changed bytes";
-  opt.jobs = 1;
-  opt.engine.tile_threads = 8;
-  opt.engine.sync = EngineConfig::Sync::Relaxed;
-  EXPECT_EQ(one, to_json(run_sweep(spec, opt))) << "--tile-threads changed bytes";
 }
 
 TEST(Sampling, RepeatedSampledRunsAreByteIdentical) {

@@ -1,6 +1,11 @@
-// Tests for the top-level System: wiring, reporting, and run isolation.
+// Tests for the top-level System: wiring, reporting, run isolation, and the
+// engine schedule (quantum turns, cancellation, the results-altering gate).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "driver/sweep.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
 #include "test_util.hpp"
@@ -148,6 +153,75 @@ TEST(Report, ZeroNormalizationIsSafe) {
   RunReport r;
   EXPECT_DOUBLE_EQ(phase_split(r, 0).total(), 0.0);
   EXPECT_DOUBLE_EQ(energy_split(r, 0.0).total(), 0.0);
+}
+
+// --- engine schedule --------------------------------------------------------
+
+EngineConfig quantum(Cycle q) {
+  EngineConfig e;
+  e.quantum = q;
+  return e;
+}
+
+driver::SweepPoint ft_point(unsigned cores, double scale) {
+  driver::SweepPoint p;
+  p.label = "system/FT/hybrid_coherent/" + std::to_string(cores);
+  p.machine = "hybrid_coherent";
+  p.workload = "FT";
+  p.scale = scale;
+  p.knobs["cores"] = std::to_string(cores);
+  return p;
+}
+
+std::string report_text(const driver::PointResult& r) {
+  EXPECT_TRUE(r.ok) << r.point.label << ": " << r.error;
+  std::string text;
+  append_report_fields(text, r.report);
+  return text;
+}
+
+TEST(EngineSchedule, AlteringEngineConfigsAreDetected) {
+  EXPECT_FALSE(engine_alters_results(EngineConfig{}));
+  EXPECT_TRUE(engine_alters_results(quantum(64)));
+  EngineConfig sampled;
+  sampled.sampling.mode = SamplingConfig::Mode::Interval;
+  EXPECT_TRUE(engine_alters_results(sampled));
+}
+
+TEST(EngineSchedule, QuantumOnOneTileEqualsSerial) {
+  // With nothing to interleave against, a lone tile's quantum turns
+  // concatenate to exactly the serial run.
+  const driver::SweepPoint p = ft_point(1, 0.02);
+  EXPECT_EQ(report_text(driver::run_point(p)),
+            report_text(driver::run_point(p, quantum(64))));
+}
+
+TEST(EngineSchedule, SamplingRejectsAFiniteQuantum) {
+  System sys(MachineConfig::hybrid_coherent(), 2);
+  VecStream a({VecStream::load(0x1000, 1)});
+  VecStream b({VecStream::load(0x2000, 1)});
+  EngineConfig e = quantum(64);
+  e.sampling.mode = SamplingConfig::Mode::Interval;
+  sys.set_engine(e);
+  EXPECT_THROW(sys.run({&a, &b}), std::invalid_argument);
+}
+
+TEST(EngineSchedule, PreCancelledTokenAbortsTheQuantumSchedule) {
+  CancelToken token;
+  token.cancel();
+  EXPECT_THROW(driver::run_point(ft_point(4, 0.05), quantum(64), &token),
+               CancelledError);
+}
+
+TEST(EngineSchedule, CycleBudgetCancelsWithDeterministicReason) {
+  CancelToken token;
+  token.set_cycle_limit(20'000);
+  try {
+    driver::run_point(ft_point(4, 0.1), quantum(64), &token);
+    FAIL() << "cycle budget did not fire";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelledError::Reason::CycleLimit);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //                                         experiment inventory for scripting)
 //   hm_sweep run [flags]                  run experiments (default: all)
 //     --filter SUBSTR     only experiments whose name contains SUBSTR
-//     --jobs N|auto       worker threads (default auto = cores/tile-threads)
+//     --jobs N|auto       worker threads (default auto = host cores); the
+//                         only host parallelism — each point runs on one
+//                         thread
 //   Interconnect topology (see docs/ARCHITECTURE.md "Interconnect"):
 //     --topology T        override every point's topology knob: flat (the
 //                         historical single-arbiter uncore), mesh or ring.
@@ -17,23 +19,19 @@
 //                         `--topology flat` is identical to no flag
 //     --mesh-dim N        mesh X dimension (default 0 = near-square
 //                         auto-factor of the core count; must divide it)
-//   Parallel multi-tile engine (see README "Parallel engine"):
-//     --tile-threads N    engine threads per point (default 1 = serial)
-//     --sync MODE         lockstep|relaxed (default lockstep): lockstep is
-//                         deterministic (and, at the default --quantum 0,
-//                         byte-identical to serial); relaxed free-runs
-//                         tiles within --skew-bound and disables caches and
-//                         the journal (results vary within the bound)
-//     --quantum N         lockstep turn length in cycles (default 0 =
-//                         whole-run turns; nonzero also disables caches)
-//     --skew-bound N      relaxed max cycle skew between tiles (default 8192)
+//   Engine schedule (see docs/OPERATIONS.md "Engine schedule"):
+//     --quantum N         tile turn length in simulated cycles (default 0 =
+//                         serial whole-run turns).  A finite quantum is a
+//                         different, deterministic contention model: it
+//                         disables caches and the journal, and cannot be
+//                         combined with --sample interval
 //   Sampled simulation (see README "Sampled simulation"):
 //     --sample MODE       off|interval (default off): interval alternates
 //                         detailed warmup+measurement with batch-compiled
 //                         functional fast-forward per tile; cycles/energy
 //                         are extrapolated and each point reports an error
 //                         bound.  Approximate: disables caches and the
-//                         journal, forces the serial engine
+//                         journal
 //     --warmup N          detailed warmup uops per measurement (default 2000)
 //     --detail N          detailed measured uops per interval (default 10000)
 //     --ff N              fast-forwarded uops per interval (default 500000)
@@ -123,10 +121,7 @@ struct CliOptions {
   std::string trace_dir;
   std::string metrics_out;
   bool live_progress = false;
-  unsigned tile_threads = 1;
-  std::string sync = "lockstep";
   unsigned quantum = 0;
-  unsigned skew_bound = 8192;
   std::string sample = "off";
   hm::SamplingConfig sampling;  // warmup/detail/ff knobs; mode set from `sample`
   std::string sample_report;
@@ -141,8 +136,7 @@ int usage(const char* argv0, int code) {
                "       [--journal-dir DIR] [--no-journal] [--resume]\n"
                "       [--retries N] [--deadline SECS] [--max-point-cycles N]\n"
                "       [--faults SPEC] [--trace-dir DIR] [--metrics-out FILE]\n"
-               "       [--progress] [--tile-threads N] [--sync lockstep|relaxed]\n"
-               "       [--quantum N] [--skew-bound N] [--sample off|interval]\n"
+               "       [--progress] [--quantum N] [--sample off|interval]\n"
                "       [--warmup N] [--detail N] [--ff N] [--sample-report FILE]\n",
                argv0);
   return code;
@@ -314,33 +308,11 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       opt.metrics_out = v;
     } else if (arg == "--progress") {
       opt.live_progress = true;
-    } else if (arg == "--tile-threads") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_unsigned(v, opt.tile_threads)) {
-        std::fprintf(stderr, "--tile-threads expects a positive integer, got: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--sync") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opt.sync = v;
-      if (opt.sync != "lockstep" && opt.sync != "relaxed") {
-        std::fprintf(stderr, "--sync expects lockstep or relaxed, got: %s\n", v);
-        return false;
-      }
     } else if (arg == "--quantum") {
       const char* v = need_value(i);
       if (!v) return false;
       if (!parse_unsigned(v, opt.quantum)) {
         std::fprintf(stderr, "--quantum expects a non-negative integer, got: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--skew-bound") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_unsigned(v, opt.skew_bound)) {
-        std::fprintf(stderr, "--skew-bound expects a positive integer, got: %s\n", v);
         return false;
       }
     } else if (arg == "--sample") {
@@ -551,14 +523,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Engine configuration for every point; auto --jobs divides by the tile
-  // threads so jobs x tile_threads fills (not oversubscribes) the host.
+  // Engine configuration for every point.
   hm::EngineConfig engine;
-  engine.tile_threads = opt.tile_threads;
-  engine.sync = opt.sync == "relaxed" ? hm::EngineConfig::Sync::Relaxed
-                                      : hm::EngineConfig::Sync::Lockstep;
   engine.quantum = opt.quantum;
-  engine.skew_bound = opt.skew_bound;
   engine.sampling = opt.sampling;
   engine.sampling.mode = opt.sample == "interval"
                              ? hm::SamplingConfig::Mode::Interval
@@ -567,18 +534,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sample-report needs --sample interval\n");
     return usage(argv[0], 2);
   }
-  const unsigned jobs =
-      opt.jobs == 0 ? SweepScheduler::auto_jobs(opt.tile_threads) : opt.jobs;
-  if (opt.jobs != 0 && jobs * opt.tile_threads > SweepScheduler::auto_jobs())
-    std::fprintf(stderr,
-                 "warning: --jobs %u x --tile-threads %u = %u threads "
-                 "oversubscribes %u hardware threads\n",
-                 jobs, opt.tile_threads, jobs * opt.tile_threads,
-                 SweepScheduler::auto_jobs());
+  if (engine.sampling.enabled() && engine.quantum != 0) {
+    std::fprintf(stderr, "--sample interval runs each tile whole; it cannot be "
+                         "combined with --quantum > 0\n");
+    return usage(argv[0], 2);
+  }
+  const unsigned jobs = opt.jobs == 0 ? SweepScheduler::auto_jobs() : opt.jobs;
   if (hm::engine_alters_results(engine) && !opt.quiet)
     std::fprintf(stderr,
-                 "note: engine config alters results (--sample interval, "
-                 "--sync relaxed or --quantum > 0): memo cache, session cache "
+                 "note: engine config alters results (--sample interval or "
+                 "--quantum > 0): memo cache, session cache "
                  "and journal are disabled for these sweeps\n");
   const bool tty = !opt.quiet && progress_to_tty();
   RunCache session;
