@@ -41,6 +41,7 @@
 // one thread, so every booking against a shared timeline is serial.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -375,6 +376,17 @@ class SharedResource {
     std::uint64_t queue_cycles = 0;    ///< total cycles of push-back
     std::uint64_t peak_occupancy = 0;  ///< deepest backlog any booking observed
     std::uint64_t overflows = 0;       ///< grants beyond the tracked horizon
+
+    /// Aggregate another resource into this one: counts add, the peak is
+    /// the deeper of the two.
+    Contention& operator+=(const Contention& o) {
+      requests += o.requests;
+      delayed += o.delayed;
+      queue_cycles += o.queue_cycles;
+      overflows += o.overflows;
+      peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
+      return *this;
+    }
   };
 
   SharedResource(std::string name, Cycle gap)

@@ -241,7 +241,8 @@ Cycle MemoryHierarchy::wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc) {
   return drain;
 }
 
-AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr pc) {
+template <bool kTimed>
+AccessResult MemoryHierarchy::access_impl(Cycle now, Addr addr, AccessType type, Addr pc) {
   Scratch sc;
   if (type == AccessType::Read) {
     sc.loads++;
@@ -272,13 +273,16 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
     r.latency = l1_lat;  // the issuing store observes only the L1 latency...
     r.complete = wt_store(now + l1_lat, addr, pc, sc);  // ...but drains later
   } else {
-    // L1 load miss (or write-back write miss): go below through the MSHRs
-    // (merging + structural hazards) and allocate the line in L1 at the
-    // victim slot the single-pass lookup already selected.
+    // L1 load miss (or write-back write miss): go below and allocate the
+    // line in L1 at the victim slot the single-pass lookup already
+    // selected.  The timed path issues the miss after the L1 lookup and
+    // merges it through the MSHRs (merging + structural hazards); the
+    // functional path books it at the issue cycle and skips the MSHRs.
     ServedBy served = ServedBy::CacheL2;
-    const Cycle below = fill_from_below(now + l1_lat, addr, pc, served, sc);
-    const Addr line = l1d_.line_base(addr);
-    const Cycle ready = mshr_.on_miss(line, now + l1_lat, below);
+    const Cycle miss_start = kTimed ? now + l1_lat : now;
+    const Cycle below = fill_from_below(miss_start, addr, pc, served, sc);
+    const Cycle ready = kTimed ? mshr_.on_miss(l1d_.line_base(addr), miss_start, below)
+                               : now + l1_lat + below;
 
     if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) handle_l2_victim(now, *v, sc);
     note_l1_fill(addr);
@@ -292,160 +296,12 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Functional (sampled fast-forward) path.  Each twin below mirrors its
-// detailed counterpart line for line: same lookup order, same fills, same
-// victim handling, same prefetcher training, same Scratch traffic, same
-// port/DRAM bookings with the granted (queued) start times — minus the
-// MSHRs.  Booking and honoring the queue matters twice over: fast-forwarded
-// regions must leave the shared timelines as dense as detailed execution
-// would (or the detailed measurement windows that follow resume against
-// empty queues and under-measure bandwidth-bound phases), and the queued
-// completion times feed the replayed store buffer's drain state, whose
-// back-pressure the replay clock stalls on exactly like detailed dispatch
-// (OooCore::replay_functional).  Keeping the operation ORDER identical is
-// what makes the post-run cache image byte-comparable to a fully detailed
-// run (tests/sampling_test.cpp).
-
-void MemoryHierarchy::functional_l3_victim(Cycle now, const EvictedLine& v, Scratch& sc) {
-  if (!v.dirty) return;
-  sc.bus_l3_mem++;
-  mem_count_access(now, v.line_addr, AccessType::Write);
-}
-
-void MemoryHierarchy::functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc) {
-  if (!v.dirty) return;
-  sc.bus_l2_l3++;
-  const auto l3r = l3_.access(v.line_addr, AccessType::Write);
-  if (l3r.hit) return;
-  if (auto l3v = l3_.fill_at(l3r, v.line_addr)) functional_l3_victim(now, *l3v, sc);
-  l3_.set_dirty_at(l3r);
-}
-
-void MemoryHierarchy::functional_fetch_below_l2(Cycle now, Addr line,
-                                                const SetAssocCache::LookupResult& l2_miss,
-                                                Scratch& sc) {
-  book_l2(now, line, sc);
-  sc.bus_l2_l3++;
-  const auto l3r = l3_.access(line, AccessType::Read);
-  if (!l3r.hit) {
-    sc.bus_l3_mem++;
-    mem_count_access(now, line, AccessType::Read);
-    if (auto v = l3_.fill_at(l3r, line)) functional_l3_victim(now, *v, sc);
-  }
-  if (auto v = l2_.fill_at(l2_miss, line, /*from_prefetch=*/true)) functional_l2_victim(now, *v, sc);
-}
-
-void MemoryHierarchy::functional_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l1_.train(pc, addr)) {
-    const auto p1 = l1d_.peek(line);
-    if (p1.hit) continue;
-    sc.bus_l1_l2++;
-    const auto p2 = l2_.peek(line);
-    if (!p2.hit) functional_fetch_below_l2(now, line, p2, sc);
-    noc_response(now, line);
-    if (auto v = l1d_.fill_at(p1, line, /*from_prefetch=*/true); v && v->dirty) {
-      functional_l2_victim(now, *v, sc);
-    }
-    note_l1_fill(line);
-  }
-}
-
-void MemoryHierarchy::functional_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l2_.train(pc, addr)) {
-    const auto p = l2_.peek(line);
-    if (p.hit) continue;
-    functional_fetch_below_l2(now, line, p, sc);
-  }
-}
-
-void MemoryHierarchy::functional_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l3_.train(pc, addr)) {
-    const auto p = l3_.peek(line);
-    if (p.hit) continue;
-    sc.bus_l3_mem++;
-    mem_count_access(now, line, AccessType::Read);
-    if (auto v = l3_.fill_at(p, line, /*from_prefetch=*/true)) functional_l3_victim(now, *v, sc);
-  }
-}
-
-Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
-                                                  SetAssocCache::LookupResult* l2_loc) {
-  const Cycle l2_start = book_l2(now, addr, sc);
-  Cycle lat = (l2_start - now) + cfg_.l2.latency;
-  sc.bus_l1_l2++;
-  functional_prefetches_l2(now, pc, addr, sc);
-  const auto l2r = l2_.access(addr, AccessType::Read);
-  if (l2r.hit) {
-    if (l2_loc) *l2_loc = l2r;
-    return noc_response(now + lat, addr) - now;
-  }
-  const Cycle l3_start = book_l3(now + lat, addr, sc);
-  lat = (l3_start - now) + cfg_.l3.latency;
-  sc.bus_l2_l3++;
-  functional_prefetches_l3(now, pc, addr, sc);
-  const auto l3r = l3_.access(addr, AccessType::Read);
-  if (!l3r.hit) {
-    sc.bus_l3_mem++;
-    const Cycle mem_done = mem_count_access(now + lat, addr, AccessType::Read);
-    lat = mem_done - now;
-    if (auto v = l3_.fill_at(l3r, addr)) functional_l3_victim(now, *v, sc);
-  }
-  if (auto v = l2_.fill_at(l2r, addr)) functional_l2_victim(now, *v, sc);
-  if (l2_loc) *l2_loc = l2r;
-  return noc_response(now + lat, addr) - now;
-}
-
-Cycle MemoryHierarchy::functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc) {
-  const Addr line = l1d_.line_base(addr);
-  WcbEntry* slot = &wcb_[0];
-  for (WcbEntry& e : wcb_) {
-    if (e.line == line && e.drain > now) return e.drain;
-    if (e.drain < slot->drain) slot = &e;
-  }
-  sc.wt_traffic++;
-  sc.bus_l1_l2++;
-  Cycle drain;
-  if (l2_.access(addr, AccessType::Write).hit) {
-    drain = book_l2(now, addr, sc) + cfg_.l2.latency;
-  } else {
-    SetAssocCache::LookupResult l2_loc;
-    drain = now + functional_fill_from_below(now, addr, pc, sc, &l2_loc);
-    l2_.set_dirty_at(l2_loc);
-  }
-  slot->line = line;
-  slot->drain = drain;
-  return drain;
+AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr pc) {
+  return access_impl<true>(now, addr, type, pc);
 }
 
 Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, Addr pc) {
-  Scratch sc;
-  if (type == AccessType::Read) {
-    sc.loads++;
-  } else {
-    sc.stores++;
-  }
-  functional_prefetches_l1(now, pc, addr, sc);
-
-  Cycle complete;
-  const Cycle l1_lat = cfg_.l1d.latency;
-  const auto l1r = l1d_.access(addr, type);
-  if (l1r.hit) {
-    complete = now + l1_lat;
-    if (type == AccessType::Write && cfg_.l1d.write_policy == WritePolicy::WriteThrough) {
-      complete = functional_wt_store(now, addr, pc, sc);
-    }
-  } else if (type == AccessType::Write &&
-             cfg_.l1d.write_policy == WritePolicy::WriteThrough) {
-    complete = functional_wt_store(now + l1_lat, addr, pc, sc);
-  } else {
-    complete = now + l1_lat + functional_fill_from_below(now, addr, pc, sc);
-    if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) functional_l2_victim(now, *v, sc);
-    note_l1_fill(addr);
-    if (type == AccessType::Write) l1d_.set_dirty_at(l1r);
-  }
-  commit(sc);
-  return complete;
+  return access_impl<false>(now, addr, type, pc).complete;
 }
 
 Cycle MemoryHierarchy::dma_read_line(Cycle now, Addr line_addr) {

@@ -72,13 +72,14 @@ class MemoryHierarchy {
   /// for prefetcher training.
   AccessResult access(Cycle now, Addr addr, AccessType type, Addr pc);
 
-  /// Content-only twin of access() for the sampled engine's functional
-  /// fast-forward: performs the identical sequence of cache tag/LRU/dirty
-  /// updates, prefetcher training and fill/victim traffic — so cache,
-  /// directory-visible and prefetcher state stay warm and activity counters
-  /// stay exact — but books no port/DRAM occupancy and skips the MSHRs.
-  /// Returns an approximate completion cycle (configured latencies, no
-  /// queueing) used only for write-window modelling.
+  /// Sampled fast-forward entry point: runs access()'s code — the same
+  /// cache tag/LRU/dirty updates, prefetcher training, fill/victim traffic
+  /// and L2/L3 port, NoC and DRAM bookings with their queued starts — minus
+  /// the MSHRs, and books an L1 miss at the issue cycle @p now rather than
+  /// after the L1 lookup.  The bookings keep the shared timelines as dense
+  /// as detailed execution would, so the detailed windows that follow see
+  /// realistic contention.  Returns the completion cycle, which the
+  /// replayed store buffer drains on.
   Cycle functional_access(Cycle now, Addr addr, AccessType type, Addr pc);
 
   /// Coherent dma-get bus request for one line: read from this tile's L1 if
@@ -155,6 +156,11 @@ class MemoryHierarchy {
   };
   void commit(const Scratch& sc);
 
+  /// The one access path behind access() (kTimed) and functional_access()
+  /// (!kTimed); they differ only in the L1-miss branch.
+  template <bool kTimed>
+  AccessResult access_impl(Cycle now, Addr addr, AccessType type, Addr pc);
+
   /// Miss path below L1: lookup L2 then L3 then memory; fill back.  Returns
   /// the added latency beyond L1 and reports the serving level.  When
   /// @p l2_loc is non-null it receives the L2 slot now holding the line, so
@@ -186,9 +192,6 @@ class MemoryHierarchy {
   Cycle mem_access(Cycle when, Addr line, AccessType type) {
     return mem_.access(when, type, uncore_.dram_channel_of(line));
   }
-  Cycle mem_count_access(Cycle when, Addr line, AccessType type) {
-    return mem_.count_access(when, type, uncore_.dram_channel_of(line));
-  }
 
   /// NoC response leg: the line travels home slice -> this tile, data
   /// ready at @p ready.  Identity when flat.
@@ -211,27 +214,6 @@ class MemoryHierarchy {
   void run_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc);
   void run_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc);
   void run_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc);
-
-  // Content-exact twins of the miss/fill helpers above, used exclusively by
-  // functional_access().  They perform the identical sequence of cache
-  // lookups, fills, victim writebacks and prefetcher training — so the tag,
-  // LRU, dirty and training state evolves exactly as under the detailed
-  // path — and BOOK the port/DRAM slots their traffic would occupy, with
-  // the granted (queued) starts reflected in the returned latency.  Booking
-  // keeps the shared timelines dense across fast-forwarded regions so the
-  // detailed intervals between them observe realistic contention, and the
-  // queued drain times give the replayed store buffer real back-pressure.
-  // No MSHRs.
-  Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
-                                   SetAssocCache::LookupResult* l2_loc = nullptr);
-  void functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc);
-  void functional_l3_victim(Cycle now, const EvictedLine& v, Scratch& sc);
-  void functional_fetch_below_l2(Cycle now, Addr line,
-                                 const SetAssocCache::LookupResult& l2_miss, Scratch& sc);
-  Cycle functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc);
-  void functional_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc);
-  void functional_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc);
-  void functional_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc);
 
   HierarchyConfig cfg_;
   /// Non-null only for the standalone constructor; uncore_ points at it.

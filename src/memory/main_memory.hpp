@@ -47,18 +47,6 @@ class MainMemory {
     return channel_port(channel).book(now) + cfg_.latency;
   }
 
-  /// Access for the functional (sampled fast-forward) executor.  Identical
-  /// to access() — the channel slot IS booked and the queued completion
-  /// cycle returned — because fast-forwarded regions must leave the channel
-  /// timeline as dense as detailed execution would, and the store-drain
-  /// times derived from the return feed the replayed store buffer's
-  /// back-pressure.  Kept as a separate entry point so the functional call
-  /// sites stay greppable and the contract (content + contention, no MSHRs)
-  /// is documented in one place.
-  Cycle count_access(Cycle now, AccessType type, unsigned channel = 0) {
-    return access(now, type, channel);
-  }
-
   /// Grow to @p n independent channels (NoC-sliced uncore).  Channel 0 is
   /// the existing "dram" port; channels 1..n-1 get their own timelines and
   /// contention counters ("dram_ch<k>", aggregated at report time, not
@@ -75,14 +63,7 @@ class MainMemory {
   /// equals port().contention() on a single-channel machine.
   SharedResource::Contention aggregate_contention() const {
     SharedResource::Contention agg = port_.contention();
-    for (const auto& c : extra_) {
-      const SharedResource::Contention& e = c->contention();
-      agg.requests += e.requests;
-      agg.delayed += e.delayed;
-      agg.queue_cycles += e.queue_cycles;
-      agg.overflows += e.overflows;
-      if (e.peak_occupancy > agg.peak_occupancy) agg.peak_occupancy = e.peak_occupancy;
-    }
+    for (const auto& c : extra_) agg += c->contention();
     return agg;
   }
 

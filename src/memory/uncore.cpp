@@ -128,42 +128,21 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
 SharedResource::Contention Uncore::l2_port_contention() const {
   if (noc_ == nullptr) return l2_port_.contention();
   SharedResource::Contention agg;
-  for (const auto& p : slice_l2_ports_) {
-    const SharedResource::Contention& c = p->contention();
-    agg.requests += c.requests;
-    agg.delayed += c.delayed;
-    agg.queue_cycles += c.queue_cycles;
-    agg.overflows += c.overflows;
-    if (c.peak_occupancy > agg.peak_occupancy) agg.peak_occupancy = c.peak_occupancy;
-  }
+  for (const auto& p : slice_l2_ports_) agg += p->contention();
   return agg;
 }
 
 SharedResource::Contention Uncore::l3_port_contention() const {
   if (noc_ == nullptr) return l3_port_.contention();
   SharedResource::Contention agg;
-  for (const auto& p : slice_l3_ports_) {
-    const SharedResource::Contention& c = p->contention();
-    agg.requests += c.requests;
-    agg.delayed += c.delayed;
-    agg.queue_cycles += c.queue_cycles;
-    agg.overflows += c.overflows;
-    if (c.peak_occupancy > agg.peak_occupancy) agg.peak_occupancy = c.peak_occupancy;
-  }
+  for (const auto& p : slice_l3_ports_) agg += p->contention();
   return agg;
 }
 
 SharedResource::Contention Uncore::dma_bus_contention() const {
   if (noc_ == nullptr) return dma_bus_.contention();
   SharedResource::Contention agg;
-  for (const auto& p : dma_inj_) {
-    const SharedResource::Contention& c = p->contention();
-    agg.requests += c.requests;
-    agg.delayed += c.delayed;
-    agg.queue_cycles += c.queue_cycles;
-    agg.overflows += c.overflows;
-    if (c.peak_occupancy > agg.peak_occupancy) agg.peak_occupancy = c.peak_occupancy;
-  }
+  for (const auto& p : dma_inj_) agg += p->contention();
   return agg;
 }
 

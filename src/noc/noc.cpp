@@ -156,15 +156,8 @@ Cycle Noc::traverse(unsigned src, unsigned dst, Cycle now, unsigned flits) {
 
 SharedResource::Contention Noc::link_contention() const {
   SharedResource::Contention agg;
-  for (const auto& l : links_) {
-    if (!l) continue;
-    const SharedResource::Contention& c = l->contention();
-    agg.requests += c.requests;
-    agg.delayed += c.delayed;
-    agg.queue_cycles += c.queue_cycles;
-    agg.overflows += c.overflows;
-    if (c.peak_occupancy > agg.peak_occupancy) agg.peak_occupancy = c.peak_occupancy;
-  }
+  for (const auto& l : links_)
+    if (l) agg += l->contention();
   return agg;
 }
 

@@ -1,13 +1,13 @@
 // Enforces the engine's allocation-free fast path: once warm, the
-// MemoryHierarchy access path (demand accesses, prefetcher trains and fills,
-// MSHR traffic, write-through stores, DMA bus requests) must not allocate
-// per access.  A counting global operator new catches any regression — the
-// seed's three std::vector allocations per access would trip this
-// immediately.  The single permitted allocation source is the full-run
-// occupancy timelines (common/occupancy.hpp) growing a chunk slab as
-// simulated time advances: amortized one slab per tens of thousands of
-// simulated cycles, so the budget below is a function of elapsed simulated
-// time, not of the access count.
+// MemoryHierarchy access path (demand accesses — timed and functional —
+// prefetcher trains and fills, MSHR traffic, write-through stores, DMA bus
+// requests) must not allocate per access.  A counting global operator new
+// catches any regression — the seed's three std::vector allocations per
+// access would trip this immediately.  The single permitted allocation
+// source is the full-run occupancy timelines (common/occupancy.hpp)
+// growing a chunk slab as simulated time advances: amortized one slab per
+// tens of thousands of simulated cycles, so the budget below is a function
+// of elapsed simulated time, not of the access count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -59,8 +59,10 @@ TEST(AllocationFreeFastPath, SteadyStateAccessAllocatesOnlyTimelineChunks) {
         pc = 0x400 + s * 4;
         if (rng.chance(0.3)) type = AccessType::Write;
       }
-      const AccessResult r = h.access(now, addr, type, pc);
-      now = r.complete > now ? r.complete : now + 1;
+      // Every fourth access takes the sampled fast-forward entry point.
+      const Cycle done = i % 4 == 3 ? h.functional_access(now, addr, type, pc)
+                                    : h.access(now, addr, type, pc).complete;
+      now = done > now ? done : now + 1;
       if (rng.chance(0.01)) {
         // Coherent DMA bus requests ride the same fast path.
         h.dma_read_line(now, h.l1d().line_base(addr));

@@ -83,9 +83,11 @@ TEST(Codegen, DemotedStridedRefAliasingReadOnlyMappedArrayEmitsGuardedDoubleStor
   // One conventional store per guarded store (the double store)...
   EXPECT_EQ(count_kind(ops, OpKind::Store), loop.iterations);
   // ...and every guarded access addresses the SM, never the LM window.
-  for (const auto& op : ops)
-    if (op.kind == OpKind::GuardedStore || op.kind == OpKind::Store)
+  for (const auto& op : ops) {
+    if (op.kind == OpKind::GuardedStore || op.kind == OpKind::Store) {
       EXPECT_LT(op.addr, kLmBase);
+    }
+  }
 }
 
 TEST(Codegen, CacheVariantHasNoDmaOrGuards) {
@@ -99,8 +101,11 @@ TEST(Codegen, CacheVariantHasNoDmaOrGuards) {
   EXPECT_EQ(count_kind(ops, OpKind::GuardedLoad), 0u);
   EXPECT_EQ(count_kind(ops, OpKind::GuardedStore), 0u);
   // All memory addresses are SM addresses.
-  for (const auto& op : ops)
-    if (op.is_mem()) EXPECT_LT(op.addr, kLmBase);
+  for (const auto& op : ops) {
+    if (op.is_mem()) {
+      EXPECT_LT(op.addr, kLmBase);
+    }
+  }
 }
 
 TEST(Codegen, OracleVariantUnguardedButTiled) {
@@ -182,7 +187,9 @@ TEST(Codegen, DisableReadonlyOptWritesBackEverything) {
   EXPECT_EQ(count_kind(ops, OpKind::DmaPut), plan.num_tiles * plan.buffers.size());
   // And the double store disappears: a single guarded store per PI write.
   for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
-    if (ops[i].kind == OpKind::GuardedStore) EXPECT_NE(ops[i + 1].kind, OpKind::Store);
+    if (ops[i].kind == OpKind::GuardedStore) {
+      EXPECT_NE(ops[i + 1].kind, OpKind::Store);
+    }
   }
 }
 
@@ -245,8 +252,11 @@ TEST(Codegen, FunctionalStoresCarryDeterministicValues) {
                                               .functional_stores = true},
                              kLmBase, kLmSize);
   const auto ops = drain(k);
-  for (const auto& op : ops)
-    if (op.is_store()) EXPECT_TRUE(op.has_value);
+  for (const auto& op : ops) {
+    if (op.is_store()) {
+      EXPECT_TRUE(op.has_value);
+    }
+  }
   EXPECT_EQ(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(1, 7));
   EXPECT_NE(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(2, 7));
   EXPECT_NE(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(1, 8));

@@ -101,7 +101,9 @@ TEST_P(DirectoryModel, MatchesReferenceMap) {
           }
         }
         EXPECT_EQ(r.hit, expected_hit);
-        if (expected_hit) EXPECT_EQ(r.address, expected_addr);
+        if (expected_hit) {
+          EXPECT_EQ(r.address, expected_addr);
+        }
         break;
       }
     }

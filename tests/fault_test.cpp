@@ -300,7 +300,9 @@ TEST_F(FaultTmpDir, CrashMidSweepThenResumeIsByteIdentical) {
 
 TEST(FaultSerialize, ReportSerializeFaultPropagatesAsFatal) {
   ScopedFaultPlan plan("report_serialize:engine");
-  const SweepOutcome out = run_sweep(tiny_spec(), SweepOptions{.jobs = 1});
+  SweepOptions opt;
+  opt.jobs = 1;
+  const SweepOutcome out = run_sweep(tiny_spec(), opt);
   EXPECT_EQ(out.failures, 0u);  // the sweep itself is fine
   EXPECT_THROW(to_json(out), std::runtime_error);
   EXPECT_THROW(to_csv(out), std::runtime_error);

@@ -19,6 +19,11 @@
 //    quantum 64, captured from the multi-threaded lockstep engine (4
 //    threads) that the single-threaded quantum schedule replaced; the
 //    schedule must reproduce those bytes.
+//  * Sampled simulation pins the functional fast-forward path:
+//    tests/golden/sampled.txt holds three points run under interval
+//    sampling with budgets small enough that fast-forward engages at
+//    scale 0.05 — the full RunReport serialization plus the sampling
+//    estimate fields (sample_error, sampled_fraction).
 //
 // If an intentional engine change alters simulated metrics, regenerate
 // every golden with scripts/update_goldens.sh (it reruns this binary with
@@ -26,6 +31,7 @@
 // bump hm::kEngineVersion in the same commit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -84,10 +90,12 @@ std::string rendered_table(const char* name) {
 
   // The tables are only trustworthy when the occupancy model covered the
   // whole run: any horizon overflow means understated contention.
-  for (const PointResult& r : out.points)
-    if (r.ok)
+  for (const PointResult& r : out.points) {
+    if (r.ok) {
       EXPECT_EQ(r.report.contention_overflows(), 0u)
           << r.point.label << " overflowed the occupancy horizon";
+    }
+  }
   return render(out);
 }
 
@@ -275,6 +283,60 @@ TEST(QuantumGolden, Quantum64ReportsAreByteIdentical) {
   ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
   expect_golden("quantum_schedule", got,
                 "quantum-64 reports drifted from the captured turn order");
+}
+
+// ---------------------------------------------------------------------------
+
+/// Sampled-simulation capture: three points under interval sampling —
+/// flat cache_based FT (write-through store path), flat hybrid_coherent FT
+/// (guarded accesses + LM) and 4-core mesh hybrid_coherent FT — at scale
+/// 0.05 with budgets small enough that every point fast-forwards.  Each
+/// point renders its full RunReport plus the sampling estimate fields,
+/// which append_report_fields leaves out.
+std::string sampled_text() {
+  hm::EngineConfig engine;
+  engine.sampling.mode = hm::SamplingConfig::Mode::Interval;
+  engine.sampling.warmup_uops = 500;
+  engine.sampling.detail_uops = 2000;
+  engine.sampling.ff_uops = 20000;
+  std::string text;
+  const struct {
+    const char* machine;
+    const char* topology;
+    const char* cores;
+  } captures[] = {
+      {"cache_based", "flat", "1"},
+      {"hybrid_coherent", "flat", "1"},
+      {"hybrid_coherent", "mesh", "4"},
+  };
+  for (const auto& c : captures) {
+    SweepPoint p;
+    p.label = std::string("golden_sampled/FT/") + c.machine + "/" + c.topology + "/" +
+              c.cores;
+    p.machine = c.machine;
+    p.workload = "FT";
+    p.scale = 0.05;
+    p.knobs["cores"] = c.cores;
+    if (std::string(c.topology) != "flat") p.knobs["topology"] = c.topology;
+    const PointResult r = run_point(p, engine);
+    if (!r.ok) return "FAILED: " + r.error;
+    // Without fast-forward the capture would pin only the detailed path.
+    EXPECT_GT(r.report.sampled_fraction, 0.0) << p.label << ": fast-forward never engaged";
+    text += p.label;
+    text += '\n';
+    hm::append_report_fields(text, r.report);
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "\nsample_error=%.17g sampled_fraction=%.17g\n",
+                  r.report.sample_error, r.report.sampled_fraction);
+    text += buf;
+  }
+  return text;
+}
+
+TEST(SampledGolden, IntervalSampledReportsAreByteIdentical) {
+  const std::string got = sampled_text();
+  ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
+  expect_golden("sampled", got, "interval-sampled reports drifted");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // write-through traffic, dirty write-backs, and the coherent DMA bus ops.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "memory/hierarchy.hpp"
 
 namespace hm {
@@ -161,6 +162,76 @@ TEST(Hierarchy, MemoryBandwidthGapQueues) {
   EXPECT_EQ(a, 100u);
   EXPECT_EQ(b, 110u);
   EXPECT_EQ(mem.stats().value("queue_cycles"), 10u);
+}
+
+/// Strided plus random loads and stores: the mixed stream the access-path
+/// equivalence test feeds to both entry points.  Calls
+/// @p issue(now, addr, type, pc) once per access, in bursts of eight
+/// same-cycle accesses 1000 cycles apart: stores within a burst merge in
+/// the write-combining buffer, and every drain lands before the next burst.
+/// The merge window is the one place timing feeds back into traffic, so
+/// this pacing makes the merge decisions independent of when each path
+/// books its misses.
+template <typename Issue>
+void mixed_stream(std::size_t n, Issue issue) {
+  Rng rng(0xACCE55u);
+  constexpr unsigned kStreams = 6;
+  Addr pos[kStreams];
+  for (unsigned s = 0; s < kStreams; ++s) pos[s] = 0x10'0000ull * (s + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    Addr addr;
+    Addr pc;
+    if (rng.chance(0.25)) {
+      addr = 0x4000'0000ull + rng.below(1 << 22);
+      pc = 0x480;
+    } else {
+      const unsigned s = static_cast<unsigned>(rng.below(kStreams));
+      addr = pos[s];
+      pos[s] += 8 * (s + 1);
+      pc = 0x400 + s * 4;
+    }
+    const AccessType type = rng.chance(0.3) ? AccessType::Write : AccessType::Read;
+    issue(static_cast<Cycle>(i / 8) * 1000, addr, type, pc);
+  }
+}
+
+TEST(Hierarchy, FunctionalAccessMovesTheSameTrafficAsAccess) {
+  // Fast-forward must leave the machine as the timed path would: the same
+  // tag state AND the same traffic (bus legs, write-through writes, port and
+  // DRAM bookings).  The two entry points share one implementation, so this
+  // pins that they stay one path.
+  MemoryHierarchy timed(HierarchyConfig{});  // prefetchers on
+  MemoryHierarchy functional(HierarchyConfig{});
+  mixed_stream(50'000, [&](Cycle now, Addr addr, AccessType type, Addr pc) {
+    timed.access(now, addr, type, pc);
+  });
+  mixed_stream(50'000, [&](Cycle now, Addr addr, AccessType type, Addr pc) {
+    functional.functional_access(now, addr, type, pc);
+  });
+
+  EXPECT_TRUE(timed.l1d().dump_state() == functional.l1d().dump_state()) << "L1D diverged";
+  EXPECT_TRUE(timed.l2().dump_state() == functional.l2().dump_state()) << "L2 diverged";
+  EXPECT_TRUE(timed.l3().dump_state() == functional.l3().dump_state()) << "L3 diverged";
+  // Every hierarchy counter but the port queue cycles, which are timing:
+  // the functional path books an L1 miss at the issue cycle, the timed path
+  // one L1 latency later, so the same bookings can queue by different
+  // amounts.
+  const auto traffic = [](const MemoryHierarchy& h) {
+    auto counters = h.stats().snapshot();
+    std::erase_if(counters, [](const auto& kv) { return kv.first.ends_with("_queue_cycles"); });
+    return counters;
+  };
+  EXPECT_EQ(traffic(timed), traffic(functional));
+  EXPECT_EQ(timed.uncore().l2_port_contention().requests,
+            functional.uncore().l2_port_contention().requests);
+  EXPECT_EQ(timed.uncore().l3_port_contention().requests,
+            functional.uncore().l3_port_contention().requests);
+  EXPECT_EQ(timed.uncore().dram_contention().requests,
+            functional.uncore().dram_contention().requests);
+  EXPECT_GT(timed.stats().value("writethrough_traffic"), 0u);
+  EXPECT_LT(timed.stats().value("writethrough_traffic"), timed.stats().value("stores"))
+      << "no write-combining merges exercised";
+  EXPECT_GT(timed.uncore().dram_contention().requests, 0u);
 }
 
 }  // namespace

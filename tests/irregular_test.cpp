@@ -173,8 +173,11 @@ TEST(IrregularSuite, ParamsShapeTheKernels) {
             hot(make_spmv({.factor = 0.1}, {.sparsity = 0.1})));
   // stride drives every strided leg of the stencil.
   const Workload strided = make_stencil({.factor = 0.1}, {.stride = 4});
-  for (const MemRef& r : strided.loop.refs)
-    if (r.pattern == PatternKind::Strided) EXPECT_EQ(r.stride, 4);
+  for (const MemRef& r : strided.loop.refs) {
+    if (r.pattern == PatternKind::Strided) {
+      EXPECT_EQ(r.stride, 4);
+    }
+  }
 }
 
 // ------------------------------------------------- determinism anchors ----

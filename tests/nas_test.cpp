@@ -36,9 +36,11 @@ TEST(NasWorkloads, CgSignature) {
   EXPECT_EQ(c.num_irregular, 1u);
   EXPECT_EQ(c.num_potentially_incoherent, 1u);  // Table 3: 1 guarded ref
   // The PI reference is a read (no double store anywhere in CG).
-  for (unsigned i = 0; i < w.loop.refs.size(); ++i)
-    if (c.refs[i].cls == RefClass::PotentiallyIncoherent)
+  for (unsigned i = 0; i < w.loop.refs.size(); ++i) {
+    if (c.refs[i].cls == RefClass::PotentiallyIncoherent) {
       EXPECT_FALSE(c.refs[i].needs_double_store);
+    }
+  }
 }
 
 TEST(NasWorkloads, EpSignature) {

@@ -245,6 +245,18 @@ TEST(WriteCombining, EntryExpiresAfterDrain) {
   EXPECT_EQ(h.stats().value("writethrough_traffic"), before + 1);
 }
 
+TEST(SharedResource, ContentionAggregatesAddCountsAndMaxPeak) {
+  SharedResource::Contention agg{.requests = 3, .delayed = 1, .queue_cycles = 5,
+                                 .peak_occupancy = 4, .overflows = 0};
+  agg += SharedResource::Contention{.requests = 2, .delayed = 2, .queue_cycles = 7,
+                                    .peak_occupancy = 2, .overflows = 1};
+  EXPECT_EQ(agg.requests, 5u);
+  EXPECT_EQ(agg.delayed, 3u);
+  EXPECT_EQ(agg.queue_cycles, 12u);
+  EXPECT_EQ(agg.peak_occupancy, 4u);  // the deeper backlog, not the sum
+  EXPECT_EQ(agg.overflows, 1u);
+}
+
 class OccupancyGapSweep : public ::testing::TestWithParam<Cycle> {};
 
 TEST_P(OccupancyGapSweep, ThroughputMatchesGap) {

@@ -192,8 +192,9 @@ TEST(Tile, ScalingIsMonotonicOnEP) {
     ASSERT_TRUE(r.ok) << r.error;
     // The occupancy model must cover the whole run at every core count.
     EXPECT_EQ(r.report.contention_overflows(), 0u) << "cores=" << cores;
-    if (prev != 0)
+    if (prev != 0) {
       EXPECT_LE(r.report.cycles(), prev) << "cores=" << cores << " regressed";
+    }
     prev = r.report.cycles();
   }
 }
