@@ -37,9 +37,6 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg, Uncore* shared)
       mem_(uncore_.memory()),
       pf_l2_(uncore_.pf_l2()),
       pf_l3_(uncore_.pf_l3()),
-      l2_port_(uncore_.l2_port()),
-      l3_port_(uncore_.l3_port()),
-      noc_(uncore_.noc()),
       stats_("hierarchy") {
   port_id_ = uncore_.register_l1(&l1d_);
   stats_.bind("loads", &hot_.loads);
@@ -67,31 +64,22 @@ void MemoryHierarchy::commit(const Scratch& sc) {
 }
 
 Cycle MemoryHierarchy::book_l2(Cycle when, Addr addr, Scratch& sc) {
-  if (noc_ == nullptr) {
-    const Cycle start = l2_port_.book(when);
-    if (start > when) sc.l2_queue += start - when;
-    return start;
-  }
-  // Sliced LLC: one request flit travels to the line's home node (booking
-  // every link on the deterministic route), then books that slice's
-  // private port.  Transit is latency, not queueing — only the push-back
-  // at the slice port lands in l2_queue.
-  const Cycle arrive = noc_->traverse(port_id_, uncore_.home_of(addr), when, 1);
-  const Cycle start = uncore_.slice_l2_port(uncore_.home_of(addr)).book(arrive);
+  // One request flit travels to the line's home node (booking every link
+  // on the deterministic route), then books that slice's port.  Transit
+  // is latency, not queueing — only the push-back at the port lands in
+  // l2_queue.
+  const unsigned home = uncore_.home_of(addr);
+  const Cycle arrive = uncore_.traverse(port_id_, home, when, 1);
+  const Cycle start = uncore_.l2_port(home).book(arrive);
   if (start > arrive) sc.l2_queue += start - arrive;
   return start;
 }
 
 Cycle MemoryHierarchy::book_l3(Cycle when, Addr addr, Scratch& sc) {
-  if (noc_ == nullptr) {
-    const Cycle start = l3_port_.book(when);
-    if (start > when) sc.l3_queue += start - when;
-    return start;
-  }
   // The L3 slice shares the L2 slice's home node (both are interleaved by
   // the same function), so an L2-miss -> L3 lookup pays no extra hops —
   // just this slice's L3 port.
-  const Cycle start = uncore_.slice_l3_port(uncore_.home_of(addr)).book(when);
+  const Cycle start = uncore_.l3_port(uncore_.home_of(addr)).book(when);
   if (start > when) sc.l3_queue += start - when;
   return start;
 }
@@ -316,9 +304,9 @@ Cycle MemoryHierarchy::dma_read_line(Cycle now, Addr line_addr) {
 Cycle MemoryHierarchy::dma_write_line(Cycle now, Addr line_addr) {
   ++hot_.bus_dma;
   // Coherent dma-put: the uncore writes the line to main memory and
-  // broadcasts the invalidation — shared levels plus every tile's L1
-  // (§3.4.2: the DMA data is the valid version everywhere).  The port id
-  // is the request's NoC source node.
+  // invalidates it in the shared levels and in every tile's L1 that may
+  // hold it (§3.4.2: the DMA data is the valid version everywhere).  The
+  // port id is the request's NoC source node.
   return uncore_.dma_put_line(now, line_addr, port_id_);
 }
 

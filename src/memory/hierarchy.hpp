@@ -182,29 +182,25 @@ class MemoryHierarchy {
   /// returns the start cycle.  Models finite cache bandwidth — the port
   /// resource is shared across all tiles of the machine (uncore port
   /// arbitration) and booked over the full run, so cross-tile contention
-  /// never falls off a window.  With a NoC the request first traverses the
-  /// network to @p addr's home slice (booking every link) and the slot is
-  /// booked on that slice's private port; flat machines ignore @p addr.
+  /// never falls off a window.  The request first traverses the network
+  /// to @p addr's home slice (zero cycles when flat) and the slot is
+  /// booked on that slice's port.
   Cycle book_l2(Cycle when, Addr addr, Scratch& sc);
   Cycle book_l3(Cycle when, Addr addr, Scratch& sc);
 
-  /// DRAM access for @p line routed to its home channel (channel 0 flat).
+  /// DRAM access for @p line routed to its home slice's channel.
   Cycle mem_access(Cycle when, Addr line, AccessType type) {
     return mem_.access(when, type, uncore_.dram_channel_of(line));
   }
 
-  /// NoC response leg: the line travels home slice -> this tile, data
-  /// ready at @p ready.  Identity when flat.
+  /// Response leg: the line travels home slice -> this tile, data ready at
+  /// @p ready.  Identity when flat.
   Cycle noc_response(Cycle ready, Addr addr) {
-    if (noc_ == nullptr) return ready;
-    return noc_->traverse(uncore_.home_of(addr), port_id_, ready,
-                          noc_->flits_for(cfg_.l1d.line_size));
+    return uncore_.traverse(uncore_.home_of(addr), port_id_, ready, uncore_.line_flits());
   }
 
-  /// Sharer-filter hook for L1 fills (no-op when flat).
-  void note_l1_fill(Addr addr) {
-    if (noc_ != nullptr) [[unlikely]] uncore_.note_l1_fill(port_id_, l1d_.line_base(addr));
-  }
+  /// Sharer-filter hook for L1 fills.
+  void note_l1_fill(Addr addr) { uncore_.note_l1_fill(port_id_, l1d_.line_base(addr)); }
 
   /// Write-combining buffer for write-through stores: stores to a line with
   /// a pending write merge into it instead of consuming another L2 slot.
@@ -230,9 +226,6 @@ class MemoryHierarchy {
   MainMemory& mem_;
   StreamPrefetcher& pf_l2_;
   StreamPrefetcher& pf_l3_;
-  SharedResource& l2_port_;
-  SharedResource& l3_port_;
-  Noc* noc_;  ///< the machine's interconnect; null = flat arbiter
   struct WcbEntry {
     Addr line = kNoAddr;
     Cycle drain = 0;

@@ -67,8 +67,7 @@ class MainMemory {
     return agg;
   }
 
-  void reset(Cycle now = 0) {
-    (void)now;
+  void reset() {
     port_.reset();
     for (const auto& c : extra_) c->reset();
   }
@@ -78,9 +77,10 @@ class MainMemory {
   }
 
   const MainMemoryConfig& config() const { return cfg_; }
-  SharedResource& port() { return port_; }
-  const SharedResource& port() const { return port_; }
   SharedResource& channel_port(unsigned channel) {
+    return channel == 0 ? port_ : *extra_[channel - 1];
+  }
+  const SharedResource& channel_port(unsigned channel) const {
     return channel == 0 ? port_ : *extra_[channel - 1];
   }
   StatGroup& stats() { return stats_; }

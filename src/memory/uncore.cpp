@@ -7,8 +7,6 @@
 
 namespace hm {
 
-Uncore::Uncore(const HierarchyConfig& cfg) : Uncore(cfg, NocConfig{}, 1) {}
-
 Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tiles)
     : cfg_(cfg),
       l2_(cfg_.l2),
@@ -16,41 +14,39 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
       mem_(cfg_.mem),
       pf_l2_("PF_L2", cfg_.pf_l2, cfg_.l2.line_size),
       pf_l3_("PF_L3", cfg_.pf_l3, cfg_.l3.line_size),
-      l2_port_("l2_port", cfg_.l2_gap),
-      l3_port_("l3_port", cfg_.l3_gap),
-      dma_bus_("dma_bus", 1),
       stats_("uncore") {
-  // Port/bus contention statistics report (and reset) through the uncore
-  // group: l2_port_requests, l3_port_queue_cycles, dma_bus_delayed, ...
-  l2_port_.bind_into(stats_, "l2_port");
-  l3_port_.bind_into(stats_, "l3_port");
-  dma_bus_.bind_into(stats_, "dma_bus");
   dma_invalidate_broadcasts_ = &stats_.counter("dma_invalidate_broadcasts");
-
-  if (noc.active()) {
-    if (n_tiles == 0 || n_tiles > SharerFilter::kMaxTiles)
-      throw std::invalid_argument("NoC tile count out of range (1..256)");
-    noc_ = std::make_unique<Noc>(noc, n_tiles);
-    n_slices_ = n_tiles;
-    line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.l2.line_size));
-    line_flits_ = noc_->flits_for(cfg_.l2.line_size);
-    mem_.set_channels(noc.channels_for(n_tiles));
-    sharers_ = std::make_unique<SharerFilter>(n_tiles, line_shift_);
-    // Per-slice ports keep the flat gaps: slicing divides the request
-    // stream, it does not change a single slice's service rate.  The slice
-    // resources are NOT bound into stats_ — at 256 slices that would drown
-    // the group — and are aggregated by the *_contention() accessors.
-    slice_l2_ports_.reserve(n_tiles);
-    slice_l3_ports_.reserve(n_tiles);
-    dma_inj_.reserve(n_tiles);
-    for (unsigned s = 0; s < n_tiles; ++s) {
-      slice_l2_ports_.push_back(
-          std::make_unique<SharedResource>("l2_port_s" + std::to_string(s), cfg_.l2_gap));
-      slice_l3_ports_.push_back(
-          std::make_unique<SharedResource>("l3_port_s" + std::to_string(s), cfg_.l3_gap));
-      dma_inj_.push_back(
-          std::make_unique<SharedResource>("dma_inj" + std::to_string(s), Cycle{1}));
-    }
+  if (!noc.active()) {
+    // Flat: one home slice and one DMA bus shared by every tile.  Their
+    // contention statistics report (and reset) through the uncore group:
+    // l2_port_requests, l3_port_queue_cycles, dma_bus_delayed, ...
+    l2_ports_.emplace_back("l2_port", cfg_.l2_gap);
+    l3_ports_.emplace_back("l3_port", cfg_.l3_gap);
+    dma_ports_.emplace_back("dma_bus", Cycle{1});
+    l2_ports_[0].bind_into(stats_, "l2_port");
+    l3_ports_[0].bind_into(stats_, "l3_port");
+    dma_ports_[0].bind_into(stats_, "dma_bus");
+    return;
+  }
+  if (n_tiles == 0 || n_tiles > SharerFilter::kMaxTiles)
+    throw std::invalid_argument("NoC tile count out of range (1..256)");
+  noc_ = std::make_unique<Noc>(noc, n_tiles);
+  n_slices_ = n_tiles;
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.l2.line_size));
+  line_flits_ = noc_->flits_for(cfg_.l2.line_size);
+  mem_.set_channels(noc.channels_for(n_tiles));
+  sharers_ = std::make_unique<SharerFilter>(n_tiles, line_shift_);
+  // Per-slice ports keep the flat gaps: slicing divides the request
+  // stream, it does not change a single slice's service rate.  The slice
+  // resources are NOT bound into stats_ — at 256 slices that would drown
+  // the group — and are aggregated by the *_contention() accessors.
+  l2_ports_.reserve(n_tiles);
+  l3_ports_.reserve(n_tiles);
+  dma_ports_.reserve(n_tiles);
+  for (unsigned s = 0; s < n_tiles; ++s) {
+    l2_ports_.emplace_back("l2_port_s" + std::to_string(s), cfg_.l2_gap);
+    l3_ports_.emplace_back("l3_port_s" + std::to_string(s), cfg_.l3_gap);
+    dma_ports_.emplace_back("dma_inj" + std::to_string(s), Cycle{1});
   }
 }
 
@@ -62,87 +58,56 @@ unsigned Uncore::register_l1(SetAssocCache* l1) {
 Cycle Uncore::dma_get_line(Cycle now, Addr line_addr, unsigned initiator_port) {
   // The initiating tile already snooped its own L1; the SM is internally
   // coherent, so any resident copy in the shared levels is valid.
-  if (noc_ != nullptr) [[unlikely]] {
-    const unsigned src = initiator_port == kNoPort ? 0 : initiator_port;
-    const unsigned home = home_of(line_addr);
-    const Cycle arrive = noc_->traverse(src, home, now, 1);
-    Cycle data;
-    if (l2_.probe(line_addr)) data = arrive + cfg_.l2.latency;
-    else if (l3_.probe(line_addr)) data = arrive + cfg_.l3.latency;
-    else data = mem_.access(arrive, AccessType::Read, dram_channel_of(line_addr));
-    return noc_->traverse(home, src, data, line_flits_);
-  }
-  if (l2_.probe(line_addr)) return now + cfg_.l2.latency;
-  if (l3_.probe(line_addr)) return now + cfg_.l3.latency;
-  return mem_.access(now, AccessType::Read);
+  const unsigned home = home_of(line_addr);
+  const Cycle arrive = traverse(initiator_port, home, now, 1);
+  Cycle data;
+  if (l2_.probe(line_addr)) data = arrive + cfg_.l2.latency;
+  else if (l3_.probe(line_addr)) data = arrive + cfg_.l3.latency;
+  else data = mem_.access(arrive, AccessType::Read, dram_channel_of(line_addr));
+  return traverse(home, initiator_port, data, line_flits_);
 }
 
 Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
-  // Coherent dma-put: the line is written to main memory and any cached
-  // copy is invalidated (dirty or not — the DMA data is the valid version,
-  // see §3.4.2).  The invalidation is broadcast to every tile's L1: a chunk
-  // written back by tile A's DMAC kills stale copies tile B may hold.
-  if (noc_ != nullptr) [[unlikely]] {
-    // Sliced path: the line travels to its home node, whose sharer filter
-    // decides between targeted invalidations (one header flit to each
-    // recorded sharer) and the conservative broadcast for untracked lines.
-    // Invalidation messages book link occupancy but the put's completion
-    // is the home-channel DRAM write — puts are posted, invalidations ride
-    // behind.
-    const unsigned src = initiator_port == kNoPort ? 0 : initiator_port;
-    const unsigned home = home_of(line_addr);
-    const Cycle arrive = noc_->traverse(src, home, now, line_flits_);
-    const SharerFilter::Lookup f = sharers_->invalidate(home, line_addr);
-    if (f.tracked) {
-      ++noc_dir_filtered_;
-      for (unsigned w = 0; w < f.mask.size(); ++w) {
-        std::uint64_t bits = f.mask[w];
-        while (bits != 0) {
-          const unsigned t = (w << 6) + static_cast<unsigned>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (t >= l1s_.size()) continue;
-          noc_->traverse(home, t, arrive, 1);
-          l1s_[t]->invalidate(line_addr);
-          if (t != src) dma_invalidate_broadcasts_->inc();
-        }
+  // Coherent dma-put: the line travels to its home node, is written to
+  // main memory, and any cached copy is invalidated (dirty or not — the
+  // DMA data is the valid version, see §3.4.2): a chunk written back by
+  // tile A's DMAC kills stale copies tile B may hold.  A sharer filter
+  // sends targeted invalidations (one header flit to each recorded
+  // sharer); without one, or for an untracked line, the invalidation is
+  // broadcast (modeled as a dedicated invalidation tree — counted, but not
+  // booked per link).  Invalidation messages book link occupancy but the
+  // put's completion is the home-channel DRAM write — puts are posted,
+  // invalidations ride behind.
+  const unsigned home = home_of(line_addr);
+  const Cycle arrive = traverse(initiator_port, home, now, line_flits_);
+  const SharerFilter::Lookup f =
+      sharers_ != nullptr ? sharers_->invalidate(home, line_addr) : SharerFilter::Lookup{};
+  if (f.tracked) {
+    ++noc_dir_filtered_;
+    for (unsigned w = 0; w < f.mask.size(); ++w) {
+      std::uint64_t bits = f.mask[w];
+      while (bits != 0) {
+        const unsigned t = (w << 6) + static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        if (t >= l1s_.size()) continue;
+        traverse(home, t, arrive, 1);
+        l1s_[t]->invalidate(line_addr);
+        if (t != initiator_port) dma_invalidate_broadcasts_->inc();
       }
-    } else {
-      // Untracked line: fall back to the full broadcast (modeled as a
-      // dedicated invalidation tree — counted, but not booked per link).
-      ++noc_dir_broadcasts_;
-      for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
-      if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
     }
-    l2_.invalidate(line_addr);
-    l3_.invalidate(line_addr);
-    return mem_.access(arrive, AccessType::Write, dram_channel_of(line_addr));
+  } else {
+    ++noc_dir_broadcasts_;
+    for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
+    if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
   }
-
-  for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
-  if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
   l2_.invalidate(line_addr);
   l3_.invalidate(line_addr);
-  return mem_.access(now, AccessType::Write);
+  return mem_.access(arrive, AccessType::Write, dram_channel_of(line_addr));
 }
 
-SharedResource::Contention Uncore::l2_port_contention() const {
-  if (noc_ == nullptr) return l2_port_.contention();
+SharedResource::Contention Uncore::sum(const std::vector<SharedResource>& rs) {
   SharedResource::Contention agg;
-  for (const auto& p : slice_l2_ports_) agg += p->contention();
-  return agg;
-}
-
-SharedResource::Contention Uncore::l3_port_contention() const {
-  if (noc_ == nullptr) return l3_port_.contention();
-  SharedResource::Contention agg;
-  for (const auto& p : slice_l3_ports_) agg += p->contention();
-  return agg;
-}
-
-SharedResource::Contention Uncore::dma_bus_contention() const {
-  if (noc_ == nullptr) return dma_bus_.contention();
-  SharedResource::Contention agg;
-  for (const auto& p : dma_inj_) agg += p->contention();
+  for (const SharedResource& r : rs) agg += r.contention();
   return agg;
 }
 
@@ -152,14 +117,10 @@ void Uncore::reset() {
   mem_.reset();
   pf_l2_.reset();
   pf_l3_.reset();
-  l2_port_.reset();
-  l3_port_.reset();
-  dma_bus_.reset();
+  for (auto* ports : {&l2_ports_, &l3_ports_, &dma_ports_})
+    for (SharedResource& p : *ports) p.reset();
   if (noc_ != nullptr) {
     noc_->reset();
-    for (const auto& p : slice_l2_ports_) p->reset();
-    for (const auto& p : slice_l3_ports_) p->reset();
-    for (const auto& p : dma_inj_) p->reset();
     sharers_->reset();
   }
 }
@@ -172,17 +133,12 @@ void Uncore::emit_contention_trace(Cycle end) const {
     obs::sim_instant(lane.c_str(), "contention_summary", end, "queue_cycles",
                      static_cast<double>(c.queue_cycles));
   };
-  const SharedResource* resources[] = {&l2_port_, &l3_port_, &mem_.port(),
-                                       &dma_bus_};
-  for (const SharedResource* r : resources) emit(*r);
-  if (noc_ != nullptr) {
-    for (const auto& p : slice_l2_ports_) emit(*p);
-    for (const auto& p : slice_l3_ports_) emit(*p);
-    for (const auto& p : dma_inj_) emit(*p);
-    for (unsigned c = 1; c < mem_.channels(); ++c)
-      emit(const_cast<MainMemory&>(mem_).channel_port(c));
+  for (const SharedResource& p : l2_ports_) emit(p);
+  for (const SharedResource& p : l3_ports_) emit(p);
+  for (unsigned c = 0; c < mem_.channels(); ++c) emit(mem_.channel_port(c));
+  for (const SharedResource& p : dma_ports_) emit(p);
+  if (noc_ != nullptr)
     for (const SharedResource* l : noc_->all_links()) emit(*l);
-  }
 }
 
 void Uncore::reset_stats() {
@@ -193,12 +149,9 @@ void Uncore::reset_stats() {
   mem_.reset_channel_stats();
   pf_l2_.stats().reset_all();
   pf_l3_.stats().reset_all();
-  if (noc_ != nullptr) {
-    noc_->reset_stats();
-    for (const auto& p : slice_l2_ports_) p->reset_stats();
-    for (const auto& p : slice_l3_ports_) p->reset_stats();
-    for (const auto& p : dma_inj_) p->reset_stats();
-  }
+  for (auto* ports : {&l2_ports_, &l3_ports_, &dma_ports_})
+    for (SharedResource& p : *ports) p.reset_stats();
+  if (noc_ != nullptr) noc_->reset_stats();
   noc_dir_filtered_ = 0;
   noc_dir_broadcasts_ = 0;
 }

@@ -26,17 +26,23 @@
 // a lone DMAC's commands never overlap their own bus windows, so every
 // grant equals its ready cycle).
 //
-// Topology (src/noc): with an active NocConfig (mesh/ring) the flat
-// arbiter is replaced by address-interleaved home slices — one per tile.
-// Line L lives at home slice (L / line_size) % n_tiles; a miss traverses
-// the NoC from its tile to the home node, books that slice's private
+// Topology (src/noc) only sets counts at construction; there is one code
+// path.  Line L lives at home slice (L / line_size) % n_slices; a miss
+// traverses the NoC from its tile to the home node, books that slice's
 // L2/L3 port, and drains DRAM through the home's channel; the response
-// traverses back.  Cache CONTENT stays in the single shared L2/L3
-// structures (a distributed-but-unified LLC: slicing moves timing and
-// occupancy, never data), and dma-put invalidations are filtered by a
-// per-home-slice sharer directory (coherence/sharer_filter.hpp) instead
-// of broadcast.  Topology::Flat constructs none of this and keeps the
-// historical single-arbiter code paths byte-identical.
+// traverses back.  DMA commands book DMA port (initiator % n_dma_ports).
+// Cache CONTENT stays in the single shared L2/L3 structures (a
+// distributed-but-unified LLC: slicing moves timing and occupancy, never
+// data).  With a sharer filter, dma-put invalidations go to the line's
+// recorded sharers (coherence/sharer_filter.hpp); without one, or for an
+// untracked line, they are broadcast.
+//
+//  * Topology::Flat: 1 home slice, 1 DMA port shared by every tile (the
+//    bus above), 1 DRAM channel, no links and no sharer filter — every
+//    traversal is zero cycles and every put broadcasts.
+//  * mesh/ring: one home slice and one DMA injection port per tile, DRAM
+//    channels per NocConfig::channels_for, the link graph and the sharded
+//    sharer filter.
 #pragma once
 
 #include <memory>
@@ -83,14 +89,11 @@ struct HierarchyConfig {
 
 class Uncore {
  public:
-  /// Flat single-arbiter uncore (the historical machine).
-  explicit Uncore(const HierarchyConfig& cfg);
-
-  /// Uncore for an @p n_tiles machine under @p noc.  An inactive (flat)
-  /// topology is identical to the single-argument constructor; mesh/ring
-  /// build the link graph, per-slice L2/L3 ports, per-tile DMA injection
-  /// ports, DRAM channels and the sharded sharer filter.
-  Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tiles);
+  /// Uncore for an @p n_tiles machine under @p noc.  Flat (the default)
+  /// builds one home slice and one shared DMA bus; mesh/ring build the
+  /// link graph, one slice and one DMA injection port per tile, the DRAM
+  /// channels and the sharded sharer filter.
+  explicit Uncore(const HierarchyConfig& cfg, const NocConfig& noc = {}, unsigned n_tiles = 1);
 
   // The member caches/prefetchers own StatGroups and the registered-L1 list
   // holds raw pointers; not movable, not copyable.
@@ -105,50 +108,47 @@ class Uncore {
 
   /// Coherent dma-get bus request for one line below the initiating tile's
   /// L1: read from the shared caches if the line is resident, else from
-  /// main memory.  Returns completion cycle.  With a NoC the request
-  /// traverses initiator -> home slice and the line traverses back;
-  /// @p initiator_port kNoPort (standalone callers) is treated as node 0.
-  Cycle dma_get_line(Cycle now, Addr line_addr, unsigned initiator_port = ~0u);
+  /// main memory.  Returns completion cycle.  The request traverses
+  /// @p initiator_port -> home slice and the line traverses back.
+  Cycle dma_get_line(Cycle now, Addr line_addr, unsigned initiator_port);
 
   /// Coherent dma-put bus request for one line: write to main memory and
-  /// invalidate the line in the shared levels and in EVERY tile's L1 —
-  /// including tiles other than the initiator, which is what keeps a
-  /// dma-put from tile A coherent with a line cached by tile B.
-  /// @p initiator_port is the calling tile's NoC source node (kNoPort =
-  /// standalone caller, treated as node 0).
-  static constexpr unsigned kNoPort = ~0u;
-  Cycle dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port = kNoPort);
+  /// invalidate the line in the shared levels and in every tile's L1 that
+  /// may hold it — including tiles other than the initiator, which is what
+  /// keeps a dma-put from tile A coherent with a line cached by tile B.
+  /// @p initiator_port is the calling tile's NoC source node.
+  Cycle dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port);
 
-  /// DMA bus arbitration at command granularity: grant a bus window of
-  /// @p len cycles starting at or after @p ready, pushed past any window
-  /// that overlaps it in simulated time.  Windows are booked on the shared
-  /// full-run bus timeline; tiles execute in fixed order, so lower tile ids
-  /// book — and therefore win the bus — first (fixed-priority arbitration).
-  /// The bus is exclusive against every window, a port's own included;
-  /// since each DMAC's engine_free_ keeps its own windows disjoint for all
-  /// shipped configs (per_line <= first-line latency — see lm/dmac.hpp),
-  /// single-core timing is untouched.
-  ///
-  /// With a NoC there is no global bus: each tile books its own injection
-  /// port (@p initiator_port; cross-tile serialization comes from link,
-  /// slice-port and channel contention on the per-line operations instead).
-  Cycle dma_bus_grant(Cycle ready, Cycle len, unsigned initiator_port = ~0u) {
-    if (noc_ != nullptr) [[unlikely]]
-      return dma_inj_[initiator_port == kNoPort ? 0 : initiator_port]->book_span(ready, len);
-    return dma_bus_.book_span(ready, len);
+  /// DMA arbitration at command granularity: grant a window of @p len
+  /// cycles on DMA port (@p initiator_port % n_dma_ports) starting at or
+  /// after @p ready, pushed past any window that overlaps it in simulated
+  /// time.  Windows are booked on full-run gap-1 timelines; tiles execute
+  /// in fixed order, so lower tile ids book — and therefore win a shared
+  /// port — first (fixed-priority arbitration).  A port is exclusive
+  /// against every window, its own included; since each DMAC's
+  /// engine_free_ keeps its own windows disjoint for all shipped configs
+  /// (per_line <= first-line latency — see lm/dmac.hpp), single-core
+  /// timing is untouched.  Flat has one port — the bus every tile shares;
+  /// mesh/ring have one injection port per tile, and cross-tile
+  /// serialization comes from link, slice-port and channel contention on
+  /// the per-line operations instead.
+  Cycle dma_bus_grant(Cycle ready, Cycle len, unsigned initiator_port) {
+    return dma_ports_[initiator_port % static_cast<unsigned>(dma_ports_.size())].book_span(
+        ready, len);
   }
 
-  /// Drop all shared cache contents, occupancy timelines and bus windows.
+  /// Drop all shared cache contents, occupancy timelines and DMA windows.
   /// Idempotent — every tile's reset may call it.
   void reset();
 
   /// Clear the uncore-owned statistics (shared caches, DRAM, prefetchers,
-  /// port/bus contention).
+  /// port/bus/link contention).
   void reset_stats();
 
   /// Observability: emit one end-of-run contention-summary trace instant
-  /// per shared resource (l2_port / l3_port / dram / dma_bus) at @p end on
-  /// the current thread's trace sink.  No-op without an installed sink.
+  /// per shared resource that saw traffic (L2/L3 ports, DRAM channels, DMA
+  /// ports, links) at @p end on the current thread's trace sink.  No-op
+  /// without an installed sink.
   void emit_contention_trace(Cycle end) const;
 
   SetAssocCache& l2() { return l2_; }
@@ -156,60 +156,63 @@ class Uncore {
   MainMemory& memory() { return mem_; }
   StreamPrefetcher& pf_l2() { return pf_l2_; }
   StreamPrefetcher& pf_l3() { return pf_l3_; }
-  SharedResource& l2_port() { return l2_port_; }
-  SharedResource& l3_port() { return l3_port_; }
-  SharedResource& dma_bus() { return dma_bus_; }
   const SetAssocCache& l2() const { return l2_; }
   const SetAssocCache& l3() const { return l3_; }
   const MainMemory& memory() const { return mem_; }
   const StreamPrefetcher& pf_l2() const { return pf_l2_; }
   const StreamPrefetcher& pf_l3() const { return pf_l3_; }
-  const SharedResource& l2_port() const { return l2_port_; }
-  const SharedResource& l3_port() const { return l3_port_; }
-  const SharedResource& dma_bus() const { return dma_bus_; }
 
   unsigned num_ports() const { return static_cast<unsigned>(l1s_.size()); }
 
   // --- topology ----------------------------------------------------------
 
-  /// The interconnect, or null for the flat arbiter.
-  Noc* noc() { return noc_.get(); }
+  /// The interconnect, or null when flat.
   const Noc* noc() const { return noc_.get(); }
 
-  /// Home slice (== node id) of @p line_addr under the interleave; flat
-  /// machines have one implicit slice.
-  unsigned home_of(Addr line_addr) const {
-    return noc_ == nullptr
-               ? 0
-               : static_cast<unsigned>((line_addr >> line_shift_) % n_slices_);
+  /// Move a @p flits-flit message from node @p src to node @p dst starting
+  /// at @p now; returns the arrival cycle.  The only way into the NoC:
+  /// flat has no links, so every traversal arrives at @p now.
+  Cycle traverse(unsigned src, unsigned dst, Cycle now, unsigned flits) {
+    if (noc_ == nullptr) [[likely]] return now;
+    return noc_->traverse(src, dst, now, flits);
   }
-  /// DRAM channel draining @p line_addr's home slice (0 when flat).
+  /// Flits of one cache line on the NoC.
+  unsigned line_flits() const { return line_flits_; }
+
+  /// Home slice (== node id) of @p line_addr under the interleave.  The
+  /// single-slice test keeps the 64-bit divide off the flat access path.
+  unsigned home_of(Addr line_addr) const {
+    if (n_slices_ == 1) [[likely]] return 0;
+    return static_cast<unsigned>((line_addr >> line_shift_) % n_slices_);
+  }
+  /// DRAM channel draining @p line_addr's home slice.
   unsigned dram_channel_of(Addr line_addr) const {
-    return noc_ == nullptr ? 0 : home_of(line_addr) % mem_.channels();
+    if (n_slices_ == 1) [[likely]] return 0;
+    return home_of(line_addr) % mem_.channels();
   }
 
-  SharedResource& slice_l2_port(unsigned slice) { return *slice_l2_ports_[slice]; }
-  SharedResource& slice_l3_port(unsigned slice) { return *slice_l3_ports_[slice]; }
+  /// Home slice @p slice's L2 (resp. L3) port.
+  SharedResource& l2_port(unsigned slice) { return l2_ports_[slice]; }
+  SharedResource& l3_port(unsigned slice) { return l3_ports_[slice]; }
 
   /// Sharer-filter hook: tile @p port filled @p line into its L1.  No-op
-  /// when flat.
+  /// without a filter.
   void note_l1_fill(unsigned port, Addr line) {
-    if (noc_ == nullptr) return;
+    if (sharers_ == nullptr) return;
     sharers_->note_fill(home_of(line), line, port);
   }
 
-  // Report-facing contention: the flat resource's counters, or the sum
-  // over slices/channels/injection ports when a NoC is active (requests/
-  // delayed/queue_cycles/overflows added, peak maxed) — so RunReport's
-  // l2_port/l3_port/dram/dma_bus sections mean "that resource class,
-  // machine-wide" under either topology.
-  SharedResource::Contention l2_port_contention() const;
-  SharedResource::Contention l3_port_contention() const;
+  // Report-facing contention: each resource class summed over its slices/
+  // channels/DMA ports (requests/delayed/queue_cycles/overflows added, peak
+  // maxed) — so RunReport's l2_port/l3_port/dram/dma_bus sections mean
+  // "that resource class, machine-wide" under every topology.
+  SharedResource::Contention l2_port_contention() const { return sum(l2_ports_); }
+  SharedResource::Contention l3_port_contention() const { return sum(l3_ports_); }
   SharedResource::Contention dram_contention() const { return mem_.aggregate_contention(); }
-  SharedResource::Contention dma_bus_contention() const;
+  SharedResource::Contention dma_bus_contention() const { return sum(dma_ports_); }
 
-  /// dma-put invalidations filtered to recorded sharers / forced to
-  /// broadcast by an untracked line (NoC only; both 0 when flat).
+  /// dma-put invalidations filtered to recorded sharers / broadcast
+  /// (reported only with a NoC).
   std::uint64_t noc_dir_filtered() const { return noc_dir_filtered_; }
   std::uint64_t noc_dir_broadcasts() const { return noc_dir_broadcasts_; }
 
@@ -217,28 +220,28 @@ class Uncore {
   const StatGroup& stats() const { return stats_; }
 
  private:
+  static SharedResource::Contention sum(const std::vector<SharedResource>& rs);
+
   HierarchyConfig cfg_;
   SetAssocCache l2_;
   SetAssocCache l3_;
   MainMemory mem_;
   StreamPrefetcher pf_l2_;
   StreamPrefetcher pf_l3_;
-  SharedResource l2_port_;
-  SharedResource l3_port_;
-  SharedResource dma_bus_;  ///< gap-1 timeline; commands book whole windows
-  std::vector<SetAssocCache*> l1s_;  ///< broadcast targets, port order
+  std::vector<SetAssocCache*> l1s_;  ///< invalidation targets, port order
   StatGroup stats_;
   Counter* dma_invalidate_broadcasts_;
 
-  // Topology state; all empty/null under Topology::Flat.
-  std::unique_ptr<Noc> noc_;
   unsigned n_slices_ = 1;
   unsigned line_shift_ = 6;   ///< log2(line size), interleave granularity
   unsigned line_flits_ = 4;   ///< flits of one cache line on the NoC
-  std::vector<std::unique_ptr<SharedResource>> slice_l2_ports_;
-  std::vector<std::unique_ptr<SharedResource>> slice_l3_ports_;
-  std::vector<std::unique_ptr<SharedResource>> dma_inj_;  ///< per-tile DMA injection
-  std::unique_ptr<SharerFilter> sharers_;
+  // Sized once at construction and never grown: the flat resources'
+  // statistics are bound into stats_ by address.
+  std::vector<SharedResource> l2_ports_;   ///< one per home slice
+  std::vector<SharedResource> l3_ports_;   ///< one per home slice
+  std::vector<SharedResource> dma_ports_;  ///< gap-1; commands book whole windows
+  std::unique_ptr<Noc> noc_;               ///< null when flat
+  std::unique_ptr<SharerFilter> sharers_;  ///< null when flat
   std::uint64_t noc_dir_filtered_ = 0;
   std::uint64_t noc_dir_broadcasts_ = 0;
 };

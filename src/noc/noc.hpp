@@ -19,11 +19,12 @@
 //    directed link in overlapping cycles queue, and the queueing is exact
 //    over the whole run, not a trailing window.
 //
-// Topology::Flat constructs no nodes and books nothing — the Uncore keeps
-// its historical single-arbiter path byte-identical to every existing
-// golden.  Mesh/ring activate address-interleaved home slices in the
-// Uncore (per-slice L2/L3 ports, per-channel DRAM, a sharded DMA-coherence
-// sharer filter); a tile's miss traverses the network to its line's home
+// Topology::Flat constructs no Noc: the Uncore is then 1 home slice, 1
+// DMA port shared by every tile, 1 DRAM channel, no links and no sharer
+// filter — byte-identical to every existing golden.  Mesh/ring give the
+// same Uncore one address-interleaved home slice (L2/L3 ports) and one DMA
+// injection port per tile, per-channel DRAM and a sharded DMA-coherence
+// sharer filter; a tile's miss traverses the network to its line's home
 // slice before booking any slice resource, and the response traverses
 // back.
 //

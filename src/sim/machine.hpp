@@ -39,9 +39,10 @@ struct MachineConfig {
   DirectoryConfig directory{};
   DmaConfig dma{};
   EnergyParams energy{};
-  /// Interconnect topology (src/noc).  The default (flat) is the
-  /// historical single-arbiter uncore — byte-identical to every golden;
-  /// mesh/ring activate home-slice interleaving in the shared uncore.
+  /// Interconnect topology (src/noc).  The default (flat) gives the shared
+  /// uncore 1 home slice, 1 DMA port shared by every tile, 1 DRAM channel,
+  /// no links and no sharer filter — byte-identical to every golden;
+  /// mesh/ring give it one home slice and one DMA port per tile.
   NocConfig noc{};
 
   bool has_lm() const { return kind != MachineKind::CacheBased; }

@@ -1,6 +1,7 @@
-// NoC invariants: Manhattan routing on an idle mesh, flat vs 1x1-mesh
-// equivalence, counted-never-silent per-link overflow accounting, and
-// deterministic routing across repeated runs.
+// NoC invariants: Manhattan routing on an idle mesh, flat vs one-tile
+// mesh/ring equivalence, the flat machine's one shared DMA port,
+// counted-never-silent per-link overflow accounting, and deterministic
+// routing across repeated runs.
 #include "noc/noc.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include "driver/result.hpp"
 #include "driver/sweep.hpp"
+#include "memory/uncore.hpp"
 #include "sim/report.hpp"
 
 namespace hm {
@@ -110,12 +112,13 @@ TEST(Noc, LinkQueueingDelaysOverlappingMessages) {
   EXPECT_GT(c.queue_cycles, 0u);
 }
 
-driver::SweepPoint cg_point(const std::string& topology, const std::string& cores) {
+driver::SweepPoint cg_point(const std::string& topology, const std::string& cores,
+                            const std::string& machine = "hybrid_coherent") {
   driver::SweepPoint p;
-  p.machine = "hybrid_coherent";
+  p.machine = machine;
   p.workload = "CG";
   p.scale = 0.05;
-  p.label = "noc_test/CG/" + topology + "/" + cores;
+  p.label = "noc_test/CG/" + machine + "/" + topology + "/" + cores;
   if (topology != "flat") p.knobs["topology"] = topology;
   if (cores != "1") p.knobs["cores"] = cores;
   return p;
@@ -127,27 +130,55 @@ std::string serialized(const RunReport& r) {
   return s;
 }
 
+/// The report's serialized fields minus the noc_* section.
+FieldMap fields_without_noc(const RunReport& r) {
+  FieldMap fields;
+  EXPECT_TRUE(driver::parse_flat_json("{" + serialized(r) + "}", fields));
+  std::erase_if(fields, [](const auto& kv) { return kv.first.starts_with("noc_"); });
+  return fields;
+}
+
 TEST(Noc, FlatMachineMatchesUnitMesh) {
-  // A 1x1 mesh degenerates to the flat uncore: the tile is its own home
-  // slice, every traversal is zero hops, and there is one DRAM channel —
-  // so all simulated metrics must match the flat machine exactly.  Only
-  // the noc_* report section differs (presence marker).
-  const driver::PointResult flat = driver::run_point(cg_point("flat", "1"));
-  const driver::PointResult mesh = driver::run_point(cg_point("mesh", "1"));
-  ASSERT_TRUE(flat.ok) << flat.error;
-  ASSERT_TRUE(mesh.ok) << mesh.error;
-  EXPECT_EQ(flat.report.core.cycles, mesh.report.core.cycles);
-  EXPECT_EQ(flat.report.amat, mesh.report.amat);
-  EXPECT_EQ(flat.report.l1_accesses, mesh.report.l1_accesses);
-  EXPECT_EQ(flat.report.l2_accesses, mesh.report.l2_accesses);
-  EXPECT_EQ(flat.report.energy.cpu, mesh.report.energy.cpu);
-  EXPECT_EQ(flat.report.energy.caches, mesh.report.energy.caches);
-  EXPECT_EQ(flat.report.l2_port.requests, mesh.report.l2_port.requests);
-  EXPECT_EQ(flat.report.l2_port.queue_cycles, mesh.report.l2_port.queue_cycles);
-  EXPECT_EQ(flat.report.dram.requests, mesh.report.dram.requests);
-  EXPECT_EQ(flat.report.noc_nodes, 0u);
-  EXPECT_EQ(mesh.report.noc_nodes, 1u);
-  EXPECT_EQ(mesh.report.noc_hops, 0u);  // a single node never crosses a link
+  // A one-tile mesh or ring degenerates to the flat uncore: the tile is
+  // its own home slice, every traversal is zero hops, there is one DRAM
+  // channel and one DMA port — so every reported field must match the
+  // flat machine exactly.  Only the noc_* section differs (presence
+  // marker).
+  for (const char* machine : {"hybrid_coherent", "cache_based"}) {
+    const driver::PointResult flat = driver::run_point(cg_point("flat", "1", machine));
+    ASSERT_TRUE(flat.ok) << flat.error;
+    EXPECT_EQ(flat.report.noc_nodes, 0u);
+    const FieldMap flat_fields = fields_without_noc(flat.report);
+    for (const char* topology : {"mesh", "ring"}) {
+      SCOPED_TRACE(std::string(machine) + "/" + topology);
+      const driver::PointResult one = driver::run_point(cg_point(topology, "1", machine));
+      ASSERT_TRUE(one.ok) << one.error;
+      EXPECT_EQ(fields_without_noc(one.report), flat_fields);
+      EXPECT_EQ(one.report.noc_nodes, 1u);
+      EXPECT_EQ(one.report.noc_hops, 0u);  // a single node never crosses a link
+    }
+  }
+}
+
+TEST(Noc, FlatSharesOneDmaBusMeshInjectsPerTile) {
+  // What keeps flat from being merely the one-slice case of mesh: flat
+  // has ONE DMA bus shared by every tile, so overlapping command windows
+  // from two tiles serialize; a mesh gives each tile its own injection
+  // port, so they don't.
+  const HierarchyConfig cfg;
+  SetAssocCache l1_a(cfg.l1d), l1_b(cfg.l1d);
+
+  Uncore flat(cfg);
+  ASSERT_EQ(flat.register_l1(&l1_a), 0u);
+  ASSERT_EQ(flat.register_l1(&l1_b), 1u);
+  EXPECT_EQ(flat.dma_bus_grant(0, 10, 0), 0u);
+  EXPECT_EQ(flat.dma_bus_grant(0, 10, 1), 10u);
+
+  Uncore mesh(cfg, mesh_cfg(), 2);  // 1x2
+  ASSERT_EQ(mesh.register_l1(&l1_a), 0u);
+  ASSERT_EQ(mesh.register_l1(&l1_b), 1u);
+  EXPECT_EQ(mesh.dma_bus_grant(0, 10, 0), 0u);
+  EXPECT_EQ(mesh.dma_bus_grant(0, 10, 1), 0u);
 }
 
 TEST(Noc, MeshRoutingIsDeterministicAcrossRuns) {

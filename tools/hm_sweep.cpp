@@ -12,8 +12,8 @@
 //                         only host parallelism — each point runs on one
 //                         thread
 //   Interconnect topology (see docs/ARCHITECTURE.md "Interconnect"):
-//     --topology T        override every point's topology knob: flat (the
-//                         historical single-arbiter uncore), mesh or ring.
+//     --topology T        override every point's topology knob: flat (one
+//                         home slice and one shared DMA bus), mesh or ring.
 //                         Changes the simulated machine, so it enters the
 //                         canonical point identity (cache/journal keys);
 //                         `--topology flat` is identical to no flag
