@@ -71,7 +71,7 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
   // Phase profiling: pure wall-clock observation around work the point does
   // anyway; nothing here feeds back into simulated state.  `sim_begin`
   // marks the setup/simulate boundary; compile() calls accumulate into
-  // `codegen_s` (they interleave with setup on the multi-core path).
+  // `codegen_s` (one per tile, interleaved with setup).
   using ProfClock = std::chrono::steady_clock;
   const auto prof_begin = ProfClock::now();
   auto prof_sim_begin = prof_begin;
@@ -137,50 +137,37 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
     // kind (like the original benches) so address streams match across
     // variants and runs stay directly comparable.
     const MachineConfig geometry = MachineConfig::hybrid_coherent();
-    if (cores == 1) {
-      System sys(std::move(cfg));
-      sys.set_engine(engine);
+    // SPMD: each tile compiles its own slice of the kernel (same loop
+    // shape, balanced iteration slice, tile-private array region) against
+    // its tile-local LM, and the System runs them with an end-of-stream
+    // barrier over the shared uncore.  One tile is the whole kernel at the
+    // point's own seed (make_spmd_slice(w, 0, 1) == w, tile_seed(s, 0) == s).
+    System sys(std::move(cfg), cores);
+    sys.set_engine(engine);
+    std::vector<std::unique_ptr<CompiledKernel>> kernels;
+    std::vector<InstrStream*> streams;
+    kernels.reserve(cores);
+    streams.reserve(cores);
+    for (unsigned t = 0; t < cores; ++t) {
+      const Workload slice = make_spmd_slice(w, t, cores);
+      // More tiles than iterations: the trailing slices are empty (the
+      // remainder goes to the first tiles) and those tiles stay idle.
+      if (t > 0 && slice.loop.iterations == 0) break;
+      CodegenOptions cot = co;
+      cot.global_seed = tile_seed(p.seed, t);
       const auto cg_begin = ProfClock::now();
-      CompiledKernel kernel =
-          compile(w.loop, co, geometry.lm.virtual_base, geometry.lm.size, dir_entries);
+      kernels.push_back(std::make_unique<CompiledKernel>(
+          compile(slice.loop, cot, geometry.lm.virtual_base, geometry.lm.size, dir_entries)));
       codegen_s += secs(cg_begin, ProfClock::now());
-      out.mapped_refs = kernel.classification().num_regular;
-      // Both demotion causes (buffer-cap overflow, stride mismatch) leave a
-      // strided ref on the cache path, so the column reports their sum.
-      out.demoted_refs =
-          kernel.classification().demoted_regular + kernel.classification().demoted_stride;
-      prof_sim_begin = ProfClock::now();
-      out.report = sys.run(kernel, cancel);
-    } else {
-      // SPMD: each tile compiles its own slice of the kernel (same loop
-      // shape, balanced iteration slice, tile-private array region) against
-      // its tile-local LM, and the System runs them with an end-of-stream
-      // barrier over the shared uncore.
-      System sys(std::move(cfg), cores);
-      sys.set_engine(engine);
-      std::vector<std::unique_ptr<CompiledKernel>> kernels;
-      std::vector<InstrStream*> streams;
-      kernels.reserve(cores);
-      streams.reserve(cores);
-      for (unsigned t = 0; t < cores; ++t) {
-        const Workload slice = make_spmd_slice(w, t, cores);
-        // More tiles than iterations: the trailing slices are empty (the
-        // remainder goes to the first tiles) and those tiles stay idle.
-        if (slice.loop.iterations == 0) break;
-        CodegenOptions cot = co;
-        cot.global_seed = tile_seed(p.seed, t);
-        const auto cg_begin = ProfClock::now();
-        kernels.push_back(std::make_unique<CompiledKernel>(
-            compile(slice.loop, cot, geometry.lm.virtual_base, geometry.lm.size, dir_entries)));
-        codegen_s += secs(cg_begin, ProfClock::now());
-        streams.push_back(kernels.back().get());
-      }
-      out.mapped_refs = kernels.front()->classification().num_regular;
-      out.demoted_refs = kernels.front()->classification().demoted_regular +
-                         kernels.front()->classification().demoted_stride;
-      prof_sim_begin = ProfClock::now();
-      out.report = sys.run(streams, cancel);
+      streams.push_back(kernels.back().get());
     }
+    // Both demotion causes (buffer-cap overflow, stride mismatch) leave a
+    // strided ref on the cache path, so the column reports their sum.
+    out.mapped_refs = kernels.front()->classification().num_regular;
+    out.demoted_refs = kernels.front()->classification().demoted_regular +
+                       kernels.front()->classification().demoted_stride;
+    prof_sim_begin = ProfClock::now();
+    out.report = sys.run(streams, cancel);
   }
   // An empty workload (config-only point) is legal and returns a zero report.
   //
@@ -353,7 +340,7 @@ unsigned worker_lane_id() {
 /// artifact, not a result: wall times are host-dependent and must never
 /// appear in the JSON/CSV the determinism invariants diff.
 void write_profile_json(const std::string& path, const SweepOutcome& out) {
-  std::string text = "{\n\"experiment\":\"" + out.spec->name + "\",\n";
+  std::string text = "{\n\"experiment\":\"" + out.spec.name + "\",\n";
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "\"executed\":%zu,\n\"setup_seconds\":%.6f,\n"
@@ -415,7 +402,7 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   }
 
   SweepOutcome out;
-  out.spec = &spec;
+  out.spec = spec;
   out.points.resize(points.size());
 
   // Engine configurations that can change results (sampling, or a finite
@@ -738,11 +725,11 @@ const RunReport& SweepView::report(
 }
 
 std::string render(const SweepOutcome& out) {
-  std::string text = "\n==== " + out.spec->title + " ====\n";
-  const SweepView view{*out.spec, out.points};
+  std::string text = "\n==== " + out.spec.title + " ====\n";
+  const SweepView view{out.spec, out.points};
   try {
-    if (out.spec->render) {
-      text += out.spec->render(view);
+    if (out.spec.render) {
+      text += out.spec.render(view);
     } else {
       // Generic listing for specs without a bespoke table.
       char buf[256];
@@ -770,8 +757,8 @@ std::string render(const SweepOutcome& out) {
 std::string to_json(const SweepOutcome& out) {
   // Fault site report_serialize: throw kinds propagate to the CLI's fatal
   // path (exit 1) — results stay safe in the journal for --resume.
-  trigger_fault(FaultSite::ReportSerialize, {out.spec->name, 0, 1});
-  std::string text = "{\n\"experiment\":\"" + out.spec->name + "\",\n\"engine_version\":" +
+  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0, 1});
+  std::string text = "{\n\"experiment\":\"" + out.spec.name + "\",\n\"engine_version\":" +
                      std::to_string(kEngineVersion) + ",\n\"points\":[\n";
   for (std::size_t i = 0; i < out.points.size(); ++i) {
     text += point_json(out.points[i]);
@@ -783,7 +770,7 @@ std::string to_json(const SweepOutcome& out) {
 }
 
 std::string to_csv(const SweepOutcome& out) {
-  trigger_fault(FaultSite::ReportSerialize, {out.spec->name, 0, 1});
+  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0, 1});
   std::string text = csv_header();
   for (const PointResult& r : out.points) text += csv_row(r);
   return text;

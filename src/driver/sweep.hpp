@@ -104,7 +104,7 @@ struct SweepOptions {
 };
 
 struct SweepOutcome {
-  const ExperimentSpec* spec = nullptr;
+  ExperimentSpec spec;  ///< a copy: the outcome outlives the caller's spec
   std::vector<PointResult> points;  ///< slot i == SweepPoint::index i
   std::size_t cache_hits = 0;
   std::size_t failures = 0;       ///< quarantined points (any error class)

@@ -62,6 +62,8 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
     throw std::invalid_argument("more programs than tiles");
   for (InstrStream* p : programs)
     if (p == nullptr) throw std::invalid_argument("null program");
+  if (engine_.sampling.enabled() && programs.size() > 1)
+    throw std::invalid_argument("sampling runs single-tile points only");
 
   reset_timing_state();
 
@@ -80,8 +82,7 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
   // asserted zero by the paper-table and scaling flows.
   const std::size_t n = programs.size();
   std::vector<RunResult> results(n);
-  double sample_error = 0.0;
-  double sampled_fraction = 0.0;
+  RunReport report;
   // Coarse cancellation boundary, polled before every tile turn: a watchdog
   // that fires while a tile is mid-turn is observed here before the next
   // turn starts, so a multi-tile run never outlives its deadline by more
@@ -92,24 +93,12 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
                            "run cancelled (watchdog or external)");
   };
   if (engine_.sampling.enabled()) {
-    // Sampling runs each tile whole: per-tile alternation of detailed and
-    // functional intervals is defined on the tile-order schedule only.
-    if (engine_.quantum != 0)
-      throw std::invalid_argument("sampling cannot be combined with a finite quantum");
-    std::uint64_t ff_uops_total = 0;
-    std::uint64_t uops_total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      check_cancel();
-      TileSampleStats ts;
-      results[i] = run_tile_sampled(i, *programs[i], cancel, ts);
-      ff_uops_total += ts.ff_uops;
-      uops_total += ts.total_uops;
-      sample_error = std::max(sample_error, ts.error_bound);
-      if (obs::tracing_active()) [[unlikely]] emit_tile_phase_trace(i, results[i]);
-    }
-    if (uops_total > 0)
-      sampled_fraction = static_cast<double>(ff_uops_total) /
-                         static_cast<double>(uops_total);
+    // Interval sampling is a single-tile mode (checked above).  A lone
+    // tile's quantum turns concatenate to its serial run, so the quantum
+    // plays no part here.
+    check_cancel();
+    results[0] = run_sampled(*programs[0], cancel, report);
+    if (obs::tracing_active()) [[unlikely]] emit_tile_phase_trace(0, results[0]);
   } else {
     // Quantum schedule: round r advances every unfinished tile, in tile
     // order, through dispatch cycle (r+1)*Q - 1.  Q = 0 makes each turn run
@@ -136,10 +125,6 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
       }
     }
   }
-
-  RunReport report;
-  report.sample_error = sample_error;
-  report.sampled_fraction = sampled_fraction;
 
   // Aggregate core result: the end-of-stream barrier makes the run as slow
   // as its slowest tile; instruction counts sum; the load-latency
@@ -296,19 +281,17 @@ constexpr double kSampleConvergence = 0.10;
 
 }  // namespace
 
-RunResult System::run_tile_sampled(std::size_t tile, InstrStream& program,
-                                   const CancelToken* cancel, TileSampleStats& out) {
-  OooCore& core = tiles_[tile]->core();
+RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
+                              RunReport& report) {
+  OooCore& core = tiles_.front()->core();
   auto* rs = dynamic_cast<ReplayableStream*>(&program);
   std::shared_ptr<const ReplayBatch> batch;
   if (rs != nullptr) batch = rs->replay_batch();
   program.reset();
   if (batch == nullptr || batch->iterations == 0 || batch->shape.uops == 0) {
     // Not a batch-compilable stream: run fully detailed.  sampled_fraction
-    // stays 0 for this tile, the estimate is exact.
-    RunResult r = core.run(program, cancel);
-    out.total_uops = r.uops;
-    return r;
+    // stays 0, the estimate is exact.
+    return core.run(program, cancel);
   }
 
   // Bind the batch so the stream serves pre-resolved addresses during the
@@ -324,9 +307,8 @@ RunResult System::run_tile_sampled(std::size_t tile, InstrStream& program,
       std::max<std::uint64_t>(batch->shape.uops, sc.ff_uops);
 
   // Sampling spans get their own lane: they cut across the stacked phase
-  // attribution spans on "tileN", which are not a literal timeline.
-  char lane[32];
-  std::snprintf(lane, sizeof lane, "tile%u.sample", static_cast<unsigned>(tile));
+  // attribution spans on "tile0", which are not a literal timeline.
+  constexpr const char* lane = "tile0.sample";
   const bool tracing = obs::tracing_active();
 
   double cpi = 1.0;
@@ -489,15 +471,16 @@ RunResult System::run_tile_sampled(std::size_t tile, InstrStream& program,
 
   RunResult r = core.finish_run();
   rs->bind_replay(nullptr);
-  out.total_uops = r.uops;
-  out.ff_uops = ff_uops;
+  if (r.uops > 0)
+    report.sampled_fraction =
+        static_cast<double>(ff_uops) / static_cast<double>(r.uops);
   // The final region has no bracketing measurement: charge it the larger of
   // the latest observed CPI step and the floor.
   if (pending_ff > 0)
     err_cycles += static_cast<double>(pending_ff) *
                   std::max(last_delta, kSampleSpreadFloor * cpi_used);
   if (ff_uops > 0 && r.cycles > 0)
-    out.error_bound =
+    report.sample_error =
         kSampleSafety * err_cycles / static_cast<double>(r.cycles);
   return r;
 }

@@ -26,8 +26,9 @@ namespace hm {
 /// about `ff_uops` micro-ops functionally — memory/directory/LM/prefetcher
 /// state evolves exactly, the pipeline clock advances at the measured CPI.
 /// Cycles and energy are therefore extrapolated, with a per-point relative
-/// error bound reported in RunReport::sample_error.  Off (the default) is
-/// byte-identical to the serial reference engine.
+/// error bound reported in RunReport::sample_error.  Sampling runs
+/// single-tile points only: System::run rejects it on a multi-program run.
+/// Off (the default) is byte-identical to the serial reference engine.
 struct SamplingConfig {
   enum class Mode : std::uint8_t { Off, Interval };
   Mode mode = Mode::Off;
@@ -46,7 +47,7 @@ struct SamplingConfig {
 /// passes (r+1)*Q - 1, so shared-uncore bookings interleave at quantum
 /// granularity.  Both are deterministic; a finite quantum is a different
 /// (more barrier-faithful) contention model than serial, not a faster one.
-/// Sampling runs each tile whole and therefore rejects a finite quantum.
+/// Sampling runs single-tile points only, where the quantum plays no part.
 struct EngineConfig {
   Cycle quantum = 0;  ///< tile turn length in cycles; 0 = whole-run turns
   /// Sampled simulation; cycles/energy become estimates.
@@ -130,8 +131,8 @@ struct RunReport {
 
   /// Sampled engine only: conservative relative error bound on the cycle
   /// (and hence energy) estimate, derived from the spread of the measured
-  /// per-interval CPI samples over the fast-forwarded uops — worst tile of
-  /// the run.  0 when sampling is off or nothing was fast-forwarded.
+  /// per-interval CPI samples over the fast-forwarded uops.  0 when
+  /// sampling is off or nothing was fast-forwarded.
   /// In-memory diagnostic — never serialized.
   double sample_error = 0.0;
 
@@ -175,8 +176,9 @@ class System {
   /// @p cancel (optional) is checked at coarse boundaries — before every
   /// tile turn here, and every kCancelCheckStride uops inside each tile's
   /// core — so a watchdog deadline or cycle budget aborts the run with
-  /// CancelledError instead of wedging the calling sweep worker.  Throws
-  /// std::invalid_argument when sampling is combined with a finite quantum.
+  /// CancelledError instead of wedging the calling sweep worker.  Sampling
+  /// runs single-tile points only: with sampling on, more than one program
+  /// throws std::invalid_argument.
   RunReport run(const std::vector<InstrStream*>& programs,
                 const CancelToken* cancel = nullptr);
 
@@ -205,20 +207,13 @@ class System {
  private:
   void reset_timing_state();
 
-  /// Per-tile outcome of a sampled run (feeds RunReport::sample_error and
-  /// RunReport::sampled_fraction).
-  struct TileSampleStats {
-    std::uint64_t ff_uops = 0;     ///< uops replayed functionally
-    std::uint64_t total_uops = 0;  ///< all uops of the tile's run
-    double error_bound = 0.0;      ///< relative cycle error bound
-  };
-
-  /// Sampled-engine execution of one tile's program: detailed warmup +
+  /// Sampled-engine execution of @p program on tile 0: detailed warmup +
   /// measured intervals alternating with functional fast-forward of whole
-  /// work iterations.  Streams that are not ReplayableStream (or have no
-  /// work iterations) silently run fully detailed.
-  RunResult run_tile_sampled(std::size_t tile, InstrStream& program,
-                             const CancelToken* cancel, TileSampleStats& out);
+  /// work iterations.  Sets @p report's sample_error and sampled_fraction.
+  /// Streams that are not ReplayableStream (or have no work iterations)
+  /// silently run fully detailed.
+  RunResult run_sampled(InstrStream& program, const CancelToken* cancel,
+                        RunReport& report);
 
   MachineConfig cfg_;
   ByteStore image_;

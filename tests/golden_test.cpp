@@ -287,10 +287,10 @@ TEST(QuantumGolden, Quantum64ReportsAreByteIdentical) {
 
 // ---------------------------------------------------------------------------
 
-/// Sampled-simulation capture: three points under interval sampling —
-/// flat cache_based FT (write-through store path), flat hybrid_coherent FT
-/// (guarded accesses + LM) and 4-core mesh hybrid_coherent FT — at scale
-/// 0.05 with budgets small enough that every point fast-forwards.  Each
+/// Sampled-simulation capture: two single-tile points under interval
+/// sampling (the only points it runs) — flat cache_based FT (write-through
+/// store path) and flat hybrid_coherent FT (guarded accesses + LM) — at
+/// scale 0.05 with budgets small enough that every point fast-forwards.  Each
 /// point renders its full RunReport plus the sampling estimate fields,
 /// which append_report_fields leaves out.
 std::string sampled_text() {
@@ -300,24 +300,13 @@ std::string sampled_text() {
   engine.sampling.detail_uops = 2000;
   engine.sampling.ff_uops = 20000;
   std::string text;
-  const struct {
-    const char* machine;
-    const char* topology;
-    const char* cores;
-  } captures[] = {
-      {"cache_based", "flat", "1"},
-      {"hybrid_coherent", "flat", "1"},
-      {"hybrid_coherent", "mesh", "4"},
-  };
-  for (const auto& c : captures) {
+  for (const char* machine : {"cache_based", "hybrid_coherent"}) {
     SweepPoint p;
-    p.label = std::string("golden_sampled/FT/") + c.machine + "/" + c.topology + "/" +
-              c.cores;
-    p.machine = c.machine;
+    p.label = std::string("golden_sampled/FT/") + machine + "/flat/1";
+    p.machine = machine;
     p.workload = "FT";
     p.scale = 0.05;
-    p.knobs["cores"] = c.cores;
-    if (std::string(c.topology) != "flat") p.knobs["topology"] = c.topology;
+    p.knobs["cores"] = "1";
     const PointResult r = run_point(p, engine);
     if (!r.ok) return "FAILED: " + r.error;
     // Without fast-forward the capture would pin only the detailed path.

@@ -14,6 +14,8 @@
 //    golden suite pins the same bytes independently.
 //  * Sampled results are estimates: they must be gated out of the memo /
 //    session caches and the journal, exactly like finite-quantum results.
+//  * Sampling is a single-tile mode: a multi-tile point fails as a config
+//    error, and the quantum does not change a single-tile sampled point.
 //  * Sampled runs are deterministic across sweep --jobs.
 //  * MemoCache counts stale-engine-version entries separately from
 //    corruption, and the sweep summary surfaces them.
@@ -315,6 +317,50 @@ TEST_F(SamplingDiskTest, StaleEngineVersionEntriesAreCountedNotCorrupt) {
   const SweepOutcome third = run_sweep(spec(), opt);
   EXPECT_EQ(third.cache_hits, third.points.size());
   EXPECT_EQ(third.stale_entries, 0u);
+}
+
+// --- single-tile domain ----------------------------------------------------
+
+TEST(Sampling, MultiTilePointsFailAsConfigErrors) {
+  // The sweep quarantines a multi-tile sampled point as a config error
+  // and still runs the single-tile point next to it.
+  ExperimentSpec spec;
+  spec.name = "sampling_multi_tile_test";
+  spec.title = "sampling multi-tile rejection";
+  spec.scale = 0.05;
+  Grid g;
+  g.base = {{"machine", "hybrid_coherent"}, {"workload", "FT"}};
+  g.axes = {{"cores", {"1", "2"}}};
+  spec.grids.push_back(g);
+
+  SweepOptions opt;
+  opt.jobs = 1;
+  opt.engine = sampled();
+  const SweepOutcome out = run_sweep(spec, opt);
+  ASSERT_EQ(out.points.size(), 2u);
+  EXPECT_EQ(out.failures, 1u);
+  for (const PointResult& r : out.points) {
+    if (r.point.knob("cores", "1") == "1") {
+      EXPECT_TRUE(r.ok) << r.point.label << ": " << r.error;
+    } else {
+      EXPECT_FALSE(r.ok) << r.point.label;
+      EXPECT_EQ(r.error_class, ErrorClass::Config) << r.point.label;
+    }
+  }
+}
+
+TEST(Sampling, QuantumDoesNotChangeASampledSingleTilePoint) {
+  // A lone tile's quantum turns concatenate to its serial run, so sampling
+  // needs no rule about the quantum.
+  const SweepPoint p = make_point("FT", 0.05);
+  EngineConfig with_quantum = sampled();
+  with_quantum.quantum = 64;
+  const PointResult plain = run_point(p, sampled());
+  const PointResult q64 = run_point(p, with_quantum);
+  EXPECT_GT(plain.report.sampled_fraction, 0.0) << "fast-forward never engaged";
+  EXPECT_EQ(report_text(plain), report_text(q64));
+  EXPECT_EQ(plain.report.sample_error, q64.report.sample_error);
+  EXPECT_EQ(plain.report.sampled_fraction, q64.report.sampled_fraction);
 }
 
 // --- determinism -----------------------------------------------------------

@@ -196,14 +196,18 @@ TEST(EngineSchedule, QuantumOnOneTileEqualsSerial) {
             report_text(driver::run_point(p, quantum(64))));
 }
 
-TEST(EngineSchedule, SamplingRejectsAFiniteQuantum) {
+TEST(EngineSchedule, SamplingRejectsMultiTileRuns) {
+  // Interval sampling is a single-tile mode, whatever the schedule.
   System sys(MachineConfig::hybrid_coherent(), 2);
   VecStream a({VecStream::load(0x1000, 1)});
   VecStream b({VecStream::load(0x2000, 1)});
-  EngineConfig e = quantum(64);
-  e.sampling.mode = SamplingConfig::Mode::Interval;
-  sys.set_engine(e);
-  EXPECT_THROW(sys.run({&a, &b}), std::invalid_argument);
+  for (const Cycle q : {Cycle{0}, Cycle{64}}) {
+    EngineConfig e = quantum(q);
+    e.sampling.mode = SamplingConfig::Mode::Interval;
+    sys.set_engine(e);
+    EXPECT_THROW(sys.run({&a, &b}), std::invalid_argument) << "quantum " << q;
+    EXPECT_NO_THROW(sys.run({&a})) << "quantum " << q;
+  }
 }
 
 TEST(EngineSchedule, PreCancelledTokenAbortsTheQuantumSchedule) {

@@ -23,18 +23,15 @@
 //     --quantum N         tile turn length in simulated cycles (default 0 =
 //                         serial whole-run turns).  A finite quantum is a
 //                         different, deterministic contention model: it
-//                         disables caches and the journal, and cannot be
-//                         combined with --sample interval
+//                         disables caches and the journal
 //   Sampled simulation (see README "Sampled simulation"):
 //     --sample MODE       off|interval (default off): interval alternates
 //                         detailed warmup+measurement with batch-compiled
-//                         functional fast-forward per tile; cycles/energy
-//                         are extrapolated and each point reports an error
-//                         bound.  Approximate: disables caches and the
-//                         journal
-//     --warmup N          detailed warmup uops per measurement (default 2000)
-//     --detail N          detailed measured uops per interval (default 10000)
-//     --ff N              fast-forwarded uops per interval (default 500000)
+//                         functional fast-forward; cycles/energy are
+//                         extrapolated and each point reports an error
+//                         bound.  Single-tile points only: a multi-tile
+//                         point fails as a config error.  Approximate:
+//                         disables caches and the journal
 //     --sample-report FILE  per-point sampling side-channel (JSONL: point
 //                         canonical, cycles, sample_error, sampled_fraction)
 //                         for the sampled-vs-full validation sweep
@@ -123,7 +120,6 @@ struct CliOptions {
   bool live_progress = false;
   unsigned quantum = 0;
   std::string sample = "off";
-  hm::SamplingConfig sampling;  // warmup/detail/ff knobs; mode set from `sample`
   std::string sample_report;
 };
 
@@ -137,7 +133,7 @@ int usage(const char* argv0, int code) {
                "       [--retries N] [--deadline SECS] [--max-point-cycles N]\n"
                "       [--faults SPEC] [--trace-dir DIR] [--metrics-out FILE]\n"
                "       [--progress] [--quantum N] [--sample off|interval]\n"
-               "       [--warmup N] [--detail N] [--ff N] [--sample-report FILE]\n",
+               "       [--sample-report FILE]\n",
                argv0);
   return code;
 }
@@ -323,27 +319,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
         std::fprintf(stderr, "--sample expects off or interval, got: %s\n", v);
         return false;
       }
-    } else if (arg == "--warmup") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_u64(v, opt.sampling.warmup_uops)) {
-        std::fprintf(stderr, "--warmup expects a positive integer, got: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--detail") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_u64(v, opt.sampling.detail_uops)) {
-        std::fprintf(stderr, "--detail expects a positive integer, got: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--ff") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_u64(v, opt.sampling.ff_uops)) {
-        std::fprintf(stderr, "--ff expects a positive integer, got: %s\n", v);
-        return false;
-      }
     } else if (arg == "--sample-report") {
       const char* v = need_value(i);
       if (!v) return false;
@@ -526,17 +501,11 @@ int main(int argc, char** argv) {
   // Engine configuration for every point.
   hm::EngineConfig engine;
   engine.quantum = opt.quantum;
-  engine.sampling = opt.sampling;
   engine.sampling.mode = opt.sample == "interval"
                              ? hm::SamplingConfig::Mode::Interval
                              : hm::SamplingConfig::Mode::Off;
   if (!opt.sample_report.empty() && !engine.sampling.enabled()) {
     std::fprintf(stderr, "--sample-report needs --sample interval\n");
-    return usage(argv[0], 2);
-  }
-  if (engine.sampling.enabled() && engine.quantum != 0) {
-    std::fprintf(stderr, "--sample interval runs each tile whole; it cannot be "
-                         "combined with --quantum > 0\n");
     return usage(argv[0], 2);
   }
   const unsigned jobs = opt.jobs == 0 ? SweepScheduler::auto_jobs() : opt.jobs;
