@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §5.2): directory size sweep.  Fewer entries cap the
+// Ablation (docs/EXPERIMENTS.md "Ablations"): directory size sweep.  Fewer entries cap the
 // number of LM buffers, demoting strided references to the caches.
 //
 // Thin wrapper over the registered "ablation_directory" experiment spec

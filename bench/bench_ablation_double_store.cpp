@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §5.1): the double store vs the naive alternative of
+// Ablation (docs/EXPERIMENTS.md "Ablations"): the double store vs the naive alternative of
 // disabling the read-only write-back optimization (§3.1 discusses both).
 //
 // Thin wrapper over the registered "ablation_double_store" experiment spec

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §5.4): how much of the hybrid machine's win over the
+// Ablation (docs/EXPERIMENTS.md "Ablations"): how much of the hybrid machine's win over the
 // cache-based machine comes from avoiding prefetcher pollution/collisions.
 //
 // Thin wrapper over the registered "ablation_prefetch" experiment spec

@@ -1,8 +1,7 @@
 // Minimal leveled logger.  Off by default; tests and examples raise the level
 // to trace protocol events.  Thread-safe: the level is a relaxed atomic and
-// line writes are mutex-serialized — the sweep scheduler (PR 2) and watchdog
-// (PR 6) log from worker threads, so lines from concurrent points must not
-// interleave mid-line.
+// line writes are mutex-serialized — the sweep scheduler logs from worker
+// threads, so lines from concurrent points must not interleave mid-line.
 #pragma once
 
 #include <sstream>

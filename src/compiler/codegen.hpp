@@ -54,7 +54,8 @@ struct CodegenOptions {
   /// potentially incoherent writes become single guarded stores.
   bool disable_readonly_opt = false;
   /// Make every store carry a deterministic value so final SM images can be
-  /// compared across variants (end-to-end coherence check, DESIGN.md §6).
+  /// compared across variants (the end-to-end coherence check in
+  /// tests/coherence_property_test.cpp).
   bool functional_stores = false;
   /// Suppress guard emission entirely (used by tests to demonstrate the
   /// incoherence the protocol exists to solve: this generates *incorrect*

@@ -81,8 +81,8 @@ struct MicroOp {
   Bytes dir_buffer_size = 0;
 
   // Functional payload: stores carry the value to write; loads optionally
-  // carry the value the generator expects to read (end-to-end coherence
-  // checking, DESIGN.md §6).
+  // carry the value the generator expects to read (the end-to-end coherence
+  // check in tests/coherence_property_test.cpp).
   std::uint64_t value = 0;
   bool has_value = false;
   bool check_value = false;

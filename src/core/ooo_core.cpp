@@ -43,15 +43,16 @@ OooCore::OooCore(CoreConfig cfg, MemoryHierarchy& hierarchy, LocalMemory* lm,
   };
 }
 
-RunResult OooCore::run(InstrStream& program, const CancelToken* cancel) {
-  begin_run(program);
-  step_until(kNoCycle, cancel);
+RunResult OooCore::run(InstrStream& program, Cycle max_cycles) {
+  begin_run(program, max_cycles);
+  step_until(kNoCycle);
   return finish_run();
 }
 
-void OooCore::begin_run(InstrStream& program) {
+void OooCore::begin_run(InstrStream& program, Cycle max_cycles) {
   run_state_ = std::make_unique<RunState>(cfg_);
   run_state_->program = &program;
+  run_state_->max_cycles = max_cycles;
 }
 
 Cycle OooCore::front() const {
@@ -67,15 +68,15 @@ RunResult OooCore::finish_run() {
   return res;
 }
 
-bool OooCore::step_until(Cycle limit, const CancelToken* cancel) {
+bool OooCore::step_until(Cycle limit) {
   if (run_state_ == nullptr) throw std::logic_error("step_until without begin_run");
-  return step_impl(limit, kNoUop, cancel);
+  return step_impl(limit, kNoUop);
 }
 
-bool OooCore::step_uops(std::uint64_t max_uops, const CancelToken* cancel) {
+bool OooCore::step_uops(std::uint64_t max_uops) {
   if (run_state_ == nullptr) throw std::logic_error("step_uops without begin_run");
   if (run_state_->exhausted) return true;
-  return step_impl(kNoCycle, run_state_->uop_index + max_uops, cancel);
+  return step_impl(kNoCycle, run_state_->uop_index + max_uops);
 }
 
 std::uint64_t OooCore::uops_done() const {
@@ -83,9 +84,12 @@ std::uint64_t OooCore::uops_done() const {
   return run_state_->uop_index;
 }
 
-bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* cancel) {
+bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
   RunState& st = *run_state_;
   if (st.exhausted) return true;
+  // The cycle budget is one more suspension limit: the loop stops at the
+  // first uop boundary where the dispatch front has passed it.
+  if (st.max_cycles != 0) limit = std::min(limit, st.max_cycles);
 
   RunResult& res = st.res;
 
@@ -112,8 +116,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* 
   // The persistent pipeline state.  The scoreboard/pools/buffers are used
   // through references; the pacing scalars are hoisted into locals for the
   // slice (the heap-held struct would otherwise force reloads around every
-  // opaque call) and written back at the suspension point.  A CancelledError
-  // abandons the run, so the throw paths skip the write-back.
+  // opaque call) and written back at the suspension point.
   std::array<Cycle, kNumRegs>& reg_ready = st.reg_ready;
   IssuePool& int_units = st.int_units;
   IssuePool& fp_units = st.fp_units;
@@ -138,20 +141,6 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* 
       break;
     }
     if (op.kind == OpKind::PhaseMark) continue;  // metadata only
-
-    // Cooperative cancellation: a masked poll per uop keeps the check off
-    // the profile (and free when no token is armed).  The cycle budget is
-    // compared against dispatch time, the monotone front of the model.
-    if (cancel != nullptr && (uop_index & (kCancelCheckStride - 1)) == 0) {
-      if (cancel->cancelled())
-        throw CancelledError(CancelledError::Reason::External,
-                             "run cancelled (watchdog or external)");
-      if (cancel->cycle_limit() != 0 && dispatch_cycle > cancel->cycle_limit())
-        throw CancelledError(CancelledError::Reason::CycleLimit,
-                             "cycle budget exceeded (" +
-                                 std::to_string(cancel->cycle_limit()) +
-                                 " simulated cycles)");
-    }
 
     // ---- Dispatch: fetch-width pacing + ROB occupancy ------------------
     if (dispatched_in_cycle >= cfg_.fetch_width) {
@@ -410,6 +399,9 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* 
   st.retire_pace_cycle = retire_pace_cycle;
   st.uop_index = uop_index;
   st.exhausted = exhausted;
+  if (st.max_cycles != 0 && dispatch_cycle > st.max_cycles)
+    throw CycleBudgetExceeded("cycle budget exceeded (" + std::to_string(st.max_cycles) +
+                              " simulated cycles)");
   return exhausted;
 }
 

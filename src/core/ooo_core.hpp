@@ -28,11 +28,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "coherence/directory.hpp"
 #include "common/byte_store.hpp"
-#include "common/cancel.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/bpred.hpp"
@@ -68,6 +68,13 @@ struct CoreConfig {
   BranchPredictorConfig bpred{};
 };
 
+/// Thrown by the stepper when a run's dispatch front passes its cycle
+/// budget (EngineConfig::max_cycles).  The budget is a pure function of the
+/// simulation, so the same run overruns at the same uop on every host.
+struct CycleBudgetExceeded : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Aggregate outcome of running one instruction stream to completion.
 struct RunResult {
   Cycle cycles = 0;                                 ///< total execution time
@@ -95,12 +102,10 @@ class OooCore {
 
   /// Run @p program to completion from a cold pipeline (caches keep their
   /// contents; call hierarchy.reset() separately for a cold-cache run).
-  /// @p cancel (optional) is polled every kCancelCheckStride micro-ops: an
-  /// externally cancelled token or an exceeded cycle budget aborts the run
-  /// with CancelledError — the cooperative half of the sweep watchdog.
+  /// @p max_cycles (0 = none) is the run's cycle budget, see begin_run.
   /// Implemented as begin_run + step_until(kNoCycle) + finish_run, so the
   /// sliced and unsliced paths can never drift apart.
-  RunResult run(InstrStream& program, const CancelToken* cancel = nullptr);
+  RunResult run(InstrStream& program, Cycle max_cycles = 0);
 
   // --- resumable stepper (quantum schedule, sampling) ----------------------
   // System::run advances each tile in bounded quanta: begin_run binds the
@@ -111,20 +116,23 @@ class OooCore {
   // slicing only chooses where the loop pauses between micro-ops.
 
   /// Binds @p program and resets the pipeline state for a new run.  Any
-  /// in-flight stepper state from a previous (e.g. cancelled) run is dropped.
-  void begin_run(InstrStream& program);
+  /// in-flight stepper state from a previous (e.g. aborted) run is dropped.
+  /// @p max_cycles (0 = none) bounds the dispatch front exactly: a step
+  /// stops at the first micro-op boundary where the front has passed the
+  /// budget and throws CycleBudgetExceeded.  A run that fits is unchanged.
+  void begin_run(InstrStream& program, Cycle max_cycles = 0);
 
   /// Advances until the dispatch front exceeds @p limit (pass kNoCycle for
   /// "to completion") or the stream is exhausted.  Returns true once the
   /// stream is exhausted (further calls are no-ops returning true).
-  /// Requires a begin_run; throws CancelledError exactly as run() does.
-  bool step_until(Cycle limit, const CancelToken* cancel = nullptr);
+  /// Requires a begin_run.
+  bool step_until(Cycle limit);
 
   /// Advances until @p max_uops further micro-ops have been processed (or
-  /// the stream ends / @p cancel fires).  Identical uop sequence to
-  /// step_until — only the suspension criterion differs.  The sampling
-  /// controller's unit of detailed progress.
-  bool step_uops(std::uint64_t max_uops, const CancelToken* cancel = nullptr);
+  /// the stream ends).  Identical uop sequence to step_until — only the
+  /// suspension criterion differs.  The sampling controller's unit of
+  /// detailed progress.
+  bool step_uops(std::uint64_t max_uops);
 
   /// Micro-ops processed so far in the current run.  Valid between
   /// begin_run and finish_run.
@@ -208,6 +216,7 @@ class OooCore {
           store_buffer(cfg.store_buffer_entries) {}
 
     InstrStream* program = nullptr;
+    Cycle max_cycles = 0;  ///< cycle budget on the dispatch front; 0 = none
     RunResult res;
     std::array<Cycle, kNumRegs> reg_ready{};
     IssuePool int_units;
@@ -225,8 +234,9 @@ class OooCore {
   };
 
   /// Shared loop behind step_until/step_uops: suspends once the dispatch
-  /// front passes @p limit OR @p stop_uop micro-ops have been processed.
-  bool step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* cancel);
+  /// front passes @p limit OR @p stop_uop micro-ops have been processed;
+  /// throws CycleBudgetExceeded once it passes the run's budget.
+  bool step_impl(Cycle limit, std::uint64_t stop_uop);
 
   /// step_impl's counter bundle, resolved once at construction (StatGroup
   /// counter references are stable).  The sampling controller steps the

@@ -1,14 +1,11 @@
 #include "driver/faults.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/hash.hpp"
-#include "driver/result.hpp"
 
 namespace hm::driver {
 
@@ -30,11 +27,8 @@ FaultSite parse_site(std::string_view s) {
 }
 
 FaultKind parse_kind(std::string_view s) {
-  if (s == "transient") return FaultKind::Transient;
   if (s == "engine") return FaultKind::Engine;
   if (s == "config") return FaultKind::Config;
-  if (s == "corrupt_cache") return FaultKind::CorruptCache;
-  if (s == "hang") return FaultKind::Hang;
   if (s == "corrupt") return FaultKind::Corrupt;
   if (s == "crash") return FaultKind::Crash;
   throw std::invalid_argument("fault plan: unknown kind '" + std::string(s) + "'");
@@ -84,11 +78,8 @@ std::string_view to_string(FaultSite site) {
 
 std::string_view to_string(FaultKind kind) {
   switch (kind) {
-    case FaultKind::Transient: return "transient";
     case FaultKind::Engine: return "engine";
     case FaultKind::Config: return "config";
-    case FaultKind::CorruptCache: return "corrupt_cache";
-    case FaultKind::Hang: return "hang";
     case FaultKind::Corrupt: return "corrupt";
     case FaultKind::Crash: return "crash";
   }
@@ -133,7 +124,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       else if (key == "label") rule.label_substr = std::string(value);
       else if (key == "rate") rule.rate = parse_rate(rule_text, value);
       else if (key == "seed") rule.seed = parse_u64(rule_text, value);
-      else if (key == "times") rule.times = static_cast<unsigned>(parse_u64(rule_text, value));
       else
         throw std::invalid_argument("fault plan: unknown field '" + std::string(key) +
                                     "' in rule '" + std::string(rule_text) + "'");
@@ -150,7 +140,6 @@ std::optional<FaultKind> FaultPlan::decide(FaultSite site, const FaultContext& c
     if (!rule.label_substr.empty() &&
         ctx.label.find(rule.label_substr) == std::string_view::npos)
       continue;
-    if (rule.times != 0 && ctx.attempt > rule.times) continue;
     if (rule.rate > 0.0) {
       // Seeded-rate selection keyed by the point's identity (label hash x
       // index), never by scheduling: the same plan selects the same points
@@ -179,8 +168,7 @@ const FaultPlan* active_fault_plan() {
   return g_plan.load(std::memory_order_acquire);
 }
 
-std::optional<FaultKind> trigger_fault(FaultSite site, const FaultContext& ctx,
-                                       const CancelToken* cancel) {
+std::optional<FaultKind> trigger_fault(FaultSite site, const FaultContext& ctx) {
   const FaultPlan* plan = active_fault_plan();
   if (plan == nullptr) return std::nullopt;
   const std::optional<FaultKind> kind = plan->decide(site, ctx);
@@ -190,24 +178,8 @@ std::optional<FaultKind> trigger_fault(FaultSite site, const FaultContext& ctx,
                             " fault at " + std::string(to_string(site)) +
                             " (point " + std::string(ctx.label) + ")";
   switch (*kind) {
-    case FaultKind::Transient: throw TransientError(where);
     case FaultKind::Engine: throw std::runtime_error(where);
     case FaultKind::Config: throw std::invalid_argument(where);
-    case FaultKind::CorruptCache: throw CorruptCacheError(where);
-    case FaultKind::Hang: {
-      // Cooperative hang: wedge until the watchdog cancels the token.  The
-      // hard cap exists only so a plan installed without a watchdog turns
-      // into a loud failure instead of a real hang — production hangs have
-      // no such courtesy, which is exactly why the watchdog exists.
-      const auto start = std::chrono::steady_clock::now();
-      for (;;) {
-        if (cancel != nullptr && cancel->cancelled())
-          throw CancelledError(CancelledError::Reason::External, where + " cancelled");
-        if (std::chrono::steady_clock::now() - start > std::chrono::seconds(60))
-          throw std::runtime_error(where + ": no watchdog cancelled it within 60s");
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
     case FaultKind::Crash:
       // SIGKILL stand-in: no unwinding, no atexit, no flushing — whatever
       // the journal had not made durable is lost, exactly like a kill -9.

@@ -3,29 +3,24 @@
 // A FaultPlan is a list of rules, each naming an injection SITE (a fixed
 // hook compiled into the driver), a fault KIND, and a deterministic
 // selector (point index, label substring, or a seeded rate).  Selection is
-// a pure function of (rule, site, point identity, attempt number) — never
-// of wall clock, thread id or scheduling order — so any failure CI
-// observes replays byte-for-byte from the same spec string, at any
-// `--jobs` value.
+// a pure function of (rule, site, point identity) — never of wall clock,
+// thread id or scheduling order — so any failure CI observes replays
+// byte-for-byte from the same spec string, at any `--jobs` value.
 //
 // Spec grammar (';'-separated rules; fields after site:kind are optional
 // and order-free):
 //
 //   rule  := site ':' kind (':' field)*
 //   site  := sweep_worker | cache_store | report_serialize | journal_append
-//   kind  := transient | engine | config | corrupt_cache | hang | corrupt
-//            | crash
+//   kind  := engine | config | corrupt | crash
 //   field := 'point=' INDEX     match one expansion index
 //          | 'label=' SUBSTR    match labels containing SUBSTR
 //          | 'rate=' P          seeded pseudo-random selection, P in (0,1]
 //          | 'seed=' S          rate selector's seed (default 0)
-//          | 'times=' N        inject only on the first N attempts of a
-//                              point (default: every attempt) — the knob
-//                              that makes a fault transient-and-recoverable
 //
 // Examples:
-//   sweep_worker:transient:label=CG:times=1   first attempt of CG points
-//   sweep_worker:hang:point=3                 wedge expansion index 3
+//   sweep_worker:engine:label=CG              quarantine every CG point
+//   sweep_worker:config:point=3               config error at index 3
 //   cache_store:corrupt:rate=0.5:seed=7       corrupt half the cache files
 //   sweep_worker:crash:point=5                _Exit(137) mid-sweep
 //
@@ -41,8 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/cancel.hpp"
-
 namespace hm::driver {
 
 enum class FaultSite : std::uint8_t {
@@ -53,13 +46,10 @@ enum class FaultSite : std::uint8_t {
 };
 
 enum class FaultKind : std::uint8_t {
-  Transient,     ///< throw TransientError (retried with backoff)
-  Engine,        ///< throw std::runtime_error (quarantined)
-  Config,        ///< throw std::invalid_argument (quarantined)
-  CorruptCache,  ///< throw CorruptCacheError (quarantined)
-  Hang,          ///< spin until the cancel token fires (watchdog test)
-  Corrupt,       ///< site-specific data corruption (file garbling / torn record)
-  Crash,         ///< std::_Exit(137) — a mid-run SIGKILL stand-in
+  Engine,   ///< throw std::runtime_error (quarantined)
+  Config,   ///< throw std::invalid_argument (quarantined)
+  Corrupt,  ///< site-specific data corruption (file garbling / torn record)
+  Crash,    ///< std::_Exit(137) — a mid-run SIGKILL stand-in
 };
 
 std::string_view to_string(FaultSite site);
@@ -69,7 +59,6 @@ std::string_view to_string(FaultKind kind);
 struct FaultContext {
   std::string_view label;   ///< point label ("" when not point-scoped)
   std::uint64_t index = 0;  ///< point expansion index
-  unsigned attempt = 1;     ///< 1-based attempt number (retries increment)
 };
 
 class FaultPlan {
@@ -90,12 +79,11 @@ class FaultPlan {
  private:
   struct Rule {
     FaultSite site = FaultSite::SweepWorker;
-    FaultKind kind = FaultKind::Transient;
+    FaultKind kind = FaultKind::Engine;
     std::optional<std::uint64_t> point;  ///< expansion-index selector
     std::string label_substr;            ///< label selector ("" = any)
     double rate = 0.0;                   ///< (0,1] => seeded-rate selector
     std::uint64_t seed = 0;
-    unsigned times = 0;                  ///< 0 = every attempt
   };
   std::vector<Rule> rules_;
 };
@@ -108,15 +96,11 @@ void install_fault_plan(FaultPlan plan);
 /// The active plan, or nullptr when none is installed (the fast path).
 const FaultPlan* active_fault_plan();
 
-/// Evaluate the active plan at @p site and ACT on throw/hang/crash kinds:
-/// Transient/Engine/Config/CorruptCache throw their exception, Hang spins
-/// on @p cancel until cancelled (then rethrows as CancelledError; a
-/// 60-second hard cap turns an unwatched hang into an Engine error rather
-/// than wedging the process), Crash calls std::_Exit(137).  Corrupt — the
-/// only data-level kind — is returned for the site to apply to its own
-/// output.  Returns nullopt when no rule fires.
-std::optional<FaultKind> trigger_fault(FaultSite site, const FaultContext& ctx,
-                                       const CancelToken* cancel = nullptr);
+/// Evaluate the active plan at @p site and ACT on throw/crash kinds:
+/// Engine/Config throw their exception, Crash calls std::_Exit(137).
+/// Corrupt — the only data-level kind — is returned for the site to apply
+/// to its own output.  Returns nullopt when no rule fires.
+std::optional<FaultKind> trigger_fault(FaultSite site, const FaultContext& ctx);
 
 /// RAII plan installation for tests: installs on construction, clears on
 /// destruction.

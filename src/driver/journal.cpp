@@ -61,8 +61,7 @@ void SweepJournal::append(const PointResult& r) {
   if (!enabled()) return;
   const std::string line = record_line(r);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (trigger_fault(FaultSite::JournalAppend,
-                    {r.point.label, r.point.index, r.attempts})) {
+  if (trigger_fault(FaultSite::JournalAppend, {r.point.label, r.point.index})) {
     // Injected torn append: half the record, no newline, flushed — the
     // exact artifact a crash mid-write leaves, which load() must skip.
     std::fwrite(line.data(), 1, line.size() / 2, file_);

@@ -1,5 +1,6 @@
 // The registered experiments: the nine paper artifacts (Figs. 7-10,
-// Tables 1/3, the DESIGN.md ablations) plus the multicore `scaling` suite,
+// Tables 1/3, the ablations in docs/EXPERIMENTS.md) plus the multicore
+// `scaling` suite,
 // all as declarative specs.  Each paper renderer regenerates exactly the
 // table its bench binary printed before the driver existed — that
 // byte-identity is the refactor's correctness anchor (tests/golden_test) —
@@ -264,7 +265,7 @@ ExperimentSpec ablation_directory_spec() {
   ExperimentSpec s;
   s.name = "ablation_directory";
   s.title = "Ablation: directory entry count (FT and MG, 30 strided refs each)";
-  s.artifact = "DESIGN.md §5.2";
+  s.artifact = "ablation";
   s.scale = 0.5;
   Grid g;
   g.base = {{"machine", "hybrid_coherent"}};
@@ -291,7 +292,7 @@ ExperimentSpec ablation_double_store_spec() {
   ExperimentSpec s;
   s.name = "ablation_double_store";
   s.title = "Ablation: double store vs disabling the read-only write-back optimization";
-  s.artifact = "DESIGN.md §5.1";
+  s.artifact = "ablation";
   s.scale = 0.5;
   Grid g;
   g.base = {{"machine", "hybrid_coherent"}};
@@ -323,7 +324,7 @@ ExperimentSpec ablation_prefetch_spec() {
   ExperimentSpec s;
   s.name = "ablation_prefetch";
   s.title = "Ablation: cache-based machine with/without prefetching vs hybrid";
-  s.artifact = "DESIGN.md §5.4";
+  s.artifact = "ablation";
   s.scale = 0.5;
   Grid cache;
   cache.base = {{"machine", "cache_based"}};

@@ -58,9 +58,7 @@ std::string_view to_string(ErrorClass c) {
   switch (c) {
     case ErrorClass::None: return "none";
     case ErrorClass::Config: return "config";
-    case ErrorClass::Transient: return "transient";
     case ErrorClass::Timeout: return "timeout";
-    case ErrorClass::CorruptCache: return "corrupt_cache";
     case ErrorClass::Engine: return "engine";
   }
   return "none";
@@ -68,9 +66,7 @@ std::string_view to_string(ErrorClass c) {
 
 ErrorClass error_class_from_name(std::string_view name) {
   if (name == "config") return ErrorClass::Config;
-  if (name == "transient") return ErrorClass::Transient;
   if (name == "timeout") return ErrorClass::Timeout;
-  if (name == "corrupt_cache") return ErrorClass::CorruptCache;
   if (name == "engine") return ErrorClass::Engine;
   return ErrorClass::None;
 }
@@ -104,7 +100,6 @@ std::string point_json(const PointResult& r) {
   json_kv_bool(out, "ok", r.ok);
   kv_str(out, "error", r.error);
   kv_str(out, "error_class", to_string(r.error_class));
-  json_kv_u64(out, "attempts", r.attempts);
   json_kv_u64(out, "mapped_refs", r.mapped_refs);
   json_kv_u64(out, "demoted_refs", r.demoted_refs);
   append_report_fields(out, r.report);
@@ -212,7 +207,6 @@ std::optional<PointResult> point_from_json(std::string_view text) {
   r.ok = f.count("ok") && f["ok"] == "true";
   r.error = f.count("error") ? f["error"] : "";
   r.error_class = error_class_from_name(f.count("error_class") ? f["error_class"] : "");
-  r.attempts = static_cast<unsigned>(std::strtoul(f["attempts"].c_str(), nullptr, 10));
   r.mapped_refs = static_cast<unsigned>(std::strtoul(f["mapped_refs"].c_str(), nullptr, 10));
   r.demoted_refs = static_cast<unsigned>(std::strtoul(f["demoted_refs"].c_str(), nullptr, 10));
   r.report = report_from_fields(f);
@@ -222,7 +216,7 @@ std::optional<PointResult> point_from_json(std::string_view text) {
 std::string csv_header() {
   std::string h =
       "experiment,index,label,machine,workload,knobs,scale,seed,ok,error,"
-      "error_class,attempts,"
+      "error_class,"
       "mapped_refs,demoted_refs,cycles,work_cycles,control_cycles,synch_cycles,"
       "uops,amat,l1_hit_pct,l1_accesses,l2_accesses,l3_accesses,lm_accesses,"
       "directory_accesses,energy_cpu_pj,energy_caches_pj,energy_lm_pj,"
@@ -260,7 +254,6 @@ std::string csv_row(const PointResult& r) {
   out += buf;
   out += quote(r.error) + ',';
   out += std::string(to_string(r.error_class)) + ',';
-  out += std::to_string(r.attempts) + ',';
   const RunReport& rep = r.report;
   std::snprintf(buf, sizeof(buf), "%u,%u,%llu,%llu,%llu,%llu,%llu,", r.mapped_refs,
                 r.demoted_refs, static_cast<unsigned long long>(rep.core.cycles),
@@ -398,8 +391,7 @@ void MemoCache::store(const PointResult& r) const {
   // file (what a bad disk or a half-written artifact looks like); throw
   // kinds propagate to the caller's taxonomy.  Placed after the rename so
   // the corrupt artifact is the durable one lookup() will meet.
-  if (trigger_fault(FaultSite::CacheStore,
-                    {r.point.label, r.point.index, r.attempts})) {
+  if (trigger_fault(FaultSite::CacheStore, {r.point.label, r.point.index})) {
     std::ofstream garble(path, std::ios::trunc);
     garble << "{corrupt";
   }

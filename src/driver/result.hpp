@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,35 +19,19 @@
 
 namespace hm::driver {
 
-/// Structured failure taxonomy for sweep points.  The class decides the
-/// driver's reaction: `Transient` retries with capped exponential backoff,
-/// everything else quarantines the point (recorded, reported, sweep
-/// continues).  `Timeout` is what the watchdog / cycle budget produce — a
-/// hung point becomes a first-class result instead of a wedged worker.
+/// Structured failure taxonomy for sweep points.  A point is a pure
+/// function of its identity, so a failure would replay identically: every
+/// class quarantines the point (recorded, reported, sweep continues) after
+/// its one attempt.  `Timeout` is what the simulated-cycle budget produces.
 enum class ErrorClass : std::uint8_t {
-  None,          ///< ok == true
-  Config,        ///< bad point spec (unknown name, knob out of range)
-  Transient,     ///< retryable environmental failure (retries exhausted)
-  Timeout,       ///< wall deadline or simulated-cycle budget exceeded
-  CorruptCache,  ///< persistent-state corruption detected
-  Engine,        ///< simulation-internal failure (bug, invariant breach)
+  None,     ///< ok == true
+  Config,   ///< bad point spec (unknown name, knob out of range)
+  Timeout,  ///< simulated-cycle budget exceeded
+  Engine,   ///< simulation-internal failure (bug, invariant breach)
 };
 
 std::string_view to_string(ErrorClass c);
 ErrorClass error_class_from_name(std::string_view name);
-
-/// Retryable failure: the driver re-runs the point (bounded, backed off)
-/// before quarantining.  Thrown by the fault harness and by any future
-/// environmental dependency (I/O, RPC) the engine grows.
-struct TransientError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Persistent-state corruption (memo cache, journal).  Never retried — the
-/// corrupt artifact must be inspected, not raced against.
-struct CorruptCacheError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// Per-point phase profile: where the wall time of one executed point went
 /// (setup = config + workload + System construction, codegen = kernel
@@ -76,7 +59,6 @@ struct PointResult {
   bool from_cache = false;  ///< runtime-only; never serialized
   std::string error;        ///< non-empty when !ok
   ErrorClass error_class = ErrorClass::None;  ///< taxonomy for !ok results
-  unsigned attempts = 0;    ///< simulation attempts consumed (retries count)
   // Compiled-kernel classification (the directory-size ablation's columns).
   unsigned mapped_refs = 0;
   unsigned demoted_refs = 0;
@@ -102,6 +84,8 @@ bool parse_flat_json(std::string_view text, FieldMap& out);
 
 /// Rebuild a PointResult from point_json output.  Returns nullopt for
 /// malformed text or a report serialized by a different kEngineVersion.
+/// Keys point_json no longer writes are ignored, so cache files and journal
+/// records from older builds still load.
 std::optional<PointResult> point_from_json(std::string_view text);
 
 std::string csv_header();

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include <filesystem>
@@ -19,7 +18,6 @@
 #include "driver/journal.hpp"
 #include "driver/registry.hpp"
 #include "driver/scheduler.hpp"
-#include "driver/watchdog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "workloads/microbench.hpp"
@@ -62,12 +60,7 @@ std::uint64_t tile_seed(std::uint64_t seed, unsigned tile) {
 
 }  // namespace
 
-PointResult run_point(const SweepPoint& p, const CancelToken* cancel) {
-  return run_point(p, EngineConfig{}, cancel);
-}
-
-PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
-                      const CancelToken* cancel) {
+PointResult run_point(const SweepPoint& p, const EngineConfig& engine) {
   // Phase profiling: pure wall-clock observation around work the point does
   // anyway; nothing here feeds back into simulated state.  `sim_begin`
   // marks the setup/simulate boundary; compile() calls accumulate into
@@ -126,7 +119,7 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
     sys.set_engine(engine);
     Microbenchmark mb(mc);
     prof_sim_begin = ProfClock::now();
-    out.report = sys.run(mb, cancel);
+    out.report = sys.run(mb);
   } else if (!p.workload.empty()) {
     const Workload w = make_workload(p.workload, {.factor = p.scale});
     CodegenOptions co;
@@ -167,7 +160,7 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
     out.demoted_refs = kernels.front()->classification().demoted_regular +
                        kernels.front()->classification().demoted_stride;
     prof_sim_begin = ProfClock::now();
-    out.report = sys.run(streams, cancel);
+    out.report = sys.run(streams);
   }
   // An empty workload (config-only point) is legal and returns a zero report.
   //
@@ -197,97 +190,33 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
 
 namespace {
 
-/// Format the wall deadline into deterministic text ("%g" of the CONFIGURED
-/// budget, never the measured elapsed time, so identical configurations
-/// produce identical error bytes on every host).
-std::string wall_deadline_text(double seconds, const std::string& label) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", seconds);
-  return std::string("timeout: wall deadline exceeded (") + buf + " s) at " + label;
-}
-
-/// One point, fortified: fault-injection hook, watchdog / cycle-budget
-/// cancellation, bounded retry with capped exponential backoff, and the
-/// error taxonomy.  Never throws — every failure mode lands in the returned
+/// One point, isolated: the fault-injection hook, a single attempt and the
+/// error taxonomy.  Never throws — every failure lands in the returned
 /// PointResult so the scheduler slot stays clean and the sweep continues.
-PointResult run_point_fortified(const SweepPoint& p, const SweepOptions& opt,
-                                Watchdog* dog,
-                                std::atomic<std::size_t>& retries) {
-  const unsigned max_attempts = opt.max_retries + 1;
-  double backoff_ms = opt.retry_backoff_ms;
-  for (unsigned attempt = 1;; ++attempt) {
-    CancelToken token;
-    if (opt.max_point_cycles != 0) token.set_cycle_limit(opt.max_point_cycles);
-    Watchdog::Guard guard;
-    if (dog != nullptr) guard = dog->arm(token, opt.point_deadline_seconds);
-    PointResult r;
-    r.point = p;
-    r.attempts = attempt;
-    try {
-      trigger_fault(FaultSite::SweepWorker, {p.label, p.index, attempt}, &token);
-      r = run_point(p, opt.engine, &token);
-      r.attempts = attempt;
-      // run_point's only non-throwing failure (occupancy-horizon overflow)
-      // is an engine-invariant breach: deterministic, never retried.
-      if (!r.ok) r.error_class = ErrorClass::Engine;
-      return r;
-    } catch (const CancelledError& e) {
-      r.ok = false;
-      r.error_class = ErrorClass::Timeout;
-      if (e.reason() == CancelledError::Reason::CycleLimit) {
-        // Deterministic: a pure function of the configured budget, so a
-        // budget timeout serializes identically at any --jobs value.
-        r.error = "timeout: cycle budget exceeded (" +
-                  std::to_string(opt.max_point_cycles) + " simulated cycles) at " +
-                  p.label;
-      } else {
-        r.error = wall_deadline_text(opt.point_deadline_seconds, p.label);
-      }
-      return r;
-    } catch (const TransientError& e) {
-      if (attempt < max_attempts) {
-        retries.fetch_add(1, std::memory_order_relaxed);
-        // The backoff wait becomes a sweep-trace span: dead wall time a
-        // stalled sweep spent sleeping is visible, not mysterious.
-        obs::TraceSink* ss = obs::sweep_sink();
-        const std::uint64_t bk0 = ss != nullptr ? ss->now_us() : 0;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-        if (ss != nullptr) {
-          const auto lane = ss->lane(obs::TraceSink::Track::Wall, "retries");
-          ss->span(obs::TraceSink::Track::Wall, lane, "retry.backoff", bk0,
-                   ss->now_us() - bk0, "attempt", static_cast<double>(attempt));
-        }
-        backoff_ms = std::min(backoff_ms * 2.0, 1000.0);
-        continue;
-      }
-      r.ok = false;
-      r.error_class = ErrorClass::Transient;
-      r.error = std::string("transient failure (") + std::to_string(max_attempts) +
-                " attempts exhausted): " + e.what();
-      return r;
-    } catch (const CorruptCacheError& e) {
-      r.ok = false;
-      r.error_class = ErrorClass::CorruptCache;
-      r.error = e.what();
-      return r;
-    } catch (const std::invalid_argument& e) {
-      r.ok = false;
-      r.error_class = ErrorClass::Config;
-      r.error = e.what();
-      return r;
-    } catch (const std::out_of_range& e) {
-      r.ok = false;
-      r.error_class = ErrorClass::Config;
-      r.error = e.what();
-      return r;
-    } catch (const std::exception& e) {
-      r.ok = false;
-      r.error_class = ErrorClass::Engine;
-      r.error = e.what();
-      return r;
-    }
+/// A point is a pure function of its identity, so a failure is final.
+PointResult run_point_isolated(const SweepPoint& p, const EngineConfig& engine) {
+  PointResult r;
+  r.point = p;
+  const auto fail = [&r](ErrorClass c, std::string error) {
+    r.error_class = c;
+    r.error = std::move(error);
+  };
+  try {
+    trigger_fault(FaultSite::SweepWorker, {p.label, p.index});
+    r = run_point(p, engine);
+    // run_point's only non-throwing failure (occupancy-horizon overflow)
+    // is an engine-invariant breach.
+    if (!r.ok) r.error_class = ErrorClass::Engine;
+  } catch (const CycleBudgetExceeded& e) {
+    fail(ErrorClass::Timeout, std::string("timeout: ") + e.what() + " at " + p.label);
+  } catch (const std::invalid_argument& e) {
+    fail(ErrorClass::Config, e.what());
+  } catch (const std::out_of_range& e) {
+    fail(ErrorClass::Config, e.what());
+  } catch (const std::exception& e) {
+    fail(ErrorClass::Engine, e.what());
   }
+  return r;
 }
 
 /// Builtin metric handles resolved once per sweep (registration happened in
@@ -296,7 +225,6 @@ struct SweepMetrics {
   obs::Counter& points = reg().counter("hm_sweep_points_total", "");
   obs::Counter& failures = reg().counter("hm_sweep_point_failures_total", "");
   obs::Counter& timeouts = reg().counter("hm_sweep_point_timeouts_total", "");
-  obs::Counter& retries = reg().counter("hm_sweep_point_retries_total", "");
   obs::Counter& cache_hits = reg().counter("hm_sweep_cache_hits_total", "");
   obs::Counter& cache_misses = reg().counter("hm_sweep_cache_misses_total", "");
   obs::Gauge& cache_ratio = reg().gauge("hm_sweep_cache_hit_ratio", "");
@@ -501,10 +429,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
     }
   }
 
-  std::optional<Watchdog> dog;
-  if (opt.point_deadline_seconds > 0.0) dog.emplace();
-
-  std::atomic<std::size_t> retries{0};
   std::atomic<double> busy_seconds{0.0};
   std::atomic<bool> observer_armed{static_cast<bool>(opt.point_observer)};
   SweepScheduler scheduler(opt.jobs);
@@ -530,8 +454,7 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
           point_trace = std::make_unique<obs::TraceSink>();
         {
           obs::ScopedThreadSink sink_guard(point_trace.get());
-          out.points[i] = run_point_fortified(points[i], opt,
-                                              dog ? &*dog : nullptr, retries);
+          out.points[i] = run_point_isolated(points[i], opt.engine);
         }
         PointResult& r = out.points[i];
         // Journal as each point lands (ok or quarantined): after a crash at
@@ -584,8 +507,7 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
                             sweep_trace->intern(r.point.label),
                             sweep_trace->to_us(pt_begin),
                             sweep_trace->to_us(pt_end) -
-                                sweep_trace->to_us(pt_begin),
-                            "attempts", static_cast<double>(r.attempts));
+                                sweep_trace->to_us(pt_begin));
         }
         if (point_trace) {
           // Wall-track phase attribution, stacked in phase order (codegen
@@ -625,13 +547,12 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   for (std::size_t t = 0; t < todo.size(); ++t) {
     const std::size_t i = todo[t];
     if (!errors[t].empty()) {
-      // Backstop: run_point_fortified never throws, so this is scheduler-
+      // Backstop: run_point_isolated never throws, so this is scheduler-
       // level breakage (e.g. a throwing progress callback's debris).
       out.points[i] = PointResult{};
       out.points[i].point = points[i];
       out.points[i].error = errors[t];
       out.points[i].error_class = ErrorClass::Engine;
-      out.points[i].attempts = 1;
       continue;
     }
     if (out.points[i].ok) {
@@ -644,7 +565,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
     ++out.failures;
     if (r.error_class == ErrorClass::Timeout) ++out.timeouts;
   }
-  out.retries = retries.load(std::memory_order_relaxed);
   out.cache_corrupt = disk.corrupt_entries();
   out.stale_entries = disk.stale_entries();
 
@@ -663,7 +583,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   // gauges reflect the last sweep.
   mx.failures.inc(static_cast<double>(out.failures));
   mx.timeouts.inc(static_cast<double>(out.timeouts));
-  mx.retries.inc(static_cast<double>(out.retries));
   mx.cache_hits.inc(static_cast<double>(out.cache_hits));
   mx.cache_misses.inc(static_cast<double>(todo.size()));
   mx.queue_depth.set(0.0);
@@ -757,7 +676,7 @@ std::string render(const SweepOutcome& out) {
 std::string to_json(const SweepOutcome& out) {
   // Fault site report_serialize: throw kinds propagate to the CLI's fatal
   // path (exit 1) — results stay safe in the journal for --resume.
-  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0, 1});
+  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0});
   std::string text = "{\n\"experiment\":\"" + out.spec.name + "\",\n\"engine_version\":" +
                      std::to_string(kEngineVersion) + ",\n\"points\":[\n";
   for (std::size_t i = 0; i < out.points.size(); ++i) {
@@ -770,7 +689,7 @@ std::string to_json(const SweepOutcome& out) {
 }
 
 std::string to_csv(const SweepOutcome& out) {
-  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0, 1});
+  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0});
   std::string text = csv_header();
   for (const PointResult& r : out.points) text += csv_row(r);
   return text;

@@ -17,11 +17,13 @@
 
 namespace hm::driver {
 
-/// Simulate one expanded point.  Throws for unknown machine/workload names
-/// and for the `fail=1` test knob; exceptions are isolated per job by the
-/// scheduler.  @p cancel (optional) is polled cooperatively by the engine:
-/// a watchdog deadline or cycle budget aborts with CancelledError, which
-/// run_sweep records as a `timeout` result.
+/// Simulate one expanded point on @p engine.  A pure function of the point
+/// and the engine: throws for unknown machine/workload names, for the
+/// `fail=1` test knob and, when engine.max_cycles is set, with
+/// CycleBudgetExceeded — run_sweep turns each into a quarantined result.
+/// Engine knobs never enter the point's canonical identity: the default
+/// engine IS the serial reference, and configurations that change results
+/// (engine_alters_results) are kept out of caches/journals by run_sweep.
 /// Knobs understood (absent => default_knobs() value):
 ///   cores         tile count (NAS kernels only): the workload is
 ///                 SPMD-partitioned across the tiles of a System(cfg, N)
@@ -35,14 +37,7 @@ namespace hm::driver {
 /// Unknown knobs are inert axis markers.  NAS kernels compile against the
 /// hybrid machine's LM geometry on every machine kind, exactly like the
 /// original bench binaries, so address streams match across variants.
-PointResult run_point(const SweepPoint& p, const CancelToken* cancel = nullptr);
-
-/// run_point with an explicit engine configuration (quantum, sampling).
-/// Engine knobs never enter the point's canonical identity: the default
-/// engine IS the serial reference, and configurations that change results
-/// (engine_alters_results) are kept out of caches/journals by run_sweep.
-PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
-                      const CancelToken* cancel = nullptr);
+PointResult run_point(const SweepPoint& p, const EngineConfig& engine = {});
 
 struct SweepOptions {
   unsigned jobs = 0;                     ///< worker threads; 0 = auto (host cores)
@@ -64,22 +59,9 @@ struct SweepOptions {
   /// reference.  When the configuration can change results
   /// (engine_alters_results: sampling or a finite quantum), run_sweep
   /// disables the disk cache, the session cache and the journal for the
-  /// sweep so approximate numbers never contaminate exact ones.
+  /// sweep so approximate numbers never contaminate exact ones.  A point
+  /// that overruns engine.max_cycles is recorded as ErrorClass::Timeout.
   EngineConfig engine;
-
-  // Fault tolerance.  Retries apply to ErrorClass::Transient only; the
-  // backoff doubles per attempt from `retry_backoff_ms` and is capped at
-  // 1 s (backoff perturbs wall clock, never results — points are pure).
-  unsigned max_retries = 2;        ///< extra attempts for transient failures
-  double retry_backoff_ms = 50.0;  ///< first backoff; doubles, capped at 1000
-  /// Per-point wall deadline in seconds (0 = unguarded).  Enforced by a
-  /// watchdog thread + cooperative cancellation; an expired point is
-  /// recorded as ErrorClass::Timeout.  Wall timeouts are host-dependent —
-  /// for deterministic budgets use max_point_cycles.
-  double point_deadline_seconds = 0.0;
-  /// Per-point budget in simulated cycles (0 = unlimited): a deterministic
-  /// timeout, identical on every host and thread count.
-  std::uint64_t max_point_cycles = 0;
 
   // Crash safety.  A non-empty journal_dir appends every finished point to
   // dir/<experiment>.jsonl as it lands (checksummed, torn-tail tolerant);
@@ -93,7 +75,7 @@ struct SweepOptions {
   // trace_event JSON under trace_dir/<experiment>/: one point_NNNN.trace.json
   // per executed point (simulated-cycle engine timelines + wall phase
   // spans), a sweep.trace.json for driver-level events (job lifecycle,
-  // journal appends, cache hits, retry backoffs) and a profile.json with
+  // journal appends, cache hits) and a profile.json with
   // per-point phase attribution.  Tracing never perturbs simulated results
   // — emitted JSON/CSV is byte-identical with tracing on or off.
   std::string trace_dir;  ///< "" = tracing off
@@ -109,7 +91,6 @@ struct SweepOutcome {
   std::size_t cache_hits = 0;
   std::size_t failures = 0;       ///< quarantined points (any error class)
   std::size_t timeouts = 0;       ///< subset of failures: ErrorClass::Timeout
-  std::size_t retries = 0;        ///< extra attempts consumed by transients
   std::size_t resumed = 0;        ///< points replayed from the journal
   std::size_t cache_corrupt = 0;  ///< corrupt memo-cache files (degraded to misses)
   std::size_t stale_entries = 0;  ///< memo-cache entries skipped: older engine version

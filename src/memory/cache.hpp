@@ -2,7 +2,8 @@
 //
 // The simulator's caches are tag-only: functional data lives in the
 // sim::FunctionalMemory image (system memory is internally coherent, so one
-// image suffices; see DESIGN.md §6).  The cache model provides the timing
+// image suffices; tests/coherence_property_test.cpp checks the images end
+// to end).  The cache model provides the timing
 // and activity counts the paper's evaluation depends on: hits, misses,
 // evictions, invalidations and fills, including those caused by prefetchers
 // and DMA bus requests (Table 3 counts all of them as "accesses").

@@ -235,11 +235,9 @@ void register_builtin_metrics(MetricsRegistry& reg) {
                                            0.5,   1.0,   5.0,  10.0, 60.0};
   reg.counter("hm_sweep_points_total", "Sweep points executed (cache misses)");
   reg.counter("hm_sweep_point_failures_total",
-              "Points quarantined after exhausting retries");
+              "Points quarantined (any error class)");
   reg.counter("hm_sweep_point_timeouts_total",
-              "Points cancelled by the watchdog deadline");
-  reg.counter("hm_sweep_point_retries_total",
-              "Point attempts beyond the first");
+              "Points that exceeded the simulated-cycle budget");
   reg.counter("hm_sweep_cache_hits_total", "Memo-cache hits");
   reg.counter("hm_sweep_cache_misses_total", "Memo-cache misses");
   reg.gauge("hm_sweep_cache_hit_ratio",

@@ -50,12 +50,11 @@ void System::reset_timing_state() {
   for (auto& t : tiles_) t->reset();
 }
 
-RunReport System::run(InstrStream& program, const CancelToken* cancel) {
-  return run(std::vector<InstrStream*>{&program}, cancel);
+RunReport System::run(InstrStream& program) {
+  return run(std::vector<InstrStream*>{&program});
 }
 
-RunReport System::run(const std::vector<InstrStream*>& programs,
-                      const CancelToken* cancel) {
+RunReport System::run(const std::vector<InstrStream*>& programs) {
   if (programs.empty())
     throw std::invalid_argument("System::run needs at least one program");
   if (programs.size() > tiles_.size())
@@ -83,21 +82,11 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
   const std::size_t n = programs.size();
   std::vector<RunResult> results(n);
   RunReport report;
-  // Coarse cancellation boundary, polled before every tile turn: a watchdog
-  // that fires while a tile is mid-turn is observed here before the next
-  // turn starts, so a multi-tile run never outlives its deadline by more
-  // than one poll stride.  The per-uop poll inside the core covers the rest.
-  const auto check_cancel = [cancel] {
-    if (cancel != nullptr && cancel->cancelled())
-      throw CancelledError(CancelledError::Reason::External,
-                           "run cancelled (watchdog or external)");
-  };
   if (engine_.sampling.enabled()) {
     // Interval sampling is a single-tile mode (checked above).  A lone
     // tile's quantum turns concatenate to its serial run, so the quantum
     // plays no part here.
-    check_cancel();
-    results[0] = run_sampled(*programs[0], cancel, report);
+    results[0] = run_sampled(*programs[0], report);
     if (obs::tracing_active()) [[unlikely]] emit_tile_phase_trace(0, results[0]);
   } else {
     // Quantum schedule: round r advances every unfinished tile, in tile
@@ -112,12 +101,11 @@ RunReport System::run(const std::vector<InstrStream*>& programs,
       const Cycle limit = quantum == 0 ? kNoCycle : (round + 1) * quantum - 1;
       for (std::size_t i = 0; i < n; ++i) {
         if (done[i]) continue;
-        check_cancel();
         if (round == 0) {
           programs[i]->reset();
-          tiles_[i]->core().begin_run(*programs[i]);
+          tiles_[i]->core().begin_run(*programs[i], engine_.max_cycles);
         }
-        if (!tiles_[i]->core().step_until(limit, cancel)) continue;
+        if (!tiles_[i]->core().step_until(limit)) continue;
         results[i] = tiles_[i]->core().finish_run();
         done[i] = 1;
         --remaining;
@@ -281,8 +269,7 @@ constexpr double kSampleConvergence = 0.10;
 
 }  // namespace
 
-RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
-                              RunReport& report) {
+RunResult System::run_sampled(InstrStream& program, RunReport& report) {
   OooCore& core = tiles_.front()->core();
   auto* rs = dynamic_cast<ReplayableStream*>(&program);
   std::shared_ptr<const ReplayBatch> batch;
@@ -291,7 +278,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
   if (batch == nullptr || batch->iterations == 0 || batch->shape.uops == 0) {
     // Not a batch-compilable stream: run fully detailed.  sampled_fraction
     // stays 0, the estimate is exact.
-    return core.run(program, cancel);
+    return core.run(program, engine_.max_cycles);
   }
 
   // Bind the batch so the stream serves pre-resolved addresses during the
@@ -319,7 +306,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
   // transfers, dir reconfiguration, synchs — always run detailed).
   const auto to_boundary = [&] {
     while (!fin && rs->work_cursor() == ReplayableStream::kNoIteration)
-      fin = core.step_uops(1, cancel);
+      fin = core.step_uops(1);
   };
 
   // Detailed execution of whole work iterations, up to `budget` uops;
@@ -331,7 +318,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
       const std::uint64_t cur = rs->work_cursor();
       if (cur == ReplayableStream::kNoIteration) break;
       const std::uint64_t u = batch->uops_in_range(cur, 1);
-      fin = core.step_uops(u, cancel);
+      fin = core.step_uops(u);
       done += u;
     }
   };
@@ -380,7 +367,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
   };
 
   try {
-    core.begin_run(program);
+    core.begin_run(program, engine_.max_cycles);
 
     // Cold-start convergence gate: the run's first intervals execute against
     // empty caches and an untrained directory/prefetcher, and their CPI can
@@ -437,7 +424,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
         // Nothing to skip at this boundary (e.g. reserved tail, or the
         // last iteration of a chunk): make detailed progress so the loop
         // cannot spin.
-        fin = core.step_uops(1, cancel);
+        fin = core.step_uops(1);
         continue;
       }
       ff_uops += done_uops;
@@ -460,7 +447,7 @@ RunResult System::run_sampled(InstrStream& program, const CancelToken* cancel,
           region = agree ? std::min(region * 2, ff_budget)
                          : std::max<std::uint64_t>(det, region / 2);
         } else if (done_uops == 0) {
-          fin = core.step_uops(1, cancel);  // guaranteed progress
+          fin = core.step_uops(1);  // guaranteed progress
         }
       }
     }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/byte_store.hpp"
-#include "common/cancel.hpp"
 #include "core/isa.hpp"
 #include "energy/energy.hpp"
 #include "memory/uncore.hpp"
@@ -48,16 +47,23 @@ struct SamplingConfig {
 /// granularity.  Both are deterministic; a finite quantum is a different
 /// (more barrier-faithful) contention model than serial, not a faster one.
 /// Sampling runs single-tile points only, where the quantum plays no part.
+///
+/// `max_cycles` is a per-tile budget on the dispatch front (0 = none): a
+/// tile whose front passes it stops at that uop and the run throws
+/// CycleBudgetExceeded.  A pure function of the simulation, so a point
+/// overruns identically on every host and at every job count.
 struct EngineConfig {
   Cycle quantum = 0;  ///< tile turn length in cycles; 0 = whole-run turns
   /// Sampled simulation; cycles/energy become estimates.
   SamplingConfig sampling;
+  Cycle max_cycles = 0;  ///< simulated-cycle budget per tile; 0 = none
 };
 
 /// True when @p e can produce results that differ from the serial engine
 /// (sampling estimates, or a finite quantum).  Callers keying caches/
 /// journals on the canonical point identity — which elides engine knobs —
-/// must not store such results.
+/// must not store such results.  The cycle budget never alters a result:
+/// a run either fits it unchanged or throws.
 inline bool engine_alters_results(const EngineConfig& e) {
   return e.sampling.enabled() || e.quantum != 0;
 }
@@ -166,21 +172,17 @@ class System {
   /// MSHRs, predictors and DMA state reset on every tile and in the uncore;
   /// all statistics cleared).  The functional memory image is preserved
   /// across runs — clear_image() starts a fresh one.
-  RunReport run(InstrStream& program, const CancelToken* cancel = nullptr);
+  RunReport run(InstrStream& program);
 
   /// SPMD run: one program per tile (programs.size() <= num_tiles()), all
   /// started cold at local cycle 0 with a barrier at the end of the stream
   /// — the aggregate cycle count is the slowest tile.  Tiles take turns
   /// in tile order against the shared uncore (see EngineConfig), which is
   /// what makes the contention (port slots, DMA bus windows) deterministic.
-  /// @p cancel (optional) is checked at coarse boundaries — before every
-  /// tile turn here, and every kCancelCheckStride uops inside each tile's
-  /// core — so a watchdog deadline or cycle budget aborts the run with
-  /// CancelledError instead of wedging the calling sweep worker.  Sampling
-  /// runs single-tile points only: with sampling on, more than one program
-  /// throws std::invalid_argument.
-  RunReport run(const std::vector<InstrStream*>& programs,
-                const CancelToken* cancel = nullptr);
+  /// A tile that overruns EngineConfig::max_cycles aborts the run with
+  /// CycleBudgetExceeded.  Sampling runs single-tile points only: with
+  /// sampling on, more than one program throws std::invalid_argument.
+  RunReport run(const std::vector<InstrStream*>& programs);
 
   /// Select the engine for subsequent run() calls.  The quantum matters
   /// only on multi-program SPMD runs (a lone tile's turns concatenate to
@@ -212,8 +214,7 @@ class System {
   /// work iterations.  Sets @p report's sample_error and sampled_fraction.
   /// Streams that are not ReplayableStream (or have no work iterations)
   /// silently run fully detailed.
-  RunResult run_sampled(InstrStream& program, const CancelToken* cancel,
-                        RunReport& report);
+  RunResult run_sampled(InstrStream& program, RunReport& report);
 
   MachineConfig cfg_;
   ByteStore image_;

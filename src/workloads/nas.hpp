@@ -21,7 +21,7 @@
 // The per-benchmark reference counts are scaled to a single representative
 // loop (the paper's counts span whole benchmarks); the ratios — guarded
 // fraction, streams vs irregular, compute intensity — are the reproduction
-// target.  See DESIGN.md's substitution notes.
+// target (docs/EXPERIMENTS.md "Workloads").
 #pragma once
 
 #include <cstdint>

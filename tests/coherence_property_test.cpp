@@ -1,4 +1,6 @@
-// Property-based tests of the coherence protocol (DESIGN.md §6).
+// Property-based tests of the coherence protocol, including the end-to-end
+// check that guarded kernels leave the same memory image as the cache-based
+// reference.
 //
 // 1. Randomized event sequences driven through the Fig. 6 state machine:
 //    only legal events are applied, and the §3.4 invariants must hold after

@@ -346,10 +346,27 @@ TEST_F(MemoCacheTest, SecondRunHitsAndIsByteIdentical) {
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_EQ(first.failures, 0u);
 
+  // Rewrite every entry the way older builds stored it, with an
+  // "attempts":1 field after error_class: still a hit, never corruption,
+  // and the hit re-serializes without the key.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::string text;
+    {
+      std::ifstream in(entry.path());
+      std::getline(in, text);
+    }
+    const std::size_t at = text.find("\"mapped_refs\"");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, "\"attempts\":1,");
+    std::ofstream(entry.path(), std::ios::trunc) << text << '\n';
+  }
+
   const SweepOutcome second = run_sweep(spec, opt);
   EXPECT_EQ(second.cache_hits, second.points.size());
+  EXPECT_EQ(second.cache_corrupt, 0u);
   for (const PointResult& r : second.points) EXPECT_TRUE(r.from_cache);
   EXPECT_EQ(to_json(first), to_json(second));
+  EXPECT_EQ(to_json(second).find("attempts"), std::string::npos);
 
   // And a third run with a different thread count is still identical.
   opt.jobs = 4;

@@ -1,6 +1,6 @@
 // Fault-tolerance tests: the deterministic fault-injection harness, the
-// error taxonomy and bounded retry, watchdog / cycle-budget timeouts, the
-// crash-safe journal (torn-tail tolerance, compaction), and the flagship
+// error taxonomy, cycle-budget timeouts, the crash-safe journal (torn-tail
+// tolerance, compaction, records from older builds), and the flagship
 // invariant — a sweep killed mid-run and resumed emits byte-identical
 // output to an uninterrupted run.
 #include <gtest/gtest.h>
@@ -37,10 +37,9 @@ ExperimentSpec tiny_spec() {
   return s;
 }
 
-SweepOptions fast_retry_opts() {
+SweepOptions serial_opts() {
   SweepOptions opt;
   opt.jobs = 1;
-  opt.retry_backoff_ms = 1.0;  // keep retry tests fast
   return opt;
 }
 
@@ -62,36 +61,41 @@ class FaultTmpDir : public ::testing::Test {
 TEST(FaultPlan, ParsesTheDocumentedGrammar) {
   EXPECT_TRUE(FaultPlan::parse("").empty());
   const FaultPlan plan = FaultPlan::parse(
-      "sweep_worker:transient:label=CG:times=1;"
+      "sweep_worker:engine:label=CG;"
       "cache_store:corrupt:rate=0.5:seed=7;"
-      "sweep_worker:hang:point=3");
+      "sweep_worker:config:point=3;"
+      "sweep_worker:crash:point=5");
   EXPECT_FALSE(plan.empty());
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/CG/hybrid", 0, 1}),
-            FaultKind::Transient);
-  // times=1: the second attempt of the same point is clean.
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/CG/hybrid", 0, 2}), std::nullopt);
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 3, 1}), FaultKind::Hang);
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 4, 1}), std::nullopt);
-  EXPECT_EQ(plan.decide(FaultSite::ReportSerialize, {"x/CG/hybrid", 0, 1}), std::nullopt);
+  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/CG/hybrid", 0}), FaultKind::Engine);
+  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 3}), FaultKind::Config);
+  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 4}), std::nullopt);
+  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 5}), FaultKind::Crash);
+  EXPECT_EQ(plan.decide(FaultSite::ReportSerialize, {"x/CG/hybrid", 0}), std::nullopt);
 }
 
 TEST(FaultPlan, RejectsMalformedSpecsLoudly) {
-  EXPECT_THROW(FaultPlan::parse("bogus_site:transient"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("bogus_site:engine"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("sweep_worker:bogus_kind"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("sweep_worker"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient:rate=2"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient:rate=0"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient:point=abc"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient:nonsense=1"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:rate=2"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:rate=0"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:point=abc"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:nonsense=1"), std::invalid_argument);
+  // Retired grammar: a deterministic point has nothing to retry or wait
+  // out, so the retry-era kinds and the per-attempt selector are gone.
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:hang"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:corrupt_cache"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:times=1"), std::invalid_argument);
 }
 
 TEST(FaultPlan, RateSelectionIsDeterministicAndScheduleFree) {
-  const FaultPlan plan = FaultPlan::parse("sweep_worker:transient:rate=0.5:seed=3");
+  const FaultPlan plan = FaultPlan::parse("sweep_worker:engine:rate=0.5:seed=3");
   std::set<std::uint64_t> first, second;
   for (std::uint64_t i = 0; i < 200; ++i) {
     const std::string label = "pt" + std::to_string(i);
-    if (plan.decide(FaultSite::SweepWorker, {label, i, 1})) first.insert(i);
-    if (plan.decide(FaultSite::SweepWorker, {label, i, 1})) second.insert(i);
+    if (plan.decide(FaultSite::SweepWorker, {label, i})) first.insert(i);
+    if (plan.decide(FaultSite::SweepWorker, {label, i})) second.insert(i);
   }
   EXPECT_EQ(first, second);  // pure function of identity
   // A 0.5 rate selects some but not all (binomial tail odds ~2^-200).
@@ -99,74 +103,38 @@ TEST(FaultPlan, RateSelectionIsDeterministicAndScheduleFree) {
   EXPECT_LT(first.size(), 200u);
 }
 
-// ------------------------------------------------- taxonomy and retries ----
+// --------------------------------------------------------------- taxonomy ----
 
-TEST(FaultRetry, TransientFaultIsRetriedToSuccess) {
-  ScopedFaultPlan plan("sweep_worker:transient:point=0:times=1");
-  SweepOptions opt = fast_retry_opts();
-  const SweepOutcome out = run_sweep(tiny_spec(), opt);
-  EXPECT_EQ(out.failures, 0u);
-  EXPECT_EQ(out.retries, 1u);
-  EXPECT_TRUE(out.points[0].ok);
-  EXPECT_EQ(out.points[0].attempts, 2u);
-  EXPECT_EQ(out.points[1].attempts, 1u);
-}
-
-TEST(FaultRetry, ExhaustedRetriesQuarantineAsTransient) {
-  ScopedFaultPlan plan("sweep_worker:transient:point=0");  // every attempt
-  SweepOptions opt = fast_retry_opts();
-  opt.max_retries = 1;
-  const SweepOutcome out = run_sweep(tiny_spec(), opt);
-  EXPECT_EQ(out.failures, 1u);
-  EXPECT_EQ(out.retries, 1u);
-  EXPECT_FALSE(out.points[0].ok);
-  EXPECT_EQ(out.points[0].error_class, ErrorClass::Transient);
-  EXPECT_EQ(out.points[0].attempts, 2u);
-  EXPECT_NE(out.points[0].error.find("attempts exhausted"), std::string::npos);
-  for (std::size_t i = 1; i < out.points.size(); ++i) EXPECT_TRUE(out.points[i].ok);
-}
-
-TEST(FaultRetry, NonTransientKindsQuarantineWithoutRetry) {
+TEST(FaultQuarantine, ConfigAndEngineFaultsQuarantineThePoint) {
   const struct {
     const char* kind;
     ErrorClass expect;
-  } cases[] = {{"config", ErrorClass::Config},
-               {"corrupt_cache", ErrorClass::CorruptCache},
-               {"engine", ErrorClass::Engine}};
+  } cases[] = {{"config", ErrorClass::Config}, {"engine", ErrorClass::Engine}};
   for (const auto& c : cases) {
     ScopedFaultPlan plan(std::string("sweep_worker:") + c.kind + ":point=1");
-    const SweepOutcome out = run_sweep(tiny_spec(), fast_retry_opts());
+    const SweepOutcome out = run_sweep(tiny_spec(), serial_opts());
     EXPECT_EQ(out.failures, 1u) << c.kind;
-    EXPECT_EQ(out.retries, 0u) << c.kind;
+    EXPECT_EQ(out.timeouts, 0u) << c.kind;
+    EXPECT_FALSE(out.points[1].ok) << c.kind;
     EXPECT_EQ(out.points[1].error_class, c.expect) << c.kind;
-    EXPECT_EQ(out.points[1].attempts, 1u) << c.kind;
+    EXPECT_NE(out.points[1].error.find(std::string("injected ") + c.kind + " fault"),
+              std::string::npos)
+        << c.kind;
+    // The quarantine is per point: the rest of the sweep finished.
+    for (std::size_t i = 0; i < out.points.size(); ++i) {
+      if (i == 1) continue;
+      EXPECT_TRUE(out.points[i].ok) << c.kind << " point " << i;
+    }
   }
 }
 
 // --------------------------------------------------------------- timeouts ----
 
-TEST(FaultTimeout, WatchdogCancelsAHungPoint) {
-  ScopedFaultPlan plan("sweep_worker:hang:point=0");
-  SweepOptions opt;
-  opt.jobs = 2;
-  opt.point_deadline_seconds = 0.2;
-  const SweepOutcome out = run_sweep(tiny_spec(), opt);
-  EXPECT_EQ(out.failures, 1u);
-  EXPECT_EQ(out.timeouts, 1u);
-  EXPECT_FALSE(out.points[0].ok);
-  EXPECT_EQ(out.points[0].error_class, ErrorClass::Timeout);
-  // Deterministic text: the CONFIGURED budget, never the elapsed time.
-  EXPECT_NE(out.points[0].error.find("wall deadline exceeded (0.2 s)"),
-            std::string::npos);
-  // The hang wedged one worker, not the sweep: every other point finished.
-  for (std::size_t i = 1; i < out.points.size(); ++i) EXPECT_TRUE(out.points[i].ok);
-}
-
 TEST(FaultTimeout, CycleBudgetIsDeterministicAcrossJobCounts) {
   const ExperimentSpec spec = tiny_spec();
   SweepOptions opt;
   opt.jobs = 1;
-  opt.max_point_cycles = 2000;  // far below what these points need
+  opt.engine.max_cycles = 2000;  // far below what these points need
   const SweepOutcome serial = run_sweep(spec, opt);
   EXPECT_EQ(serial.timeouts, serial.points.size());
   for (const PointResult& r : serial.points) {
@@ -243,15 +211,34 @@ TEST_F(FaultTmpDir, InjectedTornAppendIsSkippedOnLoad) {
 TEST_F(FaultTmpDir, QuarantinedPointsReplayOnResumeToo) {
   ScopedFaultPlan plan("sweep_worker:engine:point=1");
   const ExperimentSpec spec = tiny_spec();
-  SweepOptions opt = fast_retry_opts();
+  SweepOptions opt = serial_opts();
   opt.journal_dir = dir_;
   const SweepOutcome first = run_sweep(spec, opt);
   EXPECT_EQ(first.failures, 1u);
 
+  // Rewrite the journal the way older builds wrote it, with an
+  // "attempts":1 field after error_class: every record must still replay
+  // (crash/resume covers the current format) and re-serialize without it.
+  {
+    std::ofstream f(dir_ + "/" + spec.name + ".jsonl", std::ios::trunc);
+    for (const PointResult& r : first.points) {
+      std::string payload = point_json(r);
+      const std::size_t at = payload.find("\"mapped_refs\"");
+      ASSERT_NE(at, std::string::npos);
+      payload.insert(at, "\"attempts\":1,");
+      char head[24];
+      std::snprintf(head, sizeof head, "J1 %016llx ",
+                    static_cast<unsigned long long>(driver::fnv1a64(payload)));
+      f << head << payload << '\n';
+    }
+  }
+
   opt.resume = true;
   const SweepOutcome second = run_sweep(spec, opt);
   EXPECT_EQ(second.resumed, second.points.size());  // failed record included
-  EXPECT_EQ(to_json(first), to_json(second));
+  const std::string json = to_json(second);
+  EXPECT_EQ(to_json(first), json);
+  EXPECT_EQ(json.find("attempts"), std::string::npos);
 }
 
 // ---------------------------------------------------------- crash + resume ----

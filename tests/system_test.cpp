@@ -1,5 +1,5 @@
 // Tests for the top-level System: wiring, reporting, run isolation, and the
-// engine schedule (quantum turns, cancellation, the results-altering gate).
+// engine schedule (quantum turns, the cycle budget, the results-altering gate).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -186,6 +186,10 @@ TEST(EngineSchedule, AlteringEngineConfigsAreDetected) {
   EngineConfig sampled;
   sampled.sampling.mode = SamplingConfig::Mode::Interval;
   EXPECT_TRUE(engine_alters_results(sampled));
+  // A run either fits its budget unchanged or throws.
+  EngineConfig budget;
+  budget.max_cycles = 100;
+  EXPECT_FALSE(engine_alters_results(budget));
 }
 
 TEST(EngineSchedule, QuantumOnOneTileEqualsSerial) {
@@ -210,21 +214,48 @@ TEST(EngineSchedule, SamplingRejectsMultiTileRuns) {
   }
 }
 
-TEST(EngineSchedule, PreCancelledTokenAbortsTheQuantumSchedule) {
-  CancelToken token;
-  token.cancel();
-  EXPECT_THROW(driver::run_point(ft_point(4, 0.05), quantum(64), &token),
-               CancelledError);
+TEST(EngineSchedule, CycleBudgetIsExact) {
+  // A run far shorter than any polling stride: the budget still stops the
+  // dispatch front at the first uop boundary past it.
+  System sys(MachineConfig::cache_based());
+  VecStream prog;
+  for (unsigned i = 0; i < 4000; ++i) prog.push(VecStream::int_op());
+  ASSERT_GT(sys.run(prog).cycles(), 100u);
+  // Reference: where a plain step_until(100) suspends.
+  prog.reset();
+  sys.core().begin_run(prog);
+  ASSERT_FALSE(sys.core().step_until(100));
+  const std::uint64_t uops = sys.core().uops_done();
+  const Cycle front = sys.core().front();
+  EngineConfig e;
+  e.max_cycles = 100;
+  sys.set_engine(e);
+  EXPECT_THROW(sys.run(prog), CycleBudgetExceeded);
+  EXPECT_EQ(sys.core().uops_done(), uops);
+  EXPECT_EQ(sys.core().front(), front);
+  EXPECT_GT(front, 100u);
 }
 
-TEST(EngineSchedule, CycleBudgetCancelsWithDeterministicReason) {
-  CancelToken token;
-  token.set_cycle_limit(20'000);
-  try {
-    driver::run_point(ft_point(4, 0.1), quantum(64), &token);
-    FAIL() << "cycle budget did not fire";
-  } catch (const CancelledError& e) {
-    EXPECT_EQ(e.reason(), CancelledError::Reason::CycleLimit);
+TEST(EngineSchedule, CycleBudgetFiresUnderEveryQuantum) {
+  for (const Cycle q : {Cycle{0}, Cycle{64}}) {
+    EngineConfig e = quantum(q);
+    e.max_cycles = 20'000;
+    EXPECT_THROW(driver::run_point(ft_point(4, 0.1), e), CycleBudgetExceeded)
+        << "quantum " << q;
+  }
+}
+
+TEST(EngineSchedule, BudgetThatFitsChangesNoByte) {
+  // The budget bounds the dispatch front, which never passes the run's own
+  // cycle count: a budget equal to it leaves every serialized byte alone.
+  for (const Cycle q : {Cycle{0}, Cycle{64}}) {
+    const driver::SweepPoint p = ft_point(4, 0.05);
+    const driver::PointResult free = driver::run_point(p, quantum(q));
+    ASSERT_TRUE(free.ok) << free.error;
+    EngineConfig e = quantum(q);
+    e.max_cycles = free.report.cycles();
+    EXPECT_EQ(driver::point_json(driver::run_point(p, e)), driver::point_json(free))
+        << "quantum " << q;
   }
 }
 

@@ -44,16 +44,17 @@
 //                         'full' spells out the default — each spec's own
 //                         full scale, the one the paper tables use
 //     --quiet             no progress on stderr
-//   Fault tolerance (see README "Robustness"):
+//   Fault tolerance (see docs/OPERATIONS.md "Survive failures and resume a
+//   killed sweep"):
 //     --journal-dir DIR   crash-safe journal of finished points
 //                         (default .hm_sweep_journal)
 //     --no-journal        disable the journal
 //     --resume            replay journaled points before running the rest;
 //                         the resumed outputs are byte-identical to an
 //                         uninterrupted run's
-//     --retries N         extra attempts for transient failures (default 2)
-//     --deadline SECS     per-point wall deadline (watchdog; default off)
-//     --max-point-cycles N  deterministic per-point simulated-cycle budget
+//     --max-point-cycles N  per-point simulated-cycle budget: a tile whose
+//                         dispatch front passes N stops there and the point
+//                         is a `timeout` row, identically at any --jobs
 //     --faults SPEC       deterministic fault injection (also: HM_FAULTS
 //                         env; the flag wins) — see driver/faults.hpp
 //   Observability (see README "Observability"):
@@ -64,7 +65,7 @@
 //                         registry, written once after all sweeps (suitable
 //                         for node-exporter textfile scraping)
 //     --progress          live one-line progress on stderr: done/total,
-//                         ok/quarantined/retried counts, ETA
+//                         ok/quarantined counts, ETA
 //
 // Exit status: 0 all points ok; 3 some points quarantined (outputs still
 // emitted, failed rows carry error/error_class); 1 fatal driver error;
@@ -111,8 +112,6 @@ struct CliOptions {
   bool quiet = false;
   std::string journal_dir = ".hm_sweep_journal";
   bool resume = false;
-  unsigned retries = 2;
-  double deadline_seconds = 0.0;
   std::uint64_t max_point_cycles = 0;
   std::string faults;  // --faults beats HM_FAULTS
   std::string trace_dir;
@@ -130,10 +129,9 @@ int usage(const char* argv0, int code) {
                "       [--format table|json|csv] [--out DIR] [--cache-dir DIR]\n"
                "       [--no-cache] [--scale F|full] [--quiet]\n"
                "       [--journal-dir DIR] [--no-journal] [--resume]\n"
-               "       [--retries N] [--deadline SECS] [--max-point-cycles N]\n"
-               "       [--faults SPEC] [--trace-dir DIR] [--metrics-out FILE]\n"
-               "       [--progress] [--quantum N] [--sample off|interval]\n"
-               "       [--sample-report FILE]\n",
+               "       [--max-point-cycles N] [--faults SPEC] [--trace-dir DIR]\n"
+               "       [--metrics-out FILE] [--progress] [--quantum N]\n"
+               "       [--sample off|interval] [--sample-report FILE]\n",
                argv0);
   return code;
 }
@@ -165,7 +163,7 @@ bool parse_positive_double(const char* s, double& out) {
   return true;
 }
 
-/// Like parse_positive_unsigned but 0 is legal (`--retries 0` = no retries).
+/// Like parse_positive_unsigned but 0 is legal (`--quantum 0` = serial).
 bool parse_unsigned(const char* s, unsigned& out) {
   char* end = nullptr;
   const unsigned long v = std::strtoul(s, &end, 10);
@@ -269,20 +267,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       opt.journal_dir.clear();
     } else if (arg == "--resume") {
       opt.resume = true;
-    } else if (arg == "--retries") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_unsigned(v, opt.retries)) {
-        std::fprintf(stderr, "--retries expects a non-negative integer, got: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--deadline") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (!parse_positive_double(v, opt.deadline_seconds)) {
-        std::fprintf(stderr, "--deadline expects a positive number of seconds, got: %s\n", v);
-        return false;
-      }
     } else if (arg == "--max-point-cycles") {
       const char* v = need_value(i);
       if (!v) return false;
@@ -501,6 +485,7 @@ int main(int argc, char** argv) {
   // Engine configuration for every point.
   hm::EngineConfig engine;
   engine.quantum = opt.quantum;
+  engine.max_cycles = opt.max_point_cycles;
   engine.sampling.mode = opt.sample == "interval"
                              ? hm::SamplingConfig::Mode::Interval
                              : hm::SamplingConfig::Mode::Off;
@@ -538,25 +523,20 @@ int main(int argc, char** argv) {
         sweep_opt.knob_overrides["topology"] = opt.topology;
       if (opt.mesh_dim != 0)
         sweep_opt.knob_overrides["mesh_dim"] = std::to_string(opt.mesh_dim);
-      sweep_opt.max_retries = opt.retries;
-      sweep_opt.point_deadline_seconds = opt.deadline_seconds;
-      sweep_opt.max_point_cycles = opt.max_point_cycles;
       sweep_opt.journal_dir = opt.journal_dir;
       sweep_opt.resume = opt.resume;
       sweep_opt.trace_dir = opt.trace_dir;
       sweep_opt.engine = engine;
 
       // Live progress: done/total from the scheduler callback (exception-
-      // guarded, serialized, monotonic), ok/quarantined/retried from the
+      // guarded, serialized, monotonic), ok/quarantined from the
       // per-point observer, ETA from elapsed/done.  Both callbacks run on
       // worker threads, hence the atomics.
-      std::atomic<std::size_t> live_ok{0}, live_fail{0}, live_retried{0};
+      std::atomic<std::size_t> live_ok{0}, live_fail{0};
       const auto sweep_t0 = std::chrono::steady_clock::now();
       if (opt.live_progress) {
         sweep_opt.point_observer = [&](const PointResult& r) {
           (r.ok ? live_ok : live_fail).fetch_add(1, std::memory_order_relaxed);
-          if (r.attempts > 1)
-            live_retried.fetch_add(r.attempts - 1, std::memory_order_relaxed);
         };
         sweep_opt.progress = [&](std::size_t done, std::size_t total) {
           const double elapsed =
@@ -568,12 +548,10 @@ int main(int argc, char** argv) {
                               static_cast<double>(total - done)
                         : 0.0;
           std::fprintf(stderr,
-                       "\r\033[K%s [%zu/%zu] ok %zu quarantined %zu retried "
-                       "%zu eta %.1fs",
+                       "\r\033[K%s [%zu/%zu] ok %zu quarantined %zu eta %.1fs",
                        spec->name.c_str(), done, total,
                        live_ok.load(std::memory_order_relaxed),
-                       live_fail.load(std::memory_order_relaxed),
-                       live_retried.load(std::memory_order_relaxed), eta);
+                       live_fail.load(std::memory_order_relaxed), eta);
         };
       } else if (tty) {
         sweep_opt.progress = [&](std::size_t done, std::size_t total) {
@@ -626,10 +604,10 @@ int main(int argc, char** argv) {
       if (!opt.quiet) {
         std::fprintf(stderr,
                      "%s: %zu points, %zu cached, %zu resumed, %zu failed "
-                     "(%zu timeout), %zu retried, %zu corrupt-cache, "
+                     "(%zu timeout), %zu corrupt-cache, "
                      "%zu stale-cache, %.2fs (jobs=%u)\n",
                      spec->name.c_str(), out.points.size(), out.cache_hits, out.resumed,
-                     out.failures, out.timeouts, out.retries, out.cache_corrupt,
+                     out.failures, out.timeouts, out.cache_corrupt,
                      out.stale_entries, out.wall_seconds, jobs);
         if (out.executed != 0)
           std::fprintf(stderr,
