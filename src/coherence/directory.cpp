@@ -4,15 +4,9 @@
 
 namespace hm {
 
-CoherenceDirectory::CoherenceDirectory(DirectoryConfig cfg) : cfg_(cfg), stats_("directory") {
+CoherenceDirectory::CoherenceDirectory(DirectoryConfig cfg) : cfg_(cfg) {
   if (cfg_.entries == 0) throw std::invalid_argument("directory needs at least one entry");
   entries_.resize(cfg_.entries);
-  lookups_ = &stats_.counter("lookups");
-  hits_ = &stats_.counter("hits");
-  misses_ = &stats_.counter("misses");
-  updates_ = &stats_.counter("updates");
-  presence_stalls_ = &stats_.counter("presence_stalls");
-  presence_stall_cycles_ = &stats_.counter("presence_stall_cycles");
 }
 
 void CoherenceDirectory::configure(Bytes buffer_size, Addr lm_base, Addr lm_size) {
@@ -39,7 +33,7 @@ unsigned CoherenceDirectory::entry_index(Addr lm_buffer_base) const {
 void CoherenceDirectory::map(Addr sm_base, Addr lm_buffer_base, Cycle completes_at) {
   if ((sm_base & masks_.offset_mask) != 0)
     throw std::invalid_argument("SM chunk base must be aligned to the LM buffer size");
-  updates_->inc();
+  ++stats_.updates;
   Entry& e = entries_[entry_index(lm_buffer_base)];
   e.valid = true;
   e.sm_tag = sm_base;
@@ -52,7 +46,7 @@ void CoherenceDirectory::unmap(Addr lm_buffer_base) {
 }
 
 CoherenceDirectory::LookupResult CoherenceDirectory::lookup(Addr sm_addr, Cycle now) {
-  lookups_->inc();
+  ++stats_.lookups;
   LookupResult r;
   r.available_at = now + cfg_.lookup_latency;
 
@@ -62,7 +56,7 @@ CoherenceDirectory::LookupResult CoherenceDirectory::lookup(Addr sm_addr, Cycle 
   // CAM match over all valid tags.
   for (const Entry& e : entries_) {
     if (!e.valid || e.sm_tag != base) continue;
-    hits_->inc();
+    ++stats_.hits;
     r.hit = true;
     r.address = masks_.combine(e.lm_base, offset);
     if (e.present_at > r.available_at) {
@@ -70,15 +64,15 @@ CoherenceDirectory::LookupResult CoherenceDirectory::lookup(Addr sm_addr, Cycle 
       // completed.  The guarded access takes an internal exception and
       // retries until the Presence bit is set (§3.2 "Double buffer
       // support"); modeled as a stall until the transfer completion.
-      presence_stalls_->inc();
-      presence_stall_cycles_->inc(e.present_at - r.available_at);
+      ++stats_.presence_stalls;
+      stats_.presence_stall_cycles += e.present_at - r.available_at;
       r.presence_stall = true;
       r.available_at = e.present_at;
     }
     return r;
   }
 
-  misses_->inc();
+  ++stats_.misses;
   r.hit = false;
   r.address = sm_addr;  // preserve the original SM address (Fig. 4)
   return r;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/bitops.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -37,6 +36,15 @@ struct DirectoryConfig {
 
 class CoherenceDirectory {
  public:
+  struct Stats {
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t updates = 0;
+    std::uint64_t presence_stalls = 0;
+    std::uint64_t presence_stall_cycles = 0;
+  };
+
   explicit CoherenceDirectory(DirectoryConfig cfg = {});
 
   /// Program the LM buffer size (power of two).  Clears all entries — a new
@@ -91,8 +99,8 @@ class CoherenceDirectory {
   /// Equivalence-test helper.
   std::vector<std::pair<Addr, Addr>> dump_mappings() const;
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   struct Entry {
@@ -108,13 +116,7 @@ class CoherenceDirectory {
   Bytes buffer_size_ = 0;
   Addr lm_base_ = 0;
   Bytes lm_size_ = 0;
-  StatGroup stats_;
-  Counter* lookups_;
-  Counter* hits_;
-  Counter* misses_;
-  Counter* updates_;
-  Counter* presence_stalls_;
-  Counter* presence_stall_cycles_;
+  Stats stats_;
 };
 
 }  // namespace hm

@@ -32,8 +32,8 @@
 //
 // SharedResource wraps a timeline with per-resource contention statistics
 // (requests, delayed requests, queueing cycles, peak occupancy depth,
-// overflows) and binds them into the owning structure's StatGroup; the
-// uncore's L2/L3 ports, DRAM and the DMA bus all arbitrate through it.
+// overflows); the uncore's L2/L3 ports, DRAM channels, DMA ports and NoC
+// links all arbitrate through it.
 //
 // Thread-safety: none.  Timelines are not internally synchronized —
 // chunk-directory growth (touch_chunk's resize + slab bump) and the
@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "common/bitops.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 
@@ -366,8 +365,8 @@ class OccupancyTimeline {
 
 /// A shared hardware resource (cache port, DRAM channel, bus) arbitrated on
 /// a full-run OccupancyTimeline, carrying per-resource contention
-/// statistics.  The owner binds the statistics into its StatGroup
-/// (bind_into) so reporting and reset_all see them like any other counter.
+/// statistics.  The owner reads them through contention() and clears them
+/// with reset_stats() alongside its own Stats.
 class SharedResource {
  public:
   struct Contention {
@@ -387,6 +386,7 @@ class SharedResource {
       peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
       return *this;
     }
+    bool operator==(const Contention&) const = default;
   };
 
   SharedResource(std::string name, Cycle gap)
@@ -408,25 +408,10 @@ class SharedResource {
   }
 
   /// Free every slot (epoch reset).  Statistics are left alone — the owner
-  /// resets them with the rest of its StatGroup.
+  /// clears them with reset_stats().
   void reset() { timeline_.reset(); }
 
   void reset_stats() { stats_ = Contention{}; }
-
-  /// Register the contention counters as "<prefix>_requests",
-  /// "<prefix>_delayed", "<prefix>_queue_cycles", "<prefix>_peak_occupancy"
-  /// and "<prefix>_overflows" (bare names when @p prefix is empty) so
-  /// StatGroup reporting/reset covers them.
-  void bind_into(StatGroup& group, const std::string& prefix) {
-    const auto key = [&](const char* field) {
-      return prefix.empty() ? std::string(field) : prefix + "_" + field;
-    };
-    group.bind(key("requests"), &stats_.requests);
-    group.bind(key("delayed"), &stats_.delayed);
-    group.bind(key("queue_cycles"), &stats_.queue_cycles);
-    group.bind(key("peak_occupancy"), &stats_.peak_occupancy);
-    group.bind(key("overflows"), &stats_.overflows);
-  }
 
   Cycle gap() const { return timeline_.gap(); }
   const std::string& name() const { return name_; }

@@ -1,51 +1,12 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hm {
 
 double safe_ratio(std::uint64_t num, std::uint64_t den, double if_zero) {
   if (den == 0) return if_zero;
   return static_cast<double>(num) / static_cast<double>(den);
-}
-
-Counter& StatGroup::counter(std::string_view counter_name) {
-  auto it = arena_index_.find(counter_name);
-  if (it == arena_index_.end()) {
-    if (cells_.find(counter_name) != cells_.end()) {
-      throw std::logic_error(name_ + ": counter '" + std::string(counter_name) +
-                             "' is bound to an external cell");
-    }
-    arena_.emplace_back();
-    it = arena_index_.emplace(std::string(counter_name), &arena_.back()).first;
-    cells_.emplace(std::string(counter_name), arena_.back().cell());
-  }
-  return *it->second;
-}
-
-void StatGroup::bind(std::string_view counter_name, std::uint64_t* cell) {
-  if (cells_.find(counter_name) != cells_.end()) {
-    throw std::logic_error(name_ + ": counter '" + std::string(counter_name) +
-                           "' is already registered");
-  }
-  cells_.emplace(std::string(counter_name), cell);
-}
-
-std::uint64_t StatGroup::value(std::string_view counter_name) const {
-  auto it = cells_.find(counter_name);
-  return it == cells_.end() ? 0 : *it->second;
-}
-
-void StatGroup::reset_all() {
-  for (auto& [name, cell] : cells_) *cell = 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> StatGroup::snapshot() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(cells_.size());
-  for (const auto& [name, cell] : cells_) out.emplace_back(name, *cell);
-  return out;
 }
 
 void Accumulator::add(double sample) noexcept {

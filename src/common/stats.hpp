@@ -1,93 +1,17 @@
-// Lightweight statistics registry.
+// Statistics helpers shared by every structure.
 //
-// Every hardware structure in the simulator owns a StatGroup and registers
-// named counters in it.  The sim driver snapshots groups between execution
-// phases so the paper's work/synch/control breakdown (Fig. 9) can be
-// reconstructed, and the energy model walks the counters to charge per-event
-// energies (Wattch-style activity-based accounting).
+// Event counters are not here: each hardware structure keeps its own in a
+// plain `struct Stats` of std::uint64_t fields, exposed as `stats()` and
+// cleared by `reset_stats()`.  Reporting (sim/tile.cpp, sim/system.cpp)
+// reads those fields directly to fill ActivityCounts and RunReport.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace hm {
 
-/// A single monotonically increasing event counter.
-class Counter {
- public:
-  Counter() = default;
-
-  void inc(std::uint64_t by = 1) noexcept { value_ += by; }
-  void reset() noexcept { value_ = 0; }
-  std::uint64_t value() const noexcept { return value_; }
-
-  /// Address of the underlying cell (StatGroup registry internals).
-  std::uint64_t* cell() noexcept { return &value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
 /// Ratio of two counters with a safe default when the denominator is zero.
 double safe_ratio(std::uint64_t num, std::uint64_t den, double if_zero = 0.0);
-
-/// A named collection of counters.  Lookup by name is used only at report /
-/// energy-accounting time, never on the simulated fast path (structures keep
-/// direct Counter references).
-class StatGroup {
- public:
-  explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-  // Owners keep raw cell pointers into the arena, and bind() registers
-  // cells living inside the owning object — copying or moving either the
-  // group or a binding owner would leave dangling cell pointers.  Immovable
-  // by construction; owners hold their StatGroup in place (optionals use
-  // std::in_place, see sim/system.cpp).
-  StatGroup(const StatGroup&) = delete;
-  StatGroup& operator=(const StatGroup&) = delete;
-  StatGroup(StatGroup&&) = delete;
-  StatGroup& operator=(StatGroup&&) = delete;
-
-  /// Register (or fetch) a counter under @p counter_name.  The returned
-  /// reference stays valid for the lifetime of the group.  Throws if the
-  /// name was bind()-registered — a bound cell has no Counter object.
-  Counter& counter(std::string_view counter_name);
-
-  /// Register @p cell — a plain std::uint64_t owned by the caller — as the
-  /// counter @p counter_name.  Hot structures keep their per-event counters
-  /// as inline struct fields (bumped without any pointer chase) and bind
-  /// them here so reporting/reset sees them like any other counter.  The
-  /// cell must outlive the group registration (same object, in practice).
-  /// Throws if the name is already registered either way — rebinding would
-  /// silently orphan references previously handed out by counter().
-  void bind(std::string_view counter_name, std::uint64_t* cell);
-
-  /// Value of a counter, 0 if it was never registered.
-  std::uint64_t value(std::string_view counter_name) const;
-
-  void reset_all();
-
-  const std::string& name() const { return name_; }
-
-  /// Stable snapshot of all (name, value) pairs, sorted by name.
-  std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
-
- private:
-  std::string name_;
-  // counter()-created Counters live in a deque arena: references stay
-  // stable under insertion (the Counter& contract above) AND counters
-  // registered together sit in adjacent memory.  `cells_` is the reporting
-  // view over ALL counters — arena cells and bind()-registered external
-  // cells alike; `arena_index_` tracks which names own an arena Counter so
-  // counter() never has to conjure a Counter from a bare cell.
-  std::deque<Counter> arena_;
-  std::map<std::string, Counter*, std::less<>> arena_index_;
-  std::map<std::string, std::uint64_t*, std::less<>> cells_;
-};
 
 /// Accumulates min/max/mean of a stream of samples (e.g. per-access latency).
 class Accumulator {

@@ -6,7 +6,7 @@
 
 namespace hm {
 
-BranchPredictor::BranchPredictor(BranchPredictorConfig cfg) : cfg_(cfg), stats_("bpred") {
+BranchPredictor::BranchPredictor(BranchPredictorConfig cfg) : cfg_(cfg) {
   if (!is_pow2(cfg_.selector_entries) || !is_pow2(cfg_.gshare_entries) ||
       !is_pow2(cfg_.bimodal_entries) || !is_pow2(cfg_.btb_entries))
     throw std::invalid_argument("predictor table sizes must be powers of two");
@@ -15,12 +15,6 @@ BranchPredictor::BranchPredictor(BranchPredictorConfig cfg) : cfg_(cfg), stats_(
   selector_.assign(cfg_.selector_entries, 2); // weakly prefer gshare
   btb_.resize(cfg_.btb_entries);              // btb_entries slots, btb_ways per set
   ras_.assign(cfg_.ras_entries, 0);
-  predictions_ = &stats_.counter("predictions");
-  mispredictions_ = &stats_.counter("mispredictions");
-  direction_misses_ = &stats_.counter("direction_misses");
-  target_misses_ = &stats_.counter("target_misses");
-  btb_hits_ = &stats_.counter("btb_hits");
-  ras_overflows_ = &stats_.counter("ras_overflows");
 }
 
 std::size_t BranchPredictor::bimodal_index(Addr pc) const {
@@ -37,7 +31,7 @@ std::size_t BranchPredictor::selector_index(Addr pc) const {
 }
 
 BranchPredictor::Prediction BranchPredictor::predict(Addr pc) {
-  predictions_->inc();
+  ++stats_.predictions;
   Prediction p;
   const bool use_gshare = selector_[selector_index(pc)] >= 2;
   const std::uint8_t ctr = use_gshare ? gshare_[gshare_index(pc)] : bimodal_[bimodal_index(pc)];
@@ -51,7 +45,7 @@ BranchPredictor::Prediction BranchPredictor::predict(Addr pc) {
     if (e.pc == pc) {
       p.btb_hit = true;
       p.target = e.target;
-      btb_hits_->inc();
+      ++stats_.btb_hits;
       break;
     }
   }
@@ -102,15 +96,15 @@ bool BranchPredictor::update(Addr pc, bool taken, Addr target) {
 
   const bool direction_ok = predicted_taken == taken;
   const bool correct = direction_ok && (!taken || target_ok);
-  if (!direction_ok) direction_misses_->inc();
-  if (taken && !target_ok) target_misses_->inc();
-  if (!correct) mispredictions_->inc();
+  if (!direction_ok) ++stats_.direction_misses;
+  if (taken && !target_ok) ++stats_.target_misses;
+  if (!correct) ++stats_.mispredictions;
   return correct;
 }
 
 void BranchPredictor::ras_push(Addr return_addr) {
   if (ras_top_ == ras_.size()) {
-    ras_overflows_->inc();
+    ++stats_.ras_overflows;
     // Overwrite the oldest entry (circular), as real RAS implementations do.
     for (std::size_t i = 1; i < ras_.size(); ++i) ras_[i - 1] = ras_[i];
     ras_top_ = ras_.size() - 1;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -23,6 +22,15 @@ struct BranchPredictorConfig {
 
 class BranchPredictor {
  public:
+  struct Stats {
+    std::uint64_t predictions = 0;
+    std::uint64_t mispredictions = 0;
+    std::uint64_t direction_misses = 0;
+    std::uint64_t target_misses = 0;
+    std::uint64_t btb_hits = 0;
+    std::uint64_t ras_overflows = 0;
+  };
+
   explicit BranchPredictor(BranchPredictorConfig cfg = {});
 
   struct Prediction {
@@ -45,8 +53,8 @@ class BranchPredictor {
 
   void reset();
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   static void train(std::uint8_t& ctr, bool taken) {
@@ -72,13 +80,7 @@ class BranchPredictor {
   std::uint64_t history_ = 0;
   std::uint64_t btb_clock_ = 0;
 
-  StatGroup stats_;
-  Counter* predictions_;
-  Counter* mispredictions_;
-  Counter* direction_misses_;
-  Counter* target_misses_;
-  Counter* btb_hits_;
-  Counter* ras_overflows_;
+  Stats stats_;
 };
 
 }  // namespace hm

@@ -17,30 +17,9 @@ constexpr std::uint64_t kNoUop = ~0ull;
 OooCore::OooCore(CoreConfig cfg, MemoryHierarchy& hierarchy, LocalMemory* lm,
                  CoherenceDirectory* directory, DmaController* dmac, ByteStore* image)
     : cfg_(cfg), hierarchy_(hierarchy), lm_(lm), directory_(directory), dmac_(dmac),
-      image_(image), bpred_(cfg.bpred), stats_("core") {
+      image_(image), bpred_(cfg.bpred) {
   if (cfg_.fetch_width == 0 || cfg_.retire_width == 0 || cfg_.rob_size == 0)
     throw std::invalid_argument("core widths/ROB must be non-zero");
-  sc_ = SliceCounters{
-      &stats_.counter("int_ops"),
-      &stats_.counter("fp_ops"),
-      &stats_.counter("loads"),
-      &stats_.counter("stores"),
-      &stats_.counter("guarded_loads"),
-      &stats_.counter("guarded_stores"),
-      &stats_.counter("branches"),
-      &stats_.counter("dma_commands"),
-      &stats_.counter("collapsed_stores"),
-      &stats_.counter("replay_uops"),
-      &stats_.counter("flushed_slots"),
-      &stats_.counter("rob_stall_cycles"),
-      &stats_.counter("regfile_reads"),
-      &stats_.counter("regfile_writes"),
-      &stats_.counter("lm_loads"),
-      &stats_.counter("lm_stores"),
-      &stats_.counter("store_buffer_stall_cycles"),
-      &stats_.counter("value_mismatches"),
-      &stats_.counter("fetch_groups"),
-  };
 }
 
 RunResult OooCore::run(InstrStream& program, Cycle max_cycles) {
@@ -93,25 +72,6 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
 
   RunResult& res = st.res;
 
-  Counter& c_int = *sc_.int_ops;
-  Counter& c_fp = *sc_.fp_ops;
-  Counter& c_loads = *sc_.loads;
-  Counter& c_stores = *sc_.stores;
-  Counter& c_gld = *sc_.guarded_loads;
-  Counter& c_gst = *sc_.guarded_stores;
-  Counter& c_branches = *sc_.branches;
-  Counter& c_dma_cmds = *sc_.dma_commands;
-  Counter& c_collapsed = *sc_.collapsed_stores;
-  Counter& c_replays = *sc_.replay_uops;
-  Counter& c_flushed = *sc_.flushed_slots;
-  Counter& c_rob_stall = *sc_.rob_stall_cycles;
-  Counter& c_regreads = *sc_.regfile_reads;
-  Counter& c_regwrites = *sc_.regfile_writes;
-  Counter& c_lm_loads = *sc_.lm_loads;
-  Counter& c_lm_stores = *sc_.lm_stores;
-  Counter& c_sb_stall = *sc_.store_buffer_stall_cycles;
-  Counter& c_mismatch = *sc_.value_mismatches;
-  Counter& c_fetch_groups = *sc_.fetch_groups;
 
   // The persistent pipeline state.  The scoreboard/pools/buffers are used
   // through references; the pacing scalars are hoisted into locals for the
@@ -147,10 +107,10 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
       ++dispatch_cycle;
       dispatched_in_cycle = 0;
     }
-    if (dispatched_in_cycle == 0) c_fetch_groups.inc();
+    if (dispatched_in_cycle == 0) ++stats_.fetch_groups;
     const Cycle rob_ready = rob_free[uop_index % cfg_.rob_size];
     if (rob_ready > dispatch_cycle) {
-      c_rob_stall.inc(rob_ready - dispatch_cycle);
+      stats_.rob_stall_cycles += rob_ready - dispatch_cycle;
       dispatch_cycle = rob_ready;
       dispatched_in_cycle = 0;
     }
@@ -159,24 +119,24 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
 
     // ---- Operand readiness --------------------------------------------
     Cycle ready = dispatched;
-    if (op.src1 != 0) { ready = std::max(ready, reg_ready[op.src1]); c_regreads.inc(); }
-    if (op.src2 != 0) { ready = std::max(ready, reg_ready[op.src2]); c_regreads.inc(); }
+    if (op.src1 != 0) { ready = std::max(ready, reg_ready[op.src1]); ++stats_.regfile_reads; }
+    if (op.src2 != 0) { ready = std::max(ready, reg_ready[op.src2]); ++stats_.regfile_reads; }
 
     Cycle done = ready;
 
     switch (op.kind) {
       case OpKind::IntAlu: {
-        c_int.inc();
+        ++stats_.int_ops;
         done = int_units.book(ready) + cfg_.int_latency;
         break;
       }
       case OpKind::FpAlu: {
-        c_fp.inc();
+        ++stats_.fp_ops;
         done = fp_units.book(ready) + cfg_.fp_latency;
         break;
       }
       case OpKind::Branch: {
-        c_branches.inc();
+        ++stats_.branches;
         const Cycle issue = int_units.book(ready);
         done = issue + cfg_.int_latency;
         bpred_.predict(op.pc);
@@ -186,7 +146,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
           // fetched in between is wasted work (energy) and the next uop
           // dispatches after the penalty.
           const Cycle redirect = done + cfg_.mispredict_penalty;
-          c_flushed.inc(cfg_.fetch_width * cfg_.mispredict_penalty);
+          stats_.flushed_slots += cfg_.fetch_width * cfg_.mispredict_penalty;
           if (redirect > dispatch_cycle) {
             dispatch_cycle = redirect;
             dispatched_in_cycle = 0;
@@ -226,8 +186,8 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
             if (e.addr == sb_addr && e.drains_at > ready) { collapsed = true; break; }
           }
           if (collapsed) {
-            c_collapsed.inc();
-            c_stores.inc();
+            ++stats_.collapsed_stores;
+            ++stats_.stores;
             ++res.stores;
             done = ready;  // folded into the older store
             if (image_ != nullptr && op.has_value) {
@@ -252,15 +212,15 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
             final_addr = look.address;
             to_lm = true;
           }
-          (is_load ? c_gld : c_gst).inc();
+          ++(is_load ? stats_.guarded_loads : stats_.guarded_stores);
           (is_load ? res.guarded_loads : res.guarded_stores)++;
         }
 
         if (is_load) {
-          c_loads.inc();
+          ++stats_.loads;
           ++res.loads;
           if (to_lm) {
-            c_lm_loads.inc();
+            ++stats_.lm_loads;
             done = lm_->access(access_start, final_addr, AccessType::Read);
             res.load_latency.add(static_cast<double>(done - access_start));
           } else {
@@ -272,23 +232,22 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
               // Scheduler replay of speculatively woken dependents
               // (PTLsim-style): re-executed uops cost energy and dependents
               // observe the extra wakeup/select round trip.
-              c_replays.inc(cfg_.fetch_width);
+              stats_.replay_uops += cfg_.fetch_width;
               done += cfg_.replay_penalty;
             }
           }
           // The loaded value only matters when the uop asks for a check
           // (functional_stores workloads); gating on check_value keeps the
-          // shared image off the hot path, which in turn keeps the parallel
-          // engine's image lock off every plain load.
+          // shared image off every plain load.
           if (image_ != nullptr && op.check_value) {
             const std::uint64_t v = image_->load64(final_addr);
             if (v != op.value) {
-              c_mismatch.inc();
+              ++stats_.value_mismatches;
               ++res.value_mismatches;
             }
           }
         } else {
-          c_stores.inc();
+          ++stats_.stores;
           ++res.stores;
           const Addr sb_addr = align_down(final_addr, 8);
           StoreBufferEntry* slot = &store_buffer[0];
@@ -298,12 +257,12 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
           Cycle sb_start = access_start;
           if (slot->drains_at > access_start) {
             // Store buffer full: structural stall.
-            c_sb_stall.inc(slot->drains_at - access_start);
+            stats_.store_buffer_stall_cycles += slot->drains_at - access_start;
             sb_start = slot->drains_at;
           }
           Cycle drain = sb_start + cfg_.store_drain_latency;
           if (to_lm) {
-            c_lm_stores.inc();
+            ++stats_.lm_stores;
             drain = std::max(drain, lm_->access(sb_start, final_addr, AccessType::Write));
           } else {
             // The entry drains when the write actually lands downstream —
@@ -328,7 +287,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
         break;
       }
       case OpKind::DmaGet: {
-        c_dma_cmds.inc();
+        ++stats_.dma_commands;
         if (dmac_ == nullptr) throw std::logic_error("dma op on a machine without a DMAC");
         const Cycle issue = lsu_units.book(ready);  // MMIO store
         dmac_->get(issue + 1, op.dma_sm, op.dma_lm, op.dma_size, op.dma_tag);
@@ -336,7 +295,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
         break;
       }
       case OpKind::DmaPut: {
-        c_dma_cmds.inc();
+        ++stats_.dma_commands;
         if (dmac_ == nullptr) throw std::logic_error("dma op on a machine without a DMAC");
         const Cycle issue = lsu_units.book(ready);
         dmac_->put(issue + 1, op.dma_lm, op.dma_sm, op.dma_size, op.dma_tag);
@@ -344,7 +303,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
         break;
       }
       case OpKind::DmaSynch: {
-        c_dma_cmds.inc();
+        ++stats_.dma_commands;
         if (dmac_ == nullptr) throw std::logic_error("dma op on a machine without a DMAC");
         const Cycle issue = lsu_units.book(ready);
         done = dmac_->synch(issue + 1, op.synch_mask);
@@ -369,7 +328,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
 
     if (op.dst != 0) {
       reg_ready[op.dst] = done;
-      c_regwrites.inc();
+      ++stats_.regfile_writes;
     }
 
     // ---- In-order retirement ------------------------------------------
@@ -534,7 +493,7 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
     // full buffer, so neither may the functional clock.  Stall to the
     // recycled slot's drain before charging the iteration's CPI advance.
     if (sb_blocked > static_cast<Cycle>(fnow_d)) {
-      sc_.store_buffer_stall_cycles->inc(sb_blocked - static_cast<Cycle>(fnow_d));
+      stats_.store_buffer_stall_cycles += sb_blocked - static_cast<Cycle>(fnow_d);
       fnow_d = static_cast<double>(sb_blocked);
     }
     sb_blocked = 0;
@@ -546,19 +505,19 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
   const std::uint64_t uops = b.uops_in_range(first, count);
   const std::uint64_t db_count = b.db_before[first + count] - b.db_before[first];
   const bool computed_nz = (sh.int_ops + sh.fp_ops) > 0 || sh.loads > 0;
-  stats_.counter("int_ops").inc(count * sh.int_ops);
-  stats_.counter("fp_ops").inc(count * sh.fp_ops);
-  stats_.counter("branches").inc(count * sh.branches + db_count);
-  stats_.counter("loads").inc(n_loads);
-  stats_.counter("stores").inc(n_stores);
-  stats_.counter("guarded_loads").inc(n_gld);
-  stats_.counter("guarded_stores").inc(n_gst);
-  stats_.counter("collapsed_stores").inc(n_collapsed);
-  stats_.counter("lm_loads").inc(n_lm_loads);
-  stats_.counter("lm_stores").inc(n_lm_stores);
-  stats_.counter("regfile_reads").inc(count * sh.reg_reads + (computed_nz ? db_count : 0));
-  stats_.counter("regfile_writes").inc(count * sh.reg_writes);
-  stats_.counter("fetch_groups").inc((uops + cfg_.fetch_width - 1) / cfg_.fetch_width);
+  stats_.int_ops += count * sh.int_ops;
+  stats_.fp_ops += count * sh.fp_ops;
+  stats_.branches += count * sh.branches + db_count;
+  stats_.loads += n_loads;
+  stats_.stores += n_stores;
+  stats_.guarded_loads += n_gld;
+  stats_.guarded_stores += n_gst;
+  stats_.collapsed_stores += n_collapsed;
+  stats_.lm_loads += n_lm_loads;
+  stats_.lm_stores += n_lm_stores;
+  stats_.regfile_reads += count * sh.reg_reads + (computed_nz ? db_count : 0);
+  stats_.regfile_writes += count * sh.reg_writes;
+  stats_.fetch_groups += (uops + cfg_.fetch_width - 1) / cfg_.fetch_width;
   res.uops += uops;
   res.loads += n_loads;
   res.stores += n_stores;

@@ -94,6 +94,29 @@ struct RunResult {
 
 class OooCore {
  public:
+  /// Pipeline event counters (the energy model's CPU activity inputs).
+  struct Stats {
+    std::uint64_t int_ops = 0;
+    std::uint64_t fp_ops = 0;
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t guarded_loads = 0;
+    std::uint64_t guarded_stores = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t dma_commands = 0;
+    std::uint64_t collapsed_stores = 0;
+    std::uint64_t replay_uops = 0;
+    std::uint64_t flushed_slots = 0;
+    std::uint64_t rob_stall_cycles = 0;
+    std::uint64_t regfile_reads = 0;
+    std::uint64_t regfile_writes = 0;
+    std::uint64_t lm_loads = 0;
+    std::uint64_t lm_stores = 0;
+    std::uint64_t store_buffer_stall_cycles = 0;
+    std::uint64_t value_mismatches = 0;
+    std::uint64_t fetch_groups = 0;
+  };
+
   /// @p lm, @p directory, @p dmac and @p image may be null: a cache-based
   /// machine has none of them, the oracle machine has no *guard* cost but
   /// keeps the structures.
@@ -194,8 +217,8 @@ class OooCore {
   };
 
   BranchPredictor& bpred() { return bpred_; }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
   const CoreConfig& config() const { return cfg_; }
 
  private:
@@ -238,32 +261,6 @@ class OooCore {
   /// throws CycleBudgetExceeded once it passes the run's budget.
   bool step_impl(Cycle limit, std::uint64_t stop_uop);
 
-  /// step_impl's counter bundle, resolved once at construction (StatGroup
-  /// counter references are stable).  The sampling controller steps the
-  /// detailed model a few micro-ops at a time, so per-slice name-map
-  /// lookups would dominate short slices.
-  struct SliceCounters {
-    Counter* int_ops;
-    Counter* fp_ops;
-    Counter* loads;
-    Counter* stores;
-    Counter* guarded_loads;
-    Counter* guarded_stores;
-    Counter* branches;
-    Counter* dma_commands;
-    Counter* collapsed_stores;
-    Counter* replay_uops;
-    Counter* flushed_slots;
-    Counter* rob_stall_cycles;
-    Counter* regfile_reads;
-    Counter* regfile_writes;
-    Counter* lm_loads;
-    Counter* lm_stores;
-    Counter* store_buffer_stall_cycles;
-    Counter* value_mismatches;
-    Counter* fetch_groups;
-  };
-
   CoreConfig cfg_;
   MemoryHierarchy& hierarchy_;
   LocalMemory* lm_;
@@ -271,8 +268,7 @@ class OooCore {
   DmaController* dmac_;
   ByteStore* image_;
   BranchPredictor bpred_;
-  StatGroup stats_;
-  SliceCounters sc_;
+  Stats stats_;
   std::unique_ptr<RunState> run_state_;
 };
 

@@ -6,18 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/hash.hpp"
-
 namespace hm::driver {
-
-std::uint64_t fnv1a64(std::string_view s) { return hm::fnv1a64(s); }
-
-std::uint64_t derive_seed(std::string_view experiment, std::size_t index) {
-  // SplitMix64 finalizer over (name hash, index): any two (experiment,
-  // index) pairs get decorrelated seeds, and the value never depends on
-  // which worker runs the job or when.
-  return splitmix64_mix(hm::fnv1a64(experiment) + kGoldenGamma * (index + 1));
-}
 
 std::string SweepPoint::knob(std::string_view key, std::string fallback) const {
   const auto it = knobs.find(std::string(key));
@@ -104,9 +93,7 @@ std::vector<SweepPoint> expand(const ExperimentSpec& spec,
         const auto it = p.knobs.find(k);
         if (it != p.knobs.end() && it->second == v) p.knobs.erase(it);
       }
-      p.seed = spec.seed_policy == SeedPolicy::PaperFixed
-                   ? kPaperSeed
-                   : derive_seed(spec.name, p.index);
+      p.seed = kPaperSeed;
       out.push_back(std::move(p));
     }
   }

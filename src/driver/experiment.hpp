@@ -8,14 +8,10 @@
 // seed — so the per-point RunReport is a pure function of the point and
 // the engine version.  Seeds are assigned at expansion time, never drawn
 // from shared state, which is what makes `--jobs N` byte-identical to
-// `--jobs 1`:
-//
-//   * SeedPolicy::PaperFixed (default) pins every point to kPaperSeed, the
-//     seed the published tables were generated with.  Physically identical
-//     points from different experiments (e.g. the hybrid runs shared by
-//     Figs. 8/9/10 and Table 3) then share one memo-cache entry.
-//   * SeedPolicy::PerPoint derives the seed from (experiment name, point
-//     index) — use it for custom sweeps that want decorrelated points.
+// `--jobs 1`.  Every point is pinned to kPaperSeed, the seed the published
+// tables were generated with, so physically identical points from
+// different experiments (e.g. the hybrid runs shared by Figs. 8/9/10 and
+// Table 3) share one memo-cache entry.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +27,6 @@ namespace hm::driver {
 /// The RNG seed the paper-series tables pin (CodegenOptions::global_seed's
 /// historical default).
 inline constexpr std::uint64_t kPaperSeed = 42;
-
-std::uint64_t fnv1a64(std::string_view s);
-
-/// Scheduling-order-independent per-job seed: a hash of the experiment
-/// name and the point's index within the expansion.
-std::uint64_t derive_seed(std::string_view experiment, std::size_t index);
 
 /// One expanded grid cell: a fully specified, independently runnable job.
 struct SweepPoint {
@@ -78,8 +68,6 @@ struct Grid {
   std::vector<Axis> axes;
 };
 
-enum class SeedPolicy : std::uint8_t { PaperFixed, PerPoint };
-
 struct SweepView;  // sweep.hpp: spec + results, with lookup helpers
 
 struct ExperimentSpec {
@@ -87,7 +75,6 @@ struct ExperimentSpec {
   std::string title;     ///< printed table header
   std::string artifact;  ///< paper artifact, e.g. "Fig. 9" (list/README map)
   double scale = 1.0;    ///< default WorkloadScale factor for all points
-  SeedPolicy seed_policy = SeedPolicy::PaperFixed;
   std::vector<Grid> grids;
   /// Regenerates the table text from the sweep results (no trailing header;
   /// render() adds the "==== title ====" banner).  Null => generic listing.

@@ -7,9 +7,9 @@
 // while the points themselves are shared: Figs. 8/9/10 and Table 3 reuse
 // the same hybrid and cache-based runs through the memo/session caches.
 //
-// All specs use SeedPolicy::PaperFixed: the published tables pin the
-// historical global seed (kPaperSeed), which also makes physically
-// identical points hash identically across experiments.
+// Every point carries the historical global seed (kPaperSeed) the
+// published tables pin, which also makes physically identical points hash
+// identically across experiments.
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>

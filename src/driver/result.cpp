@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "driver/faults.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)

@@ -63,7 +63,7 @@ struct EnergyParams {
 };
 
 /// Raw activity counts the model charges.  The sim layer fills this from the
-/// per-structure StatGroups after a run.
+/// per-structure Stats after a run.
 struct ActivityCounts {
   // Memory structures.
   std::uint64_t l1_activity = 0;   ///< lookups + fills + invalidations + snoops

@@ -11,15 +11,9 @@ namespace hm {
 
 DmaController::DmaController(DmaConfig cfg, MemoryHierarchy& hierarchy, LocalMemory& lm,
                              CoherenceDirectory* directory, ByteStore* image)
-    : cfg_(cfg), hierarchy_(hierarchy), lm_(lm), directory_(directory), image_(image),
-      stats_("dmac") {
+    : cfg_(cfg), hierarchy_(hierarchy), lm_(lm), directory_(directory), image_(image) {
   if (cfg_.num_tags == 0 || cfg_.num_tags > tag_complete_.size())
     throw std::invalid_argument("dma tag count out of range");
-  gets_ = &stats_.counter("gets");
-  puts_ = &stats_.counter("puts");
-  synchs_ = &stats_.counter("synchs");
-  lines_ = &stats_.counter("lines");
-  bytes_ = &stats_.counter("bytes");
 }
 
 void DmaController::check_tag(unsigned tag) const {
@@ -30,14 +24,14 @@ Cycle DmaController::get(Cycle now, Addr sm_src, Addr lm_dst, Bytes size, unsign
   check_tag(tag);
   if (!lm_.contains(lm_dst) || !lm_.contains(lm_dst + size - 1))
     throw std::out_of_range("dma-get destination outside the LM");
-  gets_->inc();
-  bytes_->inc(size);
+  ++stats_.gets;
+  stats_.bytes += size;
 
   const Bytes line = hierarchy_.line_size();
   const Addr first = align_down(sm_src, line);
   const Addr last = align_down(sm_src + size - 1, line);
   const Bytes nlines = (last - first) / line + 1;
-  lines_->inc(nlines);
+  stats_.lines += nlines;
 
   // Pipelined engine: an idle engine pays the first line's full snoop/DRAM
   // latency; a busy engine hides the next command's fetch behind its own
@@ -85,14 +79,14 @@ Cycle DmaController::put(Cycle now, Addr lm_src, Addr sm_dst, Bytes size, unsign
   check_tag(tag);
   if (!lm_.contains(lm_src) || !lm_.contains(lm_src + size - 1))
     throw std::out_of_range("dma-put source outside the LM");
-  puts_->inc();
-  bytes_->inc(size);
+  ++stats_.puts;
+  stats_.bytes += size;
 
   const Bytes line = hierarchy_.line_size();
   const Addr first = align_down(sm_dst, line);
   const Addr last = align_down(sm_dst + size - 1, line);
   const Bytes nlines = (last - first) / line + 1;
-  lines_->inc(nlines);
+  stats_.lines += nlines;
 
   // Every line is written to main memory and invalidated in the caches
   // (all tiles' L1s included — the uncore broadcast); writes are posted, so
@@ -124,7 +118,7 @@ Cycle DmaController::put(Cycle now, Addr lm_src, Addr sm_dst, Bytes size, unsign
 }
 
 Cycle DmaController::synch(Cycle now, std::uint32_t tag_mask) const {
-  synchs_->inc();
+  ++stats_.synchs;
   Cycle done = now;
   for (unsigned tag = 0; tag < cfg_.num_tags && tag < 32; ++tag) {
     if ((tag_mask >> tag) & 1u) done = std::max(done, tag_complete_[tag]);

@@ -40,7 +40,6 @@
 #include <cstdint>
 
 #include "common/byte_store.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "coherence/directory.hpp"
 #include "lm/local_memory.hpp"
@@ -56,6 +55,14 @@ struct DmaConfig {
 
 class DmaController {
  public:
+  struct Stats {
+    std::uint64_t gets = 0;
+    std::uint64_t puts = 0;
+    std::uint64_t synchs = 0;
+    std::uint64_t lines = 0;
+    std::uint64_t bytes = 0;
+  };
+
   DmaController(DmaConfig cfg, MemoryHierarchy& hierarchy, LocalMemory& lm,
                 CoherenceDirectory* directory, ByteStore* image);
 
@@ -78,8 +85,8 @@ class DmaController {
   void reset();
 
   const DmaConfig& config() const { return cfg_; }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
   /// Names this DMAC's trace lane "tile<id>.dma" (observability only; the
   /// DMAC itself does not know which tile owns it).  Defaults to tile 0.
@@ -96,12 +103,7 @@ class DmaController {
   Cycle engine_free_ = 0;
   char trace_lane_[16] = "tile0.dma";
   std::array<Cycle, 64> tag_complete_{};
-  StatGroup stats_;
-  Counter* gets_;
-  Counter* puts_;
-  Counter* synchs_;
-  Counter* lines_;
-  Counter* bytes_;
+  mutable Stats stats_;  ///< mutable: synch() is a const query that counts
 };
 
 }  // namespace hm

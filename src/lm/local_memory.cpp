@@ -6,19 +6,16 @@
 
 namespace hm {
 
-LocalMemory::LocalMemory(LocalMemoryConfig cfg) : cfg_(cfg), stats_("local_memory") {
+LocalMemory::LocalMemory(LocalMemoryConfig cfg) : cfg_(cfg) {
   if (!is_pow2(cfg_.size)) throw std::invalid_argument("LM size must be a power of two");
   if (cfg_.virtual_base % cfg_.size != 0)
     throw std::invalid_argument("LM virtual base must be aligned to its size");
-  accesses_ = &stats_.counter("accesses");
-  reads_ = &stats_.counter("reads");
-  writes_ = &stats_.counter("writes");
 }
 
 Cycle LocalMemory::access(Cycle now, Addr addr, AccessType type) {
   if (!contains(addr)) throw std::out_of_range("LM access outside the reserved range");
-  accesses_->inc();
-  (type == AccessType::Read ? reads_ : writes_)->inc();
+  ++stats_.accesses;
+  ++(type == AccessType::Read ? stats_.reads : stats_.writes);
   return now + cfg_.latency;
 }
 

@@ -11,9 +11,8 @@
 // latency, and the access counting the energy model consumes.
 #pragma once
 
-#include <string>
+#include <cstdint>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -26,6 +25,12 @@ struct LocalMemoryConfig {
 
 class LocalMemory {
  public:
+  struct Stats {
+    std::uint64_t accesses = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+  };
+
   explicit LocalMemory(LocalMemoryConfig cfg = {});
 
   /// The §2.1 range check: is @p addr inside the LM virtual range?
@@ -42,15 +47,12 @@ class LocalMemory {
   Cycle latency() const { return cfg_.latency; }
   const LocalMemoryConfig& config() const { return cfg_; }
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   LocalMemoryConfig cfg_;
-  StatGroup stats_;
-  Counter* accesses_;
-  Counter* reads_;
-  Counter* writes_;
+  Stats stats_;
 };
 
 }  // namespace hm

@@ -13,7 +13,7 @@ void CacheConfig::validate() const {
     throw std::invalid_argument(name + ": size smaller than one set");
 }
 
-SetAssocCache::SetAssocCache(CacheConfig cfg) : cfg_(std::move(cfg)), stats_(cfg_.name) {
+SetAssocCache::SetAssocCache(CacheConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
   num_sets_ = cfg_.num_sets();
   assoc_ = cfg_.associativity;
@@ -25,21 +25,10 @@ SetAssocCache::SetAssocCache(CacheConfig cfg) : cfg_(std::move(cfg)), stats_(cfg
   const std::size_t slots = static_cast<std::size_t>(num_sets_) * assoc_;
   tags_.assign(slots, kNoAddr);
   meta_.assign(slots, 0);
-  stats_.bind("lookups", &hot_.lookups);
-  stats_.bind("hits", &hot_.hits);
-  stats_.bind("misses", &hot_.misses);
-  stats_.bind("read_hits", &hot_.read_hits);
-  stats_.bind("write_hits", &hot_.write_hits);
-  stats_.bind("fills", &hot_.fills);
-  stats_.bind("prefetch_fills", &hot_.prefetch_fills);
-  stats_.bind("evictions", &hot_.evictions);
-  stats_.bind("dirty_evictions", &hot_.dirty_evictions);
-  stats_.bind("invalidations", &hot_.invalidations);
-  stats_.bind("snoops", &hot_.snoops);
 }
 
 bool SetAssocCache::probe(Addr addr) const {
-  ++hot_.snoops;
+  ++stats_.snoops;
   return peek(addr).hit;
 }
 
@@ -56,7 +45,7 @@ void SetAssocCache::set_dirty(Addr addr) {
 }
 
 std::optional<EvictedLine> SetAssocCache::invalidate(Addr addr) {
-  ++hot_.invalidations;
+  ++stats_.invalidations;
   const LookupResult r = peek(addr);
   if (!r.hit) return std::nullopt;
   const std::size_t idx = slot(r.set, r.way);

@@ -26,7 +26,6 @@
 
 #include "common/bitops.hpp"
 #include "common/find64.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -71,14 +70,28 @@ class SetAssocCache {
     std::uint32_t way = 0;
   };
 
-  explicit SetAssocCache(CacheConfig cfg);
+  /// Event counters.  Prefetch and DMA bus traffic count like demand
+  /// traffic (Table 3 counts all of them as "accesses").
+  struct Stats {
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t read_hits = 0;
+    std::uint64_t write_hits = 0;
+    std::uint64_t fills = 0;
+    std::uint64_t prefetch_fills = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t dirty_evictions = 0;
+    std::uint64_t invalidations = 0;
+    std::uint64_t snoops = 0;
 
-  // stats_ holds pointers to the inline hot_ counters below; moving or
-  // copying would leave them dangling into the old object.
-  SetAssocCache(const SetAssocCache&) = delete;
-  SetAssocCache& operator=(const SetAssocCache&) = delete;
-  SetAssocCache(SetAssocCache&&) = delete;
-  SetAssocCache& operator=(SetAssocCache&&) = delete;
+    /// Total activity (lookups + fills + invalidations + snoops), the
+    /// quantity reported in Table 3's "Accesses" columns.
+    std::uint64_t activity() const { return lookups + fills + invalidations + snoops; }
+    bool operator==(const Stats&) const = default;
+  };
+
+  explicit SetAssocCache(CacheConfig cfg);
 
   const CacheConfig& config() const { return cfg_; }
 
@@ -105,19 +118,19 @@ class SetAssocCache {
   /// the dirty bit for write-back write hits) on a hit, and reports the
   /// replacement victim on a miss.  Does not allocate.
   LookupResult access(Addr addr, AccessType type) {
-    ++hot_.lookups;
+    ++stats_.lookups;
     LookupResult r = peek(addr);
     if (!r.hit) {
-      ++hot_.misses;
+      ++stats_.misses;
       return r;
     }
-    ++hot_.hits;
+    ++stats_.hits;
     const std::size_t idx = slot(r.set, r.way);
     std::uint32_t dirty = meta_[idx] & 1u;
     if (type == AccessType::Read) {
-      ++hot_.read_hits;
+      ++stats_.read_hits;
     } else {
-      ++hot_.write_hits;
+      ++stats_.write_hits;
       if (cfg_.write_policy == WritePolicy::WriteBack) dirty = 1;
     }
     meta_[idx] = (bump_clock() << 1) | dirty;
@@ -130,15 +143,15 @@ class SetAssocCache {
   /// evicted.  Counts a fill (and a prefetch fill when requested).
   std::optional<EvictedLine> fill_at(const LookupResult& miss, Addr addr,
                                      bool from_prefetch = false) {
-    ++hot_.fills;
-    if (from_prefetch) ++hot_.prefetch_fills;
+    ++stats_.fills;
+    if (from_prefetch) ++stats_.prefetch_fills;
 
     const std::size_t idx = slot(miss.set, miss.way);
     std::optional<EvictedLine> evicted;
     if (tags_[idx] != kNoAddr) {
-      ++hot_.evictions;
+      ++stats_.evictions;
       const bool was_dirty = (meta_[idx] & 1u) != 0;
-      if (was_dirty) ++hot_.dirty_evictions;
+      if (was_dirty) ++stats_.dirty_evictions;
       evicted = EvictedLine{tags_[idx], was_dirty};
     }
     tags_[idx] = addr & ~line_mask_;
@@ -204,8 +217,8 @@ class SetAssocCache {
 
   Addr line_base(Addr addr) const { return addr & ~line_mask_; }
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   unsigned set_index(Addr addr) const {
@@ -305,23 +318,9 @@ class SetAssocCache {
 
   std::uint32_t lru_clock_ = 0;  ///< monotonic; shared by every install path
 
-  // Hot counters: inline fields (no pointer chase, same cache lines as the
-  // geometry above), bound into stats_ at construction for reporting.
-  struct HotCounters {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t read_hits = 0;
-    std::uint64_t write_hits = 0;
-    std::uint64_t fills = 0;
-    std::uint64_t prefetch_fills = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t dirty_evictions = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t snoops = 0;
-  };
-  mutable HotCounters hot_;  // mutable: probe() is a const lookup that counts
-  StatGroup stats_;
+  // Inline counters: same cache lines as the geometry above.  mutable:
+  // probe() is a const lookup that counts.
+  mutable Stats stats_;
 };
 
 }  // namespace hm

@@ -14,7 +14,7 @@ namespace hm {
 //    level's lookup and its fill, never another mutation of the same level.
 //  * The steady-state access path performs no per-access heap allocations:
 //    prefetcher candidate lists are SmallVec, MSHR/WCB structures are
-//    fixed-size, and all statistics counters are pre-registered.  The only
+//    fixed-size, and all statistics counters are plain struct fields.  The only
 //    allocation source left is the full-run occupancy timelines growing a
 //    chunk as simulated time advances — amortized one slab per ~65k busy
 //    port cycles (tests/alloc_test.cpp bounds it against elapsed time).
@@ -30,37 +30,27 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg, Uncore* shared)
       owned_uncore_(shared != nullptr ? nullptr : std::make_unique<Uncore>(cfg_)),
       uncore_(shared != nullptr ? *shared : *owned_uncore_),
       l1d_(cfg_.l1d),
-      mshr_("L1_MSHR", cfg_.mshr),
-      pf_l1_("PF_L1", cfg_.pf_l1, cfg_.l1d.line_size),
+      mshr_(cfg_.mshr),
+      pf_l1_(cfg_.pf_l1, cfg_.l1d.line_size),
       l2_(uncore_.l2()),
       l3_(uncore_.l3()),
       mem_(uncore_.memory()),
       pf_l2_(uncore_.pf_l2()),
-      pf_l3_(uncore_.pf_l3()),
-      stats_("hierarchy") {
+      pf_l3_(uncore_.pf_l3()) {
   port_id_ = uncore_.register_l1(&l1d_);
-  stats_.bind("loads", &hot_.loads);
-  stats_.bind("stores", &hot_.stores);
-  stats_.bind("writethrough_traffic", &hot_.writethrough_traffic);
-  stats_.bind("bus_l1_l2", &hot_.bus_l1_l2);
-  stats_.bind("bus_l2_l3", &hot_.bus_l2_l3);
-  stats_.bind("bus_l3_mem", &hot_.bus_l3_mem);
-  stats_.bind("bus_dma", &hot_.bus_dma);
-  stats_.bind("l2_queue_cycles", &hot_.l2_queue_cycles);
-  stats_.bind("l3_queue_cycles", &hot_.l3_queue_cycles);
 }
 
 void MemoryHierarchy::commit(const Scratch& sc) {
   // Unconditional adds: the fields sit on two cache lines and a zero add is
   // cheaper than a mispredictable branch per counter.
-  hot_.loads += sc.loads;
-  hot_.stores += sc.stores;
-  hot_.writethrough_traffic += sc.wt_traffic;
-  hot_.bus_l1_l2 += sc.bus_l1_l2;
-  hot_.bus_l2_l3 += sc.bus_l2_l3;
-  hot_.bus_l3_mem += sc.bus_l3_mem;
-  hot_.l2_queue_cycles += sc.l2_queue;
-  hot_.l3_queue_cycles += sc.l3_queue;
+  stats_.loads += sc.loads;
+  stats_.stores += sc.stores;
+  stats_.writethrough_traffic += sc.wt_traffic;
+  stats_.bus_l1_l2 += sc.bus_l1_l2;
+  stats_.bus_l2_l3 += sc.bus_l2_l3;
+  stats_.bus_l3_mem += sc.bus_l3_mem;
+  stats_.l2_queue_cycles += sc.l2_queue;
+  stats_.l3_queue_cycles += sc.l3_queue;
 }
 
 Cycle MemoryHierarchy::book_l2(Cycle when, Addr addr, Scratch& sc) {
@@ -293,7 +283,7 @@ Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, 
 }
 
 Cycle MemoryHierarchy::dma_read_line(Cycle now, Addr line_addr) {
-  ++hot_.bus_dma;
+  ++stats_.bus_dma;
   // Coherent dma-get: snoop top-down; copy from the first level that holds
   // the line (the SM is internally coherent so any resident copy is valid),
   // otherwise the uncore serves it from L2/L3/memory.
@@ -302,7 +292,7 @@ Cycle MemoryHierarchy::dma_read_line(Cycle now, Addr line_addr) {
 }
 
 Cycle MemoryHierarchy::dma_write_line(Cycle now, Addr line_addr) {
-  ++hot_.bus_dma;
+  ++stats_.bus_dma;
   // Coherent dma-put: the uncore writes the line to main memory and
   // invalidates it in the shared levels and in every tile's L1 that may
   // hold it (§3.4.2: the DMA data is the valid version everywhere).  The
@@ -322,9 +312,12 @@ void MemoryHierarchy::reset() {
   if (owned_uncore_) owned_uncore_->reset();
 }
 
-std::uint64_t MemoryHierarchy::total_activity(const SetAssocCache& c) {
-  const auto& s = c.stats();
-  return s.value("lookups") + s.value("fills") + s.value("invalidations") + s.value("snoops");
+void MemoryHierarchy::reset_stats() {
+  stats_ = Stats{};
+  l1d_.reset_stats();
+  mshr_.reset_stats();
+  pf_l1_.reset_stats();
+  if (owned_uncore_) owned_uncore_->reset_stats();
 }
 
 }  // namespace hm

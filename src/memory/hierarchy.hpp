@@ -24,16 +24,15 @@
 // instructions, prefetchers, placement of cache lines by the MSHRs,
 // write-through and write-back policies and bus requests of the DMA
 // commands").  Uncore traffic (bus transfers, port-queue cycles) is counted
-// in the *initiating* tile's StatGroup, so per-tile activity attribution
-// falls out for free and a single-tile machine reports exactly the
-// pre-tile numbers.
+// in the *initiating* tile's Stats, so per-tile activity attribution falls
+// out for free and a single-tile machine reports exactly the pre-tile
+// numbers.
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "common/occupancy.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "memory/cache.hpp"
 #include "memory/main_memory.hpp"
@@ -51,6 +50,21 @@ struct AccessResult {
 
 class MemoryHierarchy {
  public:
+  /// Hierarchy-level counters.  All of them — including the uncore bus
+  /// legs — are attributed to this (initiating) tile.
+  struct Stats {
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t writethrough_traffic = 0;
+    std::uint64_t bus_l1_l2 = 0;
+    std::uint64_t bus_l2_l3 = 0;
+    std::uint64_t bus_l3_mem = 0;
+    std::uint64_t bus_dma = 0;
+    std::uint64_t l2_queue_cycles = 0;
+    std::uint64_t l3_queue_cycles = 0;
+    bool operator==(const Stats&) const = default;
+  };
+
   /// Standalone single-tile hierarchy: owns a private Uncore.  This is the
   /// pre-tile monolithic configuration the unit tests and the engine
   /// benchmark drive directly.
@@ -61,8 +75,8 @@ class MemoryHierarchy {
   /// dma-put invalidation broadcasts.
   MemoryHierarchy(HierarchyConfig cfg, Uncore& uncore);
 
-  // stats_ holds pointers to the inline hot_ counters below (and the member
-  // caches pin themselves the same way); not movable, not copyable.
+  // The uncore holds a pointer to l1d_ (invalidation target); not movable,
+  // not copyable.
   MemoryHierarchy(const MemoryHierarchy&) = delete;
   MemoryHierarchy& operator=(const MemoryHierarchy&) = delete;
   MemoryHierarchy(MemoryHierarchy&&) = delete;
@@ -127,12 +141,11 @@ class MemoryHierarchy {
   const StreamPrefetcher& pf_l2() const { return uncore_.pf_l2(); }
   const StreamPrefetcher& pf_l3() const { return uncore_.pf_l3(); }
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
-
-  /// Total activity at a level (lookups + fills + invalidations + snoops),
-  /// the quantity reported in Table 3's "Accesses" columns.
-  static std::uint64_t total_activity(const SetAssocCache& c);
+  const Stats& stats() const { return stats_; }
+  /// Clear the private statistics: Stats, the L1, the MSHRs and the L1
+  /// prefetcher.  Like reset(), a standalone hierarchy also clears its
+  /// owned uncore; a shared uncore is cleared once by the machine owner.
+  void reset_stats();
 
  private:
   /// Shared implementation of the two public constructors: @p shared is the
@@ -140,10 +153,9 @@ class MemoryHierarchy {
   MemoryHierarchy(HierarchyConfig cfg, Uncore* shared);
 
   /// Per-access scratch for the hierarchy-level counters: the hot path
-  /// accumulates into plain integers and access() commits them to the
-  /// StatGroup counters once, instead of chasing Counter pointers at every
-  /// event.  (Structure-local counters — cache hits, MSHR merges — stay with
-  /// their structures, which already hold direct Counter pointers.)
+  /// accumulates into narrow locals and access() commits them to stats_
+  /// once.  (Structure-local counters — cache hits, MSHR merges — stay
+  /// with their structures.)
   struct Scratch {
     std::uint32_t loads = 0;
     std::uint32_t stores = 0;
@@ -232,23 +244,7 @@ class MemoryHierarchy {
   };
   static constexpr unsigned kWcbEntries = 4;
   WcbEntry wcb_[kWcbEntries] = {};
-  /// Hierarchy-level counters as inline fields (commit() adds a whole
-  /// Scratch at once); bound into stats_ at construction.  All of them —
-  /// including the uncore bus legs — are attributed to this (initiating)
-  /// tile.
-  struct HotCounters {
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t writethrough_traffic = 0;
-    std::uint64_t bus_l1_l2 = 0;
-    std::uint64_t bus_l2_l3 = 0;
-    std::uint64_t bus_l3_mem = 0;
-    std::uint64_t bus_dma = 0;
-    std::uint64_t l2_queue_cycles = 0;
-    std::uint64_t l3_queue_cycles = 0;
-  };
-  HotCounters hot_;
-  StatGroup stats_;
+  Stats stats_;
 };
 
 }  // namespace hm

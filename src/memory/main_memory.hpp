@@ -1,20 +1,18 @@
 // Flat DRAM model: fixed access latency plus a simple bandwidth/bank-conflict
 // approximation (consecutive accesses closer than `gap` cycles queue up).
 //
-// With a NoC-sliced uncore the memory grows extra channels (set_channels):
-// home slice s drains through channel s % channels, each an independent
-// occupancy timeline with the same gap.  Channel 0 IS the historical
-// "dram" port — its statistics stay bound into the StatGroup under the
-// historical bare field names — so a single-channel (flat) machine is
-// byte-identical to the pre-channel model.
+// With a NoC-sliced uncore the memory has several channels: home slice s
+// drains through channel s % channels, each an independent occupancy
+// timeline with the same gap.  Channel 0 is the "dram" resource, the others
+// "dram_ch<k>"; a single-channel (flat) machine has only channel 0.
+// Contention statistics stay on the channels and are summed by
+// aggregate_contention(); the access counts live in Stats.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/occupancy.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -26,14 +24,19 @@ struct MainMemoryConfig {
 
 class MainMemory {
  public:
-  explicit MainMemory(MainMemoryConfig cfg = {})
-      : cfg_(cfg), port_("dram", cfg.gap), stats_("main_memory"),
-        accesses_(&stats_.counter("accesses")),
-        reads_(&stats_.counter("reads")),
-        writes_(&stats_.counter("writes")) {
-    // The channel's contention statistics ARE the DRAM queueing statistics;
-    // "queue_cycles" keeps its historical name, the rest are new fields.
-    port_.bind_into(stats_, "");
+  struct Stats {
+    std::uint64_t accesses = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+  };
+
+  /// Memory with @p channels independent channels (NoC-sliced uncore; 1
+  /// when flat).  The channel count is fixed for the object's lifetime.
+  explicit MainMemory(MainMemoryConfig cfg = {}, unsigned channels = 1) : cfg_(cfg) {
+    channels_.reserve(channels);
+    channels_.emplace_back("dram", cfg_.gap);
+    for (unsigned k = 1; k < channels; ++k)
+      channels_.emplace_back("dram_ch" + std::to_string(k), cfg_.gap);
   }
 
   /// Access at cycle @p now; returns completion cycle.  Bank-level
@@ -42,58 +45,40 @@ class MainMemory {
   /// out-of-order slot filling (on a multi-tile machine every tile books
   /// against the same timeline, so cross-tile DRAM contention is exact).
   Cycle access(Cycle now, AccessType type, unsigned channel = 0) {
-    accesses_->inc();
-    (type == AccessType::Read ? reads_ : writes_)->inc();
-    return channel_port(channel).book(now) + cfg_.latency;
+    ++stats_.accesses;
+    ++(type == AccessType::Read ? stats_.reads : stats_.writes);
+    return channels_[channel].book(now) + cfg_.latency;
   }
 
-  /// Grow to @p n independent channels (NoC-sliced uncore).  Channel 0 is
-  /// the existing "dram" port; channels 1..n-1 get their own timelines and
-  /// contention counters ("dram_ch<k>", aggregated at report time, not
-  /// bound into the StatGroup).  Call before the run; shrinking is not
-  /// supported.
-  void set_channels(unsigned n) {
-    while (1 + extra_.size() < n)
-      extra_.push_back(std::make_unique<SharedResource>(
-          "dram_ch" + std::to_string(extra_.size() + 1), cfg_.gap));
-  }
-  unsigned channels() const { return 1 + static_cast<unsigned>(extra_.size()); }
+  unsigned channels() const { return static_cast<unsigned>(channels_.size()); }
 
   /// Contention summed over all channels (the RunReport "dram" section);
-  /// equals port().contention() on a single-channel machine.
+  /// equals channel_port(0).contention() on a single-channel machine.
   SharedResource::Contention aggregate_contention() const {
-    SharedResource::Contention agg = port_.contention();
-    for (const auto& c : extra_) agg += c->contention();
+    SharedResource::Contention agg;
+    for (const SharedResource& c : channels_) agg += c.contention();
     return agg;
   }
 
+  /// Free every channel's slots (epoch reset); statistics are left alone.
   void reset() {
-    port_.reset();
-    for (const auto& c : extra_) c->reset();
+    for (SharedResource& c : channels_) c.reset();
   }
 
-  void reset_channel_stats() {
-    for (const auto& c : extra_) c->reset_stats();
+  /// Clear the access counts and every channel's contention statistics.
+  void reset_stats() {
+    stats_ = Stats{};
+    for (SharedResource& c : channels_) c.reset_stats();
   }
 
   const MainMemoryConfig& config() const { return cfg_; }
-  SharedResource& channel_port(unsigned channel) {
-    return channel == 0 ? port_ : *extra_[channel - 1];
-  }
-  const SharedResource& channel_port(unsigned channel) const {
-    return channel == 0 ? port_ : *extra_[channel - 1];
-  }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const SharedResource& channel_port(unsigned channel) const { return channels_[channel]; }
+  const Stats& stats() const { return stats_; }
 
  private:
   MainMemoryConfig cfg_;
-  SharedResource port_;  ///< channel 0; historical stats shape
-  std::vector<std::unique_ptr<SharedResource>> extra_;  ///< channels 1..n-1
-  StatGroup stats_;
-  Counter* accesses_;
-  Counter* reads_;
-  Counter* writes_;
+  std::vector<SharedResource> channels_;  ///< sized at construction
+  Stats stats_;
 };
 
 }  // namespace hm

@@ -8,13 +8,9 @@
 
 namespace hm {
 
-Mshr::Mshr(std::string name, MshrConfig cfg) : cfg_(cfg), stats_(std::move(name)) {
+Mshr::Mshr(MshrConfig cfg) : cfg_(cfg) {
   lines_.assign(cfg_.entries, kNoAddr);
   ready_.assign(cfg_.entries, 0);
-  allocations_ = &stats_.counter("allocations");
-  merges_ = &stats_.counter("merges");
-  structural_stalls_ = &stats_.counter("structural_stalls");
-  stall_cycles_ = &stats_.counter("stall_cycles");
 }
 
 Cycle Mshr::on_miss(Addr line_addr, Cycle now, Cycle fill_latency) {
@@ -29,7 +25,7 @@ Cycle Mshr::on_miss(Addr line_addr, Cycle now, Cycle fill_latency) {
     while (m != 0) {
       const auto i = base + static_cast<std::uint32_t>(std::countr_zero(m));
       if (ready_[i] > now) {
-        merges_->inc();
+        ++stats_.merges;
         return ready_[i];
       }
       m &= m - 1;
@@ -56,11 +52,11 @@ Cycle Mshr::on_miss(Addr line_addr, Cycle now, Cycle fill_latency) {
         slot = i;
       }
     }
-    structural_stalls_->inc();
-    stall_cycles_->inc(earliest - now);
+    ++stats_.structural_stalls;
+    stats_.stall_cycles += earliest - now;
     start = earliest;
   }
-  allocations_->inc();
+  ++stats_.allocations;
   lines_[slot] = line_addr;
   ready_[slot] = start + fill_latency;
   return ready_[slot];

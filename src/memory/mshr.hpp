@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -25,7 +24,14 @@ struct MshrConfig {
 
 class Mshr {
  public:
-  Mshr(std::string name, MshrConfig cfg);
+  struct Stats {
+    std::uint64_t allocations = 0;
+    std::uint64_t merges = 0;
+    std::uint64_t structural_stalls = 0;
+    std::uint64_t stall_cycles = 0;
+  };
+
+  explicit Mshr(MshrConfig cfg);
 
   /// Register a miss for @p line_addr issued at cycle @p now whose fill
   /// would take @p fill_latency cycles if it could start immediately.
@@ -35,8 +41,8 @@ class Mshr {
   /// Drop all in-flight state (between benchmark repetitions).
   void reset(Cycle now = 0);
 
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   // Structure-of-arrays entry storage: the line tags are scanned (vectorized)
@@ -44,11 +50,7 @@ class Mshr {
   MshrConfig cfg_;
   std::vector<Addr> lines_;
   std::vector<Cycle> ready_;
-  StatGroup stats_;
-  Counter* allocations_;
-  Counter* merges_;
-  Counter* structural_stalls_;
-  Counter* stall_cycles_;
+  Stats stats_;
 };
 
 }  // namespace hm

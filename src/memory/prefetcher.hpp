@@ -15,12 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
 #include "common/small_vec.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -42,14 +40,14 @@ using PrefetchList = SmallVec<Addr, kMaxPrefetchDegree>;
 
 class StreamPrefetcher {
  public:
-  StreamPrefetcher(std::string name, PrefetcherConfig cfg, Bytes line_size);
+  struct Stats {
+    std::uint64_t trainings = 0;
+    std::uint64_t collisions = 0;  ///< history-table entries stolen by another IP
+    std::uint64_t prefetches_issued = 0;
+    std::uint64_t triggers = 0;
+  };
 
-  // stats_ holds pointers to the inline hot_ counters below; moving or
-  // copying would leave them dangling into the old object.
-  StreamPrefetcher(const StreamPrefetcher&) = delete;
-  StreamPrefetcher& operator=(const StreamPrefetcher&) = delete;
-  StreamPrefetcher(StreamPrefetcher&&) = delete;
-  StreamPrefetcher& operator=(StreamPrefetcher&&) = delete;
+  StreamPrefetcher(PrefetcherConfig cfg, Bytes line_size);
 
   /// Observe a demand access at @p pc touching @p addr.  Returns the list of
   /// line base addresses to prefetch (possibly empty).  Allocation-free and
@@ -57,13 +55,13 @@ class StreamPrefetcher {
   PrefetchList train(Addr pc, Addr addr) {
     PrefetchList out;
     if (!cfg_.enabled) return out;
-    ++hot_.trainings;
+    ++stats_.trainings;
 
     const Addr line = align_down(addr, line_size_);
     Entry& e = table_[index_of(pc)];
 
     if (e.ip_tag != pc) {
-      if (e.ip_tag != 0) ++hot_.collisions;
+      if (e.ip_tag != 0) ++stats_.collisions;
       e = Entry{.ip_tag = pc, .last_line = line, .stride = 0, .confidence = 0};
       return out;
     }
@@ -87,8 +85,8 @@ class StreamPrefetcher {
   void reset();
 
   const PrefetcherConfig& config() const { return cfg_; }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   struct Entry {
@@ -115,16 +113,7 @@ class StreamPrefetcher {
   Bytes line_size_;
   unsigned line_shift_ = 0;  ///< log2(line_size): line <-> address without divides
   std::vector<Entry> table_;
-  /// Hot counters as inline fields (train runs once per simulated access at
-  /// L1); bound into stats_ at construction.
-  struct HotCounters {
-    std::uint64_t trainings = 0;
-    std::uint64_t collisions = 0;
-    std::uint64_t prefetches_issued = 0;
-    std::uint64_t triggers = 0;
-  };
-  HotCounters hot_;
-  StatGroup stats_;
+  Stats stats_;  ///< inline: train runs once per simulated access at L1
 };
 
 }  // namespace hm

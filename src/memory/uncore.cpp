@@ -11,21 +11,14 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
     : cfg_(cfg),
       l2_(cfg_.l2),
       l3_(cfg_.l3),
-      mem_(cfg_.mem),
-      pf_l2_("PF_L2", cfg_.pf_l2, cfg_.l2.line_size),
-      pf_l3_("PF_L3", cfg_.pf_l3, cfg_.l3.line_size),
-      stats_("uncore") {
-  dma_invalidate_broadcasts_ = &stats_.counter("dma_invalidate_broadcasts");
+      mem_(cfg_.mem, noc.channels_for(n_tiles)),
+      pf_l2_(cfg_.pf_l2, cfg_.l2.line_size),
+      pf_l3_(cfg_.pf_l3, cfg_.l3.line_size) {
   if (!noc.active()) {
-    // Flat: one home slice and one DMA bus shared by every tile.  Their
-    // contention statistics report (and reset) through the uncore group:
-    // l2_port_requests, l3_port_queue_cycles, dma_bus_delayed, ...
+    // Flat: one home slice and one DMA bus shared by every tile.
     l2_ports_.emplace_back("l2_port", cfg_.l2_gap);
     l3_ports_.emplace_back("l3_port", cfg_.l3_gap);
     dma_ports_.emplace_back("dma_bus", Cycle{1});
-    l2_ports_[0].bind_into(stats_, "l2_port");
-    l3_ports_[0].bind_into(stats_, "l3_port");
-    dma_ports_[0].bind_into(stats_, "dma_bus");
     return;
   }
   if (n_tiles == 0 || n_tiles > SharerFilter::kMaxTiles)
@@ -34,12 +27,10 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
   n_slices_ = n_tiles;
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.l2.line_size));
   line_flits_ = noc_->flits_for(cfg_.l2.line_size);
-  mem_.set_channels(noc.channels_for(n_tiles));
   sharers_ = std::make_unique<SharerFilter>(n_tiles, line_shift_);
   // Per-slice ports keep the flat gaps: slicing divides the request
-  // stream, it does not change a single slice's service rate.  The slice
-  // resources are NOT bound into stats_ — at 256 slices that would drown
-  // the group — and are aggregated by the *_contention() accessors.
+  // stream, it does not change a single slice's service rate.  The
+  // *_contention() accessors aggregate them per resource class.
   l2_ports_.reserve(n_tiles);
   l3_ports_.reserve(n_tiles);
   dma_ports_.reserve(n_tiles);
@@ -83,7 +74,7 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
   const SharerFilter::Lookup f =
       sharers_ != nullptr ? sharers_->invalidate(home, line_addr) : SharerFilter::Lookup{};
   if (f.tracked) {
-    ++noc_dir_filtered_;
+    ++stats_.noc_dir_filtered;
     for (unsigned w = 0; w < f.mask.size(); ++w) {
       std::uint64_t bits = f.mask[w];
       while (bits != 0) {
@@ -92,13 +83,13 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
         if (t >= l1s_.size()) continue;
         traverse(home, t, arrive, 1);
         l1s_[t]->invalidate(line_addr);
-        if (t != initiator_port) dma_invalidate_broadcasts_->inc();
+        if (t != initiator_port) ++stats_.dma_invalidate_broadcasts;
       }
     }
   } else {
-    ++noc_dir_broadcasts_;
+    ++stats_.noc_dir_broadcasts;
     for (SetAssocCache* l1 : l1s_) l1->invalidate(line_addr);
-    if (l1s_.size() > 1) dma_invalidate_broadcasts_->inc(l1s_.size() - 1);
+    if (l1s_.size() > 1) stats_.dma_invalidate_broadcasts += l1s_.size() - 1;
   }
   l2_.invalidate(line_addr);
   l3_.invalidate(line_addr);
@@ -142,18 +133,15 @@ void Uncore::emit_contention_trace(Cycle end) const {
 }
 
 void Uncore::reset_stats() {
-  stats_.reset_all();
-  l2_.stats().reset_all();
-  l3_.stats().reset_all();
-  mem_.stats().reset_all();
-  mem_.reset_channel_stats();
-  pf_l2_.stats().reset_all();
-  pf_l3_.stats().reset_all();
+  stats_ = Stats{};
+  l2_.reset_stats();
+  l3_.reset_stats();
+  mem_.reset_stats();
+  pf_l2_.reset_stats();
+  pf_l3_.reset_stats();
   for (auto* ports : {&l2_ports_, &l3_ports_, &dma_ports_})
     for (SharedResource& p : *ports) p.reset_stats();
   if (noc_ != nullptr) noc_->reset_stats();
-  noc_dir_filtered_ = 0;
-  noc_dir_broadcasts_ = 0;
 }
 
 }  // namespace hm

@@ -50,7 +50,6 @@
 
 #include "coherence/sharer_filter.hpp"
 #include "common/occupancy.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "memory/cache.hpp"
 #include "memory/main_memory.hpp"
@@ -89,14 +88,23 @@ struct HierarchyConfig {
 
 class Uncore {
  public:
+  struct Stats {
+    /// dma-put invalidations delivered to an L1 other than the initiator's.
+    std::uint64_t dma_invalidate_broadcasts = 0;
+    /// dma-puts whose invalidation went to recorded sharers only / was
+    /// broadcast (reported only with a NoC).
+    std::uint64_t noc_dir_filtered = 0;
+    std::uint64_t noc_dir_broadcasts = 0;
+  };
+
   /// Uncore for an @p n_tiles machine under @p noc.  Flat (the default)
   /// builds one home slice and one shared DMA bus; mesh/ring build the
   /// link graph, one slice and one DMA injection port per tile, the DRAM
   /// channels and the sharded sharer filter.
   explicit Uncore(const HierarchyConfig& cfg, const NocConfig& noc = {}, unsigned n_tiles = 1);
 
-  // The member caches/prefetchers own StatGroups and the registered-L1 list
-  // holds raw pointers; not movable, not copyable.
+  // Tiles hold references to the member caches/prefetchers and the
+  // registered-L1 list holds raw pointers; not movable, not copyable.
   Uncore(const Uncore&) = delete;
   Uncore& operator=(const Uncore&) = delete;
   Uncore(Uncore&&) = delete;
@@ -142,7 +150,7 @@ class Uncore {
   void reset();
 
   /// Clear the uncore-owned statistics (shared caches, DRAM, prefetchers,
-  /// port/bus/link contention).
+  /// port/bus/link contention and Stats).
   void reset_stats();
 
   /// Observability: emit one end-of-run contention-summary trace instant
@@ -211,13 +219,7 @@ class Uncore {
   SharedResource::Contention dram_contention() const { return mem_.aggregate_contention(); }
   SharedResource::Contention dma_bus_contention() const { return sum(dma_ports_); }
 
-  /// dma-put invalidations filtered to recorded sharers / broadcast
-  /// (reported only with a NoC).
-  std::uint64_t noc_dir_filtered() const { return noc_dir_filtered_; }
-  std::uint64_t noc_dir_broadcasts() const { return noc_dir_broadcasts_; }
-
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   static SharedResource::Contention sum(const std::vector<SharedResource>& rs);
@@ -229,21 +231,17 @@ class Uncore {
   StreamPrefetcher pf_l2_;
   StreamPrefetcher pf_l3_;
   std::vector<SetAssocCache*> l1s_;  ///< invalidation targets, port order
-  StatGroup stats_;
-  Counter* dma_invalidate_broadcasts_;
+  Stats stats_;
 
   unsigned n_slices_ = 1;
   unsigned line_shift_ = 6;   ///< log2(line size), interleave granularity
   unsigned line_flits_ = 4;   ///< flits of one cache line on the NoC
-  // Sized once at construction and never grown: the flat resources'
-  // statistics are bound into stats_ by address.
+  // Sized once at construction and never grown.
   std::vector<SharedResource> l2_ports_;   ///< one per home slice
   std::vector<SharedResource> l3_ports_;   ///< one per home slice
   std::vector<SharedResource> dma_ports_;  ///< gap-1; commands book whole windows
   std::unique_ptr<Noc> noc_;               ///< null when flat
   std::unique_ptr<SharerFilter> sharers_;  ///< null when flat
-  std::uint64_t noc_dir_filtered_ = 0;
-  std::uint64_t noc_dir_broadcasts_ = 0;
 };
 
 }  // namespace hm

@@ -103,8 +103,7 @@ class Noc {
 
   /// Contention summed over every link (requests/delayed/queue_cycles/
   /// overflows added, peak_occupancy maxed) — the RunReport aggregate.
-  /// Per-link counters stay on the links; at 256 nodes binding 4 * 256
-  /// resources into a StatGroup would drown the report.
+  /// Per-link counters stay on the links.
   SharedResource::Contention link_contention() const;
 
   std::uint64_t messages() const { return msgs_; }

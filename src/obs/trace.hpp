@@ -15,8 +15,8 @@
 //     events from concurrently running points never interleave and each
 //     point gets its own trace file;
 //   * sweep sink   (process-global, atomic pointer) — driver-level events
-//     (scheduler job lifecycle, journal appends, cache hits, backoff
-//     waits) that span the whole sweep.
+//     (scheduler job lifecycle, journal appends, cache hits) that span
+//     the whole sweep.
 // Engine emit helpers (sim_span / sim_instant / sim_resource_delay) write
 // to the thread sink; driver code talks to a TraceSink it owns directly.
 #pragma once

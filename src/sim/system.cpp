@@ -186,19 +186,19 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
     total.dma_lines += ta.dma_lines;
     total.bus_transfers += ta.bus_transfers;
 
-    const StatGroup& l1s = tiles_[i]->hierarchy().l1d().stats();
-    l1_hits += l1s.value("hits");
-    l1_lookups += l1s.value("lookups");
+    const SetAssocCache::Stats& l1s = tiles_[i]->hierarchy().l1d().stats();
+    l1_hits += l1s.hits;
+    l1_lookups += l1s.lookups;
   }
 
   // Shared uncore activity, counted once.
-  total.l2_activity = MemoryHierarchy::total_activity(uncore_.l2());
-  total.l3_activity = MemoryHierarchy::total_activity(uncore_.l3());
-  total.mem_accesses = uncore_.memory().stats().value("accesses");
-  total.prefetch_trainings += uncore_.pf_l2().stats().value("trainings") +
-                              uncore_.pf_l3().stats().value("trainings");
-  total.prefetch_issues += uncore_.pf_l2().stats().value("prefetches_issued") +
-                           uncore_.pf_l3().stats().value("prefetches_issued");
+  total.l2_activity = uncore_.l2().stats().activity();
+  total.l3_activity = uncore_.l3().stats().activity();
+  total.mem_accesses = uncore_.memory().stats().accesses;
+  total.prefetch_trainings +=
+      uncore_.pf_l2().stats().trainings + uncore_.pf_l3().stats().trainings;
+  total.prefetch_issues +=
+      uncore_.pf_l2().stats().prefetches_issued + uncore_.pf_l3().stats().prefetches_issued;
 
   total.cycles = agg.cycles;
   total.l1_size = cfg_.hierarchy.l1d.size;
@@ -226,8 +226,8 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
     report.noc_msgs = noc->messages();
     report.noc_hops = noc->total_hops();
     report.noc_flits = noc->total_flits();
-    report.noc_dir_filtered = uncore_.noc_dir_filtered();
-    report.noc_dir_broadcasts = uncore_.noc_dir_broadcasts();
+    report.noc_dir_filtered = uncore_.stats().noc_dir_filtered;
+    report.noc_dir_broadcasts = uncore_.stats().noc_dir_broadcasts;
     report.noc_links = noc->link_contention();
     report.noc_hop_hist = noc->hop_histogram();
   }

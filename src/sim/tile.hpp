@@ -32,7 +32,7 @@ class Tile {
   /// the System-owned shared memory image (may be null for timing-only).
   Tile(const MachineConfig& cfg, Uncore& uncore, ByteStore* image);
 
-  // Subsystems own StatGroups (immovable); so is the tile.
+  // The core, DMAC and uncore hold references into the tile; immovable.
   Tile(const Tile&) = delete;
   Tile& operator=(const Tile&) = delete;
 

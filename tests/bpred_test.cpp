@@ -28,16 +28,16 @@ TEST(Bpred, AlternatingPatternLearnedByGshare) {
 TEST(Bpred, RandomBranchesMispredictOften) {
   BranchPredictor bp;
   Rng rng(7);
-  std::uint64_t before = bp.stats().value("mispredictions");
+  std::uint64_t before = bp.stats().mispredictions;
   for (int i = 0; i < 1000; ++i) bp.update(0x400, rng.chance(0.5), 0x100);
-  const auto missed = bp.stats().value("mispredictions") - before;
+  const auto missed = bp.stats().mispredictions - before;
   EXPECT_GT(missed, 300u);  // near 50% is unpredictable
 }
 
 TEST(Bpred, BtbMissOnFirstTakenBranch) {
   BranchPredictor bp;
   EXPECT_FALSE(bp.update(0x400, true, 0xABC));  // no target known yet
-  EXPECT_TRUE(bp.stats().value("target_misses") >= 1);
+  EXPECT_TRUE(bp.stats().target_misses >= 1);
   // Second time the BTB has the target (direction may still train).
   for (int i = 0; i < 4; ++i) bp.update(0x400, true, 0xABC);
   EXPECT_TRUE(bp.update(0x400, true, 0xABC));
@@ -56,14 +56,14 @@ TEST(Bpred, NotTakenBranchNeedsNoTarget) {
   bp.update(0x800, false, 0);
   bp.update(0x800, false, 0);
   EXPECT_TRUE(bp.update(0x800, false, 0));
-  EXPECT_EQ(bp.stats().value("target_misses"), 0u);
+  EXPECT_EQ(bp.stats().target_misses, 0u);
 }
 
 TEST(Bpred, PredictCountsLookups) {
   BranchPredictor bp;
   bp.predict(0x400);
   bp.predict(0x404);
-  EXPECT_EQ(bp.stats().value("predictions"), 2u);
+  EXPECT_EQ(bp.stats().predictions, 2u);
 }
 
 TEST(Bpred, RasPushPopLifo) {
@@ -78,7 +78,7 @@ TEST(Bpred, RasPushPopLifo) {
 TEST(Bpred, RasOverflowDropsOldest) {
   BranchPredictor bp(BranchPredictorConfig{.ras_entries = 4});
   for (Addr a = 1; a <= 5; ++a) bp.ras_push(a * 0x10);
-  EXPECT_EQ(bp.stats().value("ras_overflows"), 1u);
+  EXPECT_EQ(bp.stats().ras_overflows, 1u);
   EXPECT_EQ(bp.ras_pop(), 0x50u);
   EXPECT_EQ(bp.ras_pop(), 0x40u);
   EXPECT_EQ(bp.ras_pop(), 0x30u);

@@ -40,8 +40,8 @@ TEST(Cache, MissThenHit) {
   EXPECT_FALSE(c.touch(0x1000, AccessType::Read));
   c.fill(0x1000);
   EXPECT_TRUE(c.touch(0x1000, AccessType::Read));
-  EXPECT_EQ(c.stats().value("hits"), 1u);
-  EXPECT_EQ(c.stats().value("misses"), 1u);
+  EXPECT_EQ(c.stats().hits, 1u);
+  EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(Cache, SameLineDifferentOffsetsHit) {
@@ -69,7 +69,7 @@ TEST(Cache, FillOfResidentLineIsNoop) {
   SetAssocCache c(small_cache());
   c.fill(0x1000);
   EXPECT_FALSE(c.fill(0x1000).has_value());
-  EXPECT_EQ(c.stats().value("fills"), 1u);
+  EXPECT_EQ(c.stats().fills, 1u);
 }
 
 TEST(Cache, WriteBackMarksDirty) {
@@ -81,7 +81,7 @@ TEST(Cache, WriteBackMarksDirty) {
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->line_addr, 0x0000u);
   EXPECT_TRUE(evicted->dirty);
-  EXPECT_EQ(c.stats().value("dirty_evictions"), 1u);
+  EXPECT_EQ(c.stats().dirty_evictions, 1u);
 }
 
 TEST(Cache, WriteThroughNeverDirty) {
@@ -103,13 +103,13 @@ TEST(Cache, InvalidatePresentLine) {
   ASSERT_TRUE(inv.has_value());
   EXPECT_TRUE(inv->dirty);
   EXPECT_FALSE(c.contains(0x1000));
-  EXPECT_EQ(c.stats().value("invalidations"), 1u);
+  EXPECT_EQ(c.stats().invalidations, 1u);
 }
 
 TEST(Cache, InvalidateAbsentLine) {
   SetAssocCache c(small_cache());
   EXPECT_FALSE(c.invalidate(0x1000).has_value());
-  EXPECT_EQ(c.stats().value("invalidations"), 1u);  // the bus request is counted
+  EXPECT_EQ(c.stats().invalidations, 1u);  // the bus request is counted
 }
 
 TEST(Cache, ProbeCountsSnoopWithoutLruUpdate) {
@@ -117,7 +117,7 @@ TEST(Cache, ProbeCountsSnoopWithoutLruUpdate) {
   c.fill(0x0000);
   c.fill(0x0100);
   EXPECT_TRUE(c.probe(0x0000));
-  EXPECT_EQ(c.stats().value("snoops"), 1u);
+  EXPECT_EQ(c.stats().snoops, 1u);
   // 0x0000 is still LRU despite the probe: it gets evicted next.
   auto evicted = c.fill(0x0200);
   ASSERT_TRUE(evicted.has_value());
@@ -137,8 +137,8 @@ TEST(Cache, FlushAll) {
 TEST(Cache, PrefetchFillCounted) {
   SetAssocCache c(small_cache());
   c.fill(0x1000, /*from_prefetch=*/true);
-  EXPECT_EQ(c.stats().value("prefetch_fills"), 1u);
-  EXPECT_EQ(c.stats().value("fills"), 1u);
+  EXPECT_EQ(c.stats().prefetch_fills, 1u);
+  EXPECT_EQ(c.stats().fills, 1u);
 }
 
 TEST(Cache, ReadWriteHitCounters) {
@@ -147,8 +147,8 @@ TEST(Cache, ReadWriteHitCounters) {
   c.touch(0x1000, AccessType::Read);
   c.touch(0x1000, AccessType::Write);
   c.touch(0x1000, AccessType::Write);
-  EXPECT_EQ(c.stats().value("read_hits"), 1u);
-  EXPECT_EQ(c.stats().value("write_hits"), 2u);
+  EXPECT_EQ(c.stats().read_hits, 1u);
+  EXPECT_EQ(c.stats().write_hits, 2u);
 }
 
 // Property sweep: capacity is respected and a linear walk of exactly
@@ -257,7 +257,7 @@ TEST_P(CacheApiEquivalence, RandomTraceMatchesLegacyApi) {
   EXPECT_EQ(legacy.valid_lines(), fast.valid_lines());
   // Both sides performed the same logical operations, so every counter —
   // lookups, hits, misses, fills, evictions, dirty evictions — must agree.
-  EXPECT_EQ(legacy.stats().snapshot(), fast.stats().snapshot());
+  EXPECT_EQ(legacy.stats(), fast.stats());
   // Residency agrees across the whole working set.
   for (Addr a = 0; a < span; a += 64) {
     ASSERT_EQ(legacy.contains(a), fast.contains(a)) << "addr=" << a;

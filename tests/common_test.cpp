@@ -78,41 +78,6 @@ INSTANTIATE_TEST_SUITE_P(AllBufferSizes, AddressMasksSweep,
                          ::testing::Values(64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
                                            32768));
 
-TEST(Stats, CounterIncAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, GroupReferencesStayValid) {
-  StatGroup g("g");
-  Counter& a = g.counter("a");
-  a.inc();
-  // Force rehash-ish growth; std::map keeps references stable.
-  for (int i = 0; i < 100; ++i) g.counter("x" + std::to_string(i));
-  a.inc();
-  EXPECT_EQ(g.value("a"), 2u);
-}
-
-TEST(Stats, UnknownCounterReadsZero) {
-  StatGroup g("g");
-  EXPECT_EQ(g.value("never"), 0u);
-}
-
-TEST(Stats, SnapshotSortedByName) {
-  StatGroup g("g");
-  g.counter("b").inc(2);
-  g.counter("a").inc(1);
-  auto snap = g.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "a");
-  EXPECT_EQ(snap[1].first, "b");
-}
-
 TEST(Stats, SafeRatio) {
   EXPECT_DOUBLE_EQ(safe_ratio(1, 2), 0.5);
   EXPECT_DOUBLE_EQ(safe_ratio(1, 0), 0.0);

@@ -23,7 +23,7 @@ TEST_F(DirectoryTest, MissPreservesSmAddress) {
   EXPECT_FALSE(r.hit);
   EXPECT_EQ(r.address, 0x1234'5678u);
   EXPECT_EQ(r.available_at, 10u);
-  EXPECT_EQ(dir_.stats().value("misses"), 1u);
+  EXPECT_EQ(dir_.stats().misses, 1u);
 }
 
 TEST_F(DirectoryTest, HitDivertsToLm) {
@@ -32,7 +32,7 @@ TEST_F(DirectoryTest, HitDivertsToLm) {
   EXPECT_TRUE(r.hit);
   // LM buffer base OR-ed with the offset inside the buffer (Fig. 4).
   EXPECT_EQ(r.address, kLmBase + 2048 + 0x3A0);
-  EXPECT_EQ(dir_.stats().value("hits"), 1u);
+  EXPECT_EQ(dir_.stats().hits, 1u);
 }
 
 TEST_F(DirectoryTest, LookupOutsideMappedChunkMisses) {
@@ -70,8 +70,8 @@ TEST_F(DirectoryTest, PresenceStallUntilTransferCompletes) {
   EXPECT_TRUE(r.hit);
   EXPECT_TRUE(r.presence_stall);
   EXPECT_EQ(r.available_at, 500u);
-  EXPECT_EQ(dir_.stats().value("presence_stalls"), 1u);
-  EXPECT_EQ(dir_.stats().value("presence_stall_cycles"), 400u);
+  EXPECT_EQ(dir_.stats().presence_stalls, 1u);
+  EXPECT_EQ(dir_.stats().presence_stall_cycles, 400u);
   // After the transfer: no stall.
   const auto r2 = dir_.lookup(0x10'0000 + 8, 501);
   EXPECT_FALSE(r2.presence_stall);
@@ -100,18 +100,18 @@ TEST_F(DirectoryTest, ConfigureRejectsBadGeometry) {
 
 TEST_F(DirectoryTest, PeekIsSilent) {
   dir_.map(0x10'0000, kLmBase, 0);
-  const auto before = dir_.stats().value("lookups");
+  const auto before = dir_.stats().lookups;
   const auto p = dir_.peek(0x10'0000 + 0x55);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(*p, kLmBase + 0x55);
   EXPECT_FALSE(dir_.peek(0x99'0000).has_value());
-  EXPECT_EQ(dir_.stats().value("lookups"), before);  // no statistics perturbed
+  EXPECT_EQ(dir_.stats().lookups, before);  // no statistics perturbed
 }
 
 TEST_F(DirectoryTest, UpdateCounterTracksMaps) {
   dir_.map(0x10'0000, kLmBase, 0);
   dir_.map(0x20'0000, kLmBase + 1024, 0);
-  EXPECT_EQ(dir_.stats().value("updates"), 2u);
+  EXPECT_EQ(dir_.stats().updates, 2u);
 }
 
 TEST(Directory, RejectsZeroEntries) {
@@ -156,8 +156,8 @@ TEST_F(DirectoryTest, ConfigureReprogramsGeometryMidRun) {
   dir_.map(0x10'0000, kLmBase, 0);
   dir_.map(0x20'0000, kLmBase + 1024, 0);
   ASSERT_TRUE(dir_.lookup(0x10'0000 + 8, 10).hit);
-  const auto lookups_before = dir_.stats().value("lookups");
-  const auto updates_before = dir_.stats().value("updates");
+  const auto lookups_before = dir_.stats().lookups;
+  const auto updates_before = dir_.stats().updates;
 
   dir_.configure(4096, kLmBase, kLmSize);
   EXPECT_EQ(dir_.buffer_size(), 4096u);
@@ -175,8 +175,8 @@ TEST_F(DirectoryTest, ConfigureReprogramsGeometryMidRun) {
   EXPECT_THROW(dir_.map(0x50'0400, kLmBase, 0), std::invalid_argument);
 
   // Statistics kept accumulating across the re-program.
-  EXPECT_GT(dir_.stats().value("lookups"), lookups_before);
-  EXPECT_GT(dir_.stats().value("updates"), updates_before);
+  EXPECT_GT(dir_.stats().lookups, lookups_before);
+  EXPECT_GT(dir_.stats().updates, updates_before);
 }
 
 // unmap() of a buffer whose entry holds no mapping is a harmless no-op

@@ -55,9 +55,9 @@ TEST_F(DmacTest, GetUpdatesDirectory) {
 TEST_F(DmacTest, GetSnoopsCaches) {
   // Warm one line of the source into the caches.
   hierarchy_.access(0, 0x1'0000, AccessType::Read, 0x400);
-  const auto snoops_before = hierarchy_.l1d().stats().value("snoops");
+  const auto snoops_before = hierarchy_.l1d().stats().snoops;
   dmac_.get(100, 0x1'0000, lm_.base(), 4096, 0);
-  EXPECT_GT(hierarchy_.l1d().stats().value("snoops"), snoops_before);
+  EXPECT_GT(hierarchy_.l1d().stats().snoops, snoops_before);
 }
 
 TEST_F(DmacTest, PutInvalidatesCaches) {
@@ -98,9 +98,9 @@ TEST_F(DmacTest, BackToBackCommandsPipeline) {
 
 TEST_F(DmacTest, LineAndByteAccounting) {
   dmac_.get(0, 0x1'0000, lm_.base(), 4096, 0);
-  EXPECT_EQ(dmac_.stats().value("gets"), 1u);
-  EXPECT_EQ(dmac_.stats().value("lines"), 4096u / 64u);
-  EXPECT_EQ(dmac_.stats().value("bytes"), 4096u);
+  EXPECT_EQ(dmac_.stats().gets, 1u);
+  EXPECT_EQ(dmac_.stats().lines, 4096u / 64u);
+  EXPECT_EQ(dmac_.stats().bytes, 4096u);
 }
 
 TEST_F(DmacTest, RejectsOutOfLmTransfers) {

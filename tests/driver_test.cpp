@@ -74,16 +74,6 @@ TEST(Experiment, PaperSeedIsFixedAndCanonicalIgnoresExperimentName) {
   }
 }
 
-TEST(Experiment, PerPointSeedsAreDistinctAndScheduleIndependent) {
-  ExperimentSpec s = tiny_spec();
-  s.seed_policy = SeedPolicy::PerPoint;
-  const auto pts = expand(s);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(pts[i].seed, derive_seed("test_tiny", i));
-    for (std::size_t j = i + 1; j < pts.size(); ++j) EXPECT_NE(pts[i].seed, pts[j].seed);
-  }
-}
-
 TEST(Experiment, DefaultKnobValuesAreElided) {
   ExperimentSpec s = tiny_spec();
   s.grids[0].axes.push_back({"dir_entries", {"16", "32"}});

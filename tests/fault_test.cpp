@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 
+#include "common/hash.hpp"
 #include "driver/experiment.hpp"
 #include "driver/faults.hpp"
 #include "driver/journal.hpp"
@@ -228,7 +229,7 @@ TEST_F(FaultTmpDir, QuarantinedPointsReplayOnResumeToo) {
       payload.insert(at, "\"attempts\":1,");
       char head[24];
       std::snprintf(head, sizeof head, "J1 %016llx ",
-                    static_cast<unsigned long long>(driver::fnv1a64(payload)));
+                    static_cast<unsigned long long>(hm::fnv1a64(payload)));
       f << head << payload << '\n';
     }
   }

@@ -22,7 +22,7 @@ TEST(Hierarchy, ColdLoadGoesToMemory) {
   EXPECT_EQ(r.served_by, ServedBy::MainMemory);
   // L1 (2) + L2 (15) + L3 (40) lookup latencies precede the DRAM access.
   EXPECT_GE(r.latency, 2u + 15u + 40u + 200u);
-  EXPECT_EQ(h.memory().stats().value("accesses"), 1u);
+  EXPECT_EQ(h.memory().stats().accesses, 1u);
 }
 
 TEST(Hierarchy, SecondLoadHitsL1) {
@@ -57,9 +57,9 @@ TEST(Hierarchy, L2HitLatency) {
 TEST(Hierarchy, WriteThroughPropagatesToL2) {
   MemoryHierarchy h(quiet_config());
   h.access(0, 0x1000, AccessType::Read, 0x400);  // warm the line
-  const auto before = h.stats().value("writethrough_traffic");
+  const auto before = h.stats().writethrough_traffic;
   h.access(10, 0x1000, AccessType::Write, 0x404);
-  EXPECT_EQ(h.stats().value("writethrough_traffic"), before + 1);
+  EXPECT_EQ(h.stats().writethrough_traffic, before + 1);
   EXPECT_TRUE(h.l2().contains(0x1000));
 }
 
@@ -73,18 +73,18 @@ TEST(Hierarchy, StoreHitLatencyIsL1) {
 TEST(Hierarchy, DmaReadPrefersCaches) {
   MemoryHierarchy h(quiet_config());
   h.access(0, 0x1000, AccessType::Read, 0x400);  // line now in all levels
-  const auto mem_before = h.memory().stats().value("accesses");
+  const auto mem_before = h.memory().stats().accesses;
   const Cycle done = h.dma_read_line(1000, 0x1000);
   EXPECT_EQ(done, 1000u + 2u);  // copied from L1
-  EXPECT_EQ(h.memory().stats().value("accesses"), mem_before);  // no DRAM access
-  EXPECT_EQ(h.stats().value("bus_dma"), 1u);
+  EXPECT_EQ(h.memory().stats().accesses, mem_before);  // no DRAM access
+  EXPECT_EQ(h.stats().bus_dma, 1u);
 }
 
 TEST(Hierarchy, DmaReadFallsBackToMemory) {
   MemoryHierarchy h(quiet_config());
   const Cycle done = h.dma_read_line(1000, 0x1000);
   EXPECT_GE(done, 1000u + 200u);
-  EXPECT_EQ(h.memory().stats().value("reads"), 1u);
+  EXPECT_EQ(h.memory().stats().reads, 1u);
 }
 
 TEST(Hierarchy, DmaWriteInvalidatesAllLevels) {
@@ -95,7 +95,7 @@ TEST(Hierarchy, DmaWriteInvalidatesAllLevels) {
   EXPECT_FALSE(h.l1d().contains(0x1000));
   EXPECT_FALSE(h.l2().contains(0x1000));
   EXPECT_FALSE(h.l3().contains(0x1000));
-  EXPECT_EQ(h.memory().stats().value("writes"), 1u);
+  EXPECT_EQ(h.memory().stats().writes, 1u);
 }
 
 TEST(Hierarchy, L2DirtyVictimWritesBackToL3) {
@@ -111,7 +111,7 @@ TEST(Hierarchy, L2DirtyVictimWritesBackToL3) {
   for (Addr a = 0x20'0000; a < 0x20'0000 + 32 * 1024; a += 64)
     h.access(100, a, AccessType::Read, 0x500);
   EXPECT_FALSE(h.l2().contains(0x1000));
-  EXPECT_GE(h.l2().stats().value("dirty_evictions"), 1u);
+  EXPECT_GE(h.l2().stats().dirty_evictions, 1u);
   EXPECT_TRUE(h.l3().contains(0x1000));  // the write-back landed in L3
 }
 
@@ -119,7 +119,7 @@ TEST(Hierarchy, MshrMergesConcurrentMissesToSameLine) {
   MemoryHierarchy h(quiet_config());
   h.access(0, 0x2000, AccessType::Read, 0x400);    // cold miss: one MSHR entry
   h.access(1, 0x2008, AccessType::Read, 0x404);    // same line: served by the fill
-  EXPECT_EQ(h.mshr().stats().value("allocations"), 1u);
+  EXPECT_EQ(h.mshr().stats().allocations, 1u);
 }
 
 TEST(Hierarchy, PrefetcherFillsAhead) {
@@ -130,7 +130,7 @@ TEST(Hierarchy, PrefetcherFillsAhead) {
   for (int i = 0; i < 8; ++i)
     h.access(static_cast<Cycle>(i) * 1000, 0x10'0000 + static_cast<Addr>(i) * 64,
              AccessType::Read, 0x400);
-  EXPECT_GT(h.pf_l1().stats().value("prefetches_issued"), 0u);
+  EXPECT_GT(h.pf_l1().stats().prefetches_issued, 0u);
   // Line 8 was prefetched: the access hits L1.
   const auto r = h.access(100'000, 0x10'0000 + 8 * 64, AccessType::Read, 0x400);
   EXPECT_EQ(r.served_by, ServedBy::CacheL1);
@@ -149,9 +149,9 @@ TEST(Hierarchy, TotalActivityCountsAllBusWork) {
   MemoryHierarchy h(quiet_config());
   h.access(0, 0x1000, AccessType::Read, 0x400);  // lookup + fill at L1
   h.dma_write_line(100, 0x1000);                 // invalidation
-  const auto l1 = MemoryHierarchy::total_activity(h.l1d());
-  EXPECT_EQ(l1, h.l1d().stats().value("lookups") + h.l1d().stats().value("fills") +
-                    h.l1d().stats().value("invalidations") + h.l1d().stats().value("snoops"));
+  const SetAssocCache::Stats& s = h.l1d().stats();
+  const auto l1 = s.activity();
+  EXPECT_EQ(l1, s.lookups + s.fills + s.invalidations + s.snoops);
   EXPECT_GE(l1, 3u);
 }
 
@@ -161,7 +161,7 @@ TEST(Hierarchy, MemoryBandwidthGapQueues) {
   const Cycle b = mem.access(0, AccessType::Read);  // same-cycle request queues
   EXPECT_EQ(a, 100u);
   EXPECT_EQ(b, 110u);
-  EXPECT_EQ(mem.stats().value("queue_cycles"), 10u);
+  EXPECT_EQ(mem.aggregate_contention().queue_cycles, 10u);
 }
 
 /// Strided plus random loads and stores: the mixed stream the access-path
@@ -217,9 +217,10 @@ TEST(Hierarchy, FunctionalAccessMovesTheSameTrafficAsAccess) {
   // one L1 latency later, so the same bookings can queue by different
   // amounts.
   const auto traffic = [](const MemoryHierarchy& h) {
-    auto counters = h.stats().snapshot();
-    std::erase_if(counters, [](const auto& kv) { return kv.first.ends_with("_queue_cycles"); });
-    return counters;
+    MemoryHierarchy::Stats s = h.stats();
+    s.l2_queue_cycles = 0;
+    s.l3_queue_cycles = 0;
+    return s;
   };
   EXPECT_EQ(traffic(timed), traffic(functional));
   EXPECT_EQ(timed.uncore().l2_port_contention().requests,
@@ -228,8 +229,8 @@ TEST(Hierarchy, FunctionalAccessMovesTheSameTrafficAsAccess) {
             functional.uncore().l3_port_contention().requests);
   EXPECT_EQ(timed.uncore().dram_contention().requests,
             functional.uncore().dram_contention().requests);
-  EXPECT_GT(timed.stats().value("writethrough_traffic"), 0u);
-  EXPECT_LT(timed.stats().value("writethrough_traffic"), timed.stats().value("stores"))
+  EXPECT_GT(timed.stats().writethrough_traffic, 0u);
+  EXPECT_LT(timed.stats().writethrough_traffic, timed.stats().stores)
       << "no write-combining merges exercised";
   EXPECT_GT(timed.uncore().dram_contention().requests, 0u);
 }

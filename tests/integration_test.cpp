@@ -145,9 +145,9 @@ TEST(Integration, GuardedAccessesHitDirectoryForMappedChunks) {
                              kLmBase, kLmSize);
   sys.run(k);
   const auto& dir = sys.directory()->stats();
-  EXPECT_GT(dir.value("lookups"), 0u);
-  EXPECT_GT(dir.value("hits"), 0u);    // in_chunk_fraction > 0
-  EXPECT_GT(dir.value("misses"), 0u);  // and < 1
+  EXPECT_GT(dir.lookups, 0u);
+  EXPECT_GT(dir.hits, 0u);    // in_chunk_fraction > 0
+  EXPECT_GT(dir.misses, 0u);  // and < 1
 }
 
 TEST(Integration, HybridUsesLmForRegularRefs) {
@@ -220,7 +220,7 @@ TEST(Integration, SpRunsWithZeroDirectoryActivity) {
   CompiledKernel k = compile(w.loop, {.variant = CodegenVariant::HybridProtocol},
                              kLmBase, kLmSize);
   sys.run(k);
-  EXPECT_EQ(sys.directory()->stats().value("lookups"), 0u);
+  EXPECT_EQ(sys.directory()->stats().lookups, 0u);
 }
 
 TEST(Integration, DeterministicRuns) {

@@ -35,9 +35,9 @@ TEST(LocalMemory, CountsReadsAndWrites) {
   lm.access(0, lm.base(), AccessType::Read);
   lm.access(0, lm.base(), AccessType::Read);
   lm.access(0, lm.base(), AccessType::Write);
-  EXPECT_EQ(lm.stats().value("accesses"), 3u);
-  EXPECT_EQ(lm.stats().value("reads"), 2u);
-  EXPECT_EQ(lm.stats().value("writes"), 1u);
+  EXPECT_EQ(lm.stats().accesses, 3u);
+  EXPECT_EQ(lm.stats().reads, 2u);
+  EXPECT_EQ(lm.stats().writes, 1u);
 }
 
 TEST(LocalMemory, OutOfRangeAccessThrows) {

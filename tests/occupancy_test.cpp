@@ -149,17 +149,22 @@ TEST(SharedResource, ContentionStatisticsAccumulate) {
   EXPECT_EQ(c.overflows, 0u);
 }
 
-TEST(SharedResource, BindsCountersIntoAStatGroup) {
-  StatGroup g("res");
+TEST(SharedResource, ResetStatsClearsCountersButKeepsBookings) {
   SharedResource r("l9_port", 2);
-  r.bind_into(g, "l9_port");
   r.book(0);
   r.book(0);
-  EXPECT_EQ(g.value("l9_port_requests"), 2u);
-  EXPECT_EQ(g.value("l9_port_delayed"), 1u);
-  EXPECT_EQ(g.value("l9_port_queue_cycles"), 2u);
-  g.reset_all();
-  EXPECT_EQ(r.contention().requests, 0u);
+  EXPECT_EQ(r.contention().requests, 2u);
+  EXPECT_EQ(r.contention().delayed, 1u);
+  EXPECT_EQ(r.contention().queue_cycles, 2u);
+  r.reset_stats();
+  EXPECT_EQ(r.contention(), SharedResource::Contention{});
+  // The timeline is untouched: slots 0 and 2 are still booked.
+  EXPECT_EQ(r.book(0), 4u);
+  EXPECT_EQ(r.contention().queue_cycles, 4u);
+  // ...and reset() frees the slots without touching the statistics.
+  r.reset();
+  EXPECT_EQ(r.book(0), 0u);
+  EXPECT_EQ(r.contention().requests, 2u);
 }
 
 TEST(SharedResource, OverflowCounterTracksHorizonBreaches) {
@@ -217,10 +222,10 @@ TEST(WriteCombining, SameLineStoresMerge) {
   cfg.pf_l1.enabled = cfg.pf_l2.enabled = cfg.pf_l3.enabled = false;
   MemoryHierarchy h(cfg);
   h.access(0, 0x1000, AccessType::Read, 0x400);  // warm the line into L1
-  const auto before = h.stats().value("writethrough_traffic");
+  const auto before = h.stats().writethrough_traffic;
   // Eight stores into one line close together: one combining entry.
   for (Addr off = 0; off < 64; off += 8) h.access(10, 0x1000 + off, AccessType::Write, 0x404);
-  EXPECT_EQ(h.stats().value("writethrough_traffic"), before + 1);
+  EXPECT_EQ(h.stats().writethrough_traffic, before + 1);
 }
 
 TEST(WriteCombining, DistinctLinesDoNotMerge) {
@@ -228,9 +233,9 @@ TEST(WriteCombining, DistinctLinesDoNotMerge) {
   cfg.pf_l1.enabled = cfg.pf_l2.enabled = cfg.pf_l3.enabled = false;
   MemoryHierarchy h(cfg);
   for (Addr a = 0x1000; a < 0x1000 + 4 * 64; a += 64) h.access(0, a, AccessType::Read, 0x400);
-  const auto before = h.stats().value("writethrough_traffic");
+  const auto before = h.stats().writethrough_traffic;
   for (Addr a = 0x1000; a < 0x1000 + 4 * 64; a += 64) h.access(10, a, AccessType::Write, 0x404);
-  EXPECT_EQ(h.stats().value("writethrough_traffic"), before + 4);
+  EXPECT_EQ(h.stats().writethrough_traffic, before + 4);
 }
 
 TEST(WriteCombining, EntryExpiresAfterDrain) {
@@ -239,10 +244,10 @@ TEST(WriteCombining, EntryExpiresAfterDrain) {
   MemoryHierarchy h(cfg);
   h.access(0, 0x1000, AccessType::Read, 0x400);
   h.access(10, 0x1000, AccessType::Write, 0x404);
-  const auto before = h.stats().value("writethrough_traffic");
+  const auto before = h.stats().writethrough_traffic;
   // Long after the drain the same line needs a fresh write-through.
   h.access(100'000, 0x1000, AccessType::Write, 0x404);
-  EXPECT_EQ(h.stats().value("writethrough_traffic"), before + 1);
+  EXPECT_EQ(h.stats().writethrough_traffic, before + 1);
 }
 
 TEST(SharedResource, ContentionAggregatesAddCountsAndMaxPeak) {

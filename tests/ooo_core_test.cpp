@@ -83,7 +83,7 @@ TEST(OooCore, LoadToLmHasFixedLatency) {
   const RunResult r = core.run(prog);
   EXPECT_EQ(r.loads, 1u);
   EXPECT_DOUBLE_EQ(r.amat(), static_cast<double>(rig.lm.latency()));
-  EXPECT_EQ(core.stats().value("lm_loads"), 1u);
+  EXPECT_EQ(core.stats().lm_loads, 1u);
 }
 
 TEST(OooCore, LoadToSmGoesThroughHierarchy) {
@@ -92,7 +92,7 @@ TEST(OooCore, LoadToSmGoesThroughHierarchy) {
   VecStream prog({VecStream::load(0x1000)});
   const RunResult r = core.run(prog);
   EXPECT_GT(r.amat(), 200.0);  // cold DRAM miss
-  EXPECT_EQ(rig.hierarchy.memory().stats().value("reads"), 1u);
+  EXPECT_EQ(rig.hierarchy.memory().stats().reads, 1u);
 }
 
 TEST(OooCore, GuardedLoadMissGoesToSm) {
@@ -100,9 +100,9 @@ TEST(OooCore, GuardedLoadMissGoesToSm) {
   OooCore core = rig.make_core();
   VecStream prog({VecStream::dir_config(1024), VecStream::gload(0x1000)});
   core.run(prog);
-  EXPECT_EQ(rig.directory.stats().value("lookups"), 1u);
-  EXPECT_EQ(rig.directory.stats().value("misses"), 1u);
-  EXPECT_EQ(rig.hierarchy.memory().stats().value("reads"), 1u);
+  EXPECT_EQ(rig.directory.stats().lookups, 1u);
+  EXPECT_EQ(rig.directory.stats().misses, 1u);
+  EXPECT_EQ(rig.hierarchy.memory().stats().reads, 1u);
 }
 
 TEST(OooCore, GuardedLoadHitDivertsToLm) {
@@ -112,9 +112,9 @@ TEST(OooCore, GuardedLoadHitDivertsToLm) {
   OooCore core = rig.make_core();
   VecStream prog({VecStream::gload(0x10'0000 + 8)});
   const RunResult r = core.run(prog);
-  EXPECT_EQ(rig.directory.stats().value("hits"), 1u);
-  EXPECT_EQ(core.stats().value("lm_loads"), 1u);
-  EXPECT_EQ(rig.hierarchy.memory().stats().value("reads"), 0u);
+  EXPECT_EQ(rig.directory.stats().hits, 1u);
+  EXPECT_EQ(core.stats().lm_loads, 1u);
+  EXPECT_EQ(rig.hierarchy.memory().stats().reads, 0u);
   EXPECT_DOUBLE_EQ(r.amat(), 2.0);
 }
 
@@ -145,9 +145,9 @@ TEST(OooCore, DoubleStoreCollapsesInStoreBuffer) {
   // one — a single cache access (§3.1).
   VecStream prog({VecStream::gstore(0x1000, 1), VecStream::store(0x1000, 1)});
   core.run(prog);
-  EXPECT_EQ(core.stats().value("collapsed_stores"), 1u);
+  EXPECT_EQ(core.stats().collapsed_stores, 1u);
   // One hierarchy store only.
-  EXPECT_EQ(rig.hierarchy.stats().value("stores"), 1u);
+  EXPECT_EQ(rig.hierarchy.stats().stores, 1u);
 }
 
 TEST(OooCore, DistantStoresDoNotCollapse) {
@@ -164,7 +164,7 @@ TEST(OooCore, DistantStoresDoNotCollapse) {
   ops.push_back(VecStream::store(0x1000, 0));
   VecStream prog(ops);
   core.run(prog);
-  EXPECT_EQ(core.stats().value("collapsed_stores"), 0u);
+  EXPECT_EQ(core.stats().collapsed_stores, 0u);
 }
 
 TEST(OooCore, MispredictDelaysDispatch) {
@@ -183,7 +183,7 @@ TEST(OooCore, MispredictDelaysDispatch) {
   VecStream p2(mispred);
   const Cycle t_mis = c2.run(p2).cycles;
   EXPECT_GT(t_mis, t_pred + 100);
-  EXPECT_GT(c2.stats().value("flushed_slots"), 0u);
+  EXPECT_GT(c2.stats().flushed_slots, 0u);
 }
 
 TEST(OooCore, DmaSynchSerializesDispatch) {
@@ -264,11 +264,11 @@ TEST(OooCore, OracleDivertUsesLmWithoutDirectoryCost) {
   CoreConfig cfg;
   cfg.oracle_divert = true;
   OooCore core = rig.make_core(cfg);
-  rig.directory.stats().reset_all();
+  rig.directory.reset_stats();
   VecStream prog({VecStream::load(0x10'0000 + 16)});  // plain load, mapped data
   const RunResult r = core.run(prog);
-  EXPECT_EQ(core.stats().value("lm_loads"), 1u);      // diverted
-  EXPECT_EQ(rig.directory.stats().value("lookups"), 0u);  // at zero cost
+  EXPECT_EQ(core.stats().lm_loads, 1u);      // diverted
+  EXPECT_EQ(rig.directory.stats().lookups, 0u);  // at zero cost
   EXPECT_DOUBLE_EQ(r.amat(), 2.0);
 }
 
@@ -284,7 +284,7 @@ TEST(OooCore, RobLimitsInflightWork) {
   for (int i = 0; i < 100; ++i) ops.push_back(VecStream::int_op(2));
   VecStream prog(ops);
   core.run(prog);
-  EXPECT_GT(core.stats().value("rob_stall_cycles"), 0u);
+  EXPECT_GT(core.stats().rob_stall_cycles, 0u);
 }
 
 TEST(OooCore, ReplaysChargedOnL1Misses) {
@@ -292,7 +292,7 @@ TEST(OooCore, ReplaysChargedOnL1Misses) {
   OooCore core = rig.make_core();
   VecStream prog({VecStream::load(0x7000)});  // cold miss
   core.run(prog);
-  EXPECT_GT(core.stats().value("replay_uops"), 0u);
+  EXPECT_GT(core.stats().replay_uops, 0u);
 }
 
 TEST(OooCore, PresenceStallDelaysGuardedAccess) {
@@ -306,7 +306,7 @@ TEST(OooCore, PresenceStallDelaysGuardedAccess) {
       VecStream::gload(0x10'0000 + 8),
   });
   const RunResult r = core.run(prog);
-  EXPECT_EQ(rig.directory.stats().value("presence_stalls"), 1u);
+  EXPECT_EQ(rig.directory.stats().presence_stalls, 1u);
   EXPECT_GE(r.cycles, rig.dmac.tag_complete(0));
 }
 

@@ -14,7 +14,7 @@ PrefetcherConfig small_pf() {
 }
 
 TEST(Prefetcher, NoPrefetchBeforeConfidence) {
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   EXPECT_TRUE(pf.train(0x400, 0x1000).empty());   // allocate entry
   EXPECT_TRUE(pf.train(0x400, 0x1040).empty());   // first stride observation
   // Second repeat reaches the threshold.
@@ -25,7 +25,7 @@ TEST(Prefetcher, NoPrefetchBeforeConfidence) {
 }
 
 TEST(Prefetcher, NegativeStride) {
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   pf.train(0x400, 0x2000);
   pf.train(0x400, 0x1FC0);
   const auto lines = pf.train(0x400, 0x1F80);
@@ -35,7 +35,7 @@ TEST(Prefetcher, NegativeStride) {
 }
 
 TEST(Prefetcher, StrideChangeResetsConfidence) {
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   pf.train(0x400, 0x1000);
   pf.train(0x400, 0x1040);
   pf.train(0x400, 0x1080);          // confident now
@@ -45,22 +45,22 @@ TEST(Prefetcher, StrideChangeResetsConfidence) {
 }
 
 TEST(Prefetcher, SameLineAccessesLearnNothing) {
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   pf.train(0x400, 0x1000);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(pf.train(0x400, 0x1008).empty());
 }
 
 TEST(Prefetcher, CollisionEvictsEntry) {
   PrefetcherConfig cfg = small_pf();
-  StreamPrefetcher pf("pf", cfg, 64);
+  StreamPrefetcher pf(cfg, 64);
   // Two IPs that collide in an 8-entry table: the index is a hash, so find a
   // colliding pair by search.
   Addr pc_a = 0x400;
   Addr pc_b = 0;
-  StreamPrefetcher probe("probe", cfg, 64);
+  StreamPrefetcher probe(cfg, 64);
   for (Addr cand = 0x404; cand < 0x4000; cand += 4) {
     // Train A to confidence, then touch the candidate and see if A forgot.
-    StreamPrefetcher t("t", cfg, 64);
+    StreamPrefetcher t(cfg, 64);
     t.train(pc_a, 0x1000);
     t.train(pc_a, 0x1040);
     t.train(cand, 0x9000);
@@ -70,14 +70,14 @@ TEST(Prefetcher, CollisionEvictsEntry) {
   pf.train(pc_a, 0x1000);
   pf.train(pc_a, 0x1040);
   pf.train(pc_b, 0x9000);  // collision: evicts A's entry
-  EXPECT_GE(pf.stats().value("collisions"), 1u);
+  EXPECT_GE(pf.stats().collisions, 1u);
   EXPECT_TRUE(pf.train(pc_a, 0x1080).empty());  // A must re-learn
 }
 
 TEST(Prefetcher, ManyStreamsOverflowSmallTable) {
   // The §4.3 effect: more concurrent streams than table entries means
   // constant collisions and almost no useful prefetches.
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   std::uint64_t issued_total = 0;
   for (int round = 0; round < 64; ++round) {
     for (Addr s = 0; s < 32; ++s) {  // 32 streams, 8 entries
@@ -86,9 +86,9 @@ TEST(Prefetcher, ManyStreamsOverflowSmallTable) {
       issued_total += pf.train(pc, addr).size();
     }
   }
-  EXPECT_GT(pf.stats().value("collisions"), 500u);
+  EXPECT_GT(pf.stats().collisions, 500u);
   // With a big-enough table the same streams prefetch constantly.
-  StreamPrefetcher big("big", {.table_entries = 64, .degree = 2, .confidence_threshold = 2}, 64);
+  StreamPrefetcher big({.table_entries = 64, .degree = 2, .confidence_threshold = 2}, 64);
   std::uint64_t issued_big = 0;
   for (int round = 0; round < 64; ++round) {
     for (Addr s = 0; s < 32; ++s) {
@@ -103,15 +103,15 @@ TEST(Prefetcher, ManyStreamsOverflowSmallTable) {
 TEST(Prefetcher, DisabledIssuesNothing) {
   PrefetcherConfig cfg = small_pf();
   cfg.enabled = false;
-  StreamPrefetcher pf("pf", cfg, 64);
+  StreamPrefetcher pf(cfg, 64);
   pf.train(0x400, 0x1000);
   pf.train(0x400, 0x1040);
   EXPECT_TRUE(pf.train(0x400, 0x1080).empty());
-  EXPECT_EQ(pf.stats().value("trainings"), 0u);
+  EXPECT_EQ(pf.stats().trainings, 0u);
 }
 
 TEST(Prefetcher, ResetForgetsStreams) {
-  StreamPrefetcher pf("pf", small_pf(), 64);
+  StreamPrefetcher pf(small_pf(), 64);
   pf.train(0x400, 0x1000);
   pf.train(0x400, 0x1040);
   pf.reset();
@@ -119,14 +119,14 @@ TEST(Prefetcher, ResetForgetsStreams) {
 }
 
 TEST(Prefetcher, RejectsNonPow2Table) {
-  EXPECT_THROW(StreamPrefetcher("bad", {.table_entries = 12}, 64), std::invalid_argument);
+  EXPECT_THROW(StreamPrefetcher(PrefetcherConfig{.table_entries = 12}, 64), std::invalid_argument);
 }
 
 class PrefetcherDegree : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(PrefetcherDegree, IssuesExactlyDegreeLines) {
   const unsigned degree = GetParam();
-  StreamPrefetcher pf("pf", {.table_entries = 8, .degree = degree, .confidence_threshold = 2}, 64);
+  StreamPrefetcher pf({.table_entries = 8, .degree = degree, .confidence_threshold = 2}, 64);
   pf.train(0x400, 0x1000);
   pf.train(0x400, 0x1040);
   const auto lines = pf.train(0x400, 0x1080);

@@ -68,7 +68,7 @@ TEST(Tile, DmaPutFromTileAInvalidatesTileBsL1) {
   EXPECT_FALSE(sys.tile(0).hierarchy().l1d().probe(line));
   EXPECT_FALSE(sys.uncore().l2().probe(line));
   EXPECT_FALSE(sys.uncore().l3().probe(line));
-  EXPECT_EQ(sys.uncore().stats().value("dma_invalidate_broadcasts"), 1u);
+  EXPECT_EQ(sys.uncore().stats().dma_invalidate_broadcasts, 1u);
 }
 
 TEST(Tile, SpmdSliceIsIdentityForOneTile) {
@@ -157,21 +157,44 @@ TEST(Tile, RepeatedMultiTileRunsAreColdAndIdentical) {
   // Cold-machine guarantee per tile: the same SPMD program set run twice on
   // one System must serialize to identical bytes (stats, uncore pools and
   // DMA bus windows all reset).
-  System sys(MachineConfig::hybrid_coherent(), 2);
-  std::vector<MicroOp> ops0;
-  for (int i = 0; i < 40; ++i) {
-    ops0.push_back(VecStream::load(0x100'0000 + 0x940 * i, 1));
-    ops0.push_back(VecStream::store(0x200'0000 + 0x940 * i, 1));
+  const auto run_twice = [](System& sys, const std::vector<InstrStream*>& progs) {
+    const RunReport first = sys.run(progs);
+    EXPECT_EQ(serialized(first), serialized(sys.run(progs)));
+    return first;
+  };
+  {
+    System sys(MachineConfig::hybrid_coherent(), 2);
+    std::vector<MicroOp> ops0;
+    for (int i = 0; i < 40; ++i) {
+      ops0.push_back(VecStream::load(0x100'0000 + 0x940 * i, 1));
+      ops0.push_back(VecStream::store(0x200'0000 + 0x940 * i, 1));
+    }
+    VecStream p0(ops0);
+    VecStream p1({VecStream::dir_config(1024),
+                  VecStream::dma_get(0x40'0000, MachineConfig::hybrid_coherent().lm.virtual_base,
+                                     1024, 1),
+                  VecStream::dma_synch(0x2), VecStream::gload(0x40'0008, 2),
+                  VecStream::load(0x300'0000, 3)});
+    run_twice(sys, {&p0, &p1});
   }
-  VecStream p0(ops0);
-  VecStream p1({VecStream::dir_config(1024),
-                VecStream::dma_get(0x40'0000, MachineConfig::hybrid_coherent().lm.virtual_base,
-                                   1024, 1),
-                VecStream::dma_synch(0x2), VecStream::gload(0x40'0008, 2),
-                VecStream::load(0x300'0000, 3)});
-  const std::string first = serialized(sys.run({&p0, &p1}));
-  const std::string second = serialized(sys.run({&p0, &p1}));
-  EXPECT_EQ(first, second);
+  {
+    // A 2x2 mesh with two DRAM channels.  Tiles 0 and 3 stream over
+    // consecutive lines, which home on every slice and so drain through
+    // both channels: every channel's statistics must reset between runs,
+    // not only channel 0's.
+    MachineConfig cfg = MachineConfig::hybrid_coherent();
+    cfg.noc.topology = Topology::Mesh;
+    cfg.noc.mem_channels = 2;
+    System sys(cfg, 4);
+    std::vector<MicroOp> ops0, ops3;
+    for (int i = 0; i < 64; ++i) {
+      ops0.push_back(VecStream::load(0x100'0000 + 64 * i, 1));
+      ops3.push_back(VecStream::store(0x200'0000 + 64 * i, 1));
+    }
+    VecStream p0(ops0), idle1, idle2, p3(ops3);
+    const RunReport r = run_twice(sys, {&p0, &idle1, &idle2, &p3});
+    EXPECT_GT(r.dram.requests, 0u);
+  }
 }
 
 TEST(Tile, ScalingIsMonotonicOnEP) {
