@@ -18,8 +18,13 @@
 //    as BM_SystemRun through the interval-sampling engine.  The
 //    BM_SystemRunSampled : BM_SystemRun throughput ratio is the sampled
 //    point speedup perf_gate.py --sampled-speedup enforces.
+//  * BM_NocTraverse / BM_OccupancyBook — per-layer micro-benches for the
+//    two layers that dominate NoC points: Noc::traverse on a contended
+//    256-tile mesh, and the occupancy bitmaps (a gap-3 slot port and a
+//    gap-1 span lane).  Report messages (resp. bookings) per second.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -31,6 +36,7 @@
 #include "driver/registry.hpp"
 #include "driver/sweep.hpp"
 #include "memory/hierarchy.hpp"
+#include "noc/noc.hpp"
 #include "obs/trace.hpp"
 #include "sim/system.hpp"
 
@@ -197,6 +203,87 @@ void BM_SystemRunSampled(benchmark::State& state) {
 BENCHMARK(BM_SystemRunSampled)
     ->Arg(static_cast<int>(MachineKind::HybridCoherent))
     ->Unit(benchmark::kMillisecond);
+
+// A contended 256-tile (16x16) mesh message stream shaped like a NoC
+// point's traffic: the tiles take turns, each on its own clock from cycle
+// 0, sending one-flit requests to random home slices and four-flit lines
+// back — so every tile's messages overlap in simulated time and the
+// central links queue.  The network is reset between passes.
+void BM_NocTraverse(benchmark::State& state) {
+  struct Message {
+    unsigned src, dst;
+    Cycle now;
+    unsigned flits;
+  };
+  constexpr unsigned kTiles = 256;
+  constexpr unsigned kPerTile = 64;
+  NocConfig cfg;
+  cfg.topology = Topology::Mesh;
+  Noc noc(cfg, kTiles);
+  Rng rng(0x70Cu);
+  std::vector<Message> messages;
+  messages.reserve(std::size_t{kTiles} * kPerTile * 2);
+  for (unsigned t = 0; t < kTiles; ++t) {
+    Cycle now = 0;
+    for (unsigned k = 0; k < kPerTile; ++k) {
+      now += rng.below(24);
+      const auto home = static_cast<unsigned>(rng.below(kTiles));
+      messages.push_back({t, home, now, 1});
+      messages.push_back({home, t, now + 40, 4});
+    }
+  }
+  std::uint64_t sent = 0;
+  Cycle checksum = 0;
+  for (auto _ : state) {
+    noc.reset();
+    for (const Message& m : messages) checksum += noc.traverse(m.src, m.dst, m.now, m.flits);
+    sent += messages.size();
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(sent));
+  state.counters["msgs_per_sec"] =
+      benchmark::Counter(static_cast<double>(sent), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NocTraverse)->Unit(benchmark::kMillisecond);
+
+// The occupancy layer in isolation: one stream of requests at ~0.3 per
+// cycle with random jitter books a gap-3 slot port (the L2 port) and a
+// 1-8 cycle span on one of four gap-1 lanes (DMA ports / links), so both
+// bitmaps see queueing.  The bitmaps are reset between passes.
+void BM_OccupancyBook(benchmark::State& state) {
+  struct Request {
+    Cycle when;
+    unsigned lane;
+    Cycle len;
+  };
+  constexpr std::size_t kRequests = 1 << 16;
+  Rng rng(0x0CCu);
+  std::vector<Request> requests(kRequests);
+  Cycle clock = 0;
+  for (Request& r : requests) {
+    clock += rng.below(7);
+    r.when = clock - std::min<Cycle>(clock, rng.below(64));  // out of order
+    r.lane = static_cast<unsigned>(rng.below(4));
+    r.len = 1 + rng.below(8);
+  }
+  SharedResource port("bench_port", 3);
+  SharedLanes lanes(4, [](unsigned k) { return "bench_lane" + std::to_string(k); });
+  std::uint64_t booked = 0;
+  for (auto _ : state) {
+    port.reset();
+    lanes.reset();
+    for (const Request& r : requests) {
+      port.book(r.when);
+      lanes.book(r.lane, r.when, r.len);
+    }
+    booked += 2 * kRequests;
+  }
+  benchmark::DoNotOptimize(port.contention().queue_cycles + lanes.total().queue_cycles);
+  state.SetItemsProcessed(static_cast<std::int64_t>(booked));
+  state.counters["bookings_per_sec"] =
+      benchmark::Counter(static_cast<double>(booked), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OccupancyBook)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,40 +10,55 @@
 // a shared port was understated beyond the trailing window — the model-
 // fidelity caveat PR 3 left in System::run.
 //
-// OccupancyTimeline removes the window: it books slots over the ENTIRE run.
+// Two bitmaps book over the ENTIRE run, one per booking shape:
 //
-//  * One bit per bucket, grouped into 4096-bucket chunks (64 x u64 words)
-//    with a hierarchical summary — a per-chunk word whose bit w says "word w
-//    is fully booked", and a per-timeline bitmap whose bit c says "chunk c
-//    is fully booked" — so a booking skips saturated regions 64 words at a
-//    time instead of probing bucket by bucket.
-//  * Chunks are allocated lazily from slabs as simulated time reaches them:
-//    memory stays proportional to the busy span of the run, and the
-//    steady-state booking path allocates only when it crosses into a fresh
-//    chunk (amortized: one slab allocation per kSlabChunks * 4096 buckets).
-//  * reset() is an epoch bump: chunks are recycled in place and lazily
-//    cleared on first touch of the new epoch, so repeated System::run calls
-//    reuse the previous run's memory without a teardown pass.
-//  * Bookings past kMaxBuckets (a horizon far beyond any simulated run) are
-//    granted untracked — the only remaining understatement — and are
-//    COUNTED by the SharedResource wrapper, which also warns once, so the
-//    silent-understatement failure mode of the bounded ring cannot
-//    reappear unnoticed.
+//  * OccupancyTimeline — slot mode, one resource of gap G >= 1 (the L2/L3
+//    ports and DRAM channels).  One bit per bucket, grouped into
+//    4096-bucket chunks (64 x u64 words) with a hierarchical summary — a
+//    per-chunk word whose bit w says "word w is fully booked", and a
+//    per-timeline bitmap whose bit c says "chunk c is fully booked" — so a
+//    booking skips saturated regions 64 words at a time instead of probing
+//    bucket by bucket.  Chunks are allocated lazily from slabs as simulated
+//    time reaches them.
+//  * SpanLanes — span mode, many gap-1 resources at once (the NoC links and
+//    the DMA ports are its lanes).  A booking holds @c len consecutive
+//    cycles.  Busy bits are stored TIME-MAJOR: a block covers 4096 cycles
+//    as 64 rows of one u64 word per lane, so the bookings of one moment on
+//    every lane share a row (a message's hops, made within a few hundred
+//    cycles, touch one or two rows).  One forward word scan finds the
+//    first free run of @c len cycles: a shift-AND for runs inside a word, a
+//    carried run counter across words, and a popcount of the busy cycles
+//    it steps over.  Blocks are allocated whole and lazily.
 //
-// SharedResource wraps a timeline with per-resource contention statistics
-// (requests, delayed requests, queueing cycles, peak occupancy depth,
-// overflows); the uncore's L2/L3 ports, DRAM channels, DMA ports and NoC
-// links all arbitrate through it.
+// Both share the rest of the discipline:
 //
-// Thread-safety: none.  Timelines are not internally synchronized —
-// chunk-directory growth (touch_chunk's resize + slab bump) and the
-// booking bit-twiddles race if called concurrently.  One System runs on
-// one thread, so every booking against a shared timeline is serial.
+//  * reset() is an epoch bump: chunks/blocks are recycled in place and
+//    lazily cleared on first touch of the new epoch, so repeated
+//    System::run calls reuse the previous run's memory without a teardown
+//    pass.
+//  * Bookings past max_buckets() (a horizon far beyond any simulated run)
+//    are granted untracked — the only remaining understatement — and are
+//    COUNTED by the SharedResource / SharedLanes wrappers, which also warn
+//    once per resource, so the silent-understatement failure mode of the
+//    bounded ring cannot reappear unnoticed.
+//
+// SharedResource wraps a timeline, and SharedLanes a SpanLanes, with
+// per-resource contention statistics (requests, delayed requests, queueing
+// cycles, peak occupancy depth, overflows); the uncore's L2/L3 ports and
+// DRAM channels arbitrate through the former, its DMA ports and the NoC
+// links through the latter.
+//
+// Thread-safety: none.  Bitmaps are not internally synchronized — directory
+// growth and the booking bit-twiddles race if called concurrently.  One
+// System runs on one thread, so every booking against a shared bitmap is
+// serial.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,17 +69,19 @@
 
 namespace hm {
 
+/// Result of one booking.  @p skipped is the number of already-booked
+/// buckets stepped over before the granted one — the queue depth this
+/// request observed.  @p overflow marks a grant beyond the tracked horizon.
+struct Booking {
+  Cycle start = 0;
+  std::uint64_t skipped = 0;
+  bool overflow = false;
+};
+
+/// Slot-mode bitmap of one resource with a minimum gap between request
+/// starts.
 class OccupancyTimeline {
  public:
-  /// Result of one booking.  @p skipped is the number of already-booked
-  /// buckets probed before the granted one — the queue depth this request
-  /// observed.  @p overflow marks a grant beyond the tracked horizon.
-  struct Booking {
-    Cycle start = 0;
-    std::uint64_t skipped = 0;
-    bool overflow = false;
-  };
-
   /// @p gap: minimum cycles between request starts (0 = infinite bandwidth).
   explicit OccupancyTimeline(Cycle gap) : gap_(gap) {
     if (gap_ >= 2) gap_magic_ = MagicDivisor(gap_);
@@ -102,32 +119,6 @@ class OccupancyTimeline {
     return Booking{std::max(when, b * gap_), b - first, false};
   }
 
-  /// Book @p len consecutive cycles starting at or after @p when; requires
-  /// gap() == 1 (the bus-style resources construct with gap 1, so a bucket
-  /// is a cycle).  Booking::start is the first cycle of the span;
-  /// Booking::skipped counts only the BUSY buckets stepped over (free gaps
-  /// too small for the span are not backlog), keeping the unit identical
-  /// to the slot-mode depth.
-  Booking book_span(Cycle when, Cycle len) {
-    assert(gap_ == 1);
-    if (len == 0) return Booking{when, 0, false};
-    std::uint64_t s = when;
-    std::uint64_t busy_skipped = 0;
-    for (;;) {
-      if (s + len > kMaxBuckets) return Booking{when, 0, true};
-      const std::uint64_t blocker = first_busy_in(s, len);
-      if (blocker == kFree) break;
-      // Jump over the whole busy run in one summary-guided step instead of
-      // re-probing bucket by bucket.
-      const std::uint64_t next_free = find_free_from(blocker);
-      if (next_free == kOverflow) return Booking{when, 0, true};
-      busy_skipped += next_free - blocker;
-      s = next_free;
-    }
-    fill_span(s, len);
-    return Booking{s, busy_skipped, false};
-  }
-
   /// Epoch reset: every slot reads as free again.  Chunk memory is kept and
   /// recycled (lazily cleared on first touch of the new epoch).
   void reset() {
@@ -153,7 +144,6 @@ class OccupancyTimeline {
   static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 31;
   static constexpr std::uint64_t kMaxChunks = kMaxBuckets / kBucketsPerChunk;
   static constexpr std::uint64_t kOverflow = ~std::uint64_t{0};
-  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
 
   struct Chunk {
     std::uint64_t epoch = 0;             ///< stale when != timeline epoch
@@ -262,96 +252,6 @@ class OccupancyTimeline {
     }
   }
 
-  /// First FREE bucket >= @p first without booking it (read-only twin of
-  /// claim_from: never allocates or clears a chunk), or kOverflow past the
-  /// horizon.
-  std::uint64_t find_free_from(std::uint64_t first) const {
-    std::uint64_t ci = first >> kChunkShift;
-    std::uint64_t off = first & (kBucketsPerChunk - 1);
-    while (ci < kMaxChunks) {
-      if (chunk_is_full(ci)) {
-        ++ci;
-        off = 0;
-        continue;
-      }
-      const Chunk* c = peek_chunk(ci);
-      if (c == nullptr) return (ci << kChunkShift) | off;  // untouched: free
-      const std::uint64_t w0 = off >> 6;
-      const std::uint64_t free = ~c->words[w0] & ~low_mask(off & 63);
-      if (free != 0)
-        return (ci << kChunkShift) |
-               ((w0 << 6) | static_cast<unsigned>(std::countr_zero(free)));
-      const std::uint64_t open = ~c->summary & ~low_mask(w0 + 1);
-      if (open != 0) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(open));
-        return (ci << kChunkShift) |
-               ((static_cast<std::uint64_t>(w) << 6) |
-                static_cast<unsigned>(std::countr_zero(~c->words[w])));
-      }
-      ++ci;
-      off = 0;
-    }
-    return kOverflow;
-  }
-
-  /// First booked bucket inside [start, start+len), or kFree when the whole
-  /// span is free.  gap() == 1 spans only.
-  std::uint64_t first_busy_in(std::uint64_t start, Cycle len) const {
-    std::uint64_t b = start;
-    const std::uint64_t end = start + len;
-    while (b < end) {
-      const std::uint64_t ci = b / kBucketsPerChunk;
-      const Chunk* c = peek_chunk(ci);
-      if (c == nullptr) {  // whole chunk free: jump to the next chunk
-        b = (ci + 1) * kBucketsPerChunk;
-        continue;
-      }
-      const std::uint64_t chunk_end = std::min(end, (ci + 1) * kBucketsPerChunk);
-      std::uint64_t off = b % kBucketsPerChunk;
-      while (b < chunk_end) {
-        const std::uint64_t w = off >> 6;
-        const std::uint64_t busy = c->words[w] & ~low_mask(off & 63);
-        if (busy != 0) {
-          const std::uint64_t hit =
-              ci * kBucketsPerChunk + (w << 6) +
-              static_cast<unsigned>(std::countr_zero(busy));
-          if (hit < end) return hit;
-          return kFree;
-        }
-        const std::uint64_t word_end = ci * kBucketsPerChunk + ((w + 1) << 6);
-        b = word_end;
-        off = (w + 1) << 6;
-      }
-    }
-    return kFree;
-  }
-
-  /// Mark [start, start+len) booked.  gap() == 1 spans only.
-  void fill_span(std::uint64_t start, Cycle len) {
-    std::uint64_t b = start;
-    const std::uint64_t end = start + len;
-    while (b < end) {
-      const std::uint64_t ci = b / kBucketsPerChunk;
-      Chunk* c = touch_chunk(ci);
-      const std::uint64_t chunk_end = std::min(end, (ci + 1) * kBucketsPerChunk);
-      while (b < chunk_end) {
-        const std::uint64_t off = b % kBucketsPerChunk;
-        const std::uint64_t w = off >> 6;
-        const std::uint64_t word_end = std::min(chunk_end, (b - (off & 63)) + 64);
-        const unsigned lo = static_cast<unsigned>(off & 63);
-        const unsigned n = static_cast<unsigned>(word_end - b);
-        const std::uint64_t mask =
-            (n >= 64 ? ~std::uint64_t{0} : low_mask(lo + n)) & ~low_mask(lo);
-        c->words[w] |= mask;
-        if (c->words[w] == ~std::uint64_t{0}) {
-          c->summary |= std::uint64_t{1} << w;
-          if (c->summary == ~std::uint64_t{0}) mark_chunk_full(ci);
-        }
-        b = word_end;
-      }
-    }
-  }
-
   Cycle gap_;
   MagicDivisor gap_magic_;  ///< div by gap, valid when gap_ >= 2
   std::uint64_t epoch_ = 1;
@@ -363,47 +263,151 @@ class OccupancyTimeline {
   std::vector<std::uint64_t> chunk_full_;  ///< level-2 summary, bit per chunk
 };
 
-/// A shared hardware resource (cache port, DRAM channel, bus) arbitrated on
-/// a full-run OccupancyTimeline, carrying per-resource contention
+/// Span-mode bitmap of many gap-1 resources ("lanes"): a booking holds
+/// @p len consecutive cycles of one lane.  See the file comment for the
+/// time-major layout.
+class SpanLanes {
+ public:
+  explicit SpanLanes(unsigned lanes) : lanes_(lanes) {}
+
+  SpanLanes(const SpanLanes&) = delete;
+  SpanLanes& operator=(const SpanLanes&) = delete;
+
+  /// Book @p len consecutive cycles of @p lane starting at the first cycle
+  /// >= @p when where they are all free.  Booking::skipped counts only the
+  /// BUSY cycles stepped over (free gaps too small for the span are not
+  /// backlog), keeping the unit identical to the slot-mode depth.  A span
+  /// that would end past max_buckets() is granted at @p when, untracked,
+  /// with Booking::overflow set.  @p len == 0 books nothing.
+  Booking book(unsigned lane, Cycle when, Cycle len) {
+    assert(lane < lanes_);
+    // Fast path: the span sits inside one word of the block the previous
+    // booking touched and that word is free there — most bookings.
+    const unsigned lo = static_cast<unsigned>(when & 63);
+    if ((when >> kBlockShift) == cached_bi_ && len != 0 && lo + len <= 64) {
+      std::uint64_t& word = cached_[word_index(when, lane)];
+      const std::uint64_t mask = low_mask(static_cast<unsigned>(len)) << lo;
+      if ((word & mask) == 0) {
+        word |= mask;
+        return Booking{when, 0, false};
+      }
+    }
+    return book_scan(lane, when, len);
+  }
+
+  /// Epoch reset: every lane reads as free again.  Block memory is kept and
+  /// recycled (lazily cleared on first touch of the new epoch).
+  void reset() {
+    ++epoch_;
+    cached_bi_ = kNoBlock;
+    cached_ = nullptr;
+  }
+
+  unsigned lanes() const { return lanes_; }
+
+  /// Cycles the bitmap can track; spans ending beyond it overflow.
+  static constexpr std::uint64_t max_buckets() { return OccupancyTimeline::max_buckets(); }
+
+ private:
+  static constexpr unsigned kBlockRows = 64;   ///< one row = 64 cycles
+  static constexpr unsigned kBlockShift = 12;  ///< log2(64 rows x 64 cycles)
+  static constexpr std::uint64_t kNoBlock = ~std::uint64_t{0};
+
+  struct Block {
+    std::unique_ptr<std::uint64_t[]> words;  ///< kBlockRows x lanes_, row-major
+    std::uint64_t epoch = 0;                 ///< stale when != epoch_
+  };
+
+  /// Index, inside its block, of the word holding @p cycle on @p lane.
+  std::size_t word_index(std::uint64_t cycle, unsigned lane) const {
+    return static_cast<std::size_t>((cycle >> 6) & (kBlockRows - 1)) * lanes_ + lane;
+  }
+
+  /// Block @p bi's words, or null when it holds no current-epoch booking.
+  const std::uint64_t* peek_block(std::uint64_t bi) const {
+    if (bi >= blocks_.size()) return nullptr;
+    const Block& b = blocks_[bi];
+    return b.epoch == epoch_ ? b.words.get() : nullptr;
+  }
+
+  Booking book_scan(unsigned lane, Cycle when, Cycle len);  // occupancy.cpp
+  void fill(unsigned lane, std::uint64_t start, Cycle len);
+  std::uint64_t* touch_block(std::uint64_t bi);
+
+  unsigned lanes_;
+  std::uint64_t epoch_ = 1;
+  std::uint64_t cached_bi_ = kNoBlock;  ///< block of the last booking...
+  std::uint64_t* cached_ = nullptr;     ///< ...guaranteed current-epoch
+  std::vector<Block> blocks_;           ///< dense directory, index = cycle >> 12
+};
+
+/// Contention observed at one shared resource (or one lane of a
+/// SharedLanes) over a run.
+struct Contention {
+  std::uint64_t requests = 0;        ///< bookings
+  std::uint64_t delayed = 0;         ///< bookings pushed past their request cycle
+  std::uint64_t queue_cycles = 0;    ///< total cycles of push-back
+  std::uint64_t peak_occupancy = 0;  ///< deepest backlog any booking observed
+  std::uint64_t overflows = 0;       ///< grants beyond the tracked horizon
+
+  /// Count booking @p b, requested at @p when; returns its delay.
+  /// Branch-light: start >= when always, so the undelayed case adds zeros.
+  Cycle count(const Booking& b, Cycle when) {
+    ++requests;
+    const Cycle delay = b.start - when;
+    delayed += delay != 0 ? 1 : 0;
+    queue_cycles += delay;
+    if (b.skipped > peak_occupancy) peak_occupancy = b.skipped;
+    overflows += b.overflow ? 1 : 0;
+    return delay;
+  }
+
+  /// Aggregate another resource into this one: counts add, the peak is
+  /// the deeper of the two.
+  Contention& operator+=(const Contention& o) {
+    requests += o.requests;
+    delayed += o.delayed;
+    queue_cycles += o.queue_cycles;
+    overflows += o.overflows;
+    peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
+    return *this;
+  }
+  bool operator==(const Contention&) const = default;
+};
+
+/// True when booking @p b (delayed by @p delay) has side effects beyond
+/// the counters: a trace span (delayed while tracing is active) or an
+/// overflow.  Cost when tracing is off: the delay test and one relaxed
+/// load, only on delayed bookings.
+inline bool booking_is_notable(const Booking& b, Cycle delay) {
+  return b.overflow || (delay != 0 && obs::tracing_active());
+}
+
+/// The side effects of a notable booking of resource @p name (occupancy.cpp
+/// — keeps logging and tracing off this header): delay windows above the
+/// sink-side threshold become trace spans on lane res.<name>, never
+/// feeding back into timing; the first overflow warns (@p warned makes
+/// the warning one-shot per resource).
+void note_booking(const std::string& name, bool& warned, const Booking& b, Cycle when,
+                  Cycle delay, Cycle gap);
+
+/// A shared hardware resource (cache port, DRAM channel) arbitrated on a
+/// full-run OccupancyTimeline, carrying per-resource contention
 /// statistics.  The owner reads them through contention() and clears them
 /// with reset_stats() alongside its own Stats.
 class SharedResource {
  public:
-  struct Contention {
-    std::uint64_t requests = 0;        ///< bookings
-    std::uint64_t delayed = 0;         ///< bookings pushed past their request cycle
-    std::uint64_t queue_cycles = 0;    ///< total cycles of push-back
-    std::uint64_t peak_occupancy = 0;  ///< deepest backlog any booking observed
-    std::uint64_t overflows = 0;       ///< grants beyond the tracked horizon
-
-    /// Aggregate another resource into this one: counts add, the peak is
-    /// the deeper of the two.
-    Contention& operator+=(const Contention& o) {
-      requests += o.requests;
-      delayed += o.delayed;
-      queue_cycles += o.queue_cycles;
-      overflows += o.overflows;
-      peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
-      return *this;
-    }
-    bool operator==(const Contention&) const = default;
-  };
+  using Contention = hm::Contention;
 
   SharedResource(std::string name, Cycle gap)
       : name_(std::move(name)), timeline_(gap) {}
 
   /// Book one slot at or after @p when; returns the start cycle.
   Cycle book(Cycle when) {
-    const OccupancyTimeline::Booking b = timeline_.book(when);
-    account(b, when);
-    return b.start;
-  }
-
-  /// Book @p len consecutive cycles at or after @p when (gap-1 resources,
-  /// e.g. a bus granting whole transfer windows); returns the start cycle.
-  Cycle book_span(Cycle when, Cycle len) {
-    const OccupancyTimeline::Booking b = timeline_.book_span(when, len);
-    account(b, when);
+    const Booking b = timeline_.book(when);
+    const Cycle delay = stats_.count(b, when);
+    if (booking_is_notable(b, delay)) [[unlikely]]
+      note_booking(name_, warned_, b, when, delay, timeline_.gap());
     return b.start;
   }
 
@@ -418,34 +422,55 @@ class SharedResource {
   const Contention& contention() const { return stats_; }
 
  private:
-  void account(const OccupancyTimeline::Booking& b, Cycle when) {
-    // Branch-light: start >= when always, so the undelayed case adds zeros.
-    ++stats_.requests;
-    const Cycle delay = b.start - when;
-    stats_.delayed += delay != 0 ? 1 : 0;
-    stats_.queue_cycles += delay;
-    // Observability: delay windows above the sink-side threshold become
-    // trace spans.  Cost when disabled: this branch only runs on DELAYED
-    // bookings, and tracing_active() is one relaxed load.  Never feeds
-    // back into timing — the booking is already made.
-    if (delay != 0 && obs::tracing_active()) [[unlikely]]
-      obs::sim_resource_delay(name_.c_str(), when, delay);
-    if (b.skipped > stats_.peak_occupancy) stats_.peak_occupancy = b.skipped;
-    if (b.overflow) [[unlikely]] {
-      ++stats_.overflows;
-      if (!warned_) {
-        warned_ = true;
-        warn_overflow();
-      }
-    }
-  }
-
-  void warn_overflow() const;  // occupancy.cpp — keeps logging off this header
-
   std::string name_;
   OccupancyTimeline timeline_;
   Contention stats_;
   bool warned_ = false;
+};
+
+/// A set of gap-1 resources booked in whole spans (the NoC links, the DMA
+/// ports): one SpanLanes plus per-lane contention statistics in one array.
+/// Lane names are built on demand by @p name_of — only trace emission and
+/// the overflow warning need them.
+class SharedLanes {
+ public:
+  using NameFn = std::function<std::string(unsigned lane)>;
+
+  SharedLanes(unsigned lanes, NameFn name_of)
+      : lanes_(lanes),
+        stats_(lanes),
+        warned_(std::make_unique<bool[]>(lanes)),
+        name_of_(std::move(name_of)) {}
+
+  /// Book @p len consecutive cycles of @p lane at or after @p when;
+  /// returns the start cycle.
+  Cycle book(unsigned lane, Cycle when, Cycle len) {
+    const Booking b = lanes_.book(lane, when, len);
+    const Cycle delay = stats_[lane].count(b, when);
+    if (booking_is_notable(b, delay)) [[unlikely]]
+      note_booking(name_of_(lane), warned_[lane], b, when, delay, Cycle{1});
+    return b.start;
+  }
+
+  /// Free every lane (epoch reset); statistics are left alone.
+  void reset() { lanes_.reset(); }
+  void reset_stats() { std::fill(stats_.begin(), stats_.end(), Contention{}); }
+
+  unsigned size() const { return lanes_.lanes(); }
+  std::string name(unsigned lane) const { return name_of_(lane); }
+  const Contention& contention(unsigned lane) const { return stats_[lane]; }
+  /// Every lane's contention summed (counts added, peak maxed).
+  Contention total() const {
+    Contention agg;
+    for (const Contention& c : stats_) agg += c;
+    return agg;
+  }
+
+ private:
+  SpanLanes lanes_;
+  std::vector<Contention> stats_;
+  std::unique_ptr<bool[]> warned_;
+  NameFn name_of_;
 };
 
 }  // namespace hm

@@ -40,14 +40,14 @@ Cycle DmaController::get(Cycle now, Addr sm_src, Addr lm_dst, Bytes size, unsign
   // the command a window for the interval the transfer actually streams —
   // from when both the MMIO command and the engine are ready — so
   // arbitration across tiles blocks exactly the busy span.  The bus books
-  // that span on the uncore's full-run occupancy timeline; with one tile
+  // that span on its full-run span-bitmap lane in the uncore; with one tile
   // the span is always free and the grant never delays (start ==
   // max(queued, engine_free_)).
   const Cycle queued = now + cfg_.startup;
   const Cycle start = hierarchy_.dma_bus_grant(std::max(queued, engine_free_),
                                                nlines * cfg_.per_line);
   // Observability: the granted bus window.  Windows are globally disjoint
-  // (the bus books whole spans on a gap-1 timeline), so the emitted spans
+  // (the bus books whole spans on a gap-1 lane), so the emitted spans
   // never overlap within a lane or across tiles.
   if (obs::tracing_active()) [[unlikely]]
     obs::sim_span(trace_lane_, "dma.get", start, nlines * cfg_.per_line,

@@ -11,8 +11,8 @@
 //    invalidation to every tile's L1.
 //
 // On the tile-based machine each tile owns a DMAC; commands are granted a
-// window on the shared DMA bus first.  The bus is a gap-1 full-run
-// occupancy timeline (common/occupancy.hpp): each command books the whole
+// window on the shared DMA bus first.  The bus is one lane of a full-run
+// span bitmap (SpanLanes, common/occupancy.hpp): each command books the whole
 // interval it streams for, pushed past any window already booked — by any
 // tile, at any earlier point of the run.  Tiles execute in fixed order, so
 // lower tile ids book first and win the bus (fixed-priority arbitration).

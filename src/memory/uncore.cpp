@@ -13,12 +13,16 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
       l3_(cfg_.l3),
       mem_(cfg_.mem, noc.channels_for(n_tiles)),
       pf_l2_(cfg_.pf_l2, cfg_.l2.line_size),
-      pf_l3_(cfg_.pf_l3, cfg_.l3.line_size) {
+      pf_l3_(cfg_.pf_l3, cfg_.l3.line_size),
+      // Flat: one DMA bus shared by every tile; mesh/ring: one injection
+      // port per tile.
+      dma_ports_(noc.active() ? n_tiles : 1, [flat = !noc.active()](unsigned k) {
+        return flat ? std::string("dma_bus") : "dma_inj" + std::to_string(k);
+      }) {
   if (!noc.active()) {
-    // Flat: one home slice and one DMA bus shared by every tile.
+    // Flat: one home slice.
     l2_ports_.emplace_back("l2_port", cfg_.l2_gap);
     l3_ports_.emplace_back("l3_port", cfg_.l3_gap);
-    dma_ports_.emplace_back("dma_bus", Cycle{1});
     return;
   }
   if (n_tiles == 0 || n_tiles > SharerFilter::kMaxTiles)
@@ -33,11 +37,9 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
   // *_contention() accessors aggregate them per resource class.
   l2_ports_.reserve(n_tiles);
   l3_ports_.reserve(n_tiles);
-  dma_ports_.reserve(n_tiles);
   for (unsigned s = 0; s < n_tiles; ++s) {
     l2_ports_.emplace_back("l2_port_s" + std::to_string(s), cfg_.l2_gap);
     l3_ports_.emplace_back("l3_port_s" + std::to_string(s), cfg_.l3_gap);
-    dma_ports_.emplace_back("dma_inj" + std::to_string(s), Cycle{1});
   }
 }
 
@@ -108,8 +110,9 @@ void Uncore::reset() {
   mem_.reset();
   pf_l2_.reset();
   pf_l3_.reset();
-  for (auto* ports : {&l2_ports_, &l3_ports_, &dma_ports_})
+  for (auto* ports : {&l2_ports_, &l3_ports_})
     for (SharedResource& p : *ports) p.reset();
+  dma_ports_.reset();
   if (noc_ != nullptr) {
     noc_->reset();
     sharers_->reset();
@@ -117,19 +120,22 @@ void Uncore::reset() {
 }
 
 void Uncore::emit_contention_trace(Cycle end) const {
-  const auto emit = [end](const SharedResource& r) {
-    const SharedResource::Contention& c = r.contention();
+  const auto emit = [end](const Contention& c, const std::string& name) {
     if (c.requests == 0) return;
-    const std::string lane = "res." + r.name();
+    const std::string lane = "res." + name;
     obs::sim_instant(lane.c_str(), "contention_summary", end, "queue_cycles",
                      static_cast<double>(c.queue_cycles));
   };
-  for (const SharedResource& p : l2_ports_) emit(p);
-  for (const SharedResource& p : l3_ports_) emit(p);
-  for (unsigned c = 0; c < mem_.channels(); ++c) emit(mem_.channel_port(c));
-  for (const SharedResource& p : dma_ports_) emit(p);
-  if (noc_ != nullptr)
-    for (const SharedResource* l : noc_->all_links()) emit(*l);
+  const auto emit_lanes = [&](const SharedLanes& lanes) {
+    for (unsigned k = 0; k < lanes.size(); ++k)
+      if (lanes.contention(k).requests != 0) emit(lanes.contention(k), lanes.name(k));
+  };
+  for (const SharedResource& p : l2_ports_) emit(p.contention(), p.name());
+  for (const SharedResource& p : l3_ports_) emit(p.contention(), p.name());
+  for (unsigned c = 0; c < mem_.channels(); ++c)
+    emit(mem_.channel_port(c).contention(), mem_.channel_port(c).name());
+  emit_lanes(dma_ports_);
+  if (noc_ != nullptr) emit_lanes(noc_->links());
 }
 
 void Uncore::reset_stats() {
@@ -139,8 +145,9 @@ void Uncore::reset_stats() {
   mem_.reset_stats();
   pf_l2_.reset_stats();
   pf_l3_.reset_stats();
-  for (auto* ports : {&l2_ports_, &l3_ports_, &dma_ports_})
+  for (auto* ports : {&l2_ports_, &l3_ports_})
     for (SharedResource& p : *ports) p.reset_stats();
+  dma_ports_.reset_stats();
   if (noc_ != nullptr) noc_->reset_stats();
 }
 

@@ -16,10 +16,12 @@
 //  * the coherent DMA bus: dma-put bus requests write to main memory and
 //    broadcast an invalidation to the shared levels AND to every tile's L1
 //    (§3.4.2 — the DMA data is the valid version everywhere), and the bus
-//    grants whole per-command transfer windows on a gap-1 occupancy
-//    timeline, serializing transfers whose simulated spans overlap.  Tiles
+//    grants whole per-command transfer windows on a gap-1 span-bitmap
+//    lane, serializing transfers whose simulated spans overlap.  Tiles
 //    run in fixed order, so earlier tiles book first — the fixed-priority
 //    arbitration of PR 3, now expressed as occupancy.
+//    The DMA ports are the lanes of one span bitmap (SharedLanes), like
+//    the NoC links.
 //
 // Tiles register their L1 at construction; a single-tile machine behaves
 // bit-identically to the pre-tile monolithic hierarchy (one L1 registered;
@@ -130,7 +132,7 @@ class Uncore {
   /// DMA arbitration at command granularity: grant a window of @p len
   /// cycles on DMA port (@p initiator_port % n_dma_ports) starting at or
   /// after @p ready, pushed past any window that overlaps it in simulated
-  /// time.  Windows are booked on full-run gap-1 timelines; tiles execute
+  /// time.  Windows are booked on full-run span-bitmap lanes; tiles execute
   /// in fixed order, so lower tile ids book — and therefore win a shared
   /// port — first (fixed-priority arbitration).  A port is exclusive
   /// against every window, its own included; since each DMAC's
@@ -141,8 +143,7 @@ class Uncore {
   /// serialization comes from link, slice-port and channel contention on
   /// the per-line operations instead.
   Cycle dma_bus_grant(Cycle ready, Cycle len, unsigned initiator_port) {
-    return dma_ports_[initiator_port % static_cast<unsigned>(dma_ports_.size())].book_span(
-        ready, len);
+    return dma_ports_.book(initiator_port % dma_ports_.size(), ready, len);
   }
 
   /// Drop all shared cache contents, occupancy timelines and DMA windows.
@@ -217,7 +218,7 @@ class Uncore {
   SharedResource::Contention l2_port_contention() const { return sum(l2_ports_); }
   SharedResource::Contention l3_port_contention() const { return sum(l3_ports_); }
   SharedResource::Contention dram_contention() const { return mem_.aggregate_contention(); }
-  SharedResource::Contention dma_bus_contention() const { return sum(dma_ports_); }
+  SharedResource::Contention dma_bus_contention() const { return dma_ports_.total(); }
 
   const Stats& stats() const { return stats_; }
 
@@ -239,7 +240,8 @@ class Uncore {
   // Sized once at construction and never grown.
   std::vector<SharedResource> l2_ports_;   ///< one per home slice
   std::vector<SharedResource> l3_ports_;   ///< one per home slice
-  std::vector<SharedResource> dma_ports_;  ///< gap-1; commands book whole windows
+  /// DMA ports as the lanes of a span bitmap: commands book whole windows.
+  SharedLanes dma_ports_;
   std::unique_ptr<Noc> noc_;               ///< null when flat
   std::unique_ptr<SharerFilter> sharers_;  ///< null when flat
 };

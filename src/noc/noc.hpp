@@ -13,11 +13,13 @@
 //    flits leaving a router occupies the outgoing link for F cycles and
 //    arrives hop_latency + F cycles later, so an idle-network traversal
 //    takes exactly hops * (hop_latency + flits) cycles;
-//  * per-link occupancy on full-run gap-1 OccupancyTimelines (the same
-//    counted-never-silent overflow discipline as every other shared
-//    resource — see common/occupancy.hpp): two messages crossing the same
-//    directed link in overlapping cycles queue, and the queueing is exact
-//    over the whole run, not a trailing window.
+//  * per-link occupancy as the lanes of one full-run span bitmap
+//    (SharedLanes over SpanLanes, lane = node * 4 + direction — see
+//    common/occupancy.hpp; the uncore's DMA ports are lanes of the same
+//    kind of bitmap), with the same counted-never-silent overflow
+//    discipline as every other shared resource: two messages crossing the
+//    same directed link in overlapping cycles queue, and the queueing is
+//    exact over the whole run, not a trailing window.
 //
 // Topology::Flat constructs no Noc: the Uncore is then 1 home slice, 1
 // DMA port shared by every tile, 1 DRAM channel, no links and no sharer
@@ -30,12 +32,13 @@
 //
 // Routing is deterministic (XY on the mesh; shorter arc, clockwise on
 // ties, on the ring) so the same access stream books the same links at
-// the same cycles regardless of --jobs.  Thread-safety follows the
-// occupancy-timeline rule: none (traverse() books shared timelines).
+// the same cycles regardless of --jobs.  Routes are walked directly: the
+// coordinates are computed once per message and each leg steps one
+// direction, so a hop is one lane booking.  Thread-safety follows the
+// occupancy rule: none (traverse() books the shared link lanes).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,9 +70,9 @@ struct NocConfig {
 
 class Noc {
  public:
-  /// Builds the link graph for @p n_nodes tiles.  Throws
-  /// std::invalid_argument for an inactive topology, zero nodes, or mesh
-  /// dimensions that do not multiply to @p n_nodes.
+  /// Builds the link lanes for @p n_nodes tiles.  Throws
+  /// std::invalid_argument for an inactive topology, zero nodes, a zero
+  /// flit width, or mesh dimensions that do not multiply to @p n_nodes.
   Noc(const NocConfig& cfg, unsigned n_nodes);
 
   Noc(const Noc&) = delete;
@@ -88,7 +91,9 @@ class Noc {
   }
 
   /// Route length in hops (mesh: Manhattan distance; ring: shorter arc).
-  unsigned route_hops(unsigned src, unsigned dst) const;
+  unsigned route_hops(unsigned src, unsigned dst) const {
+    return walk(src, dst, [](unsigned) {});
+  }
 
   /// Move a @p flits-flit message from @p src to @p dst starting at
   /// @p now: books every link on the deterministic route and returns the
@@ -96,15 +101,46 @@ class Noc {
   /// flits).  src == dst is a local access — no hops, arrival == now.
   Cycle traverse(unsigned src, unsigned dst, Cycle now, unsigned flits);
 
-  /// Directed link src -> dst (must be neighbors); null when absent.
-  /// Test/report access — traverse() is the booking path.
-  SharedResource* link(unsigned src, unsigned dst);
-  const SharedResource* link(unsigned src, unsigned dst) const;
+  /// Visit the directed links of the deterministic @p src -> @p dst route
+  /// in order, calling @p hop(lane) once per link (lane = node * 4 +
+  /// direction, see links()); returns the hop count.  The coordinates are
+  /// computed once and each leg steps one direction.
+  template <class Hop>
+  unsigned walk(unsigned src, unsigned dst, Hop&& hop) const {
+    if (cfg_.topology == Topology::Mesh) {
+      // XY dimension-ordered: finish the x dimension, then y.
+      // Deterministic and deadlock-free; with X*Y == n every intermediate
+      // node exists.
+      const unsigned sx = src % x_, sy = src / x_;
+      const unsigned dx = dst % x_, dy = dst / x_;
+      unsigned node = src;
+      for (unsigned x = sx; x < dx; ++x, ++node) hop(kDirs * node + 0);
+      for (unsigned x = sx; x > dx; --x, --node) hop(kDirs * node + 1);
+      for (unsigned y = sy; y < dy; ++y, node += x_) hop(kDirs * node + 2);
+      for (unsigned y = sy; y > dy; --y, node -= x_) hop(kDirs * node + 3);
+      return (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
+    }
+    // Ring: the shorter arc, ties clockwise.  Each hop shortens the chosen
+    // arc and lengthens the other, so the direction never changes en route.
+    const unsigned cw = (dst + n_ - src) % n_;
+    const bool clockwise = cw <= n_ - cw;
+    const unsigned h = clockwise ? cw : n_ - cw;
+    unsigned node = src;
+    for (unsigned i = 0; i < h; ++i) {
+      hop(kDirs * node + (clockwise ? 0 : 1));
+      node = clockwise ? (node + 1 == n_ ? 0 : node + 1) : (node == 0 ? n_ - 1 : node - 1);
+    }
+    return h;
+  }
 
   /// Contention summed over every link (requests/delayed/queue_cycles/
   /// overflows added, peak_occupancy maxed) — the RunReport aggregate.
-  /// Per-link counters stay on the links.
-  SharedResource::Contention link_contention() const;
+  /// Per-link counters stay on the lanes.
+  Contention link_contention() const { return links_.total(); }
+
+  /// The link lanes (lane = node * 4 + direction, named noc_l<src>_<dst>;
+  /// lanes of absent links are never booked), for trace emission.
+  const SharedLanes& links() const { return links_; }
 
   std::uint64_t messages() const { return msgs_; }
   std::uint64_t total_hops() const { return hops_; }
@@ -112,26 +148,23 @@ class Noc {
   /// hop_histogram()[h] = messages whose route was exactly h hops.
   const std::vector<std::uint64_t>& hop_histogram() const { return hop_hist_; }
 
-  /// Every SharedResource link, for trace emission.  Stable order.
-  std::vector<const SharedResource*> all_links() const;
-
-  /// Free all link timelines (epoch reset); statistics are left alone.
+  /// Free all links (epoch reset); statistics are left alone.
   void reset();
   /// Clear link contention statistics and the message/hop/flit counters.
   void reset_stats();
 
  private:
-  unsigned next_hop(unsigned cur, unsigned dst) const;
-  SharedResource& link_to(unsigned src, unsigned dst);
+  /// Name of link lane @p lane: noc_l<src>_<dst>.
+  std::string link_name(unsigned lane) const;
 
   NocConfig cfg_;
   unsigned n_ = 0;
   unsigned x_ = 0, y_ = 0;  ///< mesh dims (ring: x_ = n_, y_ = 1)
-  /// Directed links, indexed node * kDirs + dir.  Mesh dirs: 0 = +x,
-  /// 1 = -x, 2 = +y, 3 = -y.  Ring dirs: 0 = clockwise (+1), 1 = counter-
-  /// clockwise.  Null where the neighbor does not exist.
+  /// Directed links, lane node * kDirs + dir.  Mesh dirs: 0 = +x, 1 = -x,
+  /// 2 = +y, 3 = -y.  Ring dirs: 0 = clockwise (+1), 1 = counter-
+  /// clockwise.
   static constexpr unsigned kDirs = 4;
-  std::vector<std::unique_ptr<SharedResource>> links_;
+  SharedLanes links_;
   std::uint64_t msgs_ = 0;
   std::uint64_t hops_ = 0;
   std::uint64_t flits_ = 0;

@@ -64,7 +64,10 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
   if (engine_.sampling.enabled() && programs.size() > 1)
     throw std::invalid_argument("sampling runs single-tile points only");
 
-  reset_timing_state();
+  // A fresh System is already cold: its constructors wrote exactly the
+  // state reset_timing_state() restores, so only later runs pay for it.
+  if (!fresh_) reset_timing_state();
+  fresh_ = false;
 
   // Tiles run in tile order against the shared uncore, each on its own
   // local clock from cycle 0.  The outcome is deterministic and, for a
@@ -72,7 +75,7 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
   // interference comes through three shared channels, all full-run exact:
   // cache/prefetcher CONTENT interference (later tiles see exactly what
   // earlier tiles left in L2/L3), the DMA bus (per-command windows booked
-  // on a gap-1 occupancy timeline, serialized wherever their simulated
+  // on a gap-1 span-bitmap lane, serialized wherever their simulated
   // spans overlap), and L2/L3/DRAM port slots (per-gap buckets booked on
   // full-run occupancy timelines — an earlier tile's bookings stay visible
   // to every later tile for the entire run; see common/occupancy.hpp).

@@ -222,6 +222,7 @@ class System {
   std::vector<std::unique_ptr<Tile>> tiles_;
   EnergyModel energy_model_;
   EngineConfig engine_;
+  bool fresh_ = true;  ///< no run() yet: the machine is in its constructed, cold state
 };
 
 }  // namespace hm

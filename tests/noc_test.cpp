@@ -1,16 +1,22 @@
-// NoC invariants: Manhattan routing on an idle mesh, flat vs one-tile
-// mesh/ring equivalence, the flat machine's one shared DMA port,
-// counted-never-silent per-link overflow accounting, and deterministic
-// routing across repeated runs.
+// NoC invariants: Manhattan routing on an idle mesh, the direct route walk
+// against the per-hop next_hop reference, flat vs one-tile mesh/ring
+// equivalence, the flat machine's one shared DMA port, counted-never-silent
+// per-link overflow accounting, trace lane names, and deterministic routing
+// across repeated runs.
 #include "noc/noc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/result.hpp"
 #include "driver/sweep.hpp"
 #include "memory/uncore.hpp"
+#include "obs/trace.hpp"
 #include "sim/report.hpp"
 
 namespace hm {
@@ -73,6 +79,149 @@ TEST(Noc, RingRoutesTheShorterArc) {
   EXPECT_EQ(noc.route_hops(0, 5), 3u);  // counter-clockwise is shorter
   EXPECT_EQ(noc.route_hops(0, 4), 4u);  // tie -> still 4 hops
   EXPECT_EQ(noc.route_hops(6, 1), 3u);  // wraps around
+}
+
+using Link = std::pair<unsigned, unsigned>;  ///< directed link (from, to)
+
+/// The per-hop router the direct walk replaced, kept as the reference: XY
+/// on the mesh, shorter arc (ties clockwise) on the ring, one hop at a time.
+unsigned ref_next_hop(const Noc& noc, unsigned cur, unsigned dst) {
+  if (noc.config().topology == Topology::Mesh) {
+    const unsigned x = noc.mesh_x();
+    const unsigned cx = cur % x, dx = dst % x;
+    if (cx < dx) return cur + 1;
+    if (cx > dx) return cur - 1;
+    return cur / x < dst / x ? cur + x : cur - x;
+  }
+  const unsigned n = noc.nodes();
+  const unsigned cw = (dst + n - cur) % n;
+  const unsigned ccw = n - cw;
+  return cw <= ccw ? (cur + 1) % n : (cur + n - 1) % n;
+}
+
+std::vector<Link> ref_route(const Noc& noc, unsigned src, unsigned dst) {
+  std::vector<Link> route;
+  for (unsigned cur = src; cur != dst;) {
+    const unsigned next = ref_next_hop(noc, cur, dst);
+    route.emplace_back(cur, next);
+    cur = next;
+  }
+  return route;
+}
+
+/// Link of every lane, read back from its trace name noc_l<from>_<to>.
+std::vector<Link> lane_links(const Noc& noc) {
+  std::vector<Link> links(noc.links().size());
+  for (unsigned lane = 0; lane < links.size(); ++lane) {
+    const std::string name = noc.links().name(lane);
+    EXPECT_EQ(std::sscanf(name.c_str(), "noc_l%u_%u", &links[lane].first, &links[lane].second),
+              2)
+        << name;
+  }
+  return links;
+}
+
+TEST(Noc, DirectWalkMatchesNextHopReference) {
+  struct Shape {
+    Topology topology;
+    unsigned nodes;
+    unsigned mesh_x;  // 0 = near-square auto-factor
+  };
+  std::vector<Shape> shapes = {{Topology::Mesh, 7, 0},  // prime: 1x7 line
+                               {Topology::Mesh, 4, 0},
+                               {Topology::Mesh, 15, 3},
+                               {Topology::Mesh, 16, 0},
+                               {Topology::Mesh, 256, 0}};
+  for (unsigned n = 1; n <= 9; ++n) shapes.push_back({Topology::Ring, n, 0});
+  for (const Shape& shape : shapes) {
+    NocConfig cfg;
+    cfg.topology = shape.topology;
+    cfg.mesh_x = shape.mesh_x;
+    cfg.mesh_y = shape.mesh_x != 0 ? shape.nodes / shape.mesh_x : 0;
+    Noc noc(cfg, shape.nodes);
+    SCOPED_TRACE(std::string(topology_name(shape.topology)) + " " +
+                 std::to_string(noc.mesh_x()) + "x" + std::to_string(noc.mesh_y()));
+    const std::vector<Link> links = lane_links(noc);
+    for (unsigned s = 0; s < shape.nodes; ++s) {
+      for (unsigned d = 0; d < shape.nodes; ++d) {
+        const std::vector<Link> want = ref_route(noc, s, d);
+        std::vector<Link> got;
+        const unsigned h = noc.walk(s, d, [&](unsigned lane) { got.push_back(links[lane]); });
+        ASSERT_EQ(got, want) << s << "->" << d;
+        ASSERT_EQ(h, want.size()) << s << "->" << d;
+        ASSERT_EQ(noc.route_hops(s, d), want.size()) << s << "->" << d;
+      }
+    }
+  }
+}
+
+TEST(Noc, TraverseBooksExactlyTheWalkedLinks) {
+  for (const Topology topology : {Topology::Mesh, Topology::Ring}) {
+    NocConfig cfg;
+    cfg.topology = topology;
+    Noc noc(cfg, 6);  // mesh 2x3, ring of 6
+    constexpr unsigned kFlits = 3;
+    for (unsigned s = 0; s < 6; ++s) {
+      for (unsigned d = 0; d < 6; ++d) {
+        noc.reset();  // idle network; the statistics keep accumulating
+        std::vector<std::uint64_t> before(noc.links().size());
+        for (unsigned lane = 0; lane < before.size(); ++lane)
+          before[lane] = noc.links().contention(lane).requests;
+        std::vector<std::uint64_t> want = before;
+        const unsigned h = noc.walk(s, d, [&](unsigned lane) { ++want[lane]; });
+        EXPECT_EQ(noc.traverse(s, d, Cycle{50}, kFlits),
+                  Cycle{50} + h * (cfg.hop_latency + kFlits));
+        for (unsigned lane = 0; lane < want.size(); ++lane)
+          EXPECT_EQ(noc.links().contention(lane).requests, want[lane])
+              << topology_name(topology) << " " << s << "->" << d << " lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(Noc, ZeroFlitWidthIsRejected) {
+  // flits_for divides by the flit width: a zero width must fail at
+  // construction, like bad mesh dimensions, not crash mid-run.
+  NocConfig cfg = mesh_cfg();
+  cfg.flit_bytes = 0;
+  EXPECT_THROW(Noc(cfg, 4), std::invalid_argument);
+  cfg.topology = Topology::Ring;
+  EXPECT_THROW(Noc(cfg, 4), std::invalid_argument);
+  cfg.flit_bytes = 1;
+  EXPECT_EQ(Noc(cfg, 4).flits_for(64), 64u);
+}
+
+TEST(Noc, TraceLanesKeepTheirResourceNames) {
+  // The lanes are named only when a trace needs them; the names are the
+  // res.<resource> lanes trace tooling keys on: delay spans of queued
+  // bookings, and the end-of-run contention summaries of every link and
+  // DMA port that saw traffic.
+  obs::TraceSink sink;
+  {
+    obs::ScopedThreadSink scope(&sink);
+    Noc noc(mesh_cfg(), 4);  // 2x2
+    noc.traverse(0, 1, Cycle{10}, 40);  // holds link 0 -> 1 for 40 cycles
+    noc.traverse(0, 1, Cycle{10}, 40);  // queued 40 cycles: a delay span
+
+    const HierarchyConfig hcfg;
+    SetAssocCache l1(hcfg.l1d);
+    Uncore flat(hcfg);
+    flat.register_l1(&l1);
+    flat.dma_bus_grant(0, 10, 0);
+    flat.emit_contention_trace(Cycle{1000});
+    Uncore mesh(hcfg, mesh_cfg(), 4);  // 2x2
+    mesh.dma_bus_grant(0, 10, 1);
+    mesh.traverse(2, 3, Cycle{0}, 1);  // undelayed: only the summary names it
+    mesh.emit_contention_trace(Cycle{1000});
+  }
+  const std::string json = sink.to_json();
+  EXPECT_NE(json.find("\"res.noc_l0_1\""), std::string::npos);
+  EXPECT_EQ(json.find("res.noc_l1_0"), std::string::npos);  // never delayed
+  EXPECT_NE(json.find("\"res.dma_bus\""), std::string::npos);
+  EXPECT_NE(json.find("\"res.dma_inj1\""), std::string::npos);
+  EXPECT_EQ(json.find("res.dma_inj0"), std::string::npos);  // no traffic, no summary
+  EXPECT_NE(json.find("\"res.noc_l2_3\""), std::string::npos);
+  EXPECT_EQ(json.find("res.noc_l3_2"), std::string::npos);
 }
 
 TEST(Noc, HopHistogramSumsToMessages) {

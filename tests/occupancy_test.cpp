@@ -1,12 +1,15 @@
-// Unit tests for the full-run occupancy layer (slot and span booking,
-// epoch reset, saturation, the overflow guard and the SharedResource
+// Unit tests for the full-run occupancy layer (slot booking, span booking
+// on SpanLanes checked against a per-cycle reference, epoch reset,
+// saturation, the overflow guard and the SharedResource / SharedLanes
 // contention statistics), the core's issue-slot model and the
 // write-combining behaviour of the write-through L1.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/occupancy.hpp"
+#include "common/rng.hpp"
 #include "core/ooo_core.hpp"
 #include "memory/hierarchy.hpp"
 
@@ -97,42 +100,156 @@ TEST(OccupancyTimeline, OverflowPastHorizonIsGrantedButFlagged) {
   EXPECT_FALSE(t.book(0).overflow);
 }
 
-TEST(OccupancyTimeline, SpanBookingPushesPastOverlap) {
-  OccupancyTimeline t(1);
-  EXPECT_EQ(t.book_span(10, 5).start, 10u);   // [10,15)
-  EXPECT_EQ(t.book_span(12, 4).start, 15u);   // overlaps -> pushed to the end
-  EXPECT_EQ(t.book_span(0, 10).start, 0u);    // the earlier gap is still free
-  EXPECT_EQ(t.book_span(0, 2).start, 19u);    // everything before is booked
+TEST(SpanLanes, SpanBookingPushesPastOverlap) {
+  SpanLanes t(1);
+  EXPECT_EQ(t.book(0, 10, 5).start, 10u);   // [10,15)
+  EXPECT_EQ(t.book(0, 12, 4).start, 15u);   // overlaps -> pushed to the end
+  EXPECT_EQ(t.book(0, 0, 10).start, 0u);    // the earlier gap is still free
+  EXPECT_EQ(t.book(0, 0, 2).start, 19u);    // everything before is booked
 }
 
-TEST(OccupancyTimeline, SpanBookingFitsIntoGapsBetweenWindows) {
-  OccupancyTimeline t(1);
-  t.book_span(0, 4);    // [0,4)
-  t.book_span(10, 4);   // [10,14)
-  const auto fit = t.book_span(0, 6);       // exactly fills [4,10)
+TEST(SpanLanes, SpanBookingFitsIntoGapsBetweenWindows) {
+  SpanLanes t(1);
+  t.book(0, 0, 4);    // [0,4)
+  t.book(0, 10, 4);   // [10,14)
+  const auto fit = t.book(0, 0, 6);       // exactly fills [4,10)
   EXPECT_EQ(fit.start, 4u);
-  EXPECT_EQ(fit.skipped, 4u);               // only the BUSY buckets [0,4)
-  const auto tail = t.book_span(0, 1);      // nothing left before 14
+  EXPECT_EQ(fit.skipped, 4u);             // only the BUSY buckets [0,4)
+  const auto tail = t.book(0, 0, 1);      // nothing left before 14
   EXPECT_EQ(tail.start, 14u);
-  EXPECT_EQ(tail.skipped, 14u);             // [0,14) is now solidly busy
+  EXPECT_EQ(tail.skipped, 14u);           // [0,14) is now solidly busy
 }
 
-TEST(OccupancyTimeline, SpanSkippedCountsBusyBucketsNotFreeGaps) {
+TEST(SpanLanes, SpanSkippedCountsBusyBucketsNotFreeGaps) {
   // Free gaps too small for the span are not backlog: the depth statistic
   // must count occupied buckets only, matching the slot-mode unit.
-  OccupancyTimeline t(1);
-  t.book_span(0, 4);    // [0,4)
-  t.book_span(6, 4);    // [6,10)  — a 2-cycle free gap at [4,6)
-  const auto b = t.book_span(0, 3);
+  SpanLanes t(1);
+  t.book(0, 0, 4);    // [0,4)
+  t.book(0, 6, 4);    // [6,10)  — a 2-cycle free gap at [4,6)
+  const auto b = t.book(0, 0, 3);
   EXPECT_EQ(b.start, 10u);
   EXPECT_EQ(b.skipped, 8u);  // 4 + 4 busy buckets; the gap [4,6) is free
 }
 
-TEST(OccupancyTimeline, SpanBookingCrossesChunkBoundaries) {
-  OccupancyTimeline t(1);
-  const Cycle len = 10'000;  // > 2 chunks of 4096 buckets
-  EXPECT_EQ(t.book_span(100, len).start, 100u);
-  EXPECT_EQ(t.book_span(100, 1).start, 100u + len);
+TEST(SpanLanes, SpanBookingCrossesChunkBoundaries) {
+  SpanLanes t(1);
+  const Cycle len = 10'000;  // > 2 blocks of 4096 cycles
+  EXPECT_EQ(t.book(0, 100, len).start, 100u);
+  EXPECT_EQ(t.book(0, 100, 1).start, 100u + len);
+}
+
+TEST(SpanLanes, LanesAreIndependent) {
+  SpanLanes t(3);
+  EXPECT_EQ(t.book(0, 10, 5).start, 10u);
+  EXPECT_EQ(t.book(1, 10, 5).start, 10u);  // another lane: no queueing
+  EXPECT_EQ(t.book(2, 12, 2).start, 12u);
+  EXPECT_EQ(t.book(1, 10, 5).start, 15u);
+  EXPECT_EQ(t.book(0, 0, 0).start, 0u);     // an empty span books nothing
+  EXPECT_EQ(t.book(0, 0, 10).start, 0u);
+}
+
+/// Per-cycle reference for SpanLanes: one std::vector<bool> per lane over
+/// the window [base, base + size), searched one cycle at a time.  Cycles at
+/// or past the horizon are never booked, exactly like the real bitmap.
+class NaiveLanes {
+ public:
+  NaiveLanes(unsigned lanes, std::uint64_t base, std::uint64_t size)
+      : base_(base), busy_(lanes, std::vector<bool>(size, false)) {}
+
+  Booking book(unsigned lane, Cycle when, Cycle len) {
+    if (len == 0) return Booking{when, 0, false};
+    std::uint64_t p = when;
+    for (;;) {
+      if (p + len > kHorizon) return Booking{when, 0, true};
+      std::uint64_t q = p;
+      while (q < p + len && !is_busy(lane, q)) ++q;
+      if (q == p + len) break;
+      p = q + 1;  // the span cannot start at or before the busy cycle q
+    }
+    std::uint64_t skipped = 0;
+    for (std::uint64_t c = when; c < p; ++c) skipped += is_busy(lane, c) ? 1 : 0;
+    for (std::uint64_t c = p; c < p + len; ++c) bit(lane, c) = true;
+    return Booking{p, skipped, false};
+  }
+
+  void reset() {
+    for (auto& lane : busy_) std::fill(lane.begin(), lane.end(), false);
+  }
+
+ private:
+  static constexpr std::uint64_t kHorizon = SpanLanes::max_buckets();
+
+  bool is_busy(unsigned lane, std::uint64_t c) {
+    return c < kHorizon && bit(lane, c);
+  }
+  std::vector<bool>::reference bit(unsigned lane, std::uint64_t c) {
+    EXPECT_GE(c, base_);
+    EXPECT_LT(c - base_, busy_[lane].size()) << "reference window too small";
+    return busy_[lane][c - base_];
+  }
+
+  std::uint64_t base_;
+  std::vector<std::vector<bool>> busy_;
+};
+
+/// A request cycle in [lo, lo + range), biased onto the word (63/64) and
+/// block (4095/4096) edges of the time-major layout.
+Cycle edgy_cycle(Rng& rng, std::uint64_t lo, std::uint64_t range) {
+  const std::uint64_t c = lo + rng.below(range);
+  switch (rng.below(4)) {
+    case 0: return (c & ~std::uint64_t{63}) + 63 + rng.below(3) - 1;      // 62..64
+    case 1: return (c & ~std::uint64_t{4095}) + 4095 + rng.below(3) - 1;  // 4094..4096
+    default: return c;
+  }
+}
+
+/// Books @p n random spans (len 1..300) on both bitmaps and requires
+/// identical start/skipped/overflow for every booking.
+void expect_same_bookings(SpanLanes& real, NaiveLanes& ref, Rng& rng, unsigned lanes,
+                          std::uint64_t lo, std::uint64_t range, int n) {
+  for (int i = 0; i < n; ++i) {
+    const unsigned lane = static_cast<unsigned>(rng.below(lanes));
+    const Cycle when = edgy_cycle(rng, lo, range);
+    const Cycle len = 1 + rng.below(300);
+    const Booking a = real.book(lane, when, len);
+    const Booking b = ref.book(lane, when, len);
+    ASSERT_EQ(a.start, b.start) << "booking " << i << " lane " << lane << " at " << when
+                                << " len " << len;
+    ASSERT_EQ(a.skipped, b.skipped) << "booking " << i;
+    ASSERT_EQ(a.overflow, b.overflow) << "booking " << i;
+  }
+}
+
+TEST(SpanLanes, MatchesPerCycleReferenceOnRandomStreams) {
+  constexpr unsigned kLanes = 5;
+  Rng rng(0x5A4Eu);
+  SpanLanes real(kLanes);
+  NaiveLanes ref(kLanes, 0, 1 << 20);
+  // Sparse (mostly fast-path) then dense (long pushes across words and
+  // blocks, carried runs, busy popcounts) traffic on the same lanes.
+  expect_same_bookings(real, ref, rng, kLanes, 0, 200'000, 2000);
+  expect_same_bookings(real, ref, rng, kLanes, 0, 40'000, 1500);
+  // After reset() every lane is free again, recycled blocks included.
+  real.reset();
+  ref.reset();
+  expect_same_bookings(real, ref, rng, kLanes, 0, 20'000, 1500);
+}
+
+TEST(SpanLanes, MatchesPerCycleReferenceAtTheHorizon) {
+  constexpr unsigned kLanes = 2;
+  const std::uint64_t h = SpanLanes::max_buckets();
+  Rng rng(0x40A1u);
+  SpanLanes real(kLanes);
+  NaiveLanes ref(kLanes, h - 20'000, 20'000);
+  // Requests straddle the horizon: spans that would end past it overflow
+  // (granted at the request cycle, nothing booked), the rest book exactly.
+  expect_same_bookings(real, ref, rng, kLanes, h - 12'000, 12'100, 1500);
+  real.reset();
+  ref.reset();
+  expect_same_bookings(real, ref, rng, kLanes, h - 4'000, 4'100, 500);
+  const Booking far = real.book(0, h + 17, 1);
+  EXPECT_TRUE(far.overflow);
+  EXPECT_EQ(far.start, h + 17);  // served as if free — but never silently
 }
 
 TEST(SharedResource, ContentionStatisticsAccumulate) {
@@ -170,10 +287,31 @@ TEST(SharedResource, ResetStatsClearsCountersButKeepsBookings) {
 TEST(SharedResource, OverflowCounterTracksHorizonBreaches) {
   SharedResource r("bus", 1);
   r.book(OccupancyTimeline::max_buckets() + 1);
-  r.book_span(OccupancyTimeline::max_buckets() - 1, 8);
+  r.book(OccupancyTimeline::max_buckets() + 9);
   EXPECT_EQ(r.contention().overflows, 2u);
   r.book(0);
   EXPECT_EQ(r.contention().overflows, 2u);
+}
+
+TEST(SharedLanes, PerLaneStatisticsAndOverflowCounter) {
+  SharedLanes lanes(2, [](unsigned k) { return "lane" + std::to_string(k); });
+  EXPECT_EQ(lanes.book(0, 10, 4), 10u);
+  EXPECT_EQ(lanes.book(0, 10, 4), 14u);  // queued behind [10,14)
+  EXPECT_EQ(lanes.book(1, 10, 4), 10u);
+  lanes.book(1, SpanLanes::max_buckets() - 1, 8);  // ends past the horizon
+  EXPECT_EQ(lanes.contention(0),
+            (Contention{.requests = 2, .delayed = 1, .queue_cycles = 4,
+                        .peak_occupancy = 4, .overflows = 0}));
+  EXPECT_EQ(lanes.contention(1).overflows, 1u);
+  EXPECT_EQ(lanes.total().requests, 4u);
+  EXPECT_EQ(lanes.total().overflows, 1u);
+  EXPECT_EQ(lanes.name(1), "lane1");
+  // reset_stats() keeps the bookings; reset() frees them.
+  lanes.reset_stats();
+  EXPECT_EQ(lanes.total(), Contention{});
+  EXPECT_EQ(lanes.book(0, 10, 1), 18u);
+  lanes.reset();
+  EXPECT_EQ(lanes.book(0, 10, 1), 10u);
 }
 
 TEST(SharedResource, MultiTileSlowdownIsMonotonicInCoreCount) {

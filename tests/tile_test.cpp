@@ -156,7 +156,9 @@ TEST(Tile, SingleProgramOnAMulticoreMatchesTheSingleCoreMachine) {
 TEST(Tile, RepeatedMultiTileRunsAreColdAndIdentical) {
   // Cold-machine guarantee per tile: the same SPMD program set run twice on
   // one System must serialize to identical bytes (stats, uncore pools and
-  // DMA bus windows all reset).
+  // DMA bus windows all reset).  A System's first run skips the reset — its
+  // constructors already left it cold — so each case below also checks
+  // that the never-reset first run equals the reset second one.
   const auto run_twice = [](System& sys, const std::vector<InstrStream*>& progs) {
     const RunReport first = sys.run(progs);
     EXPECT_EQ(serialized(first), serialized(sys.run(progs)));
@@ -194,6 +196,50 @@ TEST(Tile, RepeatedMultiTileRunsAreColdAndIdentical) {
     VecStream p0(ops0), idle1, idle2, p3(ops3);
     const RunReport r = run_twice(sys, {&p0, &idle1, &idle2, &p3});
     EXPECT_GT(r.dram.requests, 0u);
+  }
+  {
+    // Flat single-tile hybrid run that dirties the branch predictor (taken
+    // branches train the BTB), the DMA bus (a dma-get and a dma-put book
+    // windows) and the LM/directory.
+    const MachineConfig cfg = MachineConfig::hybrid_coherent();
+    System sys(cfg, 1);
+    std::vector<MicroOp> ops = {VecStream::dir_config(1024),
+                                VecStream::dma_get(0x40'0000, cfg.lm.virtual_base, 1024, 1),
+                                VecStream::dma_synch(0x2)};
+    for (int i = 0; i < 32; ++i) {
+      ops.push_back(VecStream::gload(0x40'0008 + 8 * i, 2));
+      ops.push_back(VecStream::load(0x300'0000 + 0x140 * i, 3));
+      ops.push_back(VecStream::branch(i % 4 != 3, 0x500 + 4 * (i % 8)));
+    }
+    ops.push_back(VecStream::dma_put(cfg.lm.virtual_base, 0x50'0000, 1024, 2));
+    ops.push_back(VecStream::dma_synch(0x4));
+    VecStream p(ops);
+    const RunReport r = run_twice(sys, {&p});
+    EXPECT_GT(r.dma_bus.requests, 0u);
+    EXPECT_GT(r.activity.branches, 0u);
+  }
+  {
+    // A 4-tile ring: link lanes, per-tile DMA injection ports and the
+    // sharer filter must start cold on the first run as on every later one.
+    MachineConfig cfg = MachineConfig::hybrid_coherent();
+    cfg.noc.topology = Topology::Ring;
+    System sys(cfg, 4);
+    std::vector<std::vector<MicroOp>> ops(4);
+    for (unsigned t = 0; t < 4; ++t) {
+      ops[t].push_back(VecStream::dir_config(1024));
+      ops[t].push_back(VecStream::dma_get(0x40'0000 + 0x1'0000 * t, cfg.lm.virtual_base, 512, 1));
+      ops[t].push_back(VecStream::dma_synch(0x2));
+      for (int i = 0; i < 24; ++i) {
+        ops[t].push_back(VecStream::load(0x100'0000 + 64 * (4 * i + t), 1));
+        ops[t].push_back(VecStream::store(0x200'0000 + 64 * (4 * i + t), 1));
+      }
+      ops[t].push_back(VecStream::dma_put(cfg.lm.virtual_base, 0x100'0000 + 0x40 * t, 256, 2));
+      ops[t].push_back(VecStream::dma_synch(0x4));
+    }
+    VecStream p0(ops[0]), p1(ops[1]), p2(ops[2]), p3(ops[3]);
+    const RunReport r = run_twice(sys, {&p0, &p1, &p2, &p3});
+    EXPECT_GT(r.noc_hops, 0u);
+    EXPECT_GT(r.noc_links.requests, 0u);
   }
 }
 
