@@ -19,18 +19,22 @@ else
 fi
 
 # Sweep-driver smoke: the Fig. 7 experiment on two workers exercises the
-# scheduler, the registries and the renderer end to end.  The `run`
+# point pool, the registries and the renderer end to end.  The `run`
 # subcommand is mandatory (hm_sweep errors without it), so this invocation
 # and ci.yml's can no longer drift apart.
 (cd build && ./hm_sweep run --filter fig7 --jobs 2 --no-cache --quiet)
 
-# Observability smoke: the same experiment with tracing + metrics on, then
-# the trace validator and the metrics-name lint over the artifacts.
+# Observability smoke: the same experiment with tracing and the per-point
+# progress callback on; its JSON/CSV must equal the untraced run's byte for
+# byte, then the trace validator checks the artifacts.
 rm -rf build/obs_smoke
 (cd build && ./hm_sweep run --filter fig7 --jobs 2 --no-cache --no-journal \
-  --quiet --trace-dir obs_smoke/traces --metrics-out obs_smoke/metrics.prom)
+  --quiet --out obs_smoke/ref > /dev/null)
+(cd build && ./hm_sweep run --filter fig7 --jobs 2 --no-cache --no-journal \
+  --progress --out obs_smoke/out --trace-dir obs_smoke/traces > /dev/null)
+diff build/obs_smoke/ref/fig7.json build/obs_smoke/out/fig7.json
+diff build/obs_smoke/ref/fig7.csv build/obs_smoke/out/fig7.csv
 python3 scripts/trace_summary.py build/obs_smoke/traces --quiet
-python3 scripts/metrics_lint.py build/obs_smoke/metrics.prom
 
 # Sampled trace: the sampler's detail/fast-forward spans must nest cleanly
 # next to the per-tile phase spans.

@@ -8,7 +8,6 @@
 
 #include "common/hash.hpp"
 #include "driver/faults.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hm::driver {
@@ -16,20 +15,6 @@ namespace hm::driver {
 namespace {
 
 constexpr char kMagic[] = "J1 ";  // record format tag + space
-
-// Builtin families pre-registered in register_builtin_metrics(); these
-// lookups only resolve existing instances, never register on a hot path.
-obs::Counter& journal_written_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "hm_journal_records_written_total", "");
-  return c;
-}
-
-obs::Counter& journal_skipped_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "hm_journal_records_skipped_total", "");
-  return c;
-}
 
 std::string journal_path(const std::string& dir, const std::string& experiment) {
   return dir + "/" + experiment + ".jsonl";
@@ -70,7 +55,6 @@ void SweepJournal::append(const PointResult& r) {
   }
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
-  journal_written_counter().inc();
   if (obs::TraceSink* s = obs::sweep_sink()) {
     const auto lane = s->lane(obs::TraceSink::Track::Wall, "journal");
     s->instant(obs::TraceSink::Track::Wall, lane, "journal.append",
@@ -146,7 +130,6 @@ std::vector<PointResult> SweepJournal::load(const std::string& dir,
     }
   }
   if (skipped != nullptr) *skipped = bad;
-  if (bad != 0) journal_skipped_counter().inc(static_cast<double>(bad));
   return out;
 }
 

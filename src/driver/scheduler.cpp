@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -21,110 +19,51 @@ std::string describe_current_exception() {
   }
 }
 
-struct WorkerQueue {
-  std::mutex mu;
-  std::deque<std::size_t> q;
-};
-
 }  // namespace
 
-SweepScheduler::SweepScheduler(unsigned jobs) : jobs_(jobs == 0 ? auto_jobs() : jobs) {}
-
-unsigned SweepScheduler::auto_jobs() {
+unsigned auto_jobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }
 
-std::vector<std::string> SweepScheduler::run(std::size_t n, const Body& body,
-                                             const Progress& progress) {
+std::vector<std::string> run_indexed(unsigned jobs, std::size_t n,
+                                     const IndexedBody& body,
+                                     const IndexedProgress& progress) {
   std::vector<std::string> errors(n);
-  if (n == 0) return errors;
+  std::mutex progress_mu;
+  std::size_t done = 0;  // guarded by progress_mu
 
-  const auto guarded = [&](std::size_t i) {
+  const auto finish = [&](std::size_t i, unsigned worker) {
     try {
-      body(i);
+      body(i, worker);
     } catch (...) {
       errors[i] = describe_current_exception();
     }
-  };
-
-  // Progress is observability, not control flow: a throwing callback must
-  // not kill a worker thread (std::terminate) or poison a job's error slot,
-  // so it gets its own catch-all, separate from the body's.
-  const auto guarded_progress = [&](std::size_t done_count) {
+    if (!progress) return;
+    // Progress is observability, not control flow: a throwing callback must
+    // not kill a worker thread (std::terminate) or poison a job's error
+    // slot.  Counting inside the lock keeps reported counts monotonic.
+    const std::lock_guard<std::mutex> lock(progress_mu);
     try {
-      progress(done_count, n);
+      progress(i, ++done, n);
     } catch (...) {
     }
   };
 
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(jobs_, n));
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      guarded(i);
-      if (progress) guarded_progress(i + 1);
-    }
+    for (std::size_t i = 0; i < n; ++i) finish(i, 0);
     return errors;
   }
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues;
-  queues.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) queues.push_back(std::make_unique<WorkerQueue>());
-  for (std::size_t i = 0; i < n; ++i) queues[i % workers]->q.push_back(i);
-
-  std::size_t done = 0;  // guarded by progress_mu
-  std::mutex progress_mu;
-
-  const auto worker = [&](unsigned self) {
-    WorkerQueue& own = *queues[self];
-    for (;;) {
-      std::size_t idx;
-      bool have = false;
-      {
-        const std::lock_guard<std::mutex> lock(own.mu);
-        if (!own.q.empty()) {
-          idx = own.q.front();
-          own.q.pop_front();
-          have = true;
-        }
-      }
-      if (!have) {
-        // Steal the back half of the first non-empty victim queue.
-        for (unsigned off = 1; off < workers && !have; ++off) {
-          WorkerQueue& victim = *queues[(self + off) % workers];
-          std::scoped_lock lock(victim.mu, own.mu);
-          if (victim.q.empty()) continue;
-          const std::size_t grab = (victim.q.size() + 1) / 2;
-          for (std::size_t g = 0; g < grab; ++g) {
-            own.q.push_front(victim.q.back());
-            victim.q.pop_back();
-          }
-          idx = own.q.front();
-          own.q.pop_front();
-          have = true;
-        }
-      }
-      if (!have) {
-        // Every queue was empty at inspection.  Jobs never enqueue new
-        // work and only a queue's owner pushes into it (steals land in the
-        // thief's own queue), so our queue stays empty once seen empty:
-        // all unfinished jobs are already claimed by running workers, and
-        // this worker can exit instead of spinning on the sweep's tail.
-        return;
-      }
-      guarded(idx);
-      if (progress) {
-        // Count inside the lock so reported counts are monotonic.
-        const std::lock_guard<std::mutex> lock(progress_mu);
-        guarded_progress(++done);
-      }
-    }
-  };
-
+  std::atomic<std::size_t> next{0};
   std::vector<std::thread> threads;
   threads.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) threads.emplace_back(worker, w);
+  for (unsigned w = 0; w < workers; ++w)
+    threads.emplace_back([&, w] {
+      for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
+        finish(i, w);
+    });
   for (auto& t : threads) t.join();
   return errors;
 }

@@ -1,7 +1,6 @@
 #include "driver/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "driver/journal.hpp"
 #include "driver/registry.hpp"
 #include "driver/scheduler.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "workloads/microbench.hpp"
 
@@ -192,7 +190,7 @@ namespace {
 
 /// One point, isolated: the fault-injection hook, a single attempt and the
 /// error taxonomy.  Never throws — every failure lands in the returned
-/// PointResult so the scheduler slot stays clean and the sweep continues.
+/// PointResult so the pool's error slot stays clean and the sweep continues.
 /// A point is a pure function of its identity, so a failure is final.
 PointResult run_point_isolated(const SweepPoint& p, const EngineConfig& engine) {
   PointResult r;
@@ -217,50 +215,6 @@ PointResult run_point_isolated(const SweepPoint& p, const EngineConfig& engine) 
     fail(ErrorClass::Engine, e.what());
   }
   return r;
-}
-
-/// Builtin metric handles resolved once per sweep (registration happened in
-/// MetricsRegistry::global(); these lookups only find existing instances).
-struct SweepMetrics {
-  obs::Counter& points = reg().counter("hm_sweep_points_total", "");
-  obs::Counter& failures = reg().counter("hm_sweep_point_failures_total", "");
-  obs::Counter& timeouts = reg().counter("hm_sweep_point_timeouts_total", "");
-  obs::Counter& cache_hits = reg().counter("hm_sweep_cache_hits_total", "");
-  obs::Counter& cache_misses = reg().counter("hm_sweep_cache_misses_total", "");
-  obs::Gauge& cache_ratio = reg().gauge("hm_sweep_cache_hit_ratio", "");
-  obs::Gauge& workers = reg().gauge("hm_scheduler_workers", "");
-  obs::Gauge& queue_depth = reg().gauge("hm_scheduler_queue_depth", "");
-  obs::Gauge& utilization =
-      reg().gauge("hm_scheduler_worker_utilization_ratio", "");
-  obs::Histogram& wall = reg().histogram("hm_point_wall_seconds", "", {});
-  obs::Histogram& ph_setup =
-      reg().histogram("hm_point_phase_seconds", "", {}, "phase=\"setup\"");
-  obs::Histogram& ph_codegen =
-      reg().histogram("hm_point_phase_seconds", "", {}, "phase=\"codegen\"");
-  obs::Histogram& ph_simulate =
-      reg().histogram("hm_point_phase_seconds", "", {}, "phase=\"simulate\"");
-  obs::Histogram& ph_serialize =
-      reg().histogram("hm_point_phase_seconds", "", {}, "phase=\"serialize\"");
-  obs::Counter& occ_delay =
-      reg().counter("hm_occupancy_delay_cycles_total", "");
-  obs::Counter& sim_cycles = reg().counter("hm_sim_cycles_total", "");
-  obs::Histogram& sampled_fraction = reg().histogram("hm_sampled_fraction", "", {});
-  obs::Histogram& sample_error = reg().histogram("hm_sample_error", "", {});
-  obs::Counter& noc_msgs = reg().counter("hm_noc_messages_total", "");
-  obs::Counter& noc_hops = reg().counter("hm_noc_hops_total", "");
-  obs::Counter& noc_flits = reg().counter("hm_noc_flits_total", "");
-  obs::Counter& noc_queue = reg().counter("hm_noc_link_queue_cycles_total", "");
-
- private:
-  static obs::MetricsRegistry& reg() { return obs::MetricsRegistry::global(); }
-};
-
-/// Sweep-trace worker lanes: one display row per OS thread that ever ran a
-/// point.  The id is process-lifetime (lanes are stable across sweeps).
-unsigned worker_lane_id() {
-  static std::atomic<unsigned> seq{0};
-  thread_local unsigned id = seq.fetch_add(1, std::memory_order_relaxed);
-  return id;
 }
 
 /// trace_dir/<experiment>/profile.json: per-point phase attribution (wall
@@ -353,11 +307,8 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   std::vector<char> resolved(points.size(), 0);
 
   // Observability setup.  The sweep sink collects driver-level events; each
-  // executed point gets its own sink (and file) inside the scheduler body so
-  // concurrent points never interleave their engine timelines.  Metric
-  // handles resolve to pre-registered builtins — no registration happens on
-  // worker threads, keeping exposition order deterministic.
-  SweepMetrics mx;
+  // executed point gets its own sink (and file) inside the pool body so
+  // concurrent points never interleave their engine timelines.
   std::string trace_exp_dir;
   std::unique_ptr<obs::TraceSink> sweep_trace;
   if (!opt.trace_dir.empty()) {
@@ -381,7 +332,8 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   // experiment/index/label exactly like a cache hit does.
   if (opt.resume && !journal_dir.empty()) {
     std::unordered_map<std::string, PointResult> prior;
-    for (PointResult& rec : SweepJournal::load(journal_dir, spec.name))
+    for (PointResult& rec :
+         SweepJournal::load(journal_dir, spec.name, &out.journal_skipped))
       prior[rec.point.canonical()] = std::move(rec);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto it = prior.find(points[i].canonical());
@@ -429,21 +381,15 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
     }
   }
 
-  std::atomic<double> busy_seconds{0.0};
-  std::atomic<bool> observer_armed{static_cast<bool>(opt.point_observer)};
-  SweepScheduler scheduler(opt.jobs);
-  mx.workers.set(static_cast<double>(scheduler.jobs()));
-  mx.queue_depth.set(static_cast<double>(todo.size()));
-  // Queue depth rides the existing exception-guarded progress callback; the
-  // user's callback (if any) is chained after the gauge update.
-  const SweepScheduler::Progress progress =
-      [&mx, user = opt.progress](std::size_t done, std::size_t total) {
-        mx.queue_depth.set(static_cast<double>(total - done));
-        if (user) user(done, total);
-      };
-  const std::vector<std::string> errors = scheduler.run(
-      todo.size(),
-      [&](std::size_t t) {
+  const unsigned jobs = opt.jobs == 0 ? auto_jobs() : opt.jobs;
+  IndexedProgress progress;
+  if (opt.progress)
+    progress = [&](std::size_t t, std::size_t done, std::size_t total) {
+      opt.progress(out.points[todo[t]], done, total);
+    };
+  const std::vector<std::string> errors = run_indexed(
+      jobs, todo.size(),
+      [&](std::size_t t, unsigned worker) {
         const std::size_t i = todo[t];
         const auto pt_begin = std::chrono::steady_clock::now();
         // Per-point trace sink: installed thread-locally for the duration
@@ -467,40 +413,11 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
           r.profile.serialize_seconds =
               std::chrono::duration<double>(pt_end - ser_begin).count();
 
-        const double pt_secs =
-            std::chrono::duration<double>(pt_end - pt_begin).count();
-        busy_seconds.fetch_add(pt_secs, std::memory_order_relaxed);
-        mx.points.inc();
-        mx.wall.observe(pt_secs);
-        if (r.profile.measured) {
-          mx.ph_setup.observe(r.profile.setup_seconds);
-          mx.ph_codegen.observe(r.profile.codegen_seconds);
-          mx.ph_simulate.observe(r.profile.simulate_seconds);
-          mx.ph_serialize.observe(r.profile.serialize_seconds);
-        }
-        mx.sim_cycles.inc(static_cast<double>(r.report.cycles()));
-        if (opt.engine.sampling.enabled()) {
-          mx.sampled_fraction.observe(r.report.sampled_fraction);
-          mx.sample_error.observe(r.report.sample_error);
-        }
-        mx.occ_delay.inc(static_cast<double>(
-            r.report.l2_port.queue_cycles + r.report.l3_port.queue_cycles +
-            r.report.dram.queue_cycles + r.report.dma_bus.queue_cycles +
-            r.report.noc_links.queue_cycles));
-        if (r.report.noc_nodes != 0) {
-          mx.noc_msgs.inc(static_cast<double>(r.report.noc_msgs));
-          mx.noc_hops.inc(static_cast<double>(r.report.noc_hops));
-          mx.noc_flits.inc(static_cast<double>(r.report.noc_flits));
-          mx.noc_queue.inc(
-              static_cast<double>(r.report.noc_links.queue_cycles));
-        }
-
         if (sweep_trace) {
-          // Scheduler job lifecycle: one span per point on this worker's
-          // lane of the sweep timeline.
+          // Job lifecycle: one span per point on this worker's lane of the
+          // sweep timeline.
           char lane_name[24];
-          std::snprintf(lane_name, sizeof lane_name, "worker%u",
-                        worker_lane_id());
+          std::snprintf(lane_name, sizeof lane_name, "worker%u", worker);
           const auto lane =
               sweep_trace->lane(obs::TraceSink::Track::Wall, lane_name);
           sweep_trace->span(obs::TraceSink::Track::Wall, lane,
@@ -534,21 +451,14 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
           std::snprintf(fname, sizeof fname, "point_%04zu.trace.json", i);
           point_trace->write_file(trace_exp_dir + "/" + fname);
         }
-        if (observer_armed.load(std::memory_order_relaxed)) {
-          try {
-            opt.point_observer(r);
-          } catch (...) {
-            observer_armed.store(false, std::memory_order_relaxed);
-          }
-        }
       },
       progress);
 
   for (std::size_t t = 0; t < todo.size(); ++t) {
     const std::size_t i = todo[t];
     if (!errors[t].empty()) {
-      // Backstop: run_point_isolated never throws, so this is scheduler-
-      // level breakage (e.g. a throwing progress callback's debris).
+      // Backstop: run_point_isolated never throws, so this is driver-level
+      // breakage around it (a journal append or a trace write).
       out.points[i] = PointResult{};
       out.points[i].point = points[i];
       out.points[i].error = errors[t];
@@ -579,18 +489,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
     out.serialize_seconds += r.profile.serialize_seconds;
   }
 
-  // Sweep-level metrics: counters accumulate across sweeps in one process;
-  // gauges reflect the last sweep.
-  mx.failures.inc(static_cast<double>(out.failures));
-  mx.timeouts.inc(static_cast<double>(out.timeouts));
-  mx.cache_hits.inc(static_cast<double>(out.cache_hits));
-  mx.cache_misses.inc(static_cast<double>(todo.size()));
-  mx.queue_depth.set(0.0);
-  const std::size_t looked_up = out.cache_hits + todo.size();
-  if (looked_up != 0)
-    mx.cache_ratio.set(static_cast<double>(out.cache_hits) /
-                       static_cast<double>(looked_up));
-
   // Clean completion: compact the journal to exactly the final result set,
   // so repeated journaled runs stay O(points) and a later --resume replays
   // everything instantly.
@@ -598,11 +496,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
 
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  const double worker_span =
-      static_cast<double>(scheduler.jobs()) * out.wall_seconds;
-  if (worker_span > 0.0)
-    mx.utilization.set(std::min(
-        1.0, busy_seconds.load(std::memory_order_relaxed) / worker_span));
 
   // Trace artifacts last, so they capture the whole sweep.
   if (!trace_exp_dir.empty()) {

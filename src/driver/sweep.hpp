@@ -1,5 +1,5 @@
 // Sweep orchestration: expand a spec, resolve memo-cache hits, run the
-// remaining points on the work-stealing scheduler, and emit tables /
+// remaining points on the atomic-index pool (run_indexed), and emit tables /
 // JSON / CSV.  The correctness anchor: for any experiment, the per-point
 // results (and therefore every emitted byte) are identical for any
 // `jobs` value and any cache state.
@@ -51,7 +51,13 @@ struct SweepOptions {
   /// flat default stays byte-identical), anything else is recorded in the
   /// point's knob map and therefore in cache/journal keys.
   std::map<std::string, std::string> knob_overrides;
-  std::function<void(std::size_t done, std::size_t total)> progress;
+  /// Called once per EXECUTED point (not cache hits or resumed replays),
+  /// after that point's journal append, with the monotonic count of
+  /// executed points so far.  Serialized under one mutex, so the callback
+  /// may keep plain (non-atomic) state; anything it throws is swallowed
+  /// and it keeps being called — observability never fails a sweep.
+  std::function<void(const PointResult&, std::size_t done, std::size_t total)>
+      progress;
 
   /// Engine for every executed point (see hm::EngineConfig).  Elided from
   /// the canonical point identity — cache and journal keys are engine-
@@ -79,10 +85,6 @@ struct SweepOptions {
   // per-point phase attribution.  Tracing never perturbs simulated results
   // — emitted JSON/CSV is byte-identical with tracing on or off.
   std::string trace_dir;  ///< "" = tracing off
-  /// Per-point callback after every EXECUTED point (not cache hits), from
-  /// worker threads.  Exception-guarded like `progress`: a throwing
-  /// observer is disarmed for the rest of the sweep, never kills a worker.
-  std::function<void(const PointResult&)> point_observer;
 };
 
 struct SweepOutcome {
@@ -92,6 +94,7 @@ struct SweepOutcome {
   std::size_t failures = 0;       ///< quarantined points (any error class)
   std::size_t timeouts = 0;       ///< subset of failures: ErrorClass::Timeout
   std::size_t resumed = 0;        ///< points replayed from the journal
+  std::size_t journal_skipped = 0;  ///< torn/corrupt/stale journal records (--resume)
   std::size_t cache_corrupt = 0;  ///< corrupt memo-cache files (degraded to misses)
   std::size_t stale_entries = 0;  ///< memo-cache entries skipped: older engine version
   double wall_seconds = 0.0;  ///< diagnostics only; never serialized

@@ -1,5 +1,5 @@
 // Driver subsystem tests: spec expansion and seed derivation, the
-// work-stealing scheduler (coverage + failure isolation), the parallel ==
+// atomic-index pool (coverage + failure isolation), the parallel ==
 // serial bit-identity invariant, JSON round-tripping, and the memo cache.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -97,9 +98,8 @@ TEST(Experiment, DefaultKnobValuesAreElided) {
 TEST(Scheduler, RunsEveryJobExactlyOnce) {
   const std::size_t n = 257;
   std::vector<std::atomic<int>> hits(n);
-  SweepScheduler sched(8);
   const std::vector<std::string> errors =
-      sched.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      run_indexed(8, n, [&](std::size_t i, unsigned) { hits[i].fetch_add(1); });
   ASSERT_EQ(errors.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
@@ -110,8 +110,7 @@ TEST(Scheduler, RunsEveryJobExactlyOnce) {
 TEST(Scheduler, IsolatesThrowingJobs) {
   const std::size_t n = 64;
   std::atomic<int> completed{0};
-  SweepScheduler sched(4);
-  const std::vector<std::string> errors = sched.run(n, [&](std::size_t i) {
+  const std::vector<std::string> errors = run_indexed(4, n, [&](std::size_t i, unsigned) {
     if (i % 3 == 0) throw std::runtime_error("boom " + std::to_string(i));
     completed.fetch_add(1);
   });
@@ -133,8 +132,7 @@ TEST(Scheduler, ManyThrowingJobsUnderContentionKeepExactErrorSlots) {
   // own slot with its exact message — no loss, no cross-slot smearing.
   const std::size_t n = 400;
   std::atomic<int> completed{0};
-  SweepScheduler sched(8);
-  const std::vector<std::string> errors = sched.run(n, [&](std::size_t i) {
+  const std::vector<std::string> errors = run_indexed(8, n, [&](std::size_t i, unsigned) {
     if (i % 7 == 0) std::this_thread::sleep_for(std::chrono::microseconds(i % 50));
     if (i % 2 == 0) throw std::runtime_error("err " + std::to_string(i));
     completed.fetch_add(1);
@@ -154,12 +152,12 @@ TEST(Scheduler, ManyThrowingJobsUnderContentionKeepExactErrorSlots) {
 
 TEST(Scheduler, ErrorSlotsAreIdenticalAcrossJobCounts) {
   const std::size_t n = 97;
-  const auto body = [](std::size_t i) {
+  const auto body = [](std::size_t i, unsigned) {
     if (i % 5 == 0 || i == 13) throw std::invalid_argument("slot " + std::to_string(i));
   };
-  const std::vector<std::string> reference = SweepScheduler(1).run(n, body);
+  const std::vector<std::string> reference = run_indexed(1, n, body);
   for (const unsigned jobs : {2u, 4u, 8u})
-    EXPECT_EQ(SweepScheduler(jobs).run(n, body), reference) << jobs;
+    EXPECT_EQ(run_indexed(jobs, n, body), reference) << jobs;
 }
 
 TEST(Scheduler, ProgressIsSerializedMonotonicAndComplete) {
@@ -167,10 +165,9 @@ TEST(Scheduler, ProgressIsSerializedMonotonicAndComplete) {
   std::atomic<int> in_callback{0};
   std::atomic<bool> overlapped{false};
   std::vector<std::size_t> seen;  // written only inside the callback
-  SweepScheduler sched(8);
-  sched.run(
-      n, [](std::size_t) {},
-      [&](std::size_t done, std::size_t total) {
+  run_indexed(
+      8, n, [](std::size_t, unsigned) {},
+      [&](std::size_t, std::size_t done, std::size_t total) {
         if (in_callback.fetch_add(1) != 0) overlapped.store(true);
         std::this_thread::sleep_for(std::chrono::microseconds(20));
         seen.push_back(done);
@@ -186,9 +183,9 @@ TEST(Scheduler, ThrowingProgressNeverKillsWorkersOrPoisonsSlots) {
   const std::size_t n = 64;
   std::atomic<int> calls{0};
   for (const unsigned jobs : {1u, 4u}) {
-    const std::vector<std::string> errors = SweepScheduler(jobs).run(
-        n, [](std::size_t) {},
-        [&](std::size_t, std::size_t) {
+    const std::vector<std::string> errors = run_indexed(
+        jobs, n, [](std::size_t, unsigned) {},
+        [&](std::size_t, std::size_t, std::size_t) {
           calls.fetch_add(1);
           throw std::runtime_error("observer bug");
         });
@@ -198,19 +195,39 @@ TEST(Scheduler, ThrowingProgressNeverKillsWorkersOrPoisonsSlots) {
   EXPECT_EQ(calls.load(), static_cast<int>(2 * n));  // still called every time
 }
 
-TEST(Scheduler, StealsFromLoadedWorkers) {
-  // One slow job pinned at index 0 (worker 0's queue front); the rest are
-  // instant.  With 4 workers the others must steal worker 0's remaining
-  // round-robin share or the run would serialize behind the sleep.
+TEST(Scheduler, IdleWorkersDrainTheQueuePastASlowJob) {
+  // One slow job at index 0; the rest are instant.  With 4 workers every
+  // other job must finish before job 0 does: the shared index hands each
+  // free worker the next job, so nothing queues behind the sleep.  A
+  // static partition (contiguous or round-robin) fails this.
   const std::size_t n = 100;
   std::vector<std::atomic<int>> hits(n);
-  SweepScheduler sched(4);
-  const auto errors = sched.run(n, [&](std::size_t i) {
+  std::mutex mu;
+  std::vector<std::size_t> finished;  // completion order, guarded by mu
+  const auto errors = run_indexed(4, n, [&](std::size_t i, unsigned) {
     if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
     hits[i].fetch_add(1);
+    const std::lock_guard<std::mutex> lock(mu);
+    finished.push_back(i);
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
   EXPECT_TRUE(errors[0].empty());
+  ASSERT_EQ(finished.size(), n);
+  EXPECT_EQ(finished.back(), 0u);
+}
+
+TEST(Scheduler, BodySeesWorkerNumbersBelowTheWorkerCount) {
+  const std::size_t n = 64;
+  std::vector<unsigned> worker_of(n, ~0u);
+  run_indexed(4, n, [&](std::size_t i, unsigned w) { worker_of[i] = w; });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_LT(worker_of[i], 4u) << i;
+  // min(jobs, n) workers: a 2-job run has only workers 0 and 1, and an
+  // inline run is worker 0 throughout.
+  run_indexed(8, 2, [&](std::size_t i, unsigned w) { worker_of[i] = w; });
+  EXPECT_LT(worker_of[0], 2u);
+  EXPECT_LT(worker_of[1], 2u);
+  run_indexed(1, n, [&](std::size_t i, unsigned w) { worker_of[i] = w; });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(worker_of[i], 0u) << i;
 }
 
 // ---------------------------------------------------- sweep determinism ----

@@ -207,6 +207,17 @@ TEST_F(FaultTmpDir, InjectedTornAppendIsSkippedOnLoad) {
   const std::vector<PointResult> recs = SweepJournal::load(dir_, spec.name, &skipped);
   EXPECT_EQ(skipped, 1u);  // the tail record was torn by the fault
   EXPECT_EQ(recs.size(), 3u);
+
+  // --resume reports the torn record, replays the intact three and re-runs
+  // the torn one: outputs stay byte-identical.
+  SweepOptions resume;
+  resume.jobs = 1;
+  resume.journal_dir = dir_;
+  resume.resume = true;
+  const SweepOutcome resumed = run_sweep(spec, resume);
+  EXPECT_EQ(resumed.journal_skipped, 1u);
+  EXPECT_EQ(resumed.resumed, 3u);
+  EXPECT_EQ(to_json(resumed), to_json(out));
 }
 
 TEST_F(FaultTmpDir, QuarantinedPointsReplayOnResumeToo) {

@@ -1,9 +1,8 @@
-// Observability-layer tests: metrics-registry semantics (counter / gauge /
-// histogram, deterministic exposition order, name lint), TraceSink JSON
-// structural validity (a mini JSON parser checks every emitted file; spans
-// properly nested per lane), run_sweep trace/profile artifacts, the
-// goldens-unchanged-with-tracing-on regression, the point observer, and
-// the thread-safe logger.
+// Observability-layer tests: TraceSink JSON structural validity (a mini
+// JSON parser checks every emitted file; spans properly nested per lane),
+// run_sweep trace/profile artifacts and per-sweep worker lanes, the
+// goldens-unchanged-with-tracing-on regression, the per-point progress
+// callback, and the thread-safe logger.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,7 +28,6 @@
 #include "driver/experiment.hpp"
 #include "driver/result.hpp"
 #include "driver/sweep.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -344,103 +343,6 @@ class ObsSweepTest : public ::testing::Test {
   static inline int seq_ = 0;
 };
 
-// --------------------------------------------------------------- metrics ---
-
-TEST(MetricsLint, AcceptsRepoNamesRejectsOthers) {
-  EXPECT_TRUE(obs::valid_metric_name("hm_sweep_points_total"));
-  EXPECT_TRUE(obs::valid_metric_name("hm_point_wall_seconds"));
-  EXPECT_TRUE(obs::valid_metric_name("hm_scheduler_queue_depth"));
-  EXPECT_FALSE(obs::valid_metric_name("sweep_points_total"));    // no prefix
-  EXPECT_FALSE(obs::valid_metric_name("hm_SweepPoints_total"));  // case
-  EXPECT_FALSE(obs::valid_metric_name("hm_points"));             // no suffix
-  EXPECT_FALSE(obs::valid_metric_name("hm__points_total"));      // double _
-  EXPECT_FALSE(obs::valid_metric_name(""));
-}
-
-TEST(MetricsRegistry, RegistrationEnforcesLintAndType) {
-  obs::MetricsRegistry reg;
-  EXPECT_THROW(reg.counter("bad_name", "nope"), std::invalid_argument);
-  reg.counter("hm_x_total", "x");
-  EXPECT_THROW(reg.gauge("hm_x_total", "x as gauge"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, CounterGaugeHistogramSemantics) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("hm_c_total", "c");
-  c.inc();
-  c.inc(2.5);
-  EXPECT_DOUBLE_EQ(c.value(), 3.5);
-  // Get-or-create: the same (name, labels) resolves to the same instance.
-  EXPECT_EQ(&reg.counter("hm_c_total", "c"), &c);
-
-  obs::Gauge& g = reg.gauge("hm_g_depth", "g");
-  g.set(7.0);
-  g.add(-2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set_and_track_max(9.0);
-  g.set_and_track_max(4.0);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-  EXPECT_DOUBLE_EQ(g.max(), 9.0);
-
-  obs::Histogram& h = reg.histogram("hm_h_seconds", "h", {0.1, 1.0, 10.0});
-  h.observe(0.05);  // le=0.1
-  h.observe(0.5);   // le=1
-  h.observe(5.0);   // le=10
-  h.observe(50.0);  // +Inf
-  h.observe(1.0);   // boundary: le is inclusive
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 56.55);
-  const std::vector<std::uint64_t> cum = h.cumulative();
-  ASSERT_EQ(cum.size(), 4u);
-  EXPECT_EQ(cum[0], 1u);
-  EXPECT_EQ(cum[1], 3u);
-  EXPECT_EQ(cum[2], 4u);
-  EXPECT_EQ(cum[3], 5u);
-}
-
-TEST(MetricsRegistry, ExpositionOrderIsRegistrationOrderAndDeterministic) {
-  obs::MetricsRegistry a, b;
-  obs::register_builtin_metrics(a);
-  obs::register_builtin_metrics(b);
-  EXPECT_EQ(a.expose(), b.expose());  // same order, same (zero) values
-
-  // Instances expose in creation order, families in registration order.
-  obs::MetricsRegistry reg;
-  reg.counter("hm_z_total", "z", "k=\"2\"");
-  reg.counter("hm_a_total", "a");
-  reg.counter("hm_z_total", "z", "k=\"1\"");
-  const std::string text = reg.expose();
-  const std::size_t z2 = text.find("hm_z_total{k=\"2\"}");
-  const std::size_t a_pos = text.find("hm_a_total ");
-  const std::size_t z1 = text.find("hm_z_total{k=\"1\"}");
-  ASSERT_NE(z2, std::string::npos);
-  ASSERT_NE(a_pos, std::string::npos);
-  ASSERT_NE(z1, std::string::npos);
-  EXPECT_LT(z2, z1);     // creation order within the family
-  EXPECT_LT(z1, a_pos);  // family block stays contiguous and first
-}
-
-TEST(MetricsRegistry, PrometheusExpositionShape) {
-  obs::MetricsRegistry reg;
-  obs::Histogram& h = reg.histogram("hm_t_seconds", "wall time", {0.5});
-  h.observe(0.1);
-  h.observe(2.0);
-  const std::string text = reg.expose();
-  EXPECT_NE(text.find("# HELP hm_t_seconds wall time\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE hm_t_seconds histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("hm_t_seconds_bucket{le=\"0.5\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("hm_t_seconds_bucket{le=\"+Inf\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("hm_t_seconds_sum 2.1"), std::string::npos);
-  EXPECT_NE(text.find("hm_t_seconds_count 2\n"), std::string::npos);
-  // The builtin registry must be lint-clean by construction (registration
-  // throws on any violation) — this is what metrics_lint.py re-checks on
-  // the emitted file in CI.
-  obs::MetricsRegistry builtins;
-  obs::register_builtin_metrics(builtins);
-}
-
 // ----------------------------------------------------------------- trace ---
 
 TEST(TraceSink, EmitsValidChromeJson) {
@@ -592,34 +494,72 @@ TEST_F(ObsSweepTest, SweepJsonBytesIdenticalWithTracingOn) {
                                       "sweep.trace.json"));
 }
 
-TEST_F(ObsSweepTest, PointObserverSeesExecutionsAndIsExceptionGuarded) {
+/// Names of the sweep timeline's "worker..." lanes in @p trace_file.
+std::set<std::string> worker_lanes(const std::filesystem::path& trace_file) {
+  const JValue doc = JsonParser(slurp(trace_file)).parse();
+  std::set<std::string> lanes;
+  const JValue* events = doc.find("traceEvents");
+  if (events == nullptr) return lanes;
+  for (const JValue& e : events->arr) {
+    const JValue* name = e.find("name");
+    const JValue* args = e.find("args");
+    if (name == nullptr || name->str != "thread_name" || args == nullptr) continue;
+    if (const JValue* n = args->find("name"))
+      if (n->str.rfind("worker", 0) == 0) lanes.insert(n->str);
+  }
+  return lanes;
+}
+
+TEST_F(ObsSweepTest, WorkerLanesAreNumberedPerSweep) {
+  // Each sweep starts fresh worker threads; lanes must still read
+  // worker0/worker1 in every sweep, not keep counting across sweeps.
   const ExperimentSpec spec = tiny_spec();
-  std::atomic<std::size_t> seen{0};
+  for (const char* sub : {"a", "b"}) {
+    SweepOptions opt;
+    opt.jobs = 2;
+    opt.trace_dir = (dir_ / sub).string();
+    ASSERT_EQ(run_sweep(spec, opt).failures, 0u);
+    const std::set<std::string> lanes =
+        worker_lanes(dir_ / sub / "test_obs" / "sweep.trace.json");
+    EXPECT_FALSE(lanes.empty()) << sub;
+    for (const std::string& lane : lanes)
+      EXPECT_TRUE(lane == "worker0" || lane == "worker1") << sub << ": " << lane;
+  }
+}
+
+TEST_F(ObsSweepTest, ProgressSeesEveryExecutionAndIsExceptionGuarded) {
+  const ExperimentSpec spec = tiny_spec();
+  // A throwing callback fails no point and is still called for every
+  // executed point.
+  std::size_t calls = 0;  // the callback is serialized
   SweepOptions opt;
   opt.jobs = 2;
-  opt.point_observer = [&](const PointResult&) {
-    seen.fetch_add(1);
+  opt.progress = [&](const PointResult&, std::size_t, std::size_t) {
+    ++calls;
     throw std::runtime_error("observability must never kill a worker");
   };
   const SweepOutcome out = run_sweep(spec, opt);
-  EXPECT_EQ(out.failures, 0u) << "throwing observer must not fail points";
-  // Disarm is racy across workers by design: at least one call happened,
-  // and the observer stopped firing once any throw was seen.
-  EXPECT_GE(seen.load(), 1u);
-  EXPECT_LE(seen.load(), 4u);
+  EXPECT_EQ(out.failures, 0u) << "throwing callback must not fail points";
+  EXPECT_EQ(calls, 4u);
 
-  // A well-behaved observer sees every executed point.
-  std::atomic<std::size_t> seen2{0}, ok2{0};
+  // A well-behaved callback sees each executed point once, with done
+  // counting 1..n.
+  std::vector<std::size_t> dones;
+  std::set<std::string> labels;
+  std::size_t ok = 0;
   SweepOptions opt2;
   opt2.jobs = 2;
-  opt2.point_observer = [&](const PointResult& r) {
-    seen2.fetch_add(1);
-    if (r.ok) ok2.fetch_add(1);
+  opt2.progress = [&](const PointResult& r, std::size_t done, std::size_t total) {
+    EXPECT_EQ(total, 4u);
+    dones.push_back(done);
+    labels.insert(r.point.label);
+    if (r.ok) ++ok;
   };
   const SweepOutcome out2 = run_sweep(spec, opt2);
   EXPECT_EQ(out2.failures, 0u);
-  EXPECT_EQ(seen2.load(), 4u);
-  EXPECT_EQ(ok2.load(), 4u);
+  EXPECT_EQ(dones, (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_EQ(labels.size(), 4u);
+  EXPECT_EQ(ok, 4u);
 }
 
 // ------------------------------------------------------------------- log ---

@@ -61,11 +61,12 @@
 //     --trace-dir DIR     Chrome trace_event JSON + profile.json per
 //                         experiment under DIR/<name>/ (chrome://tracing,
 //                         Perfetto); never perturbs simulated results
-//     --metrics-out FILE  Prometheus text exposition of the metrics
-//                         registry, written once after all sweeps (suitable
-//                         for node-exporter textfile scraping)
-//     --progress          live one-line progress on stderr: done/total,
+//     --progress          live one-line progress on stderr: executed/total,
 //                         ok/quarantined counts, ETA
+//   Every sweep prints a summary line on stderr (points, cached, resumed,
+//   failed, timeouts, corrupt/stale cache entries, skipped journal
+//   records, wall time, workers) plus the per-phase wall times of the
+//   executed points; see docs/OPERATIONS.md "Trace where the time went".
 //
 // Exit status: 0 all points ok; 3 some points quarantined (outputs still
 // emitted, failed rows carry error/error_class); 1 fatal driver error;
@@ -80,7 +81,6 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
 #include <chrono>
 
 #include "driver/experiment.hpp"
@@ -89,7 +89,6 @@
 #include "driver/result.hpp"
 #include "driver/scheduler.hpp"
 #include "driver/sweep.hpp"
-#include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -115,7 +114,6 @@ struct CliOptions {
   std::uint64_t max_point_cycles = 0;
   std::string faults;  // --faults beats HM_FAULTS
   std::string trace_dir;
-  std::string metrics_out;
   bool live_progress = false;
   unsigned quantum = 0;
   std::string sample = "off";
@@ -130,7 +128,7 @@ int usage(const char* argv0, int code) {
                "       [--no-cache] [--scale F|full] [--quiet]\n"
                "       [--journal-dir DIR] [--no-journal] [--resume]\n"
                "       [--max-point-cycles N] [--faults SPEC] [--trace-dir DIR]\n"
-               "       [--metrics-out FILE] [--progress] [--quantum N]\n"
+               "       [--progress] [--quantum N]\n"
                "       [--sample off|interval] [--sample-report FILE]\n",
                argv0);
   return code;
@@ -282,10 +280,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       const char* v = need_value(i);
       if (!v) return false;
       opt.trace_dir = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opt.metrics_out = v;
     } else if (arg == "--progress") {
       opt.live_progress = true;
     } else if (arg == "--quantum") {
@@ -493,7 +487,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sample-report needs --sample interval\n");
     return usage(argv[0], 2);
   }
-  const unsigned jobs = opt.jobs == 0 ? SweepScheduler::auto_jobs() : opt.jobs;
+  const unsigned jobs = opt.jobs == 0 ? auto_jobs() : opt.jobs;
   if (hm::engine_alters_results(engine) && !opt.quiet)
     std::fprintf(stderr,
                  "note: engine config alters results (--sample interval or "
@@ -528,17 +522,15 @@ int main(int argc, char** argv) {
       sweep_opt.trace_dir = opt.trace_dir;
       sweep_opt.engine = engine;
 
-      // Live progress: done/total from the scheduler callback (exception-
-      // guarded, serialized, monotonic), ok/quarantined from the
-      // per-point observer, ETA from elapsed/done.  Both callbacks run on
-      // worker threads, hence the atomics.
-      std::atomic<std::size_t> live_ok{0}, live_fail{0};
+      // Live progress: one call per executed point, serialized under the
+      // pool's mutex, so plain locals count ok/quarantined; ETA from
+      // elapsed/done.
+      std::size_t live_ok = 0, live_fail = 0;
       const auto sweep_t0 = std::chrono::steady_clock::now();
       if (opt.live_progress) {
-        sweep_opt.point_observer = [&](const PointResult& r) {
-          (r.ok ? live_ok : live_fail).fetch_add(1, std::memory_order_relaxed);
-        };
-        sweep_opt.progress = [&](std::size_t done, std::size_t total) {
+        sweep_opt.progress = [&](const PointResult& r, std::size_t done,
+                                 std::size_t total) {
+          ++(r.ok ? live_ok : live_fail);
           const double elapsed =
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             sweep_t0)
@@ -549,12 +541,11 @@ int main(int argc, char** argv) {
                         : 0.0;
           std::fprintf(stderr,
                        "\r\033[K%s [%zu/%zu] ok %zu quarantined %zu eta %.1fs",
-                       spec->name.c_str(), done, total,
-                       live_ok.load(std::memory_order_relaxed),
-                       live_fail.load(std::memory_order_relaxed), eta);
+                       spec->name.c_str(), done, total, live_ok, live_fail, eta);
         };
       } else if (tty) {
-        sweep_opt.progress = [&](std::size_t done, std::size_t total) {
+        sweep_opt.progress = [&](const PointResult&, std::size_t done,
+                                 std::size_t total) {
           std::fprintf(stderr, "\r%s [%zu/%zu]", spec->name.c_str(), done, total);
         };
       }
@@ -605,10 +596,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "%s: %zu points, %zu cached, %zu resumed, %zu failed "
                      "(%zu timeout), %zu corrupt-cache, "
-                     "%zu stale-cache, %.2fs (jobs=%u)\n",
+                     "%zu stale-cache, %zu skipped-journal, %.2fs (jobs=%u)\n",
                      spec->name.c_str(), out.points.size(), out.cache_hits, out.resumed,
                      out.failures, out.timeouts, out.cache_corrupt,
-                     out.stale_entries, out.wall_seconds, jobs);
+                     out.stale_entries, out.journal_skipped, out.wall_seconds,
+                     jobs);
         if (out.executed != 0)
           std::fprintf(stderr,
                        "%s: phases over %zu executed: setup %.2fs, codegen "
@@ -622,18 +614,6 @@ int main(int argc, char** argv) {
         !write_file(opt.sample_report, sample_report_lines))
       std::fprintf(stderr, "warning: could not write --sample-report %s\n",
                    opt.sample_report.c_str());
-    // One exposition covering every sweep this invocation ran (counters
-    // accumulate across experiments; gauges reflect the last one).
-    if (!opt.metrics_out.empty()) {
-      const std::filesystem::path p(opt.metrics_out);
-      if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
-      }
-      if (!hm::obs::MetricsRegistry::global().write_file(opt.metrics_out))
-        std::fprintf(stderr, "warning: could not write --metrics-out %s\n",
-                     opt.metrics_out.c_str());
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fatal: %s\n", e.what());
     return 1;
