@@ -18,10 +18,12 @@
 //    as BM_SystemRun through the interval-sampling engine.  The
 //    BM_SystemRunSampled : BM_SystemRun throughput ratio is the sampled
 //    point speedup perf_gate.py --sampled-speedup enforces.
-//  * BM_NocTraverse / BM_OccupancyBook — per-layer micro-benches for the
-//    two layers that dominate NoC points: Noc::traverse on a contended
-//    256-tile mesh, and the occupancy bitmaps (a gap-3 slot port and a
-//    gap-1 span lane).  Report messages (resp. bookings) per second.
+//  * BM_NocTraverse / BM_OccupancyBook / BM_SlotBook — per-layer
+//    micro-benches for the two layers that dominate NoC points:
+//    Noc::traverse on a contended 256-tile mesh, and the occupancy bitmap
+//    (a gap-3 slot port plus a gap-1 span lane; the slot port alone at a
+//    sparse and a saturated density).  Report messages (resp. bookings)
+//    per second.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -249,7 +251,7 @@ BENCHMARK(BM_NocTraverse)->Unit(benchmark::kMillisecond);
 // The occupancy layer in isolation: one stream of requests at ~0.3 per
 // cycle with random jitter books a gap-3 slot port (the L2 port) and a
 // 1-8 cycle span on one of four gap-1 lanes (DMA ports / links), so both
-// bitmaps see queueing.  The bitmaps are reset between passes.
+// booking shapes see queueing.  The bitmaps are reset between passes.
 void BM_OccupancyBook(benchmark::State& state) {
   struct Request {
     Cycle when;
@@ -267,7 +269,7 @@ void BM_OccupancyBook(benchmark::State& state) {
     r.len = 1 + rng.below(8);
   }
   SharedResource port("bench_port", 3);
-  SharedLanes lanes(4, [](unsigned k) { return "bench_lane" + std::to_string(k); });
+  SharedLanes lanes(4, 1, [](unsigned k) { return "bench_lane" + std::to_string(k); });
   std::uint64_t booked = 0;
   for (auto _ : state) {
     port.reset();
@@ -284,6 +286,36 @@ void BM_OccupancyBook(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(booked), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_OccupancyBook)->Unit(benchmark::kMillisecond);
+
+// Slot bookings alone — the gap-3 port path that BM_OccupancyBook mixes
+// with span bookings.  /0 is sparse: one request per 7.5 cycles on
+// average, about 0.4 of the port's service rate, so nearly every booking
+// takes the fast path.  /1 is saturated: one request per cycle, 3x the
+// service rate, so whole rows and blocks fill and bookings jump over them.
+// Arrivals jitter up to 63 cycles into the past, as in BM_OccupancyBook.
+void BM_SlotBook(benchmark::State& state) {
+  constexpr std::size_t kRequests = 1 << 16;
+  const std::uint64_t spacing = state.range(0) == 0 ? 16 : 3;  // mean (spacing - 1) / 2
+  Rng rng(0x5107u);
+  std::vector<Cycle> requests(kRequests);
+  Cycle clock = 0;
+  for (Cycle& when : requests) {
+    clock += rng.below(spacing);
+    when = clock - std::min<Cycle>(clock, rng.below(64));
+  }
+  SharedResource port("bench_port", 3);
+  std::uint64_t booked = 0;
+  for (auto _ : state) {
+    port.reset();
+    for (const Cycle when : requests) port.book(when);
+    booked += kRequests;
+  }
+  benchmark::DoNotOptimize(port.contention().queue_cycles);
+  state.SetItemsProcessed(static_cast<std::int64_t>(booked));
+  state.counters["bookings_per_sec"] =
+      benchmark::Counter(static_cast<double>(booked), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SlotBook)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

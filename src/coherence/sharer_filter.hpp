@@ -22,7 +22,8 @@
 // ByteStore image, and the tag caches are timing state, so lossiness here
 // cannot corrupt results.
 //
-// Thread-safety: none, like every shared timeline (common/occupancy.hpp).
+// Thread-safety: none, like every shared occupancy bitmap
+// (common/occupancy.hpp).
 #pragma once
 
 #include <array>

@@ -1,5 +1,7 @@
 #include "common/occupancy.hpp"
 
+#include <stdexcept>
+
 #include "common/log.hpp"
 
 namespace hm {
@@ -16,7 +18,7 @@ void note_booking(const std::string& name, bool& warned, const Booking& b, Cycle
   // raise the horizon rather than trusting the affected numbers.
   HM_WARN("occupancy: resource '" << name << "' (gap " << gap
                                   << ") booked beyond the tracked horizon of "
-                                  << OccupancyTimeline::max_buckets()
+                                  << SpanLanes::max_buckets()
                                   << " buckets; contention is understated and "
                                      "counted in its 'overflows' statistic");
 }
@@ -38,7 +40,44 @@ std::uint64_t runs_of(std::uint64_t free, unsigned len) {
 
 }  // namespace
 
-Booking SpanLanes::book_scan(unsigned lane, Cycle when, Cycle len) {
+std::uint64_t SpanLanes::claim_from(unsigned lane, std::uint64_t when) {
+  for (std::uint64_t cur = when; cur < max_buckets();) {
+    const std::uint64_t bi = cur >> kBlockShift;
+    std::uint64_t* blk = peek_block(bi);
+    if (blk == nullptr) {  // no booking in this block: cur is free
+      set_bits(touch_block(bi), lane, cur, std::uint64_t{1} << (cur & 63));
+      return cur;
+    }
+    std::uint64_t at;
+    const std::uint64_t free = ~blk[word_index(cur, lane)] & ~low_mask(cur & 63);
+    if (free != 0) {
+      at = (cur & ~std::uint64_t{63}) | static_cast<unsigned>(std::countr_zero(free));
+    } else {
+      // The first row after cur's that is not fully booked, if any.
+      const unsigned row = static_cast<unsigned>((cur >> 6) & (kBlockRows - 1));
+      const std::uint64_t open = ~blk[summary_index(lane)] & ~low_mask(row + 1);
+      if (open == 0) {
+        // Booked from cur to the block's end: continue after the run of
+        // fully booked blocks that follows it.
+        const std::size_t fi = full_index(lane, bi + 1);
+        const unsigned full_run =
+            fi < full_.size() ? std::countr_one(full_[fi] >> ((bi + 1) & 63)) : 0;
+        cur = (bi + 1 + full_run) << kBlockShift;
+        continue;
+      }
+      const std::uint64_t r = static_cast<unsigned>(std::countr_zero(open));
+      const std::uint64_t word = blk[r * lanes_ + lane];
+      at = (bi << kBlockShift) | (r << 6) | static_cast<unsigned>(std::countr_zero(~word));
+    }
+    cached_bi_ = bi;
+    cached_ = blk;
+    set_bits(blk, lane, at, std::uint64_t{1} << (at & 63));
+    return at;
+  }
+  return kOverflow;
+}
+
+Booking SpanLanes::book_scan(unsigned lane, std::uint64_t when, std::uint64_t len) {
   if (len == 0) return Booking{when, 0, false};
   // Scan state: every start before cur - run is ruled out; the `run`
   // cycles [cur - run, cur) are free; `busy` counts the booked cycles in
@@ -99,7 +138,7 @@ Booking SpanLanes::book_scan(unsigned lane, Cycle when, Cycle len) {
   return Booking{start, busy, false};
 }
 
-void SpanLanes::fill(unsigned lane, std::uint64_t start, Cycle len) {
+void SpanLanes::fill(unsigned lane, std::uint64_t start, std::uint64_t len) {
   std::uint64_t c = start;
   const std::uint64_t end = start + len;
   while (c < end) {
@@ -109,24 +148,46 @@ void SpanLanes::fill(unsigned lane, std::uint64_t start, Cycle len) {
     while (c < block_end) {
       const unsigned lo = static_cast<unsigned>(c & 63);
       const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(64 - lo, block_end - c));
-      blk[word_index(c, lane)] |= low_mask(n) << lo;
+      set_bits(blk, lane, c, low_mask(n) << lo);
       c += n;
     }
   }
 }
 
+void SpanLanes::mark_block_full(unsigned lane, std::uint64_t bi) {
+  const std::size_t fi = full_index(lane, bi);
+  if (fi >= full_.size()) full_.resize(full_index(0, bi) + lanes_, 0);
+  full_[fi] |= std::uint64_t{1} << (bi & 63);
+}
+
 std::uint64_t* SpanLanes::touch_block(std::uint64_t bi) {
   if (bi >= blocks_.size()) blocks_.resize(bi + 1);
   Block& b = blocks_[bi];
-  const std::size_t words = static_cast<std::size_t>(kBlockRows) * lanes_;
-  if (b.words == nullptr) b.words = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+  const std::size_t words = static_cast<std::size_t>(kBlockRows + 1) * lanes_;
+  if (b.words == nullptr) {
+    if (slab_used_ == slab_blocks_) {
+      slabs_.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(slab_blocks_ * words));
+      slab_used_ = 0;
+    }
+    b.words = slabs_.back().get() + slab_used_++ * words;
+  }
   if (b.epoch != epoch_) {
-    std::fill_n(b.words.get(), words, 0);
+    std::fill_n(b.words, words, 0);
     b.epoch = epoch_;
   }
   cached_bi_ = bi;
-  cached_ = b.words.get();
+  cached_ = b.words;
   return cached_;
+}
+
+SharedLanes::SharedLanes(unsigned lanes, Cycle gap, NameFn name_of)
+    : lanes_(lanes),
+      gap_(gap),
+      stats_(lanes),
+      warned_(std::make_unique<bool[]>(lanes)),
+      name_of_(std::move(name_of)) {
+  if (gap_ == 0) throw std::invalid_argument("occupancy: a resource gap must be at least 1 cycle");
+  if (gap_ >= 2) gap_magic_ = MagicDivisor(gap_);
 }
 
 }  // namespace hm

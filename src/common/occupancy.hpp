@@ -10,48 +10,47 @@
 // a shared port was understated beyond the trailing window — the model-
 // fidelity caveat PR 3 left in System::run.
 //
-// Two bitmaps book over the ENTIRE run, one per booking shape:
+// One bitmap, SpanLanes, books every shared resource over the ENTIRE run.
+// Its lanes are the resources of one class, and it counts time in buckets:
+// a resource of gap G serves one request per bucket floor(cycle / G).  A
+// booking holds @c len consecutive buckets of one lane — one bucket for an
+// L2/L3 port or a DRAM channel, a span of gap-1 cycles for a DMA window or
+// a message crossing a NoC link.
 //
-//  * OccupancyTimeline — slot mode, one resource of gap G >= 1 (the L2/L3
-//    ports and DRAM channels).  One bit per bucket, grouped into
-//    4096-bucket chunks (64 x u64 words) with a hierarchical summary — a
-//    per-chunk word whose bit w says "word w is fully booked", and a
-//    per-timeline bitmap whose bit c says "chunk c is fully booked" — so a
-//    booking skips saturated regions 64 words at a time instead of probing
-//    bucket by bucket.  Chunks are allocated lazily from slabs as simulated
-//    time reaches them.
-//  * SpanLanes — span mode, many gap-1 resources at once (the NoC links and
-//    the DMA ports are its lanes).  A booking holds @c len consecutive
-//    cycles.  Busy bits are stored TIME-MAJOR: a block covers 4096 cycles
-//    as 64 rows of one u64 word per lane, so the bookings of one moment on
-//    every lane share a row (a message's hops, made within a few hundred
-//    cycles, touch one or two rows).  One forward word scan finds the
-//    first free run of @c len cycles: a shift-AND for runs inside a word, a
-//    carried run counter across words, and a popcount of the busy cycles
-//    it steps over.  Blocks are allocated whole and lazily.
-//
-// Both share the rest of the discipline:
-//
-//  * reset() is an epoch bump: chunks/blocks are recycled in place and
-//    lazily cleared on first touch of the new epoch, so repeated
-//    System::run calls reuse the previous run's memory without a teardown
-//    pass.
+//  * Busy bits are stored TIME-MAJOR: a block covers 4096 buckets as 64
+//    rows of one u64 word per lane, so the bookings of one moment on every
+//    lane share a row (a message's hops, made within a few hundred cycles,
+//    touch one or two rows).  An extra summary row holds one word per lane
+//    whose bit r says "row r of this lane is fully booked".
+//  * A one-bucket booking takes the first free bit of its word; when the
+//    word is full, the summary word jumps to the first open row of the
+//    block, and a per-lane full-block bitmap skips a run of up to 64
+//    saturated blocks in one test.
+//  * A span booking runs one forward word scan for the first free run of
+//    @c len buckets: a shift-AND for runs inside a word, a carried run
+//    counter across words, and a popcount of the busy buckets it steps
+//    over.
+//  * Blocks are allocated lazily as simulated time reaches them, from
+//    slabs of 16 one-lane blocks (fewer blocks for a set of more lanes).
+//  * reset() is an epoch bump: blocks are recycled in place and lazily
+//    cleared on first touch of the new epoch, so repeated System::run
+//    calls reuse the previous run's memory without a teardown pass.
 //  * Bookings past max_buckets() (a horizon far beyond any simulated run)
 //    are granted untracked — the only remaining understatement — and are
-//    COUNTED by the SharedResource / SharedLanes wrappers, which also warn
-//    once per resource, so the silent-understatement failure mode of the
-//    bounded ring cannot reappear unnoticed.
+//    COUNTED by the SharedLanes wrapper, which also warns once per lane,
+//    so the silent-understatement failure mode of the bounded ring cannot
+//    reappear unnoticed.
 //
-// SharedResource wraps a timeline, and SharedLanes a SpanLanes, with
-// per-resource contention statistics (requests, delayed requests, queueing
-// cycles, peak occupancy depth, overflows); the uncore's L2/L3 ports and
-// DRAM channels arbitrate through the former, its DMA ports and the NoC
-// links through the latter.
+// SharedLanes adds the gap and per-lane contention statistics (requests,
+// delayed requests, queueing cycles, peak occupancy depth, overflows).
+// The uncore holds one per resource class: L2 ports, L3 ports, DRAM
+// channels, DMA ports and NoC links.  SharedResource is a one-lane
+// SharedLanes with a fixed name.
 //
-// Thread-safety: none.  Bitmaps are not internally synchronized — directory
-// growth and the booking bit-twiddles race if called concurrently.  One
-// System runs on one thread, so every booking against a shared bitmap is
-// serial.
+// Thread-safety: none.  The bitmap is not internally synchronized —
+// directory growth and the booking bit-twiddles race if called
+// concurrently.  One System runs on one thread, so every booking against a
+// shared bitmap is serial.
 #pragma once
 
 #include <algorithm>
@@ -78,221 +77,55 @@ struct Booking {
   bool overflow = false;
 };
 
-/// Slot-mode bitmap of one resource with a minimum gap between request
-/// starts.
-class OccupancyTimeline {
- public:
-  /// @p gap: minimum cycles between request starts (0 = infinite bandwidth).
-  explicit OccupancyTimeline(Cycle gap) : gap_(gap) {
-    if (gap_ >= 2) gap_magic_ = MagicDivisor(gap_);
-  }
-
-  /// Book the first free slot at or after @p when; Booking::start is the
-  /// slot's start cycle (>= when).
-  Booking book(Cycle when) {
-    if (gap_ == 0) return Booking{when, 0, false};
-    const std::uint64_t first = bucket_of(when);
-    // Fast path: the chunk the previous booking touched (nearly every
-    // booking of a run lands in the currently-advancing chunk).  One
-    // pointer compare replaces the directory/summary walk, and the word is
-    // loaded exactly once; the summary only needs updating when the word
-    // fills, which is the slow path's business.
-    if ((first >> kChunkShift) == cached_ci_) {
-      const std::uint64_t off = first & (kBucketsPerChunk - 1);
-      const std::uint64_t w0 = off >> 6;
-      std::uint64_t& word = cached_->words[w0];
-      const std::uint64_t free = ~word & ~low_mask(off & 63);
-      if (free != 0) {
-        const std::uint64_t lowbit = free & (0 - free);
-        word |= lowbit;
-        if (word == ~std::uint64_t{0}) [[unlikely]] {
-          cached_->summary |= std::uint64_t{1} << w0;
-          if (cached_->summary == ~std::uint64_t{0}) mark_chunk_full(cached_ci_);
-        }
-        const std::uint64_t b = (cached_ci_ << kChunkShift) |
-                                ((w0 << 6) | static_cast<unsigned>(std::countr_zero(free)));
-        return Booking{std::max(when, b * gap_), b - first, false};
-      }
-    }
-    const std::uint64_t b = claim_from(first);
-    if (b == kOverflow) [[unlikely]] return Booking{when, 0, true};
-    return Booking{std::max(when, b * gap_), b - first, false};
-  }
-
-  /// Epoch reset: every slot reads as free again.  Chunk memory is kept and
-  /// recycled (lazily cleared on first touch of the new epoch).
-  void reset() {
-    ++epoch_;
-    cached_ci_ = kNoChunk;
-    cached_ = nullptr;
-    std::fill(chunk_full_.begin(), chunk_full_.end(), 0);
-  }
-
-  Cycle gap() const { return gap_; }
-
-  /// Buckets the timeline can track; bookings beyond it overflow.
-  static constexpr std::uint64_t max_buckets() { return kMaxBuckets; }
-
- private:
-  static constexpr unsigned kChunkWords = 64;  ///< 64 x u64 = 4096 buckets
-  static constexpr std::uint64_t kBucketsPerChunk = kChunkWords * 64;
-  static constexpr unsigned kChunkShift = 12;  ///< log2(kBucketsPerChunk)
-  static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
-  static constexpr unsigned kSlabChunks = 16;  ///< chunks per slab allocation
-  /// Horizon: 2^31 buckets (>= 2^31 cycles even at gap 1 — beyond any run
-  /// this engine simulates; the chunk directory tops out at 4 MB of slots).
-  static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 31;
-  static constexpr std::uint64_t kMaxChunks = kMaxBuckets / kBucketsPerChunk;
-  static constexpr std::uint64_t kOverflow = ~std::uint64_t{0};
-
-  struct Chunk {
-    std::uint64_t epoch = 0;             ///< stale when != timeline epoch
-    std::uint64_t summary = 0;           ///< bit w: words[w] fully booked
-    std::uint64_t words[kChunkWords] = {};
-  };
-
-  std::uint64_t bucket_of(Cycle when) const {
-    if (gap_ == 1) return when;
-    return gap_magic_.div(when);
-  }
-
-  /// Chunk pointer for @p ci, or null when the chunk holds no current-epoch
-  /// booking (never been touched, or stale from a previous epoch).
-  Chunk* peek_chunk(std::uint64_t ci) const {
-    if (ci >= chunks_.size()) return nullptr;
-    Chunk* c = chunks_[ci];
-    if (c == nullptr || c->epoch != epoch_) return nullptr;
-    return c;
-  }
-
-  /// Chunk for @p ci, allocated (from the slab arena) and epoch-cleared so
-  /// it is writable for the current epoch.
-  Chunk* touch_chunk(std::uint64_t ci) {
-    if (ci >= chunks_.size()) chunks_.resize(ci + 1, nullptr);
-    Chunk* c = chunks_[ci];
-    if (c == nullptr) {
-      if (slab_used_ == kSlabChunks) {
-        slabs_.push_back(std::make_unique<Chunk[]>(kSlabChunks));
-        slab_used_ = 0;
-      }
-      c = &slabs_.back()[slab_used_++];
-      chunks_[ci] = c;
-    }
-    if (c->epoch != epoch_) {
-      c->epoch = epoch_;
-      c->summary = 0;
-      std::fill(std::begin(c->words), std::end(c->words), 0);
-    }
-    cached_ci_ = ci;
-    cached_ = c;
-    return c;
-  }
-
-  void mark_chunk_full(std::uint64_t ci) {
-    const std::uint64_t w = ci >> 6;
-    if (w >= chunk_full_.size()) chunk_full_.resize(w + 1, 0);
-    chunk_full_[w] |= std::uint64_t{1} << (ci & 63);
-  }
-
-  bool chunk_is_full(std::uint64_t ci) const {
-    const std::uint64_t w = ci >> 6;
-    return w < chunk_full_.size() &&
-           (chunk_full_[w] >> (ci & 63)) & 1u;
-  }
-
-  /// Claim the first free bucket >= @p first; returns its index, or
-  /// kOverflow past the horizon.
-  std::uint64_t claim_from(std::uint64_t first) {
-    std::uint64_t ci = first / kBucketsPerChunk;
-    std::uint64_t off = first % kBucketsPerChunk;
-    while (ci < kMaxChunks) {
-      if (chunk_is_full(ci)) {  // summary level 2: skip saturated chunks
-        ++ci;
-        off = 0;
-        continue;
-      }
-      Chunk* c = peek_chunk(ci);
-      if (c == nullptr) {  // empty chunk: the requested offset is free
-        c = touch_chunk(ci);
-        set_bit(c, ci, off);
-        return (ci << kChunkShift) | off;
-      }
-      const std::uint64_t w0 = off >> 6;
-      // Within the start word, only bits at or after the requested offset.
-      std::uint64_t free = ~c->words[w0] & ~low_mask(off & 63);
-      if (free != 0) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(free));
-        set_bit(c, ci, (w0 << 6) | bit);
-        cached_ci_ = ci;
-        cached_ = c;
-        return (ci << kChunkShift) | ((w0 << 6) | bit);
-      }
-      // Summary level 1: first not-fully-booked word after w0.
-      const std::uint64_t open = ~c->summary & ~low_mask(w0 + 1);
-      if (open != 0) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(open));
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(~c->words[w]));
-        set_bit(c, ci, (static_cast<std::uint64_t>(w) << 6) | bit);
-        cached_ci_ = ci;
-        cached_ = c;
-        return (ci << kChunkShift) | ((static_cast<std::uint64_t>(w) << 6) | bit);
-      }
-      ++ci;  // chunk saturated past off; continue in the next one
-      off = 0;
-    }
-    return kOverflow;
-  }
-
-  void set_bit(Chunk* c, std::uint64_t ci, std::uint64_t off) {
-    const std::uint64_t w = off >> 6;
-    c->words[w] |= std::uint64_t{1} << (off & 63);
-    if (c->words[w] == ~std::uint64_t{0}) {
-      c->summary |= std::uint64_t{1} << w;
-      if (c->summary == ~std::uint64_t{0}) mark_chunk_full(ci);
-    }
-  }
-
-  Cycle gap_;
-  MagicDivisor gap_magic_;  ///< div by gap, valid when gap_ >= 2
-  std::uint64_t epoch_ = 1;
-  std::uint64_t cached_ci_ = kNoChunk;  ///< chunk of the last booking...
-  Chunk* cached_ = nullptr;             ///< ...guaranteed current-epoch
-  std::vector<Chunk*> chunks_;  ///< dense directory, index = bucket >> 12
-  std::vector<std::unique_ptr<Chunk[]>> slabs_;  ///< chunk arena
-  unsigned slab_used_ = kSlabChunks;
-  std::vector<std::uint64_t> chunk_full_;  ///< level-2 summary, bit per chunk
-};
-
-/// Span-mode bitmap of many gap-1 resources ("lanes"): a booking holds
-/// @p len consecutive cycles of one lane.  See the file comment for the
-/// time-major layout.
+/// The occupancy bitmap: a set of resources ("lanes") booked over the
+/// whole run in bucket time.  A booking holds @p len consecutive buckets of
+/// one lane.  See the file comment for the time-major layout.
 class SpanLanes {
  public:
-  explicit SpanLanes(unsigned lanes) : lanes_(lanes) {}
+  explicit SpanLanes(unsigned lanes)
+      : lanes_(lanes), slab_blocks_(std::max(1u, kSlabLaneBlocks / std::max(lanes, 1u))) {}
 
-  SpanLanes(const SpanLanes&) = delete;
-  SpanLanes& operator=(const SpanLanes&) = delete;
-
-  /// Book @p len consecutive cycles of @p lane starting at the first cycle
-  /// >= @p when where they are all free.  Booking::skipped counts only the
-  /// BUSY cycles stepped over (free gaps too small for the span are not
-  /// backlog), keeping the unit identical to the slot-mode depth.  A span
-  /// that would end past max_buckets() is granted at @p when, untracked,
-  /// with Booking::overflow set.  @p len == 0 books nothing.
-  Booking book(unsigned lane, Cycle when, Cycle len) {
+  /// Book @p len consecutive buckets of @p lane starting at the first
+  /// bucket >= @p when where they are all free.  Booking::skipped counts
+  /// only the BUSY buckets stepped over (free gaps too small for the span
+  /// are not backlog); for a one-bucket booking every bucket stepped over
+  /// is busy.  A span that would end past max_buckets() is granted at
+  /// @p when, untracked, with Booking::overflow set.  @p len == 0 books
+  /// nothing.
+  Booking book(unsigned lane, std::uint64_t when, std::uint64_t len) {
     assert(lane < lanes_);
+    if (len == 1) return book_one(lane, when);
     // Fast path: the span sits inside one word of the block the previous
-    // booking touched and that word is free there — most bookings.
+    // booking touched and that word is free there — most span bookings.
     const unsigned lo = static_cast<unsigned>(when & 63);
     if ((when >> kBlockShift) == cached_bi_ && len != 0 && lo + len <= 64) {
-      std::uint64_t& word = cached_[word_index(when, lane)];
       const std::uint64_t mask = low_mask(static_cast<unsigned>(len)) << lo;
-      if ((word & mask) == 0) {
-        word |= mask;
+      if ((cached_[word_index(when, lane)] & mask) == 0) {
+        set_bits(cached_, lane, when, mask);
         return Booking{when, 0, false};
       }
     }
     return book_scan(lane, when, len);
+  }
+
+  /// Book the first free bucket >= @p when of @p lane: book(lane, when, 1)
+  /// without the span machinery.  Booking::skipped == start - when, since
+  /// every bucket stepped over is busy.
+  Booking book_one(unsigned lane, std::uint64_t when) {
+    // Fast path: a free bucket in @p when's word of the block the previous
+    // booking touched (nearly every port booking of a run lands there).
+    if ((when >> kBlockShift) == cached_bi_) {
+      const std::uint64_t free = ~cached_[word_index(when, lane)] & ~low_mask(when & 63);
+      if (free != 0) {
+        set_bits(cached_, lane, when, free & (0 - free));
+        const std::uint64_t start = (when & ~std::uint64_t{63}) |
+                                    static_cast<unsigned>(std::countr_zero(free));
+        return Booking{start, start - when, false};
+      }
+    }
+    const std::uint64_t at = claim_from(lane, when);
+    if (at == kOverflow) [[unlikely]] return Booking{when, 0, true};
+    return Booking{at, at - when, false};
   }
 
   /// Epoch reset: every lane reads as free again.  Block memory is kept and
@@ -301,44 +134,86 @@ class SpanLanes {
     ++epoch_;
     cached_bi_ = kNoBlock;
     cached_ = nullptr;
+    std::fill(full_.begin(), full_.end(), 0);
   }
 
   unsigned lanes() const { return lanes_; }
 
-  /// Cycles the bitmap can track; spans ending beyond it overflow.
-  static constexpr std::uint64_t max_buckets() { return OccupancyTimeline::max_buckets(); }
+  /// Buckets the bitmap can track; spans ending beyond it overflow.
+  static constexpr std::uint64_t max_buckets() { return kMaxBuckets; }
 
  private:
-  static constexpr unsigned kBlockRows = 64;   ///< one row = 64 cycles
-  static constexpr unsigned kBlockShift = 12;  ///< log2(64 rows x 64 cycles)
+  static constexpr unsigned kBlockRows = 64;   ///< one row = 64 buckets
+  static constexpr unsigned kBlockShift = 12;  ///< log2(64 rows x 64 buckets)
   static constexpr std::uint64_t kNoBlock = ~std::uint64_t{0};
+  static constexpr std::uint64_t kOverflow = ~std::uint64_t{0};
+  /// Blocks per slab for a one-lane set; a set of n lanes takes 16/n (at
+  /// least one), so a many-lane set never allocates blocks ahead of time.
+  static constexpr unsigned kSlabLaneBlocks = 16;
+  /// Horizon: 2^31 buckets (>= 2^31 cycles even at gap 1 — beyond any run
+  /// this engine simulates).  A whole number of blocks.
+  static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 31;
 
   struct Block {
-    std::unique_ptr<std::uint64_t[]> words;  ///< kBlockRows x lanes_, row-major
-    std::uint64_t epoch = 0;                 ///< stale when != epoch_
+    std::uint64_t* words = nullptr;  ///< (kBlockRows + 1) x lanes_, row-major
+    std::uint64_t epoch = 0;         ///< stale when != epoch_
   };
 
-  /// Index, inside its block, of the word holding @p cycle on @p lane.
-  std::size_t word_index(std::uint64_t cycle, unsigned lane) const {
-    return static_cast<std::size_t>((cycle >> 6) & (kBlockRows - 1)) * lanes_ + lane;
+  /// Index, inside its block, of the word holding @p bucket on @p lane.
+  std::size_t word_index(std::uint64_t bucket, unsigned lane) const {
+    return static_cast<std::size_t>((bucket >> 6) & (kBlockRows - 1)) * lanes_ + lane;
+  }
+  /// Index of @p lane's summary word (the extra row): bit r set iff row r
+  /// of the lane is fully booked.
+  std::size_t summary_index(unsigned lane) const {
+    return static_cast<std::size_t>(kBlockRows) * lanes_ + lane;
+  }
+
+  /// OR @p mask into the word of @p lane holding @p bucket in block @p blk;
+  /// once the word is full, mark its row full in the summary, and once
+  /// every row is, the block full in full_.
+  void set_bits(std::uint64_t* blk, unsigned lane, std::uint64_t bucket, std::uint64_t mask) {
+    std::uint64_t& word = blk[word_index(bucket, lane)];
+    word |= mask;
+    if (word == ~std::uint64_t{0}) [[unlikely]] {
+      std::uint64_t& summary = blk[summary_index(lane)];
+      summary |= std::uint64_t{1} << ((bucket >> 6) & (kBlockRows - 1));
+      if (summary == ~std::uint64_t{0}) mark_block_full(lane, bucket >> kBlockShift);
+    }
+  }
+
+  /// Index in full_ of the word holding block @p bi's bit for @p lane.
+  std::size_t full_index(unsigned lane, std::uint64_t bi) const {
+    return static_cast<std::size_t>(bi >> 6) * lanes_ + lane;
   }
 
   /// Block @p bi's words, or null when it holds no current-epoch booking.
-  const std::uint64_t* peek_block(std::uint64_t bi) const {
+  std::uint64_t* peek_block(std::uint64_t bi) const {
     if (bi >= blocks_.size()) return nullptr;
     const Block& b = blocks_[bi];
-    return b.epoch == epoch_ ? b.words.get() : nullptr;
+    return b.epoch == epoch_ ? b.words : nullptr;
   }
 
-  Booking book_scan(unsigned lane, Cycle when, Cycle len);  // occupancy.cpp
-  void fill(unsigned lane, std::uint64_t start, Cycle len);
+  /// Book the first free bucket >= @p when; returns it, or kOverflow past
+  /// the horizon (occupancy.cpp).
+  std::uint64_t claim_from(unsigned lane, std::uint64_t when);
+  void mark_block_full(unsigned lane, std::uint64_t bi);
+  Booking book_scan(unsigned lane, std::uint64_t when, std::uint64_t len);
+  void fill(unsigned lane, std::uint64_t start, std::uint64_t len);
   std::uint64_t* touch_block(std::uint64_t bi);
 
   unsigned lanes_;
+  unsigned slab_blocks_;                ///< blocks per slab allocation
+  unsigned slab_used_ = slab_blocks_;   ///< blocks handed out of slabs_.back()
   std::uint64_t epoch_ = 1;
   std::uint64_t cached_bi_ = kNoBlock;  ///< block of the last booking...
   std::uint64_t* cached_ = nullptr;     ///< ...guaranteed current-epoch
-  std::vector<Block> blocks_;           ///< dense directory, index = cycle >> 12
+  std::vector<Block> blocks_;           ///< dense directory, index = bucket >> 12
+  std::vector<std::unique_ptr<std::uint64_t[]>> slabs_;  ///< block arena
+  /// Full-block bitmap: bit (bi & 63) of word full_index(lane, bi) set iff
+  /// block bi is fully booked on the lane, so a one-bucket booking steps
+  /// over up to 64 saturated blocks in one test.
+  std::vector<std::uint64_t> full_;
 };
 
 /// Contention observed at one shared resource (or one lane of a
@@ -391,68 +266,35 @@ inline bool booking_is_notable(const Booking& b, Cycle delay) {
 void note_booking(const std::string& name, bool& warned, const Booking& b, Cycle when,
                   Cycle delay, Cycle gap);
 
-/// A shared hardware resource (cache port, DRAM channel) arbitrated on a
-/// full-run OccupancyTimeline, carrying per-resource contention
-/// statistics.  The owner reads them through contention() and clears them
-/// with reset_stats() alongside its own Stats.
-class SharedResource {
- public:
-  using Contention = hm::Contention;
-
-  SharedResource(std::string name, Cycle gap)
-      : name_(std::move(name)), timeline_(gap) {}
-
-  /// Book one slot at or after @p when; returns the start cycle.
-  Cycle book(Cycle when) {
-    const Booking b = timeline_.book(when);
-    const Cycle delay = stats_.count(b, when);
-    if (booking_is_notable(b, delay)) [[unlikely]]
-      note_booking(name_, warned_, b, when, delay, timeline_.gap());
-    return b.start;
-  }
-
-  /// Free every slot (epoch reset).  Statistics are left alone — the owner
-  /// clears them with reset_stats().
-  void reset() { timeline_.reset(); }
-
-  void reset_stats() { stats_ = Contention{}; }
-
-  Cycle gap() const { return timeline_.gap(); }
-  const std::string& name() const { return name_; }
-  const Contention& contention() const { return stats_; }
-
- private:
-  std::string name_;
-  OccupancyTimeline timeline_;
-  Contention stats_;
-  bool warned_ = false;
-};
-
-/// A set of gap-1 resources booked in whole spans (the NoC links, the DMA
-/// ports): one SpanLanes plus per-lane contention statistics in one array.
-/// Lane names are built on demand by @p name_of — only trace emission and
-/// the overflow warning need them.
+/// A class of shared resources booked on one SpanLanes, one lane each, with
+/// a minimum gap G between request starts (the L2 or L3 ports of every
+/// home slice and the DRAM channels at their config gaps; the DMA ports
+/// and the NoC links at G = 1), plus per-lane contention statistics in one
+/// array.  A booking of @p len buckets at cycle @p when books from bucket
+/// floor(when / G) and is granted at max(when, bucket * G).  Lane names
+/// are built on demand by @p name_of — only trace emission and the
+/// overflow warning need them.
 class SharedLanes {
  public:
   using NameFn = std::function<std::string(unsigned lane)>;
 
-  SharedLanes(unsigned lanes, NameFn name_of)
-      : lanes_(lanes),
-        stats_(lanes),
-        warned_(std::make_unique<bool[]>(lanes)),
-        name_of_(std::move(name_of)) {}
+  /// Throws std::invalid_argument for @p gap == 0.
+  SharedLanes(unsigned lanes, Cycle gap, NameFn name_of);
 
-  /// Book @p len consecutive cycles of @p lane at or after @p when;
+  /// Book one bucket (one gap slot) of @p lane at or after @p when;
   /// returns the start cycle.
-  Cycle book(unsigned lane, Cycle when, Cycle len) {
-    const Booking b = lanes_.book(lane, when, len);
-    const Cycle delay = stats_[lane].count(b, when);
-    if (booking_is_notable(b, delay)) [[unlikely]]
-      note_booking(name_of_(lane), warned_[lane], b, when, delay, Cycle{1});
-    return b.start;
+  Cycle book(unsigned lane, Cycle when) {
+    return grant(lane, when, lanes_.book_one(lane, bucket_of(when)));
   }
 
-  /// Free every lane (epoch reset); statistics are left alone.
+  /// Book @p len consecutive buckets of @p lane at or after @p when;
+  /// returns the start cycle.
+  Cycle book(unsigned lane, Cycle when, Cycle len) {
+    return grant(lane, when, lanes_.book(lane, bucket_of(when), len));
+  }
+
+  /// Free every lane (epoch reset); statistics are left alone — the owner
+  /// clears them with reset_stats() alongside its own Stats.
   void reset() { lanes_.reset(); }
   void reset_stats() { std::fill(stats_.begin(), stats_.end(), Contention{}); }
 
@@ -468,9 +310,37 @@ class SharedLanes {
 
  private:
   SpanLanes lanes_;
+  Cycle gap_;
+  MagicDivisor gap_magic_;  ///< div by gap, valid when gap_ >= 2
   std::vector<Contention> stats_;
   std::unique_ptr<bool[]> warned_;
   NameFn name_of_;
+
+  std::uint64_t bucket_of(Cycle when) const {
+    return gap_ == 1 ? when : gap_magic_.div(when);
+  }
+
+  /// Turn bucket booking @p b, requested at cycle @p when, into its start
+  /// cycle, and count it.
+  Cycle grant(unsigned lane, Cycle when, const Booking& b) {
+    const Booking granted{b.overflow ? when : std::max(when, b.start * gap_), b.skipped,
+                          b.overflow};
+    const Cycle delay = stats_[lane].count(granted, when);
+    if (booking_is_notable(granted, delay)) [[unlikely]]
+      note_booking(name_of_(lane), warned_[lane], granted, when, delay, gap_);
+    return granted.start;
+  }
+};
+
+/// One named shared resource: a one-lane SharedLanes.
+class SharedResource : public SharedLanes {
+ public:
+  SharedResource(std::string name, Cycle gap)
+      : SharedLanes(1, gap, [name = std::move(name)](unsigned) { return name; }) {}
+
+  /// Book one gap slot at or after @p when; returns the start cycle.
+  Cycle book(Cycle when) { return SharedLanes::book(0, when); }
+  const Contention& contention() const { return SharedLanes::contention(0); }
 };
 
 }  // namespace hm

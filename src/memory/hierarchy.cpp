@@ -15,9 +15,10 @@ namespace hm {
 //  * The steady-state access path performs no per-access heap allocations:
 //    prefetcher candidate lists are SmallVec, MSHR/WCB structures are
 //    fixed-size, and all statistics counters are plain struct fields.  The only
-//    allocation source left is the full-run occupancy timelines growing a
-//    chunk as simulated time advances — amortized one slab per ~65k busy
-//    port cycles (tests/alloc_test.cpp bounds it against elapsed time).
+//    allocation source left is the full-run occupancy bitmaps growing a
+//    block slab as simulated time advances — amortized one slab per ~65k
+//    busy port cycles (tests/alloc_test.cpp bounds it against elapsed
+//    time).
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg)
     : MemoryHierarchy(std::move(cfg), static_cast<Uncore*>(nullptr)) {}
@@ -60,7 +61,7 @@ Cycle MemoryHierarchy::book_l2(Cycle when, Addr addr, Scratch& sc) {
   // l2_queue.
   const unsigned home = uncore_.home_of(addr);
   const Cycle arrive = uncore_.traverse(port_id_, home, when, 1);
-  const Cycle start = uncore_.l2_port(home).book(arrive);
+  const Cycle start = uncore_.l2_ports().book(home, arrive);
   if (start > arrive) sc.l2_queue += start - arrive;
   return start;
 }
@@ -69,7 +70,7 @@ Cycle MemoryHierarchy::book_l3(Cycle when, Addr addr, Scratch& sc) {
   // The L3 slice shares the L2 slice's home node (both are interleaved by
   // the same function), so an L2-miss -> L3 lookup pays no extra hops —
   // just this slice's L3 port.
-  const Cycle start = uncore_.l3_port(uncore_.home_of(addr)).book(when);
+  const Cycle start = uncore_.l3_ports().book(uncore_.home_of(addr), when);
   if (start > when) sc.l3_queue += start - when;
   return start;
 }

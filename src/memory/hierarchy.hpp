@@ -90,7 +90,7 @@ class MemoryHierarchy {
   /// cache tag/LRU/dirty updates, prefetcher training, fill/victim traffic
   /// and L2/L3 port, NoC and DRAM bookings with their queued starts — minus
   /// the MSHRs, and books an L1 miss at the issue cycle @p now rather than
-  /// after the L1 lookup.  The bookings keep the shared timelines as dense
+  /// after the L1 lookup.  The bookings keep the shared bitmaps as dense
   /// as detailed execution would, so the detailed windows that follow see
   /// realistic contention.  Returns the completion cycle, which the
   /// replayed store buffer drains on.

@@ -7,6 +7,16 @@
 
 namespace hm {
 
+namespace {
+
+/// Lane names of a resource class: @p flat_name for the one lane of a
+/// flat machine, else <prefix><k>.
+SharedLanes::NameFn lane_names(bool flat, const char* flat_name, const char* prefix) {
+  return [=](unsigned k) { return flat ? std::string(flat_name) : prefix + std::to_string(k); };
+}
+
+}  // namespace
+
 Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tiles)
     : cfg_(cfg),
       l2_(cfg_.l2),
@@ -14,17 +24,16 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
       mem_(cfg_.mem, noc.channels_for(n_tiles)),
       pf_l2_(cfg_.pf_l2, cfg_.l2.line_size),
       pf_l3_(cfg_.pf_l3, cfg_.l3.line_size),
-      // Flat: one DMA bus shared by every tile; mesh/ring: one injection
-      // port per tile.
-      dma_ports_(noc.active() ? n_tiles : 1, [flat = !noc.active()](unsigned k) {
-        return flat ? std::string("dma_bus") : "dma_inj" + std::to_string(k);
-      }) {
-  if (!noc.active()) {
-    // Flat: one home slice.
-    l2_ports_.emplace_back("l2_port", cfg_.l2_gap);
-    l3_ports_.emplace_back("l3_port", cfg_.l3_gap);
-    return;
-  }
+      // Flat: one home slice and one DMA bus shared by every tile;
+      // mesh/ring: one home slice and one DMA injection port per tile.
+      // Per-slice ports keep the flat gaps: slicing divides the request
+      // stream, it does not change a single slice's service rate.
+      l2_ports_(noc.active() ? n_tiles : 1, cfg_.l2_gap,
+                lane_names(!noc.active(), "l2_port", "l2_port_s")),
+      l3_ports_(noc.active() ? n_tiles : 1, cfg_.l3_gap,
+                lane_names(!noc.active(), "l3_port", "l3_port_s")),
+      dma_ports_(noc.active() ? n_tiles : 1, 1, lane_names(!noc.active(), "dma_bus", "dma_inj")) {
+  if (!noc.active()) return;
   if (n_tiles == 0 || n_tiles > SharerFilter::kMaxTiles)
     throw std::invalid_argument("NoC tile count out of range (1..256)");
   noc_ = std::make_unique<Noc>(noc, n_tiles);
@@ -32,15 +41,6 @@ Uncore::Uncore(const HierarchyConfig& cfg, const NocConfig& noc, unsigned n_tile
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.l2.line_size));
   line_flits_ = noc_->flits_for(cfg_.l2.line_size);
   sharers_ = std::make_unique<SharerFilter>(n_tiles, line_shift_);
-  // Per-slice ports keep the flat gaps: slicing divides the request
-  // stream, it does not change a single slice's service rate.  The
-  // *_contention() accessors aggregate them per resource class.
-  l2_ports_.reserve(n_tiles);
-  l3_ports_.reserve(n_tiles);
-  for (unsigned s = 0; s < n_tiles; ++s) {
-    l2_ports_.emplace_back("l2_port_s" + std::to_string(s), cfg_.l2_gap);
-    l3_ports_.emplace_back("l3_port_s" + std::to_string(s), cfg_.l3_gap);
-  }
 }
 
 unsigned Uncore::register_l1(SetAssocCache* l1) {
@@ -98,20 +98,14 @@ Cycle Uncore::dma_put_line(Cycle now, Addr line_addr, unsigned initiator_port) {
   return mem_.access(arrive, AccessType::Write, dram_channel_of(line_addr));
 }
 
-SharedResource::Contention Uncore::sum(const std::vector<SharedResource>& rs) {
-  SharedResource::Contention agg;
-  for (const SharedResource& r : rs) agg += r.contention();
-  return agg;
-}
-
 void Uncore::reset() {
   l2_.flush_all();
   l3_.flush_all();
   mem_.reset();
   pf_l2_.reset();
   pf_l3_.reset();
-  for (auto* ports : {&l2_ports_, &l3_ports_})
-    for (SharedResource& p : *ports) p.reset();
+  l2_ports_.reset();
+  l3_ports_.reset();
   dma_ports_.reset();
   if (noc_ != nullptr) {
     noc_->reset();
@@ -120,22 +114,20 @@ void Uncore::reset() {
 }
 
 void Uncore::emit_contention_trace(Cycle end) const {
-  const auto emit = [end](const Contention& c, const std::string& name) {
-    if (c.requests == 0) return;
-    const std::string lane = "res." + name;
-    obs::sim_instant(lane.c_str(), "contention_summary", end, "queue_cycles",
-                     static_cast<double>(c.queue_cycles));
+  const auto emit = [end](const SharedLanes& lanes) {
+    for (unsigned k = 0; k < lanes.size(); ++k) {
+      const Contention& c = lanes.contention(k);
+      if (c.requests == 0) continue;
+      const std::string lane = "res." + lanes.name(k);
+      obs::sim_instant(lane.c_str(), "contention_summary", end, "queue_cycles",
+                       static_cast<double>(c.queue_cycles));
+    }
   };
-  const auto emit_lanes = [&](const SharedLanes& lanes) {
-    for (unsigned k = 0; k < lanes.size(); ++k)
-      if (lanes.contention(k).requests != 0) emit(lanes.contention(k), lanes.name(k));
-  };
-  for (const SharedResource& p : l2_ports_) emit(p.contention(), p.name());
-  for (const SharedResource& p : l3_ports_) emit(p.contention(), p.name());
-  for (unsigned c = 0; c < mem_.channels(); ++c)
-    emit(mem_.channel_port(c).contention(), mem_.channel_port(c).name());
-  emit_lanes(dma_ports_);
-  if (noc_ != nullptr) emit_lanes(noc_->links());
+  emit(l2_ports_);
+  emit(l3_ports_);
+  emit(mem_.channels());
+  emit(dma_ports_);
+  if (noc_ != nullptr) emit(noc_->links());
 }
 
 void Uncore::reset_stats() {
@@ -145,8 +137,8 @@ void Uncore::reset_stats() {
   mem_.reset_stats();
   pf_l2_.reset_stats();
   pf_l3_.reset_stats();
-  for (auto* ports : {&l2_ports_, &l3_ports_})
-    for (SharedResource& p : *ports) p.reset_stats();
+  l2_ports_.reset_stats();
+  l3_ports_.reset_stats();
   dma_ports_.reset_stats();
   if (noc_ != nullptr) noc_->reset_stats();
 }

@@ -7,12 +7,13 @@
 //
 //  * the shared L2 and L3 caches with their port resources (one request may
 //    start per `l2_gap`/`l3_gap` cycles across ALL tiles — the arbitration
-//    point where tiles contend; slots are booked on a full-run
-//    OccupancyTimeline, so an earlier tile's bookings stay visible to every
-//    later tile for the whole run — see common/occupancy.hpp),
+//    point where tiles contend; each class of ports is one full-run
+//    occupancy bitmap (SharedLanes, one lane per home slice), so an earlier
+//    tile's bookings stay visible to every later tile for the whole run —
+//    see common/occupancy.hpp),
 //  * the L2/L3 stream prefetchers (trained by every tile's miss stream,
 //    like a physically shared prefetch engine),
-//  * main memory (its DRAM channel is a shared resource the same way),
+//  * main memory (its DRAM channels are the lanes of one such bitmap),
 //  * the coherent DMA bus: dma-put bus requests write to main memory and
 //    broadcast an invalidation to the shared levels AND to every tile's L1
 //    (§3.4.2 — the DMA data is the valid version everywhere), and the bus
@@ -20,8 +21,8 @@
 //    lane, serializing transfers whose simulated spans overlap.  Tiles
 //    run in fixed order, so earlier tiles book first — the fixed-priority
 //    arbitration of PR 3, now expressed as occupancy.
-//    The DMA ports are the lanes of one span bitmap (SharedLanes), like
-//    the NoC links.
+//    The DMA ports are the lanes of one such bitmap too, like the NoC
+//    links.
 //
 // Tiles register their L1 at construction; a single-tile machine behaves
 // bit-identically to the pre-tile monolithic hierarchy (one L1 registered;
@@ -146,7 +147,8 @@ class Uncore {
     return dma_ports_.book(initiator_port % dma_ports_.size(), ready, len);
   }
 
-  /// Drop all shared cache contents, occupancy timelines and DMA windows.
+  /// Drop all shared cache contents and every port, channel and DMA
+  /// booking.
   /// Idempotent — every tile's reset may call it.
   void reset();
 
@@ -197,12 +199,12 @@ class Uncore {
   /// DRAM channel draining @p line_addr's home slice.
   unsigned dram_channel_of(Addr line_addr) const {
     if (n_slices_ == 1) [[likely]] return 0;
-    return home_of(line_addr) % mem_.channels();
+    return home_of(line_addr) % mem_.channels().size();
   }
 
-  /// Home slice @p slice's L2 (resp. L3) port.
-  SharedResource& l2_port(unsigned slice) { return l2_ports_[slice]; }
-  SharedResource& l3_port(unsigned slice) { return l3_ports_[slice]; }
+  /// The L2 (resp. L3) ports, lane = home slice.
+  SharedLanes& l2_ports() { return l2_ports_; }
+  SharedLanes& l3_ports() { return l3_ports_; }
 
   /// Sharer-filter hook: tile @p port filled @p line into its L1.  No-op
   /// without a filter.
@@ -215,15 +217,14 @@ class Uncore {
   // channels/DMA ports (requests/delayed/queue_cycles/overflows added, peak
   // maxed) — so RunReport's l2_port/l3_port/dram/dma_bus sections mean
   // "that resource class, machine-wide" under every topology.
-  SharedResource::Contention l2_port_contention() const { return sum(l2_ports_); }
-  SharedResource::Contention l3_port_contention() const { return sum(l3_ports_); }
-  SharedResource::Contention dram_contention() const { return mem_.aggregate_contention(); }
-  SharedResource::Contention dma_bus_contention() const { return dma_ports_.total(); }
+  Contention l2_port_contention() const { return l2_ports_.total(); }
+  Contention l3_port_contention() const { return l3_ports_.total(); }
+  Contention dram_contention() const { return mem_.channels().total(); }
+  Contention dma_bus_contention() const { return dma_ports_.total(); }
 
   const Stats& stats() const { return stats_; }
 
  private:
-  static SharedResource::Contention sum(const std::vector<SharedResource>& rs);
 
   HierarchyConfig cfg_;
   SetAssocCache l2_;
@@ -237,10 +238,10 @@ class Uncore {
   unsigned n_slices_ = 1;
   unsigned line_shift_ = 6;   ///< log2(line size), interleave granularity
   unsigned line_flits_ = 4;   ///< flits of one cache line on the NoC
-  // Sized once at construction and never grown.
-  std::vector<SharedResource> l2_ports_;   ///< one per home slice
-  std::vector<SharedResource> l3_ports_;   ///< one per home slice
-  /// DMA ports as the lanes of a span bitmap: commands book whole windows.
+  // One lane per home slice.
+  SharedLanes l2_ports_;
+  SharedLanes l3_ports_;
+  /// DMA ports: commands book whole windows.
   SharedLanes dma_ports_;
   std::unique_ptr<Noc> noc_;               ///< null when flat
   std::unique_ptr<SharerFilter> sharers_;  ///< null when flat

@@ -39,7 +39,7 @@ unsigned near_square_x(unsigned n) {
 Noc::Noc(const NocConfig& cfg, unsigned n_nodes)
     : cfg_(cfg),
       n_(n_nodes),
-      links_(n_nodes * kDirs, [this](unsigned lane) { return link_name(lane); }) {
+      links_(n_nodes * kDirs, 1, [this](unsigned lane) { return link_name(lane); }) {
   if (!cfg_.active()) throw std::invalid_argument("Noc requires mesh or ring topology");
   if (n_ == 0) throw std::invalid_argument("Noc requires at least one node");
   if (cfg_.flit_bytes == 0) throw std::invalid_argument("Noc requires a nonzero flit width");

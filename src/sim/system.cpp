@@ -77,7 +77,7 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
   // earlier tiles left in L2/L3), the DMA bus (per-command windows booked
   // on a gap-1 span-bitmap lane, serialized wherever their simulated
   // spans overlap), and L2/L3/DRAM port slots (per-gap buckets booked on
-  // full-run occupancy timelines — an earlier tile's bookings stay visible
+  // full-run occupancy bitmaps — an earlier tile's bookings stay visible
   // to every later tile for the entire run; see common/occupancy.hpp).
   // The only remaining understatement is a booking past the occupancy
   // horizon, which is counted per resource (RunReport::*_overflows) and

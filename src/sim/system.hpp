@@ -89,7 +89,7 @@ struct TileReport {
 /// value means bookings fell past the occupancy horizon and contention is
 /// understated (run_point fails such points; the golden/scaling tests
 /// assert the counters directly).
-using ResourceContention = SharedResource::Contention;
+using ResourceContention = Contention;
 
 /// Everything measured in one run; the inputs to Table 3, Figs. 7-10 and
 /// the scaling experiment.  On a multi-tile run the flat fields are the

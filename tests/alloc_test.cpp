@@ -4,10 +4,10 @@
 // requests) must not allocate per access.  A counting global operator new
 // catches any regression — the seed's three std::vector allocations per
 // access would trip this immediately.  The single permitted allocation
-// source is the full-run occupancy timelines (common/occupancy.hpp)
-// growing a chunk slab as simulated time advances: amortized one slab per
-// tens of thousands of simulated cycles, so the budget below is a function
-// of elapsed simulated time, not of the access count.
+// source is the full-run occupancy bitmaps (common/occupancy.hpp) growing
+// a block slab as simulated time advances: amortized one slab per tens of
+// thousands of simulated cycles, so the budget below is a function of
+// elapsed simulated time, not of the access count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -79,10 +79,11 @@ TEST(AllocationFreeFastPath, SteadyStateAccessAllocatesOnlyTimelineChunks) {
   step(200'000, now);
   const std::uint64_t after = g_news;
 
-  // Time-proportional budget: each of the three port/channel timelines
-  // (L2 gap 3, L3 gap 6, DRAM gap 4) covers >= 12288 cycles per 4096-bucket
-  // chunk and allocates chunks in 16-chunk slabs, so the steady-state rate
-  // is well under one allocation per 50k simulated cycles.  The +8 slack
+  // Time-proportional budget: each of the three one-lane port/channel
+  // bitmaps (L2 gap 3, L3 gap 6, DRAM gap 4) covers >= 12288 cycles per
+  // 4096-bucket block and allocates blocks in 16-block slabs, so the
+  // steady-state rate is well under one allocation per 50k simulated
+  // cycles.  The +8 slack
   // absorbs directory-vector regrowth.  Per-ACCESS allocations (the seed's
   // three vectors per access) would exceed this budget ~1000x over.
   const std::uint64_t budget = (now - t0) / 50'000 + 8;

@@ -161,7 +161,7 @@ TEST(Hierarchy, MemoryBandwidthGapQueues) {
   const Cycle b = mem.access(0, AccessType::Read);  // same-cycle request queues
   EXPECT_EQ(a, 100u);
   EXPECT_EQ(b, 110u);
-  EXPECT_EQ(mem.aggregate_contention().queue_cycles, 10u);
+  EXPECT_EQ(mem.channels().total().queue_cycles, 10u);
 }
 
 /// Strided plus random loads and stores: the mixed stream the access-path

@@ -255,7 +255,7 @@ TEST(Noc, LinkQueueingDelaysOverlappingMessages) {
   const Cycle first = noc.traverse(0, 1, Cycle{10}, 4);
   const Cycle second = noc.traverse(0, 1, Cycle{10}, 4);
   EXPECT_GT(second, first);  // same link, same cycle: one of them queues
-  const SharedResource::Contention c = noc.link_contention();
+  const Contention c = noc.link_contention();
   EXPECT_EQ(c.requests, 2u);
   EXPECT_EQ(c.delayed, 1u);
   EXPECT_GT(c.queue_cycles, 0u);

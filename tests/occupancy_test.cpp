@@ -1,103 +1,115 @@
-// Unit tests for the full-run occupancy layer (slot booking, span booking
-// on SpanLanes checked against a per-cycle reference, epoch reset,
-// saturation, the overflow guard and the SharedResource / SharedLanes
-// contention statistics), the core's issue-slot model and the
-// write-combining behaviour of the write-through L1.
+// Unit tests for the full-run occupancy layer (gap-slot booking on
+// SharedResource, slot and span booking on SpanLanes / SharedLanes checked
+// against per-bucket references, epoch reset, saturation, gap-0 rejection,
+// the overflow guard and the contention statistics), the core's issue-slot
+// model and the write-combining behaviour of the write-through L1.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/occupancy.hpp"
 #include "common/rng.hpp"
 #include "core/ooo_core.hpp"
 #include "memory/hierarchy.hpp"
+#include "memory/uncore.hpp"
 
 namespace hm {
 namespace {
 
-TEST(OccupancyTimeline, ZeroGapIsInfinite) {
-  OccupancyTimeline t(0);
-  for (Cycle c : {Cycle{0}, Cycle{5}, Cycle{5}, Cycle{5}}) EXPECT_EQ(t.book(c).start, c);
-}
-
-TEST(OccupancyTimeline, OnePerGapBucket) {
-  OccupancyTimeline t(4);
-  EXPECT_EQ(t.book(0).start, 0u);   // bucket 0
-  EXPECT_EQ(t.book(0).start, 4u);   // bucket 0 taken -> bucket 1 starts at 4
-  EXPECT_EQ(t.book(0).start, 8u);
-  EXPECT_EQ(t.book(12).start, 12u); // far bucket still free
-}
-
-TEST(OccupancyTimeline, OutOfOrderRequestsFillHoles) {
-  OccupancyTimeline t(4);
-  EXPECT_EQ(t.book(100).start, 100u);  // a future booking...
-  // ...must not delay an earlier request (the bug a single next-free
-  // register has).
-  EXPECT_EQ(t.book(0).start, 0u);
-  EXPECT_EQ(t.book(4).start, 4u);
-}
-
-TEST(OccupancyTimeline, BookNeverStartsBeforeRequest) {
-  OccupancyTimeline t(8);
-  for (int i = 0; i < 100; ++i) {
-    const Cycle when = static_cast<Cycle>(i * 3);
-    EXPECT_GE(t.book(when).start, when);
+TEST(SharedResource, ZeroGapIsRejected) {
+  EXPECT_THROW(SharedResource("port", 0), std::invalid_argument);
+  EXPECT_THROW(MainMemory(MainMemoryConfig{.gap = 0}), std::invalid_argument);
+  for (const bool l3 : {false, true}) {
+    HierarchyConfig cfg;
+    (l3 ? cfg.l3_gap : cfg.l2_gap) = 0;
+    EXPECT_THROW(Uncore{cfg}, std::invalid_argument) << (l3 ? "l3_gap" : "l2_gap");
+    EXPECT_THROW((Uncore{cfg, NocConfig{.topology = Topology::Mesh}, 4}), std::invalid_argument);
   }
 }
 
-TEST(OccupancyTimeline, NonMonotonicTimestampsKeepFullRunMemory) {
-  // The bounded ring forgot bookings older than its window; the timeline
+TEST(SharedResource, OnePerGapBucket) {
+  SharedResource t("port", 4);
+  EXPECT_EQ(t.book(0), 0u);   // bucket 0
+  EXPECT_EQ(t.book(0), 4u);   // bucket 0 taken -> bucket 1 starts at 4
+  EXPECT_EQ(t.book(0), 8u);
+  EXPECT_EQ(t.book(12), 12u); // far bucket still free
+}
+
+TEST(SharedResource, OutOfOrderRequestsFillHoles) {
+  SharedResource t("port", 4);
+  EXPECT_EQ(t.book(100), 100u);  // a future booking...
+  // ...must not delay an earlier request (the bug a single next-free
+  // register has).
+  EXPECT_EQ(t.book(0), 0u);
+  EXPECT_EQ(t.book(4), 4u);
+}
+
+TEST(SharedResource, BookNeverStartsBeforeRequest) {
+  SharedResource t("port", 8);
+  for (int i = 0; i < 100; ++i) {
+    const Cycle when = static_cast<Cycle>(i * 3);
+    EXPECT_GE(t.book(when), when);
+  }
+}
+
+TEST(SharedResource, NonMonotonicTimestampsKeepFullRunMemory) {
+  // The bounded ring forgot bookings older than its window; the bitmap
   // must not.  Book far in the future, fill the present, then revisit the
   // future bucket: it is still occupied.
-  OccupancyTimeline t(2);
-  EXPECT_EQ(t.book(1'000'000).start, 1'000'000u);
+  SharedResource t("port", 2);
+  EXPECT_EQ(t.book(1'000'000), 1'000'000u);
   for (int i = 0; i < 1000; ++i) t.book(0);  // a dense present-day burst
   // The future slot booked first is remembered across the whole run.
-  EXPECT_EQ(t.book(1'000'000).start, 1'000'002u);
+  EXPECT_EQ(t.book(1'000'000), 1'000'002u);
   // And the present-day burst is remembered from the future's perspective.
-  EXPECT_EQ(t.book(0).start, 2000u);
+  EXPECT_EQ(t.book(0), 2000u);
 }
 
-TEST(OccupancyTimeline, EpochResetFreesEverything) {
-  OccupancyTimeline t(4);
+TEST(SharedResource, EpochResetFreesEverything) {
+  SharedResource t("port", 4);
   t.book(0);
-  t.book(1'000'000);  // a second chunk, so reset covers multiple chunks
+  t.book(1'000'000);  // a second block, so reset covers multiple blocks
   t.reset();
-  EXPECT_EQ(t.book(0).start, 0u);
-  EXPECT_EQ(t.book(1'000'000).start, 1'000'000u);
+  EXPECT_EQ(t.book(0), 0u);
+  EXPECT_EQ(t.book(1'000'000), 1'000'000u);
 }
 
-TEST(OccupancyTimeline, EpochResetRecyclesSaturatedChunks) {
-  // Saturate well past one 4096-bucket chunk, reset, and saturate again:
-  // the recycled chunks must behave exactly like fresh ones (the lazily
-  // cleared epoch path), including the level-2 full-chunk summary.
-  OccupancyTimeline t(1);
+TEST(SharedResource, EpochResetRecyclesSaturatedBlocks) {
+  // Saturate well past one 4096-bucket block, reset, and saturate again:
+  // the recycled blocks must behave exactly like fresh ones (the lazily
+  // cleared epoch path), including the row-full summary words.
+  SharedResource t("port", 1);
   for (int round = 0; round < 2; ++round) {
-    for (Cycle i = 0; i < 10'000; ++i) EXPECT_EQ(t.book(0).start, i) << "round " << round;
+    for (Cycle i = 0; i < 10'000; ++i) EXPECT_EQ(t.book(0), i) << "round " << round;
     t.reset();
   }
 }
 
-TEST(OccupancyTimeline, DenseSaturationSerializesAcrossChunks) {
-  // N same-cycle requests serialize at exactly one per gap, across chunk
-  // boundaries (4096 buckets per chunk; 6000 bookings span two chunks).
-  OccupancyTimeline t(3);
+TEST(SharedResource, DenseSaturationSerializesAcrossBlocks) {
+  // N same-cycle requests serialize at exactly one per gap, across block
+  // boundaries (4096 buckets per block; 6000 bookings span two blocks).
+  SharedResource t("port", 3);
   Cycle last = 0;
-  for (int i = 0; i < 6000; ++i) last = t.book(0).start;
+  for (int i = 0; i < 6000; ++i) last = t.book(0);
   EXPECT_EQ(last, 3u * 5999u);
-  // The saturated prefix reports its depth: the last booking skipped 5999
-  // occupied buckets.
-  EXPECT_EQ(t.book(0).skipped, 6000u);
+  // The saturated prefix reports its depth: the next booking skips all
+  // 6000 occupied buckets.
+  t.book(0);
+  EXPECT_EQ(t.contention().peak_occupancy, 6000u);
 }
 
-TEST(OccupancyTimeline, OverflowPastHorizonIsGrantedButFlagged) {
-  OccupancyTimeline t(1);
-  const Cycle beyond = OccupancyTimeline::max_buckets() + 17;
-  const auto b = t.book(beyond);
-  EXPECT_TRUE(b.overflow);
-  EXPECT_EQ(b.start, beyond);  // served as if free — but never silently
-  EXPECT_FALSE(t.book(0).overflow);
+TEST(SharedResource, OverflowPastHorizonIsGrantedButFlagged) {
+  SharedResource t("bus", 1);
+  const Cycle beyond = SpanLanes::max_buckets() + 17;
+  EXPECT_EQ(t.book(beyond), beyond);  // served as if free — but never silently
+  EXPECT_EQ(t.contention().overflows, 1u);
+  t.book(SpanLanes::max_buckets() + 1);
+  EXPECT_EQ(t.contention().overflows, 2u);
+  t.book(0);
+  EXPECT_EQ(t.contention().overflows, 2u);
 }
 
 TEST(SpanLanes, SpanBookingPushesPastOverlap) {
@@ -146,6 +158,20 @@ TEST(SpanLanes, LanesAreIndependent) {
   EXPECT_EQ(t.book(1, 10, 5).start, 15u);
   EXPECT_EQ(t.book(0, 0, 0).start, 0u);     // an empty span books nothing
   EXPECT_EQ(t.book(0, 0, 10).start, 0u);
+}
+
+TEST(SpanLanes, OneBucketBookingJumpsRowsFilledBySpans) {
+  // Rows 0 and 1 fill through the in-word span fast path; bucket 128 (row
+  // 2) is busy.  A one-bucket booking at 0 must take the row-full summary
+  // to row 2 and land on 129, never re-book a busy bucket.
+  SpanLanes t(1);
+  EXPECT_EQ(t.book(0, 128, 1).start, 128u);
+  EXPECT_EQ(t.book(0, 64, 32).start, 64u);
+  EXPECT_EQ(t.book(0, 96, 32).start, 96u);
+  EXPECT_EQ(t.book(0, 0, 64).start, 0u);
+  const Booking b = t.book(0, 0, 1);
+  EXPECT_EQ(b.start, 129u);
+  EXPECT_EQ(b.skipped, 129u);
 }
 
 /// Per-cycle reference for SpanLanes: one std::vector<bool> per lane over
@@ -203,14 +229,15 @@ Cycle edgy_cycle(Rng& rng, std::uint64_t lo, std::uint64_t range) {
   }
 }
 
-/// Books @p n random spans (len 1..300) on both bitmaps and requires
-/// identical start/skipped/overflow for every booking.
+/// Books @p n random requests on both bitmaps — about half one-bucket
+/// slots, the rest spans of 2..300 — and requires identical
+/// start/skipped/overflow for every booking.
 void expect_same_bookings(SpanLanes& real, NaiveLanes& ref, Rng& rng, unsigned lanes,
                           std::uint64_t lo, std::uint64_t range, int n) {
   for (int i = 0; i < n; ++i) {
     const unsigned lane = static_cast<unsigned>(rng.below(lanes));
     const Cycle when = edgy_cycle(rng, lo, range);
-    const Cycle len = 1 + rng.below(300);
+    const Cycle len = rng.chance(0.5) ? 1 : 2 + rng.below(299);
     const Booking a = real.book(lane, when, len);
     const Booking b = ref.book(lane, when, len);
     ASSERT_EQ(a.start, b.start) << "booking " << i << " lane " << lane << " at " << when
@@ -226,9 +253,12 @@ TEST(SpanLanes, MatchesPerCycleReferenceOnRandomStreams) {
   SpanLanes real(kLanes);
   NaiveLanes ref(kLanes, 0, 1 << 20);
   // Sparse (mostly fast-path) then dense (long pushes across words and
-  // blocks, carried runs, busy popcounts) traffic on the same lanes.
+  // blocks, carried runs, busy popcounts) traffic on the same lanes, then
+  // a burst that saturates whole rows and blocks, so one-bucket bookings
+  // jump over full rows and blocks through the summary words.
   expect_same_bookings(real, ref, rng, kLanes, 0, 200'000, 2000);
   expect_same_bookings(real, ref, rng, kLanes, 0, 40'000, 1500);
+  expect_same_bookings(real, ref, rng, kLanes, 0, 9'000, 2500);
   // After reset() every lane is free again, recycled blocks included.
   real.reset();
   ref.reset();
@@ -252,6 +282,55 @@ TEST(SpanLanes, MatchesPerCycleReferenceAtTheHorizon) {
   EXPECT_EQ(far.start, h + 17);  // served as if free — but never silently
 }
 
+/// Per-bucket reference for gap-G slot booking: a request at cycle c takes
+/// the first free bucket b >= floor(c / G), starts at max(c, b * G), and
+/// observes a backlog of b - floor(c / G) buckets.
+class NaiveSlots {
+ public:
+  NaiveSlots(unsigned lanes, Cycle gap, std::uint64_t buckets)
+      : gap_(gap), busy_(lanes, std::vector<bool>(buckets, false)), stats_(lanes) {}
+
+  Cycle book(unsigned lane, Cycle when) {
+    const std::uint64_t first = when / gap_;
+    std::uint64_t b = first;
+    while (busy_[lane].at(b)) ++b;
+    busy_[lane][b] = true;
+    const Cycle start = std::max(when, b * gap_);
+    stats_[lane].count(Booking{start, b - first, false}, when);
+    return start;
+  }
+  const Contention& contention(unsigned lane) const { return stats_[lane]; }
+
+ private:
+  Cycle gap_;
+  std::vector<std::vector<bool>> busy_;
+  std::vector<Contention> stats_;
+};
+
+class SlotReferenceSweep : public ::testing::TestWithParam<Cycle> {};
+
+TEST_P(SlotReferenceSweep, GapSlotsMatchPerBucketReference) {
+  const Cycle gap = GetParam();
+  constexpr unsigned kLanes = 3;
+  Rng rng(0x510u + gap);
+  SharedLanes real(kLanes, gap, [](unsigned k) { return "slot" + std::to_string(k); });
+  NaiveSlots ref(kLanes, gap, 1 << 18);
+  // Sparse out-of-order traffic, then a burst several times the service
+  // rate that saturates whole rows and blocks (4096 buckets each).
+  for (const auto& [range, n] : {std::pair<std::uint64_t, int>{400'000, 3000},
+                                 std::pair<std::uint64_t, int>{6'000 * gap, 20'000}}) {
+    for (int i = 0; i < n; ++i) {
+      const unsigned lane = static_cast<unsigned>(rng.below(kLanes));
+      const Cycle when = edgy_cycle(rng, 0, range);
+      ASSERT_EQ(real.book(lane, when), ref.book(lane, when))
+          << "gap " << gap << " booking " << i << " lane " << lane << " at " << when;
+    }
+  }
+  for (unsigned k = 0; k < kLanes; ++k) EXPECT_EQ(real.contention(k), ref.contention(k));
+}
+
+INSTANTIATE_TEST_SUITE_P(Gaps, SlotReferenceSweep, ::testing::Values(2, 3, 4, 6));
+
 TEST(SharedResource, ContentionStatisticsAccumulate) {
   SharedResource r("port", 4);
   EXPECT_EQ(r.book(0), 0u);
@@ -274,8 +353,8 @@ TEST(SharedResource, ResetStatsClearsCountersButKeepsBookings) {
   EXPECT_EQ(r.contention().delayed, 1u);
   EXPECT_EQ(r.contention().queue_cycles, 2u);
   r.reset_stats();
-  EXPECT_EQ(r.contention(), SharedResource::Contention{});
-  // The timeline is untouched: slots 0 and 2 are still booked.
+  EXPECT_EQ(r.contention(), Contention{});
+  // The bitmap is untouched: slots 0 and 2 are still booked.
   EXPECT_EQ(r.book(0), 4u);
   EXPECT_EQ(r.contention().queue_cycles, 4u);
   // ...and reset() frees the slots without touching the statistics.
@@ -284,17 +363,8 @@ TEST(SharedResource, ResetStatsClearsCountersButKeepsBookings) {
   EXPECT_EQ(r.contention().requests, 2u);
 }
 
-TEST(SharedResource, OverflowCounterTracksHorizonBreaches) {
-  SharedResource r("bus", 1);
-  r.book(OccupancyTimeline::max_buckets() + 1);
-  r.book(OccupancyTimeline::max_buckets() + 9);
-  EXPECT_EQ(r.contention().overflows, 2u);
-  r.book(0);
-  EXPECT_EQ(r.contention().overflows, 2u);
-}
-
 TEST(SharedLanes, PerLaneStatisticsAndOverflowCounter) {
-  SharedLanes lanes(2, [](unsigned k) { return "lane" + std::to_string(k); });
+  SharedLanes lanes(2, 1, [](unsigned k) { return "lane" + std::to_string(k); });
   EXPECT_EQ(lanes.book(0, 10, 4), 10u);
   EXPECT_EQ(lanes.book(0, 10, 4), 14u);  // queued behind [10,14)
   EXPECT_EQ(lanes.book(1, 10, 4), 10u);
@@ -312,6 +382,27 @@ TEST(SharedLanes, PerLaneStatisticsAndOverflowCounter) {
   EXPECT_EQ(lanes.book(0, 10, 1), 18u);
   lanes.reset();
   EXPECT_EQ(lanes.book(0, 10, 1), 10u);
+}
+
+TEST(SharedLanes, OverflowWarnsOncePerLane) {
+  Log::set_level(LogLevel::Warn);
+  ::testing::internal::CaptureStderr();
+  SharedLanes dram(2, 4, [](unsigned k) {
+    return k == 0 ? std::string("dram") : "dram_ch" + std::to_string(k);
+  });
+  const Cycle beyond = 4 * SpanLanes::max_buckets();
+  EXPECT_EQ(dram.book(0, beyond), beyond);
+  EXPECT_EQ(dram.book(0, beyond + 4), beyond + 4);  // counted, not warned again
+  EXPECT_EQ(dram.book(1, beyond), beyond);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  Log::set_level(LogLevel::Off);
+  const auto warning = [](const std::string& name) {
+    return "[WARN] occupancy: resource '" + name +
+           "' (gap 4) booked beyond the tracked horizon of 2147483648 buckets; contention is "
+           "understated and counted in its 'overflows' statistic\n";
+  };
+  EXPECT_EQ(err, warning("dram") + warning("dram_ch1"));
+  EXPECT_EQ(dram.total().overflows, 3u);
 }
 
 TEST(SharedResource, MultiTileSlowdownIsMonotonicInCoreCount) {
@@ -389,9 +480,9 @@ TEST(WriteCombining, EntryExpiresAfterDrain) {
 }
 
 TEST(SharedResource, ContentionAggregatesAddCountsAndMaxPeak) {
-  SharedResource::Contention agg{.requests = 3, .delayed = 1, .queue_cycles = 5,
+  Contention agg{.requests = 3, .delayed = 1, .queue_cycles = 5,
                                  .peak_occupancy = 4, .overflows = 0};
-  agg += SharedResource::Contention{.requests = 2, .delayed = 2, .queue_cycles = 7,
+  agg += Contention{.requests = 2, .delayed = 2, .queue_cycles = 7,
                                     .peak_occupancy = 2, .overflows = 1};
   EXPECT_EQ(agg.requests, 5u);
   EXPECT_EQ(agg.delayed, 3u);
@@ -404,11 +495,11 @@ class OccupancyGapSweep : public ::testing::TestWithParam<Cycle> {};
 
 TEST_P(OccupancyGapSweep, ThroughputMatchesGap) {
   const Cycle gap = GetParam();
-  OccupancyTimeline t(gap);
+  SharedResource t("port", gap);
   // N same-cycle requests serialize at exactly one per gap.
   const int n = 64;
   Cycle last = 0;
-  for (int i = 0; i < n; ++i) last = t.book(0).start;
+  for (int i = 0; i < n; ++i) last = t.book(0);
   EXPECT_EQ(last, gap * static_cast<Cycle>(n - 1));
 }
 
