@@ -22,14 +22,14 @@
 //    lane share a row (a message's hops, made within a few hundred cycles,
 //    touch one or two rows).  An extra summary row holds one word per lane
 //    whose bit r says "row r of this lane is fully booked".
-//  * A one-bucket booking takes the first free bit of its word; when the
-//    word is full, the summary word jumps to the first open row of the
-//    block, and a per-lane full-block bitmap skips a run of up to 64
-//    saturated blocks in one test.
-//  * A span booking runs one forward word scan for the first free run of
-//    @c len buckets: a shift-AND for runs inside a word, a carried run
-//    counter across words, and a popcount of the busy buckets it steps
-//    over.
+//  * A slot booking (one bucket, book_one) takes the first free bit of its
+//    word; when the word is full, the summary word jumps to the first open
+//    row of the block, and a per-lane full-block bitmap skips a run of up
+//    to 64 saturated blocks in one test.
+//  * A span booking (book, any length) runs one forward word scan for the
+//    first free run of @c len buckets: a shift-AND for runs inside a word,
+//    a carried run counter across words, and a popcount of the busy
+//    buckets it steps over.
 //  * Blocks are allocated lazily as simulated time reaches them, from
 //    slabs of 16 one-lane blocks (fewer blocks for a set of more lanes).
 //  * reset() is an epoch bump: blocks are recycled in place and lazily
@@ -84,6 +84,8 @@ class SpanLanes {
  public:
   explicit SpanLanes(unsigned lanes)
       : lanes_(lanes), slab_blocks_(std::max(1u, kSlabLaneBlocks / std::max(lanes, 1u))) {}
+  SpanLanes(const SpanLanes&) = delete;
+  SpanLanes& operator=(const SpanLanes&) = delete;
 
   /// Book @p len consecutive buckets of @p lane starting at the first
   /// bucket >= @p when where they are all free.  Booking::skipped counts
@@ -94,7 +96,6 @@ class SpanLanes {
   /// nothing.
   Booking book(unsigned lane, std::uint64_t when, std::uint64_t len) {
     assert(lane < lanes_);
-    if (len == 1) return book_one(lane, when);
     // Fast path: the span sits inside one word of the block the previous
     // booking touched and that word is free there — most span bookings.
     const unsigned lo = static_cast<unsigned>(when & 63);

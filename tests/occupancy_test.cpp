@@ -165,11 +165,11 @@ TEST(SpanLanes, OneBucketBookingJumpsRowsFilledBySpans) {
   // 2) is busy.  A one-bucket booking at 0 must take the row-full summary
   // to row 2 and land on 129, never re-book a busy bucket.
   SpanLanes t(1);
-  EXPECT_EQ(t.book(0, 128, 1).start, 128u);
+  EXPECT_EQ(t.book_one(0, 128).start, 128u);
   EXPECT_EQ(t.book(0, 64, 32).start, 64u);
   EXPECT_EQ(t.book(0, 96, 32).start, 96u);
   EXPECT_EQ(t.book(0, 0, 64).start, 0u);
-  const Booking b = t.book(0, 0, 1);
+  const Booking b = t.book_one(0, 0);
   EXPECT_EQ(b.start, 129u);
   EXPECT_EQ(b.skipped, 129u);
 }
@@ -237,8 +237,10 @@ void expect_same_bookings(SpanLanes& real, NaiveLanes& ref, Rng& rng, unsigned l
   for (int i = 0; i < n; ++i) {
     const unsigned lane = static_cast<unsigned>(rng.below(lanes));
     const Cycle when = edgy_cycle(rng, lo, range);
-    const Cycle len = rng.chance(0.5) ? 1 : 2 + rng.below(299);
-    const Booking a = real.book(lane, when, len);
+    // Half are one-bucket slot bookings; spans include len 1 too.
+    const bool slot = rng.chance(0.5);
+    const Cycle len = slot ? 1 : 1 + rng.below(300);
+    const Booking a = slot ? real.book_one(lane, when) : real.book(lane, when, len);
     const Booking b = ref.book(lane, when, len);
     ASSERT_EQ(a.start, b.start) << "booking " << i << " lane " << lane << " at " << when
                                 << " len " << len;
