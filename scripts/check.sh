@@ -42,6 +42,19 @@ python3 scripts/trace_summary.py build/obs_smoke/traces --quiet
   --jobs 2 --quiet --trace-dir obs_smoke/sampled_traces)
 python3 scripts/trace_summary.py build/obs_smoke/sampled_traces --quiet
 
+# Quiet-stderr check: a quiet sweep writes nothing to stderr, plain or
+# sampled (whose once-per-invocation note --quiet suppresses).  Any
+# warning here is either a real problem or a spurious one; both fail.
+for sample in off interval; do
+  err=$(cd build && ./hm_sweep run --filter fig8 --scale 0.05 --quiet --no-cache \
+    --no-journal --format csv --sample "$sample" 2>&1 > /dev/null)
+  if [ -n "$err" ]; then
+    echo "hm_sweep --sample $sample wrote to stderr:" >&2
+    echo "$err" >&2
+    exit 1
+  fi
+done
+
 # Docs check: registry-vs-EXPERIMENTS.md consistency already ran as part of
 # ctest (docs_test); here, sweep every relative markdown link in the
 # top-level docs for dead targets, including ones docs_test doesn't cover.

@@ -1,41 +1,19 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace hm {
 namespace {
-// Relaxed is enough: enabled() is a pure threshold check and callers never
-// rely on the level change ordering against other memory.
-std::atomic<int> g_level{static_cast<int>(LogLevel::Off)};
 std::mutex g_write_mu;
-
-const char* level_name(LogLevel lvl) {
-  switch (lvl) {
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
 }  // namespace
 
-LogLevel Log::level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-void Log::set_level(LogLevel lvl) {
-  g_level.store(static_cast<int>(lvl), std::memory_order_relaxed);
-}
-
-void Log::write(LogLevel lvl, const std::string& msg) {
+void log_warn(const std::string& msg) {
   // One fprintf would usually be atomic enough, but POSIX only guarantees
   // that for unbuffered streams; serialize explicitly so concurrent worker
   // threads never interleave mid-line.
   std::lock_guard<std::mutex> lk(g_write_mu);
-  std::fprintf(stderr, "[%s] %s\n", level_name(lvl), msg.c_str());
+  std::fprintf(stderr, "[WARN] %s\n", msg.c_str());
 }
 
 }  // namespace hm

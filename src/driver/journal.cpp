@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "common/hash.hpp"
-#include "driver/faults.hpp"
 #include "obs/trace.hpp"
 
 namespace hm::driver {
@@ -46,13 +45,6 @@ void SweepJournal::append(const PointResult& r) {
   if (!enabled()) return;
   const std::string line = record_line(r);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (trigger_fault(FaultSite::JournalAppend, {r.point.label, r.point.index})) {
-    // Injected torn append: half the record, no newline, flushed — the
-    // exact artifact a crash mid-write leaves, which load() must skip.
-    std::fwrite(line.data(), 1, line.size() / 2, file_);
-    std::fflush(file_);
-    return;
-  }
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
   if (obs::TraceSink* s = obs::sweep_sink()) {

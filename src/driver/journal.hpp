@@ -46,7 +46,7 @@ class SweepJournal {
 
   /// Append one finished point (ok or quarantined), checksummed and
   /// flushed.  Thread-safe; best-effort (an ENOSPC append is dropped — the
-  /// point simply re-runs on resume).  Fault site: journal_append.
+  /// point simply re-runs on resume).
   void append(const PointResult& r);
 
   /// Replace the journal with exactly @p results via temp-file + atomic

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "common/hash.hpp"
-#include "driver/faults.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -387,15 +386,6 @@ void MemoCache::store(const PointResult& r) const {
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
-
-  // Fault site cache_store: a `corrupt` rule garbles the just-installed
-  // file (what a bad disk or a half-written artifact looks like); throw
-  // kinds propagate to the caller's taxonomy.  Placed after the rename so
-  // the corrupt artifact is the durable one lookup() will meet.
-  if (trigger_fault(FaultSite::CacheStore, {r.point.label, r.point.index})) {
-    std::ofstream garble(path, std::ios::trunc);
-    garble << "{corrupt";
-  }
 }
 
 std::optional<PointResult> RunCache::lookup(const SweepPoint& p) const {

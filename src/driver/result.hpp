@@ -114,8 +114,7 @@ class MemoCache {
   const std::string& dir() const { return dir_; }
 
   std::optional<PointResult> lookup(const SweepPoint& p) const;
-  /// Best-effort; never throws on real I/O failure (a fault-plan rule at
-  /// site cache_store may throw or garble by design).
+  /// Best-effort; never throws (an I/O failure leaves the point uncached).
   void store(const PointResult& r) const;
 
   /// Corrupt/mismatched files encountered by lookup() on this instance.

@@ -13,7 +13,6 @@
 
 #include "common/log.hpp"
 #include "compiler/codegen.hpp"
-#include "driver/faults.hpp"
 #include "driver/journal.hpp"
 #include "driver/registry.hpp"
 #include "driver/scheduler.hpp"
@@ -188,10 +187,10 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine) {
 
 namespace {
 
-/// One point, isolated: the fault-injection hook, a single attempt and the
-/// error taxonomy.  Never throws — every failure lands in the returned
-/// PointResult so the pool's error slot stays clean and the sweep continues.
-/// A point is a pure function of its identity, so a failure is final.
+/// One point, isolated: a single attempt and the error taxonomy.  Never
+/// throws — every failure lands in the returned PointResult so the pool's
+/// error slot stays clean and the sweep continues.  A point is a pure
+/// function of its identity, so a failure is final.
 PointResult run_point_isolated(const SweepPoint& p, const EngineConfig& engine) {
   PointResult r;
   r.point = p;
@@ -200,7 +199,6 @@ PointResult run_point_isolated(const SweepPoint& p, const EngineConfig& engine) 
     r.error = std::move(error);
   };
   try {
-    trigger_fault(FaultSite::SweepWorker, {p.label, p.index});
     r = run_point(p, engine);
     // run_point's only non-throwing failure (occupancy-horizon overflow)
     // is an engine-invariant breach.
@@ -291,14 +289,9 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   // quantum) must never feed the caches or the journal: the canonical point
   // identity elides engine knobs — sound because the default engine IS the
   // serial reference — so a result stored under that identity would later
-  // satisfy a serial lookup.  Disable all three for such sweeps.
+  // satisfy a serial lookup.  Disable all three for such sweeps (hm_sweep
+  // prints that note once per invocation).
   const bool engine_alters = engine_alters_results(opt.engine);
-  if (engine_alters && (!opt.journal_dir.empty() || !opt.cache_dir.empty() ||
-                        opt.session_cache != nullptr))
-    HM_WARN("sweep " << spec.name
-                     << ": engine config alters results (sampled simulation "
-                        "or finite quantum) — memo cache, session cache and "
-                        "journal disabled for this sweep");
   const std::string journal_dir = engine_alters ? std::string{} : opt.journal_dir;
   RunCache* const session_cache = engine_alters ? nullptr : opt.session_cache;
 
@@ -567,9 +560,6 @@ std::string render(const SweepOutcome& out) {
 }
 
 std::string to_json(const SweepOutcome& out) {
-  // Fault site report_serialize: throw kinds propagate to the CLI's fatal
-  // path (exit 1) — results stay safe in the journal for --resume.
-  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0});
   std::string text = "{\n\"experiment\":\"" + out.spec.name + "\",\n\"engine_version\":" +
                      std::to_string(kEngineVersion) + ",\n\"points\":[\n";
   for (std::size_t i = 0; i < out.points.size(); ++i) {
@@ -582,7 +572,6 @@ std::string to_json(const SweepOutcome& out) {
 }
 
 std::string to_csv(const SweepOutcome& out) {
-  trigger_fault(FaultSite::ReportSerialize, {out.spec.name, 0});
   std::string text = csv_header();
   for (const PointResult& r : out.points) text += csv_row(r);
   return text;

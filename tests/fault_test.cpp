@@ -1,22 +1,24 @@
-// Fault-tolerance tests: the deterministic fault-injection harness, the
-// error taxonomy, cycle-budget timeouts, the crash-safe journal (torn-tail
-// tolerance, compaction, records from older builds), and the flagship
-// invariant — a sweep killed mid-run and resumed emits byte-identical
-// output to an uninterrupted run.
+// Fault-tolerance tests, every failure produced through the real paths (a
+// bad knob, the `fail=1` knob, a cycle budget, a process exit mid-sweep,
+// bytes written straight into the journal and cache files): the error
+// taxonomy, cycle-budget timeouts, the crash-safe journal (torn-tail
+// tolerance, compaction, records from older builds), the corrupt-cache
+// count, and the flagship invariant — a sweep killed mid-run and resumed
+// emits byte-identical output to an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "driver/experiment.hpp"
-#include "driver/faults.hpp"
 #include "driver/journal.hpp"
 #include "driver/result.hpp"
 #include "driver/sweep.hpp"
@@ -35,6 +37,18 @@ ExperimentSpec tiny_spec() {
   Grid g;
   g.axes = {{"workload", {"CG", "EP"}}, {"machine", {"hybrid_coherent", "cache_based"}}};
   s.grids = {g};
+  return s;
+}
+
+/// tiny_spec() with @p key=@p value on point 1 (CG on cache_based) only.
+ExperimentSpec tiny_spec_with(const std::string& key, const std::string& value) {
+  ExperimentSpec s = tiny_spec();
+  Grid cg_hybrid, cg_cache, ep;
+  cg_hybrid.axes = {{"workload", {"CG"}}, {"machine", {"hybrid_coherent"}}};
+  cg_cache.base = {{key, value}};
+  cg_cache.axes = {{"workload", {"CG"}}, {"machine", {"cache_based"}}};
+  ep.axes = {{"workload", {"EP"}}, {"machine", {"hybrid_coherent", "cache_based"}}};
+  s.grids = {cg_hybrid, cg_cache, ep};
   return s;
 }
 
@@ -57,74 +71,28 @@ class FaultTmpDir : public ::testing::Test {
   std::string dir_;
 };
 
-// ------------------------------------------------------------ fault plan ----
-
-TEST(FaultPlan, ParsesTheDocumentedGrammar) {
-  EXPECT_TRUE(FaultPlan::parse("").empty());
-  const FaultPlan plan = FaultPlan::parse(
-      "sweep_worker:engine:label=CG;"
-      "cache_store:corrupt:rate=0.5:seed=7;"
-      "sweep_worker:config:point=3;"
-      "sweep_worker:crash:point=5");
-  EXPECT_FALSE(plan.empty());
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/CG/hybrid", 0}), FaultKind::Engine);
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 3}), FaultKind::Config);
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 4}), std::nullopt);
-  EXPECT_EQ(plan.decide(FaultSite::SweepWorker, {"x/EP/hybrid", 5}), FaultKind::Crash);
-  EXPECT_EQ(plan.decide(FaultSite::ReportSerialize, {"x/CG/hybrid", 0}), std::nullopt);
-}
-
-TEST(FaultPlan, RejectsMalformedSpecsLoudly) {
-  EXPECT_THROW(FaultPlan::parse("bogus_site:engine"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:bogus_kind"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:rate=2"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:rate=0"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:point=abc"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:nonsense=1"), std::invalid_argument);
-  // Retired grammar: a deterministic point has nothing to retry or wait
-  // out, so the retry-era kinds and the per-attempt selector are gone.
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:transient"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:hang"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:corrupt_cache"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("sweep_worker:engine:times=1"), std::invalid_argument);
-}
-
-TEST(FaultPlan, RateSelectionIsDeterministicAndScheduleFree) {
-  const FaultPlan plan = FaultPlan::parse("sweep_worker:engine:rate=0.5:seed=3");
-  std::set<std::uint64_t> first, second;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const std::string label = "pt" + std::to_string(i);
-    if (plan.decide(FaultSite::SweepWorker, {label, i})) first.insert(i);
-    if (plan.decide(FaultSite::SweepWorker, {label, i})) second.insert(i);
-  }
-  EXPECT_EQ(first, second);  // pure function of identity
-  // A 0.5 rate selects some but not all (binomial tail odds ~2^-200).
-  EXPECT_GT(first.size(), 0u);
-  EXPECT_LT(first.size(), 200u);
-}
-
 // --------------------------------------------------------------- taxonomy ----
 
 TEST(FaultQuarantine, ConfigAndEngineFaultsQuarantineThePoint) {
   const struct {
-    const char* kind;
+    const char* knob;
+    const char* value;
     ErrorClass expect;
-  } cases[] = {{"config", ErrorClass::Config}, {"engine", ErrorClass::Engine}};
+    const char* error;
+  } cases[] = {{"cores", "0", ErrorClass::Config, "cores knob out of range"},
+               {"fail", "1", ErrorClass::Engine, "injected failure"}};
   for (const auto& c : cases) {
-    ScopedFaultPlan plan(std::string("sweep_worker:") + c.kind + ":point=1");
-    const SweepOutcome out = run_sweep(tiny_spec(), serial_opts());
-    EXPECT_EQ(out.failures, 1u) << c.kind;
-    EXPECT_EQ(out.timeouts, 0u) << c.kind;
-    EXPECT_FALSE(out.points[1].ok) << c.kind;
-    EXPECT_EQ(out.points[1].error_class, c.expect) << c.kind;
-    EXPECT_NE(out.points[1].error.find(std::string("injected ") + c.kind + " fault"),
-              std::string::npos)
-        << c.kind;
+    const SweepOutcome out = run_sweep(tiny_spec_with(c.knob, c.value), serial_opts());
+    ASSERT_EQ(out.points.size(), 4u) << c.knob;
+    EXPECT_EQ(out.failures, 1u) << c.knob;
+    EXPECT_EQ(out.timeouts, 0u) << c.knob;
+    EXPECT_FALSE(out.points[1].ok) << c.knob;
+    EXPECT_EQ(out.points[1].error_class, c.expect) << c.knob;
+    EXPECT_NE(out.points[1].error.find(c.error), std::string::npos) << c.knob;
     // The quarantine is per point: the rest of the sweep finished.
     for (std::size_t i = 0; i < out.points.size(); ++i) {
       if (i == 1) continue;
-      EXPECT_TRUE(out.points[i].ok) << c.kind << " point " << i;
+      EXPECT_TRUE(out.points[i].ok) << c.knob << " point " << i;
     }
   }
 }
@@ -189,23 +157,30 @@ TEST_F(FaultTmpDir, JournalRoundTripsAndToleratesATornTail) {
 }
 
 TEST_F(FaultTmpDir, InjectedTornAppendIsSkippedOnLoad) {
-  // Run the sweep cleanly, then append every record through a journal with
-  // the torn-append fault armed for the LAST point — the only place a torn
-  // record can exist in a real crash (nothing is ever written after it).
-  // load() must skip exactly the torn tail and keep the rest.  (A
-  // journaled run_sweep would not show this — its end-of-run compaction
-  // rewrites the file intact.)
+  // Run the sweep cleanly, append the first three records through the
+  // journal, then write half of the LAST record straight into the file —
+  // the artifact a crash mid-append leaves, and the only place a torn
+  // record can exist (nothing is ever written after it).  load() must skip
+  // exactly the torn tail and keep the rest.  (A journaled run_sweep would
+  // not show this — its end-of-run compaction rewrites the file intact.)
   const ExperimentSpec spec = tiny_spec();
   SweepOptions opt;
   opt.jobs = 1;
   const SweepOutcome out = run_sweep(spec, opt);
   ASSERT_EQ(out.points.size(), 4u);
-  ScopedFaultPlan plan("journal_append:corrupt:point=3");
-  SweepJournal j(dir_, spec.name);
-  for (const PointResult& r : out.points) j.append(r);
+  {
+    SweepJournal j(dir_, spec.name);
+    ASSERT_TRUE(j.enabled());
+    for (std::size_t i = 0; i < 3; ++i) j.append(out.points[i]);
+  }
+  {
+    const std::string line = SweepJournal::record_line(out.points[3]);
+    std::ofstream f(dir_ + "/" + spec.name + ".jsonl", std::ios::app);
+    f << line.substr(0, line.size() / 2);
+  }
   std::size_t skipped = 0;
   const std::vector<PointResult> recs = SweepJournal::load(dir_, spec.name, &skipped);
-  EXPECT_EQ(skipped, 1u);  // the tail record was torn by the fault
+  EXPECT_EQ(skipped, 1u);  // the torn tail record
   EXPECT_EQ(recs.size(), 3u);
 
   // --resume reports the torn record, replays the intact three and re-runs
@@ -221,8 +196,7 @@ TEST_F(FaultTmpDir, InjectedTornAppendIsSkippedOnLoad) {
 }
 
 TEST_F(FaultTmpDir, QuarantinedPointsReplayOnResumeToo) {
-  ScopedFaultPlan plan("sweep_worker:engine:point=1");
-  const ExperimentSpec spec = tiny_spec();
+  const ExperimentSpec spec = tiny_spec_with("fail", "1");
   SweepOptions opt = serial_opts();
   opt.journal_dir = dir_;
   const SweepOutcome first = run_sweep(spec, opt);
@@ -264,15 +238,18 @@ TEST_F(FaultTmpDir, CrashMidSweepThenResumeIsByteIdentical) {
   const pid_t pid = ::fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
-    // Child: crash (std::_Exit(137), the SIGKILL stand-in) at point 2 with
-    // the journal live.  Nothing after the crash runs — no compaction, no
-    // TearDown — exactly like a kill -9.
-    install_fault_plan(FaultPlan::parse("sweep_worker:crash:point=2"));
+    // Child: crash (std::_Exit(137), the SIGKILL stand-in) from the
+    // progress callback of the second finished point, with the journal
+    // live.  Progress runs after the point's journal append; nothing after
+    // the crash runs — no compaction, no TearDown — exactly like a kill -9.
     SweepOptions opt;
     opt.jobs = 1;
     opt.journal_dir = dir_;
+    opt.progress = [](const PointResult&, std::size_t done, std::size_t) {
+      if (done == 2) std::_Exit(137);
+    };
     run_sweep(spec, opt);
-    std::_Exit(0);  // not reached: the fault exits first
+    std::_Exit(0);  // not reached: the callback exits first
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -295,28 +272,22 @@ TEST_F(FaultTmpDir, CrashMidSweepThenResumeIsByteIdentical) {
   EXPECT_EQ(to_json(out), want);  // the flagship byte-identity invariant
 }
 
-// ------------------------------------------------------- serialize faults ----
-
-TEST(FaultSerialize, ReportSerializeFaultPropagatesAsFatal) {
-  ScopedFaultPlan plan("report_serialize:engine");
-  SweepOptions opt;
-  opt.jobs = 1;
-  const SweepOutcome out = run_sweep(tiny_spec(), opt);
-  EXPECT_EQ(out.failures, 0u);  // the sweep itself is fine
-  EXPECT_THROW(to_json(out), std::runtime_error);
-  EXPECT_THROW(to_csv(out), std::runtime_error);
-}
-
 // ------------------------------------------------------ cache corruption ----
 
 TEST_F(FaultTmpDir, CorruptedCacheStoresAreCountedAndHealed) {
-  ScopedFaultPlan plan("cache_store:corrupt:rate=0.5:seed=7");
   const ExperimentSpec spec = tiny_spec();
   SweepOptions opt;
   opt.jobs = 1;
   opt.cache_dir = dir_;
   const std::string want = to_json(run_sweep(spec, opt));
-  install_fault_plan(FaultPlan{});  // stores from here on are clean
+
+  // Garble every other stored file (sorted by name): what a bad disk or a
+  // half-written artifact looks like to lookup().
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_EQ(files.size(), expand(spec).size());
+  for (std::size_t i = 0; i < files.size(); i += 2) std::ofstream(files[i]) << "{corrupt";
 
   const SweepOutcome second = run_sweep(spec, opt);
   EXPECT_GT(second.cache_corrupt, 0u);                    // surfaced, not silent

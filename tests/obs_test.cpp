@@ -12,6 +12,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -564,25 +565,37 @@ TEST_F(ObsSweepTest, ProgressSeesEveryExecutionAndIsExceptionGuarded) {
 
 // ------------------------------------------------------------------- log ---
 
-TEST(Log, ConcurrentWritersAndLevelChangesDoNotTear) {
-  const LogLevel before = Log::level();
-  Log::set_level(LogLevel::Off);  // writers race enabled() checks, not stderr
+TEST(Log, ConcurrentWarningsDoNotTear) {
+  constexpr int kThreads = 4;
+  constexpr int kLines = 1000;
+  ::testing::internal::CaptureStderr();
   std::vector<std::thread> threads;
   std::atomic<bool> go{false};
-  for (int t = 0; t < 4; ++t)
+  for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&go, t] {
       while (!go.load()) std::this_thread::yield();
-      for (int i = 0; i < 1000; ++i) {
-        if (t == 0 && i % 100 == 0) Log::set_level(LogLevel::Off);
-        HM_DEBUG("concurrent writer " << t << " line " << i);
-      }
+      for (int i = 0; i < kLines; ++i)
+        HM_WARN("concurrent writer " << t << " line " << i);
     });
   go.store(true);
   for (std::thread& th : threads) th.join();
-  Log::set_level(LogLevel::Warn);
-  EXPECT_TRUE(Log::enabled(LogLevel::Error));
-  EXPECT_FALSE(Log::enabled(LogLevel::Info));
-  Log::set_level(before);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+
+  // Every line whole: exactly one per call, each matching the format, and
+  // every (writer, line) pair present once.
+  std::set<std::string> seen;
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);) {
+    int t = -1, i = -1, used = 0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "[WARN] concurrent writer %d line %d%n", &t,
+                          &i, &used),
+              2)
+        << line;
+    ASSERT_EQ(static_cast<std::size_t>(used), line.size()) << line;
+    EXPECT_TRUE(seen.insert(line).second) << "duplicate: " << line;
+  }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kLines));
+  EXPECT_EQ(err.back(), '\n');  // the last line is whole too
 }
 
 }  // namespace

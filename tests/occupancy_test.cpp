@@ -387,7 +387,6 @@ TEST(SharedLanes, PerLaneStatisticsAndOverflowCounter) {
 }
 
 TEST(SharedLanes, OverflowWarnsOncePerLane) {
-  Log::set_level(LogLevel::Warn);
   ::testing::internal::CaptureStderr();
   SharedLanes dram(2, 4, [](unsigned k) {
     return k == 0 ? std::string("dram") : "dram_ch" + std::to_string(k);
@@ -397,7 +396,6 @@ TEST(SharedLanes, OverflowWarnsOncePerLane) {
   EXPECT_EQ(dram.book(0, beyond + 4), beyond + 4);  // counted, not warned again
   EXPECT_EQ(dram.book(1, beyond), beyond);
   const std::string err = ::testing::internal::GetCapturedStderr();
-  Log::set_level(LogLevel::Off);
   const auto warning = [](const std::string& name) {
     return "[WARN] occupancy: resource '" + name +
            "' (gap 4) booked beyond the tracked horizon of 2147483648 buckets; contention is "

@@ -55,8 +55,6 @@
 //     --max-point-cycles N  per-point simulated-cycle budget: a tile whose
 //                         dispatch front passes N stops there and the point
 //                         is a `timeout` row, identically at any --jobs
-//     --faults SPEC       deterministic fault injection (also: HM_FAULTS
-//                         env; the flag wins) — see driver/faults.hpp
 //   Observability (see README "Observability"):
 //     --trace-dir DIR     Chrome trace_event JSON + profile.json per
 //                         experiment under DIR/<name>/ (chrome://tracing,
@@ -84,7 +82,6 @@
 #include <chrono>
 
 #include "driver/experiment.hpp"
-#include "driver/faults.hpp"
 #include "driver/registry.hpp"
 #include "driver/result.hpp"
 #include "driver/scheduler.hpp"
@@ -112,7 +109,6 @@ struct CliOptions {
   std::string journal_dir = ".hm_sweep_journal";
   bool resume = false;
   std::uint64_t max_point_cycles = 0;
-  std::string faults;  // --faults beats HM_FAULTS
   std::string trace_dir;
   bool live_progress = false;
   unsigned quantum = 0;
@@ -127,7 +123,7 @@ int usage(const char* argv0, int code) {
                "       [--format table|json|csv] [--out DIR] [--cache-dir DIR]\n"
                "       [--no-cache] [--scale F|full] [--quiet]\n"
                "       [--journal-dir DIR] [--no-journal] [--resume]\n"
-               "       [--max-point-cycles N] [--faults SPEC] [--trace-dir DIR]\n"
+               "       [--max-point-cycles N] [--trace-dir DIR]\n"
                "       [--progress] [--quantum N]\n"
                "       [--sample off|interval] [--sample-report FILE]\n",
                argv0);
@@ -272,10 +268,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
         std::fprintf(stderr, "--max-point-cycles expects a positive integer, got: %s\n", v);
         return false;
       }
-    } else if (arg == "--faults") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opt.faults = v;
     } else if (arg == "--trace-dir") {
       const char* v = need_value(i);
       if (!v) return false;
@@ -428,21 +420,6 @@ int main(int argc, char** argv) {
     return usage(argv[0], 2);
   }
 
-  // Deterministic fault injection: --faults wins over the HM_FAULTS
-  // environment variable; a malformed spec is a loud usage error, never a
-  // silently inert plan.
-  std::string fault_spec = opt.faults;
-  if (fault_spec.empty())
-    if (const char* env = std::getenv("HM_FAULTS")) fault_spec = env;
-  if (!fault_spec.empty()) {
-    try {
-      install_fault_plan(FaultPlan::parse(fault_spec));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad fault spec: %s\n", e.what());
-      return 2;
-    }
-  }
-
   std::vector<const ExperimentSpec*> selected;
   for (const ExperimentSpec* spec : all_experiments())
     if (opt.filter.empty() || spec->name.find(opt.filter) != std::string::npos)
@@ -502,10 +479,10 @@ int main(int argc, char** argv) {
   // sweeps bypass every cache, so each row comes from a fresh execution.
   std::string sample_report_lines;
 
-  // Any exception escaping the sweep loop — a throwing report_serialize
-  // fault, a filesystem surprise — is a FATAL driver error (exit 1),
-  // distinct from quarantined points (exit 3): finished points are already
-  // in the journal, so a later --resume loses nothing.
+  // Any exception escaping the sweep loop — an allocation failure, a
+  // filesystem surprise — is a FATAL driver error (exit 1), distinct from
+  // quarantined points (exit 3): finished points are already in the
+  // journal, so a later --resume loses nothing.
   try {
     for (const ExperimentSpec* spec : selected) {
       SweepOptions sweep_opt;
