@@ -18,6 +18,10 @@
 //    as BM_SystemRun through the interval-sampling engine.  The
 //    BM_SystemRunSampled : BM_SystemRun throughput ratio is the sampled
 //    point speedup perf_gate.py --sampled-speedup enforces.
+//  * BM_KernelEmit / BM_CoreStep — the two halves of the micro-op path:
+//    a hybrid CG kernel's emission drained through next(op), and the
+//    core's per-uop loop on ALU and branch ops from an in-memory stream
+//    (no memory access, no emission).  Report micro-ops per second.
 //  * BM_NocTraverse / BM_OccupancyBook / BM_SlotBook — per-layer
 //    micro-benches for the two layers that dominate NoC points:
 //    Noc::traverse on a contended 256-tile mesh, and the occupancy bitmap
@@ -43,6 +47,7 @@
 #include "noc/noc.hpp"
 #include "obs/trace.hpp"
 #include "sim/system.hpp"
+#include "../tests/test_util.hpp"
 
 namespace {
 
@@ -207,6 +212,72 @@ void BM_SystemRunSampled(benchmark::State& state) {
 BENCHMARK(BM_SystemRunSampled)
     ->Arg(static_cast<int>(MachineKind::HybridCoherent))
     ->Unit(benchmark::kMillisecond);
+
+// Micro-op emission on its own: the hybrid-coherent CG kernel of
+// BM_SystemRun drained one op at a time through next(op), restarting at the
+// end of the program.
+void BM_KernelEmit(benchmark::State& state) {
+  constexpr std::uint64_t kOpsPerIteration = 1 << 16;
+  const Workload w = driver::make_workload("CG", {.factor = 0.2});
+  const MachineConfig geometry = MachineConfig::hybrid_coherent();
+  CodegenOptions co;
+  co.global_seed = 42;
+  CompiledKernel kernel = compile(w.loop, co, geometry.lm.virtual_base,
+                                  geometry.lm.size, /*dir_entries=*/32);
+  MicroOp op;
+  std::uint64_t uops = 0;
+  Addr checksum = 0;
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < kOpsPerIteration; ++i) {
+      if (!kernel.next(op)) {
+        kernel.reset();
+        kernel.next(op);
+      }
+      checksum += op.addr ^ op.dst;
+    }
+    uops += kOpsPerIteration;
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(uops));
+  state.counters["uops_per_sec"] =
+      benchmark::Counter(static_cast<double>(uops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_KernelEmit)->Unit(benchmark::kMillisecond);
+
+// The core's per-uop loop on its own: dependent INT/FP chains over a
+// rotating register window and a loop back-edge every eighth op (taken 15
+// times in 16), read from an in-memory stream so neither emission nor the
+// memory system is measured.
+void BM_CoreStep(benchmark::State& state) {
+  constexpr unsigned kOps = 1 << 16;
+  test::VecStream stream;
+  for (unsigned i = 0; i < kOps; ++i) {
+    const auto r = static_cast<std::uint8_t>(1 + i % 16);
+    const auto prev = static_cast<std::uint8_t>(1 + (i + 15) % 16);
+    if (i % 8 == 7) {
+      stream.push(test::VecStream::branch(/*taken=*/i % 128 != 127));
+    } else if (i % 3 == 0) {
+      stream.push(test::VecStream::fp_op(r, prev));
+    } else {
+      stream.push(test::VecStream::int_op(r, prev, r));
+    }
+  }
+  MemoryHierarchy hier(driver::make_machine("cache_based").hierarchy);
+  OooCore core(CoreConfig{}, hier, nullptr, nullptr, nullptr, nullptr);
+  std::uint64_t uops = 0;
+  Cycle cycles = 0;
+  for (auto _ : state) {
+    stream.reset();
+    const RunResult r = core.run(stream);
+    uops += r.uops;
+    cycles += r.cycles;
+  }
+  benchmark::DoNotOptimize(cycles);
+  state.SetItemsProcessed(static_cast<std::int64_t>(uops));
+  state.counters["uops_per_sec"] =
+      benchmark::Counter(static_cast<double>(uops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CoreStep)->Unit(benchmark::kMillisecond);
 
 // A contended 256-tile (16x16) mesh message stream shaped like a NoC
 // point's traffic: the tiles take turns, each on its own clock from cycle

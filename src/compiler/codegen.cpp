@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "compiler/replay.hpp"
@@ -42,7 +43,26 @@ CompiledKernel::CompiledKernel(LoopNest loop, Classification cls, TilePlan plan,
   branch_pc_ = next_pc();
   data_branch_pc_ = next_pc();
 
-  mem_slot_count_ = loop_.refs.size();  // one resolved address per ref
+  // One resolved address per ref, in slot order: loads in reference order,
+  // then stores in reference order.
+  slot_addr_.reserve(loop_.refs.size());
+  for (const bool writes : {false, true}) {
+    for (unsigned i = 0; i < loop_.refs.size(); ++i) {
+      const MemRef& r = loop_.refs[i];
+      if (r.is_write != writes) continue;
+      SlotAddress a;
+      a.ref = i;
+      a.irregular = r.pattern != PatternKind::Strided;
+      const ArrayDecl& arr = loop_.array_of(r);
+      a.step = static_cast<std::uint64_t>(r.stride < 0 ? -r.stride : r.stride) * arr.elem_size;
+      a.tile_local = tiled_ && cls_.refs[i].cls == RefClass::Regular;
+      a.base = a.tile_local
+                   ? plan_.buffers[static_cast<unsigned>(cls_.refs[i].lm_buffer)].lm_base
+                   : arr.base;
+      slot_addr_.push_back(a);
+    }
+  }
+  addr_scratch_.resize(slot_addr_.size());
 
   reset();
 }
@@ -51,8 +71,10 @@ void CompiledKernel::reset() {
   state_ = State::Init;
   tile_ = 0;
   iter_ = 0;
-  queue_.clear();
-  queue_pos_ = 0;
+  ctrl_.clear();
+  work_len_ = 0;
+  work_block_ = false;
+  held_ = 0;
   ref_rng_.clear();
   ref_rng_.reserve(loop_.refs.size());
   for (const MemRef& r : loop_.refs)
@@ -69,21 +91,6 @@ std::uint32_t CompiledKernel::all_tags_mask() const {
   std::uint32_t mask = 0;
   for (unsigned b = 0; b < plan_.buffers.size(); ++b) mask |= (1u << (b % 32));
   return mask;
-}
-
-Addr CompiledKernel::regular_address(unsigned ref, std::uint64_t global_iter) const {
-  const MemRef& r = loop_.refs[ref];
-  const ArrayDecl& arr = loop_.array_of(r);
-  const std::uint64_t s = static_cast<std::uint64_t>(r.stride < 0 ? -r.stride : r.stride);
-
-  if (tiled_ && cls_.refs[ref].cls == RefClass::Regular) {
-    // LM buffer address: buffer base + offset inside the current chunk.
-    const BufferPlan& bp = plan_.buffers[static_cast<unsigned>(cls_.refs[ref].lm_buffer)];
-    const std::uint64_t local = global_iter % plan_.iters_per_tile;
-    return bp.lm_base + local * s * arr.elem_size;
-  }
-  // SM address (cache variant, or a demoted strided reference).
-  return arr.base + global_iter * s * arr.elem_size;
 }
 
 Addr CompiledKernel::irregular_address(unsigned ref, std::uint64_t global_iter, Rng& rng) const {
@@ -118,24 +125,6 @@ Addr CompiledKernel::irregular_address(unsigned ref, std::uint64_t global_iter, 
   return arr.base + elem * arr.elem_size;
 }
 
-void CompiledKernel::push_mem(OpKind kind, ExecPhase phase, Addr pc, Addr addr,
-                              std::uint8_t dst, std::uint8_t src, unsigned ref,
-                              std::uint64_t iter) {
-  MicroOp op;
-  op.kind = kind;
-  op.phase = phase;
-  op.pc = pc;
-  op.addr = addr;
-  op.dst = dst;
-  op.src1 = src;
-  if (opt_.functional_stores &&
-      (kind == OpKind::Store || kind == OpKind::GuardedStore)) {
-    op.value = store_value(ref, iter);
-    op.has_value = true;
-  }
-  queue_.push_back(op);
-}
-
 void CompiledKernel::emit_init() {
   if (!tiled_) return;
   MicroOp op;
@@ -143,7 +132,7 @@ void CompiledKernel::emit_init() {
   op.phase = ExecPhase::Control;
   op.pc = opt_.code_base - 4;
   op.dir_buffer_size = plan_.buffer_size;
-  queue_.push_back(op);
+  ctrl_.push_back(op);
 }
 
 void CompiledKernel::emit_control(std::uint64_t tile) {
@@ -160,7 +149,7 @@ void CompiledKernel::emit_control(std::uint64_t tile) {
       alu.phase = ExecPhase::Control;
       alu.pc = alu_pc_base_;
       alu.dst = static_cast<std::uint8_t>(60 + (k % 2));
-      queue_.push_back(alu);
+      ctrl_.push_back(alu);
     }
 
     if (tile > 0 && writeback) {
@@ -172,7 +161,7 @@ void CompiledKernel::emit_control(std::uint64_t tile) {
       put.dma_sm = plan_.chunk_sm_base(loop_, b, tile - 1);
       put.dma_size = plan_.chunk_bytes(b, tile - 1);
       put.dma_tag = static_cast<std::uint8_t>(b % 32);
-      queue_.push_back(put);
+      ctrl_.push_back(put);
     }
 
     // Even write-only chunks are fetched: a partial modification followed by
@@ -185,7 +174,7 @@ void CompiledKernel::emit_control(std::uint64_t tile) {
     get.dma_lm = bp.lm_base;
     get.dma_size = plan_.chunk_bytes(b, tile);
     get.dma_tag = static_cast<std::uint8_t>(b % 32);
-    queue_.push_back(get);
+    ctrl_.push_back(get);
   }
 }
 
@@ -195,7 +184,7 @@ void CompiledKernel::emit_synch() {
   op.phase = ExecPhase::Synch;
   op.pc = opt_.code_base - 16;
   op.synch_mask = all_tags_mask();
-  queue_.push_back(op);
+  ctrl_.push_back(op);
 }
 
 void CompiledKernel::resolve_work_iteration(std::uint64_t g, Addr* addrs,
@@ -211,56 +200,49 @@ void CompiledKernel::resolve_work_iteration(std::uint64_t g, Addr* addrs,
   }
   // Strided refs address by induction variable (an LM buffer when mapped,
   // the SM when demoted); the rest draw data-dependent SM addresses.  The
-  // draw order — loads in reference order, then stores in reference order,
-  // then the branch draw — is the emission order and must never change:
-  // the address streams are pinned by the goldens across all variants.
-  std::size_t s = 0;
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (r.is_write) continue;
-    addrs[s++] = r.pattern == PatternKind::Strided
-                     ? regular_address(i, g)
-                     : irregular_address(i, g, ref_rng_[i]);
-  }
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (!r.is_write) continue;
-    addrs[s++] = r.pattern == PatternKind::Strided
-                     ? regular_address(i, g)
-                     : irregular_address(i, g, ref_rng_[i]);
+  // draw order — slot order (loads in reference order, then stores in
+  // reference order), then the branch draw — is the emission order and
+  // must never change: the address streams are pinned by the goldens
+  // across all variants.
+  const std::uint64_t local = tiled_ ? g % plan_.iters_per_tile : 0;
+  for (std::size_t s = 0; s < slot_addr_.size(); ++s) {
+    const SlotAddress& a = slot_addr_[s];
+    addrs[s] = a.irregular ? irregular_address(a.ref, g, ref_rng_[a.ref])
+                           : a.base + (a.tile_local ? local : g) * a.step;
   }
   db = 0;
   if (loop_.data_branch_fraction > 0.0 && branch_rng_.chance(loop_.data_branch_fraction))
     db = branch_rng_.chance(0.5) ? 2 : 1;
 }
 
-void CompiledKernel::emit_work_iteration(std::uint64_t g) {
-  addr_scratch_.resize(mem_slot_count_);
-  std::uint8_t db = 0;
-  resolve_work_iteration(g, addr_scratch_.data(), db);
-
-  const std::uint8_t base = window_base(g);
-  unsigned load_slot = 0;
-  std::uint8_t last_loaded = 0;
-  std::size_t slot = 0;
+void CompiledKernel::build_work_template() {
+  // The ops of work iteration 0, minus what resolve_work_iteration decides
+  // per iteration.  The memory ops' kinds, pcs and double-store twins come
+  // from replay_slots(), the one place those static decisions are made.
+  const std::vector<ReplaySlot> slots = replay_slots();
+  const std::size_t twins = static_cast<std::size_t>(
+      std::count_if(slots.begin(), slots.end(), [](const ReplaySlot& sl) { return sl.double_store; }));
+  mem_patches_.reserve(slots.size() + twins);
+  work_.reserve(slots.size() + twins + loop_.int_ops_per_iter + loop_.fp_ops_per_iter + 2);
+  const std::uint8_t base = window_base(0);
+  const auto push = [&](OpKind kind, Addr pc) -> MicroOp& {
+    MicroOp& op = work_.emplace_back();
+    op.kind = kind;
+    op.pc = pc;
+    return op;
+  };
+  const auto is_load = [](const ReplaySlot& sl) {
+    return sl.kind == OpKind::Load || sl.kind == OpKind::GuardedLoad;
+  };
 
   // Loads, in reference order.
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (r.is_write) continue;
-    const RefClass cls = cls_.refs[i].cls;
-    const std::uint8_t dst = static_cast<std::uint8_t>(base + (load_slot++ % kLoadRegs));
-    last_loaded = dst;
-
-    // Any potentially incoherent reference — indirect, chased, or a demoted
-    // strided ref that may alias a live LM chunk — is guarded.
-    const Addr addr = addr_scratch_[slot++];
-    OpKind kind = OpKind::Load;
-    if (cls == RefClass::PotentiallyIncoherent && tiled_ &&
-        opt_.variant == CodegenVariant::HybridProtocol && !opt_.drop_guards) {
-      kind = OpKind::GuardedLoad;
-    }
-    push_mem(kind, ExecPhase::Work, load_pc_[i], addr, dst, 0, i, g);
+  unsigned load_slot = 0;
+  std::uint8_t last_loaded = 0;
+  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+    if (!is_load(slots[s])) continue;
+    mem_patches_.push_back({static_cast<std::uint32_t>(work_.size()), s, slots[s].ref});
+    last_loaded = static_cast<std::uint8_t>(base + (load_slot++ % kLoadRegs));
+    push(slots[s].kind, slots[s].pc).dst = last_loaded;
   }
 
   // Compute chain: INT then FP ops, each depending on a loaded value and on
@@ -268,68 +250,76 @@ void CompiledKernel::emit_work_iteration(std::uint64_t g) {
   std::uint8_t prev = last_loaded;
   unsigned alu_slot = 0;
   const auto emit_alu = [&](OpKind kind) {
-    MicroOp op;
-    op.kind = kind;
-    op.phase = ExecPhase::Work;
-    op.pc = alu_pc_base_ + 4 * alu_slot;
+    MicroOp& op = push(kind, alu_pc_base_ + 4 * alu_slot);
     op.dst = static_cast<std::uint8_t>(base + kLoadRegs + (alu_slot % (kWindowRegs - kLoadRegs)));
     op.src1 = last_loaded != 0 ? static_cast<std::uint8_t>(base + (alu_slot % kLoadRegs)) : 0;
     op.src2 = prev;
     prev = op.dst;
     ++alu_slot;
-    queue_.push_back(op);
   };
   for (unsigned k = 0; k < loop_.int_ops_per_iter; ++k) emit_alu(OpKind::IntAlu);
   for (unsigned k = 0; k < loop_.fp_ops_per_iter; ++k) emit_alu(OpKind::FpAlu);
-  const std::uint8_t computed = prev != 0 ? prev : last_loaded;
+  const std::uint8_t computed = prev;  // the last ALU result, else the last load
 
-  // Stores, in reference order.
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (!r.is_write) continue;
-    const ClassifiedRef& cr = cls_.refs[i];
-
-    const Addr addr = addr_scratch_[slot++];
-    OpKind kind = OpKind::Store;
-    bool double_store = false;
-    if (cr.cls == RefClass::PotentiallyIncoherent && tiled_ &&
-        opt_.variant == CodegenVariant::HybridProtocol && !opt_.drop_guards) {
-      kind = OpKind::GuardedStore;
-      double_store = cr.needs_double_store && !opt_.disable_readonly_opt &&
-                     !opt_.suppress_double_store;
-    }
-    push_mem(kind, ExecPhase::Work, store_pc_[i], addr, 0, computed, i, g);
-    if (double_store) {
-      // The conventional store of the double store: same operands, same SM
-      // address; always updates the copy in the SM (§3.1).
-      push_mem(OpKind::Store, ExecPhase::Work, extra_store_pc_[i], addr, 0, computed, i, g);
-    }
+  // Stores, in reference order.  The conventional store of a double store
+  // follows its guarded store: same operands, same SM address; it always
+  // updates the copy in the SM (§3.1).
+  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+    const ReplaySlot& sl = slots[s];
+    if (is_load(sl)) continue;
+    const auto store = [&](OpKind kind, Addr pc) {
+      mem_patches_.push_back({static_cast<std::uint32_t>(work_.size()), s, sl.ref});
+      MicroOp& op = push(kind, pc);
+      op.src1 = computed;
+      op.has_value = sl.has_value;
+    };
+    store(sl.kind, sl.pc);
+    if (sl.double_store) store(OpKind::Store, sl.extra_pc);
   }
 
   // Loop back-edge: predictable, taken except when leaving the tile.
-  const std::uint64_t tile_for_g = tiled_ ? g / plan_.iters_per_tile : 0;
-  const std::uint64_t tile_end =
-      tiled_ ? std::min((tile_for_g + 1) * plan_.iters_per_tile, loop_.iterations)
-             : loop_.iterations;
-  MicroOp br;
-  br.kind = OpKind::Branch;
-  br.phase = ExecPhase::Work;
-  br.pc = branch_pc_;
-  br.taken = (g + 1) < tile_end;
-  br.target = opt_.code_base;
-  queue_.push_back(br);
+  push(OpKind::Branch, branch_pc_).target = opt_.code_base;
 
-  // Optional data-dependent branch (hard to predict by construction).
-  if (db != 0) {
-    MicroOp op;
-    op.kind = OpKind::Branch;
-    op.phase = ExecPhase::Work;
-    op.pc = data_branch_pc_;
-    op.taken = db == 2;
-    op.target = opt_.code_base + 64;
-    op.src1 = computed;
-    queue_.push_back(op);
+  // Optional data-dependent branch (hard to predict by construction); last,
+  // so an iteration without it is the template's prefix.
+  MicroOp& db = push(OpKind::Branch, data_branch_pc_);
+  db.target = opt_.code_base + 64;
+  db.src1 = computed;
+
+  window_ = base;
+}
+
+void CompiledKernel::emit_work_iteration(std::uint64_t g) {
+  // Built at the first work iteration, like any buffer of the stream: a
+  // kernel that is compiled but never run pays nothing for it.
+  if (work_.empty()) build_work_template();
+  std::uint8_t db = 0;
+  resolve_work_iteration(g, addr_scratch_.data(), db);
+
+  // Rotate the register window: every named register is window-relative,
+  // register 0 ("none") stays put.  Byte arithmetic wraps back into range.
+  const std::uint8_t base = window_base(g);
+  if (base != window_) {
+    const auto shift = static_cast<std::uint8_t>(base - window_);
+    for (MicroOp& op : work_) {
+      if (op.dst != 0) op.dst += shift;
+      if (op.src1 != 0) op.src1 += shift;
+      if (op.src2 != 0) op.src2 += shift;
+    }
+    window_ = base;
   }
+
+  for (const MemPatch& m : mem_patches_) {
+    MicroOp& op = work_[m.op];
+    op.addr = addr_scratch_[m.slot];
+    if (op.has_value) op.value = store_value(m.ref, g);
+  }
+
+  const std::size_t n = work_.size();
+  work_[n - 2].taken = (g + 1) < tile_end();
+  work_[n - 1].taken = db == 2;
+  work_len_ = db != 0 ? n : n - 1;
+  work_block_ = true;
 }
 
 void CompiledKernel::emit_epilogue() {
@@ -344,17 +334,15 @@ void CompiledKernel::emit_epilogue() {
     put.dma_sm = plan_.chunk_sm_base(loop_, b, plan_.num_tiles - 1);
     put.dma_size = plan_.chunk_bytes(b, plan_.num_tiles - 1);
     put.dma_tag = static_cast<std::uint8_t>(b % 32);
-    queue_.push_back(put);
+    ctrl_.push_back(put);
   }
 }
 
-void CompiledKernel::emit_epilogue_synch() { emit_synch(); }
-
 void CompiledKernel::refill() {
-  queue_.clear();
-  queue_pos_ = 0;
+  ctrl_.clear();
+  work_block_ = false;
 
-  while (queue_.empty()) {
+  while (!work_block_ && ctrl_.empty()) {
     switch (state_) {
       case State::Init:
         emit_init();
@@ -375,7 +363,7 @@ void CompiledKernel::refill() {
         }
         emit_work_iteration(iter_);
         ++iter_;
-        if (tiled_ && iter_ < loop_.iterations && iter_ % plan_.iters_per_tile == 0) {
+        if (tiled_ && iter_ < loop_.iterations && iter_ == tile_end()) {
           ++tile_;
           state_ = State::Control;
         }
@@ -386,7 +374,7 @@ void CompiledKernel::refill() {
         state_ = State::EpilogueSynch;
         break;
       case State::EpilogueSynch:
-        emit_epilogue_synch();
+        emit_synch();
         state_ = State::Done;
         break;
       case State::Done:
@@ -395,23 +383,28 @@ void CompiledKernel::refill() {
   }
 }
 
-bool CompiledKernel::next(MicroOp& op) {
-  if (queue_pos_ >= queue_.size()) {
-    refill();
-    if (queue_pos_ >= queue_.size()) return false;
-  }
-  op = queue_[queue_pos_++];
-  return true;
+std::span<const MicroOp> CompiledKernel::current_block() const {
+  return work_block_ ? std::span<const MicroOp>(work_).first(work_len_)
+                     : std::span<const MicroOp>(ctrl_);
+}
+
+std::span<const MicroOp> CompiledKernel::next_block() {
+  if (held_ != 0) return current_block().last(std::exchange(held_, 0));
+  refill();
+  return current_block();
 }
 
 // ---------------------------------------------------------------------------
 // ReplayableStream: the sampled engine's view of the kernel.
 
 std::vector<ReplaySlot> CompiledKernel::replay_slots() const {
-  // Mirrors emit_work_iteration's static decisions exactly: loads in ref
-  // order, then stores in ref order, guard and double-store flags resolved
-  // from the classification once.
+  // The work iteration's static decisions: loads in ref order, then stores
+  // in ref order, guard and double-store flags resolved from the
+  // classification once.  The work template is built from these.  Any
+  // potentially incoherent reference — indirect, chased, or a demoted
+  // strided ref that may alias a live LM chunk — is guarded.
   std::vector<ReplaySlot> out;
+  out.reserve(loop_.refs.size());
   const bool guard_on = tiled_ && opt_.variant == CodegenVariant::HybridProtocol &&
                         !opt_.drop_guards;
   for (unsigned i = 0; i < loop_.refs.size(); ++i) {
@@ -444,14 +437,13 @@ std::vector<ReplaySlot> CompiledKernel::replay_slots() const {
   return out;
 }
 
-std::uint64_t CompiledKernel::tile_end_of(std::uint64_t g) const {
-  return tiled_ ? std::min((g / plan_.iters_per_tile + 1) * plan_.iters_per_tile,
-                           loop_.iterations)
+std::uint64_t CompiledKernel::tile_end() const {
+  return tiled_ ? std::min((tile_ + 1) * plan_.iters_per_tile, loop_.iterations)
                 : loop_.iterations;
 }
 
 std::uint64_t CompiledKernel::work_cursor() const {
-  if (queue_pos_ < queue_.size()) return kNoIteration;  // mid-iteration
+  if (held_ != 0) return kNoIteration;  // the consumer stopped mid-block
   if (state_ != State::Work || iter_ >= loop_.iterations) return kNoIteration;
   return iter_;
 }
@@ -461,9 +453,9 @@ std::uint64_t CompiledKernel::skip_work_iterations(std::uint64_t n) {
   // Advance the cursor exactly as refill() would have after emitting these
   // iterations: stop at the tile boundary (the control/synch phases always
   // run detailed) and replicate the tile-advance transition.
-  const std::uint64_t k = std::min(n, tile_end_of(iter_) - iter_);
+  const std::uint64_t k = std::min(n, tile_end() - iter_);
   iter_ += k;
-  if (tiled_ && iter_ < loop_.iterations && iter_ % plan_.iters_per_tile == 0) {
+  if (tiled_ && iter_ < loop_.iterations && iter_ == tile_end()) {
     ++tile_;
     state_ = State::Control;
   }
@@ -472,7 +464,7 @@ std::uint64_t CompiledKernel::skip_work_iterations(std::uint64_t n) {
 
 void CompiledKernel::bind_replay(std::shared_ptr<const ReplayBatch> batch) {
   if (batch != nullptr &&
-      (batch->num_slots() != mem_slot_count_ || batch->iterations != loop_.iterations))
+      (batch->num_slots() != slot_addr_.size() || batch->iterations != loop_.iterations))
     throw std::invalid_argument("replay batch shape does not match kernel");
   bound_ = std::move(batch);
 }

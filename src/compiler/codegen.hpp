@@ -24,10 +24,20 @@
 //                    diverts them at zero cost (oracle_divert).
 //   CacheOnly      — the untransformed loop on a cache-based machine: every
 //                    reference is a plain SM access (§4.3 comparison).
+//
+// Blocks: the stream hands out one phase step per next_block() — the
+// dir.config, one tile's control ops, a synch, one work iteration, the
+// epilogue puts, the final synch.  Every work iteration has the same ops
+// in the same order, so the kernel builds them once, at the first work
+// iteration (the work template), and each iteration patches only what
+// varies in place: addresses, store values, the two branch outcomes and
+// the register window.  The core reads the template directly; nothing is
+// copied per micro-op.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -71,7 +81,7 @@ class CompiledKernel final : public ReplayableStream {
  public:
   CompiledKernel(LoopNest loop, Classification cls, TilePlan plan, CodegenOptions opt);
 
-  bool next(MicroOp& op) override;
+  std::span<const MicroOp> next_block() override;
   void reset() override;
 
   // ReplayableStream: batch-compiled work phase for sampled simulation.
@@ -104,12 +114,13 @@ class CompiledKernel final : public ReplayableStream {
   enum class State : std::uint8_t { Init, Control, Synch, Work, Epilogue, EpilogueSynch, Done };
 
   void refill();
+  std::span<const MicroOp> current_block() const;
   void emit_init();
   void emit_control(std::uint64_t tile);
   void emit_synch();
+  void build_work_template();
   void emit_work_iteration(std::uint64_t global_iter);
   void emit_epilogue();
-  void emit_epilogue_synch();
 
   /// Resolve the data-dependent parts of work iteration @p g, consuming the
   /// per-reference and branch RNG draws exactly as unbatched emission
@@ -120,26 +131,35 @@ class CompiledKernel final : public ReplayableStream {
   void resolve_work_iteration(std::uint64_t g, Addr* addrs, std::uint8_t& db);
 
   /// Static memory-slot shape shared by every work iteration (the per-ref
-  /// half of a ReplayBatch).
+  /// half of a ReplayBatch, and the skeleton of the work template).
   std::vector<ReplaySlot> replay_slots() const;
-  /// First iteration (exclusive) a skip starting at @p g may not reach:
-  /// the end of g's tile, or of the loop.
-  std::uint64_t tile_end_of(std::uint64_t g) const;
+  /// First iteration (exclusive) past the current tile: the end of tile_'s
+  /// chunk, or of the loop.
+  std::uint64_t tile_end() const;
 
-  Addr regular_address(unsigned ref, std::uint64_t global_iter) const;
   Addr irregular_address(unsigned ref, std::uint64_t global_iter, Rng& rng) const;
   std::uint32_t all_tags_mask() const;
-
-  void push_mem(OpKind kind, ExecPhase phase, Addr pc, Addr addr, std::uint8_t dst,
-                std::uint8_t src, unsigned ref, std::uint64_t iter);
 
   LoopNest loop_;
   Classification cls_;
   TilePlan plan_;
   CodegenOptions opt_;
   bool tiled_ = false;  ///< hybrid variants with at least one mapped ref
-  std::size_t mem_slot_count_ = 0;   ///< memory slots per work iteration
   std::vector<Addr> addr_scratch_;   ///< per-iteration resolved addresses
+
+  // How resolve_work_iteration addresses each memory slot, fixed at
+  // construction.  A strided ref walks base + i * step, where i is the
+  // iteration within the tile for a ref mapped to an LM buffer and the
+  // global iteration for an SM address (cache variant, or a demoted ref);
+  // every other ref draws a data-dependent SM address (irregular_address).
+  struct SlotAddress {
+    unsigned ref = 0;
+    bool irregular = false;
+    bool tile_local = false;
+    Addr base = 0;
+    std::uint64_t step = 0;
+  };
+  std::vector<SlotAddress> slot_addr_;
 
   // Static code layout: one pc per (ref, role) slot, assigned once.
   std::vector<Addr> load_pc_;    // per ref
@@ -157,12 +177,28 @@ class CompiledKernel final : public ReplayableStream {
   // batch instead of drawing from the RNGs (sampled mode).
   std::shared_ptr<const ReplayBatch> bound_;
 
-  // Stream cursor.
+  // The work template: one iteration's ops (loads, ALU chain, stores with
+  // their double-store twins, back edge, data branch last), patched in
+  // place per iteration.  Each memory op is patched from one resolved
+  // address slot; a double store's twin shares its store's slot.
+  struct MemPatch {
+    std::uint32_t op;    ///< index into work_
+    std::uint32_t slot;  ///< index into addr_scratch_
+    std::uint16_t ref;   ///< store-value seed
+  };
+  std::vector<MicroOp> work_;
+  std::vector<MemPatch> mem_patches_;
+  std::uint8_t window_ = 0;  ///< register-window base work_ is written for
+
+  // Stream cursor.  The current block is work_'s first work_len_ ops when
+  // work_block_, else ctrl_ (control, synch and epilogue ops); positions
+  // are indices, so a copied or moved kernel continues where it was.
   State state_ = State::Init;
   std::uint64_t tile_ = 0;
   std::uint64_t iter_ = 0;  // global iteration index
-  std::vector<MicroOp> queue_;
-  std::size_t queue_pos_ = 0;
+  std::vector<MicroOp> ctrl_;
+  std::size_t work_len_ = 0;
+  bool work_block_ = false;
 };
 
 /// Run all three compiler phases over @p loop and build the kernel.

@@ -11,16 +11,19 @@
 //   int / fp     ALU operations with register dependencies;
 //   br           conditional branch (resolved against `taken`);
 //   dma.get/put/synch   MMIO commands to the DMA controller;
-//   dir.config   memory-mapped write of the LM buffer size (§3.2);
-//   phase        marker separating the control / synch / work phases of the
-//                transformed code (Fig. 2) for the Fig. 9 breakdown.
+//   dir.config   memory-mapped write of the LM buffer size (§3.2).
+//
+// Every micro-op carries the phase of the transformed code it belongs to
+// (control / synch / work, Fig. 2) for the Fig. 9 breakdown.
 //
 // Register dependencies use a flat namespace of `kNumRegs` logical registers
 // (0 = "no register").  The core renames implicitly by tracking, per logical
 // register, the cycle its latest producer completes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -40,7 +43,6 @@ enum class OpKind : std::uint8_t {
   DmaPut,
   DmaSynch,
   DirConfig,
-  PhaseMark,
 };
 
 /// Execution phase of the transformed code (Fig. 2).  Untransformed code
@@ -53,29 +55,18 @@ enum class ExecPhase : std::uint8_t {
 inline constexpr unsigned kNumPhases = 3;
 
 struct MicroOp {
-  OpKind kind = OpKind::IntAlu;
-  ExecPhase phase = ExecPhase::Work;
   Addr pc = 0;
 
-  // Register operands (0 = unused).
-  std::uint8_t dst = 0;
-  std::uint8_t src1 = 0;
-  std::uint8_t src2 = 0;
-
-  // Memory operands.
+  // Memory operand.
   Addr addr = kNoAddr;
-  Bytes size = 8;
 
-  // Branch resolution (ground truth the predictor is checked against).
-  bool taken = false;
+  // Branch target (resolution: `taken` below).
   Addr target = 0;
 
   // DMA command operands.
   Addr dma_sm = kNoAddr;
   Addr dma_lm = kNoAddr;
   Bytes dma_size = 0;
-  std::uint8_t dma_tag = 0;
-  std::uint32_t synch_mask = 0;
 
   // dir.config operand.
   Bytes dir_buffer_size = 0;
@@ -84,6 +75,19 @@ struct MicroOp {
   // carry the value the generator expects to read (the end-to-end coherence
   // check in tests/coherence_property_test.cpp).
   std::uint64_t value = 0;
+
+  std::uint32_t synch_mask = 0;  ///< dma.synch operand
+
+  OpKind kind = OpKind::IntAlu;
+  ExecPhase phase = ExecPhase::Work;
+
+  // Register operands (0 = unused).
+  std::uint8_t dst = 0;
+  std::uint8_t src1 = 0;
+  std::uint8_t src2 = 0;
+
+  std::uint8_t dma_tag = 0;
+  bool taken = false;  ///< branch ground truth the predictor is checked against
   bool has_value = false;
   bool check_value = false;
 
@@ -94,17 +98,48 @@ struct MicroOp {
   bool is_dma() const {
     return kind == OpKind::DmaGet || kind == OpKind::DmaPut || kind == OpKind::DmaSynch;
   }
+  bool operator==(const MicroOp&) const = default;
 };
+// Streams hand micro-ops out by the block and the core reads them in place,
+// so the op's size is the front end's memory traffic per simulated uop.
+static_assert(sizeof(MicroOp) <= 80, "MicroOp grew: the core streams it per uop");
 
 /// Pull-model instruction source.  Workload generators and the compiler's
 /// code generator implement this; the core consumes it until exhaustion.
+///
+/// A stream hands out micro-ops a block at a time (next_block) and the
+/// consumer reads them in place.  A consumer that stops inside a block hands
+/// the unread tail back (unread), so the stream's position always equals
+/// what has been consumed: the tail is the start of the next block.
 class InstrStream {
  public:
   virtual ~InstrStream() = default;
-  /// Produce the next micro-op into @p op; false at end of program.
-  virtual bool next(MicroOp& op) = 0;
+
+  /// The next micro-ops in program order; empty at end of program.  The
+  /// block stays valid until the next call on the stream, and begins with
+  /// any tail handed back by unread().
+  virtual std::span<const MicroOp> next_block() = 0;
+
   /// Restart from the beginning (used between benchmark repetitions).
   virtual void reset() = 0;
+
+  /// Hand back the last @p n ops of the block next_block() just returned:
+  /// they were not consumed and come first in the next block.
+  void unread(std::size_t n) { held_ = n; }
+
+  /// Produce the next micro-op into @p op; false at end of program.
+  bool next(MicroOp& op) {
+    const std::span<const MicroOp> block = next_block();
+    if (block.empty()) return false;
+    op = block.front();
+    unread(block.size() - 1);
+    return true;
+  }
+
+ protected:
+  /// Ops of the current block handed back by unread() and not yet re-read.
+  /// next_block() serves them first and clears the count; reset() drops it.
+  std::size_t held_ = 0;
 };
 
 }  // namespace hm

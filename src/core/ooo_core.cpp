@@ -1,6 +1,7 @@
 #include "core/ooo_core.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -58,12 +59,17 @@ bool OooCore::step_uops(std::uint64_t max_uops) {
   return step_impl(kNoCycle, run_state_->uop_index + max_uops);
 }
 
+bool OooCore::step_block() {
+  if (run_state_ == nullptr) throw std::logic_error("step_block without begin_run");
+  return step_impl(kNoCycle, kNoUop, /*one_block=*/true);
+}
+
 std::uint64_t OooCore::uops_done() const {
   if (run_state_ == nullptr) throw std::logic_error("uops_done without begin_run");
   return run_state_->uop_index;
 }
 
-bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
+bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block) {
   RunState& st = *run_state_;
   if (st.exhausted) return true;
   // The cycle budget is one more suspension limit: the loop stops at the
@@ -71,7 +77,6 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
   if (st.max_cycles != 0) limit = std::min(limit, st.max_cycles);
 
   RunResult& res = st.res;
-
 
   // The persistent pipeline state.  The scoreboard/pools/buffers are used
   // through references; the pacing scalars are hoisted into locals for the
@@ -82,6 +87,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
   IssuePool& fp_units = st.fp_units;
   IssuePool& lsu_units = st.lsu_units;
   // ROB occupancy: retirement cycle of the uop that freed slot (i % size).
+  // rob_pos carries uop_index % size through the slice without a divide.
   std::vector<Cycle>& rob_free = st.rob_free;
   std::vector<StoreBufferEntry>& store_buffer = st.store_buffer;
 
@@ -91,16 +97,26 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
   unsigned retired_in_cycle = st.retired_in_cycle;
   Cycle retire_pace_cycle = st.retire_pace_cycle;
   std::uint64_t uop_index = st.uop_index;
+  std::size_t rob_pos = static_cast<std::size_t>(uop_index % cfg_.rob_size);
   bool exhausted = false;
 
-  MicroOp op;
+  // Ops are read in place from the stream's current block; a slice that
+  // suspends inside a block hands the unstepped tail back below, so the
+  // stream's position always equals what the core has stepped.
+  std::span<const MicroOp> block;
+  std::size_t next_op = 0;
   while (true) {
     if (dispatch_cycle > limit || uop_index >= stop_uop) break;  // suspend between micro-ops
-    if (!st.program->next(op)) {
-      exhausted = true;
-      break;
+    if (next_op == block.size()) {
+      if (one_block && !block.empty()) break;
+      block = st.program->next_block();
+      next_op = 0;
+      if (block.empty()) {
+        exhausted = true;
+        break;
+      }
     }
-    if (op.kind == OpKind::PhaseMark) continue;  // metadata only
+    const MicroOp& op = block[next_op++];
 
     // ---- Dispatch: fetch-width pacing + ROB occupancy ------------------
     if (dispatched_in_cycle >= cfg_.fetch_width) {
@@ -108,7 +124,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
       dispatched_in_cycle = 0;
     }
     if (dispatched_in_cycle == 0) ++stats_.fetch_groups;
-    const Cycle rob_ready = rob_free[uop_index % cfg_.rob_size];
+    const Cycle rob_ready = rob_free[rob_pos];
     if (rob_ready > dispatch_cycle) {
       stats_.rob_stall_cycles += rob_ready - dispatch_cycle;
       dispatch_cycle = rob_ready;
@@ -322,8 +338,6 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
           directory_->configure(op.dir_buffer_size, lm_->base(), lm_->size());
         break;
       }
-      case OpKind::PhaseMark:
-        break;  // unreachable (filtered above)
     }
 
     if (op.dst != 0) {
@@ -346,10 +360,12 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop) {
 
     res.phase_cycles[static_cast<unsigned>(op.phase)] += retire - last_retire;
     last_retire = retire;
-    rob_free[uop_index % cfg_.rob_size] = retire;
+    rob_free[rob_pos] = retire;
+    if (++rob_pos == rob_free.size()) rob_pos = 0;
     ++uop_index;
     ++res.uops;
   }
+  if (next_op < block.size()) st.program->unread(block.size() - next_op);
 
   st.dispatch_cycle = dispatch_cycle;
   st.dispatched_in_cycle = dispatched_in_cycle;

@@ -157,6 +157,13 @@ class OooCore {
   /// detailed progress.
   bool step_uops(std::uint64_t max_uops);
 
+  /// Advances through the rest of the stream's current block — the next
+  /// whole block when the last step ended on a block boundary — or until
+  /// the stream ends.  Identical uop sequence to step_until; a stream's
+  /// phase and iteration boundaries fall on block ends, so a controller
+  /// walking to the next boundary needs no per-uop calls.
+  bool step_block();
+
   /// Micro-ops processed so far in the current run.  Valid between
   /// begin_run and finish_run.
   std::uint64_t uops_done() const;
@@ -186,16 +193,20 @@ class OooCore {
   /// Issue-slot pool for a class of fully pipelined functional units: up to
   /// `width` operations may start per cycle.  Unlike a greedy busy-until
   /// reservation, this lets younger operations fill holes older long-latency
-  /// operations left behind — the out-of-order scheduler's job.
+  /// operations left behind — the out-of-order scheduler's job.  The ring
+  /// covers the last kWindow cycles; a power of two, so a cycle's slot is a
+  /// mask away.
   class IssuePool {
    public:
-    IssuePool(unsigned width, std::size_t window = 4096)
-        : ring_(window, Slot{kNoCycle, 0}), width_(width) {}
+    static constexpr std::size_t kWindow = 4096;
+    static_assert((kWindow & (kWindow - 1)) == 0, "the ring is indexed by a mask");
+
+    explicit IssuePool(unsigned width) : ring_(kWindow, Slot{kNoCycle, 0}), width_(width) {}
 
     /// Earliest cycle >= ready with a free slot; books it.
     Cycle book(Cycle ready) {
       for (Cycle t = ready;; ++t) {
-        Slot& s = ring_[static_cast<std::size_t>(t % ring_.size())];
+        Slot& s = ring_[static_cast<std::size_t>(t & (kWindow - 1))];
         if (s.cycle != t) {
           s = Slot{t, 1};
           return t;
@@ -256,10 +267,11 @@ class OooCore {
     bool exhausted = false;
   };
 
-  /// Shared loop behind step_until/step_uops: suspends once the dispatch
-  /// front passes @p limit OR @p stop_uop micro-ops have been processed;
+  /// Shared loop behind step_until/step_uops/step_block: suspends once the
+  /// dispatch front passes @p limit OR @p stop_uop micro-ops have been
+  /// processed OR, with @p one_block, the first block it read is done;
   /// throws CycleBudgetExceeded once it passes the run's budget.
-  bool step_impl(Cycle limit, std::uint64_t stop_uop);
+  bool step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block = false);
 
   CoreConfig cfg_;
   MemoryHierarchy& hierarchy_;

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/hash.hpp"
+#include "common/log.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -317,10 +318,8 @@ void MemoCache::note_corrupt(const std::string& path) const {
   // Log the first offending path once per cache instance: enough to find
   // the artifact, without a 242-point sweep spraying 242 warnings.
   if (!logged_corrupt_.exchange(true, std::memory_order_relaxed))
-    std::fprintf(stderr,
-                 "hm_sweep: warning: corrupt memo-cache entry %s "
-                 "(degraded to a miss; count reported in the sweep summary)\n",
-                 path.c_str());
+    HM_WARN("memo cache: corrupt entry " << path
+            << " (degraded to a miss; count reported in the sweep summary)");
 }
 
 std::optional<PointResult> MemoCache::lookup(const SweepPoint& p) const {

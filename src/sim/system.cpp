@@ -309,7 +309,7 @@ RunResult System::run_sampled(InstrStream& program, RunReport& report) {
   // transfers, dir reconfiguration, synchs — always run detailed).
   const auto to_boundary = [&] {
     while (!fin && rs->work_cursor() == ReplayableStream::kNoIteration)
-      fin = core.step_uops(1);
+      fin = core.step_block();
   };
 
   // Detailed execution of whole work iterations, up to `budget` uops;

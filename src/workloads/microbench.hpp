@@ -18,8 +18,10 @@
 // from any data-placement effect, exactly like the paper's experiment.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/types.hpp"
 #include "core/isa.hpp"
@@ -47,7 +49,7 @@ class Microbenchmark final : public InstrStream {
  public:
   explicit Microbenchmark(MicrobenchConfig cfg);
 
-  bool next(MicroOp& op) override;
+  std::span<const MicroOp> next_block() override;
   void reset() override;
 
   const MicrobenchConfig& config() const { return cfg_; }
@@ -60,8 +62,14 @@ class Microbenchmark final : public InstrStream {
   MicrobenchConfig cfg_;
   std::uint64_t iter_ = 0;
   bool emitted_config_ = false;
-  std::vector<MicroOp> queue_;
-  std::size_t queue_pos_ = 0;
+  // ops_[0] is the dir.config; ops_[1..] hold one iteration, built once and
+  // patched per iteration: ld, add, st, then the double store's plain twin
+  // when the store is guarded, then the back edge.  The current block is
+  // ops_[first_, first_ + len_).
+  std::array<MicroOp, 6> ops_{};
+  MicroOp branch_;  ///< the back edge, copied to the end of each iteration
+  std::size_t first_ = 0;
+  std::size_t len_ = 0;
 };
 
 }  // namespace hm

@@ -1,8 +1,10 @@
 // Unit tests for phase 3: the code generator and its three machine variants.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "compiler/codegen.hpp"
 
 namespace hm {
@@ -315,6 +317,97 @@ TEST(Codegen, InChunkAddressesFallInsideCurrentChunk) {
     const Addr chunk_lo = a_base + tile * plan.buffer_size;
     EXPECT_GE(op.addr, chunk_lo);
     EXPECT_LT(op.addr, chunk_lo + plan.buffer_size);
+  }
+}
+
+// --- blocks and the work template ------------------------------------------
+
+/// fig3_loop with a data-dependent branch and an FP op: every part of the
+/// work template (double stores, both branches, INT and FP chain) varies.
+LoopNest template_loop() {
+  LoopNest loop = fig3_loop(2048);
+  loop.data_branch_fraction = 0.3;
+  loop.fp_ops_per_iter = 1;
+  return loop;
+}
+
+/// Drain through next_block(), consuming a random prefix of each block and
+/// handing the rest back with unread().
+std::vector<MicroOp> drain_blocks(InstrStream& s, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MicroOp> out;
+  for (std::span<const MicroOp> b = s.next_block(); !b.empty(); b = s.next_block()) {
+    const std::size_t take = 1 + rng.below(b.size());
+    out.insert(out.end(), b.begin(), b.begin() + static_cast<std::ptrdiff_t>(take));
+    s.unread(b.size() - take);
+  }
+  return out;
+}
+
+TEST(CodegenBlocks, BlockDrainWithHandBacksMatchesOpDrain) {
+  for (const CodegenVariant v : {CodegenVariant::HybridProtocol, CodegenVariant::HybridOracle,
+                                 CodegenVariant::CacheOnly}) {
+    for (const bool functional : {false, true}) {
+      for (const bool bound : {false, true}) {
+        const CodegenOptions opt{.variant = v, .functional_stores = functional};
+        CompiledKernel by_op = compile(template_loop(), opt, kLmBase, kLmSize);
+        CompiledKernel by_block = by_op;
+        if (bound) by_block.bind_replay(by_block.replay_batch());
+        const std::vector<MicroOp> want = drain(by_op);
+        const std::vector<MicroOp> got = drain_blocks(by_block, 7);
+        SCOPED_TRACE(::testing::Message() << "variant " << static_cast<int>(v)
+                                          << " functional " << functional << " bound " << bound);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i) ASSERT_TRUE(want[i] == got[i]) << "op " << i;
+        if (functional) {
+          std::size_t valued = 0;
+          for (const MicroOp& op : want) valued += op.is_store() && op.has_value ? 1 : 0;
+          EXPECT_GT(valued, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(CodegenBlocks, TemplateCoversDoubleStoresAndDataBranches) {
+  // The equivalence above only means something if the loop exercises the
+  // template's variable parts.
+  CompiledKernel k = compile(template_loop(), {.variant = CodegenVariant::HybridProtocol},
+                             kLmBase, kLmSize);
+  const std::vector<MicroOp> ops = drain(k);
+  std::size_t data_branches = 0, taken_data_branches = 0;
+  for (const MicroOp& op : ops) {
+    if (op.kind != OpKind::Branch || op.target != k.options().code_base + 64) continue;
+    ++data_branches;
+    taken_data_branches += op.taken ? 1 : 0;
+  }
+  EXPECT_GT(data_branches, 0u);
+  EXPECT_GT(taken_data_branches, 0u);
+  EXPECT_LT(taken_data_branches, data_branches);
+  EXPECT_GT(count_kind(ops, OpKind::GuardedStore), 0u);
+  EXPECT_GT(count_kind(ops, OpKind::FpAlu), 0u);
+}
+
+TEST(CodegenBlocks, CopyAndMoveMidIterationContinueWithTheSameOps) {
+  CompiledKernel k = compile(template_loop(), {.variant = CodegenVariant::HybridProtocol,
+                                               .functional_stores = true},
+                             kLmBase, kLmSize);
+  // Step into the second work iteration's body.
+  MicroOp op;
+  std::size_t work_ops = 0;
+  while (work_ops < 10 && k.next(op)) work_ops += op.phase == ExecPhase::Work ? 1 : 0;
+  ASSERT_EQ(work_ops, 10u);
+  ASSERT_EQ(k.work_cursor(), ReplayableStream::kNoIteration) << "not mid-iteration";
+
+  CompiledKernel copy = k;
+  CompiledKernel moved_from = k;
+  CompiledKernel moved = std::move(moved_from);
+  const std::vector<MicroOp> want = drain(k);
+  ASSERT_FALSE(want.empty());
+  for (CompiledKernel* other : {&copy, &moved}) {
+    const std::vector<MicroOp> got = drain(*other);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_TRUE(want[i] == got[i]) << "op " << i;
   }
 }
 

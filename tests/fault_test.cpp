@@ -11,9 +11,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -287,9 +290,36 @@ TEST_F(FaultTmpDir, CorruptedCacheStoresAreCountedAndHealed) {
   for (const auto& e : std::filesystem::directory_iterator(dir_)) files.push_back(e.path());
   std::sort(files.begin(), files.end());
   ASSERT_EQ(files.size(), expand(spec).size());
-  for (std::size_t i = 0; i < files.size(); i += 2) std::ofstream(files[i]) << "{corrupt";
+  std::set<std::string> garbled;
+  for (std::size_t i = 0; i < files.size(); i += 2) {
+    std::ofstream(files[i]) << "{corrupt";
+    garbled.insert(files[i].filename().string());
+  }
+  // A serial sweep looks points up in expansion order, so the first
+  // corrupt entry it meets is the first garbled point's file.
+  std::string first_corrupt;
+  for (const SweepPoint& p : expand(spec)) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.json",
+                  static_cast<unsigned long long>(MemoCache::key(p)));
+    if (garbled.count(name) != 0) {
+      first_corrupt = dir_ + "/" + name;
+      break;
+    }
+  }
+  ASSERT_FALSE(first_corrupt.empty());
 
+  ::testing::internal::CaptureStderr();
   const SweepOutcome second = run_sweep(spec, opt);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // One warning per cache instance, on the shared channel, naming the
+  // first offending file.
+  std::vector<std::string> warns;
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("[WARN] ", 0) == 0) warns.push_back(line);
+  ASSERT_EQ(warns.size(), 1u) << err;
+  EXPECT_NE(warns[0].find(first_corrupt), std::string::npos) << warns[0];
   EXPECT_GT(second.cache_corrupt, 0u);                    // surfaced, not silent
   EXPECT_LT(second.cache_hits, second.points.size());     // corrupt => miss
   EXPECT_EQ(to_json(second), want);                       // results unharmed

@@ -135,6 +135,50 @@ TEST_P(StateEquivalence, FunctionalReplayLeavesDetailedMachineState) {
 INSTANTIATE_TEST_SUITE_P(AllTwelveWorkloads, StateEquivalence,
                          ::testing::ValuesIn(kAllWorkloads));
 
+// --- the stream's cursor is what the core stepped ----------------------------
+
+TEST(Sampling, WorkCursorStaysMidIterationUntilTheIterationsLastUopSteps) {
+  // The core reads a whole work iteration as one block; stepping it one uop
+  // at a time must hand the rest back, so the stream never reports an
+  // iteration boundary the core has not reached.
+  System sys(make_machine("hybrid_coherent"));
+  const Workload w = make_workload("CG", {.factor = 0.05});
+  CodegenOptions co;
+  co.global_seed = kPaperSeed;
+  const MachineConfig geometry = MachineConfig::hybrid_coherent();
+  CompiledKernel kernel = compile(w.loop, co, geometry.lm.virtual_base, geometry.lm.size,
+                                  /*dir_entries=*/32);
+  const std::shared_ptr<const ReplayBatch> batch = kernel.replay_batch();
+  kernel.bind_replay(batch);
+
+  OooCore& core = sys.core();
+  core.begin_run(kernel);
+  while (kernel.work_cursor() == ReplayableStream::kNoIteration)
+    ASSERT_FALSE(core.step_uops(1));
+  for (int iteration = 0; iteration < 3; ++iteration) {
+    const std::uint64_t g = kernel.work_cursor();
+    ASSERT_NE(g, ReplayableStream::kNoIteration);
+    const std::uint64_t uops = batch->uops_in_range(g, 1);
+    ASSERT_GT(uops, 1u);
+    for (std::uint64_t k = 1; k < uops; ++k) {
+      ASSERT_FALSE(core.step_uops(1));
+      EXPECT_EQ(kernel.work_cursor(), ReplayableStream::kNoIteration)
+          << "iteration " << g << ": boundary reported after " << k << " of " << uops << " uops";
+    }
+    ASSERT_FALSE(core.step_uops(1));
+    ASSERT_LT(g + 1, batch->iters_per_tile) << "the probe left the first tile";
+    EXPECT_EQ(kernel.work_cursor(), g + 1);
+  }
+  // step_block finishes the block a single step started, and no more.
+  const std::uint64_t g = kernel.work_cursor();
+  const std::uint64_t before = core.uops_done();
+  ASSERT_FALSE(core.step_uops(1));
+  ASSERT_FALSE(core.step_block());
+  EXPECT_EQ(kernel.work_cursor(), g + 1);
+  EXPECT_EQ(core.uops_done() - before, batch->uops_in_range(g, 1));
+  core.finish_run();
+}
+
 // --- error-bound honesty ---------------------------------------------------
 
 class ErrorBound : public ::testing::TestWithParam<const char*> {};

@@ -1,6 +1,8 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/isa.hpp"
@@ -15,12 +17,16 @@ class VecStream final : public InstrStream {
 
   void push(const MicroOp& op) { ops_.push_back(op); }
 
-  bool next(MicroOp& op) override {
-    if (pos_ >= ops_.size()) return false;
-    op = ops_[pos_++];
-    return true;
+  /// The ops not yet consumed, as one block.
+  std::span<const MicroOp> next_block() override {
+    const std::size_t from = held_ != 0 ? ops_.size() - std::exchange(held_, 0) : pos_;
+    pos_ = ops_.size();
+    return std::span<const MicroOp>(ops_).subspan(from);
   }
-  void reset() override { pos_ = 0; }
+  void reset() override {
+    pos_ = 0;
+    held_ = 0;
+  }
 
   // Builder helpers.
   static MicroOp int_op(std::uint8_t dst = 0, std::uint8_t src1 = 0, std::uint8_t src2 = 0) {
