@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/bitops.hpp"
+#include "common/find64.hpp"
 #include "core/replay.hpp"
 
 namespace hm {
@@ -21,6 +22,8 @@ OooCore::OooCore(CoreConfig cfg, MemoryHierarchy& hierarchy, LocalMemory* lm,
       image_(image), bpred_(cfg.bpred) {
   if (cfg_.fetch_width == 0 || cfg_.retire_width == 0 || cfg_.rob_size == 0)
     throw std::invalid_argument("core widths/ROB must be non-zero");
+  if (cfg_.store_buffer_entries == 0 || cfg_.store_buffer_entries > 64)
+    throw std::invalid_argument("the store buffer must have 1..64 entries");
 }
 
 RunResult OooCore::run(InstrStream& program, Cycle max_cycles) {
@@ -69,6 +72,149 @@ std::uint64_t OooCore::uops_done() const {
   return run_state_->uop_index;
 }
 
+// The core's one memory path (§3.1, §3.2).  step_impl runs it timed, with
+// @p ready the op's operand-ready cycle; replay_functional runs it at the
+// functional clock, with @p ready the iteration's start.  Only the
+// `if constexpr (kTimed)` branches differ: the LSU issue booking, the
+// presence stall, the L1-miss replay and the per-store stall count exist
+// only in the timed pipeline, and functional accesses go through
+// functional_access.  A store's buffer-entry cycle is the back-pressure
+// fast-forward stalls on.
+template <bool kTimed>
+[[gnu::always_inline]] inline Cycle OooCore::exec_mem(RunState& st, OpKind kind, Addr addr,
+                                                      Addr pc, Cycle ready, bool has_value,
+                                                      std::uint64_t value, bool check_value) {
+  RunResult& res = st.res;
+  const bool is_load = kind == OpKind::Load || kind == OpKind::GuardedLoad;
+  const bool guarded = kind == OpKind::GuardedLoad || kind == OpKind::GuardedStore;
+  Addr final_addr = addr;
+  bool to_lm = lm_ != nullptr && lm_->contains(addr);
+  bool oracle_diverted = false;
+
+  if (!guarded && cfg_.oracle_divert && directory_ != nullptr && !to_lm) {
+    // Oracle baseline (§4.2): the incoherent machine's compiler "knows"
+    // where the valid copy is; divert with zero cost and zero directory
+    // activity.
+    if (auto diverted = directory_->peek(addr)) {
+      final_addr = *diverted;
+      to_lm = true;
+      oracle_diverted = true;
+    }
+  }
+
+  const auto write_image = [&] {
+    if (image_ != nullptr && has_value) {
+      image_->store64(final_addr, value);
+      // An oracle-diverted store also keeps the SM copy current: the
+      // baseline machine is incoherent-but-correct by construction.
+      if (oracle_diverted) image_->store64(addr, value);
+    }
+  };
+
+  // One pass over the store buffer finds a store's slot: the first entry
+  // with the smallest drain cycle.  A plain store first tries to collapse
+  // into a non-drained older store to the same address: the LSQ folds them
+  // into one access with no extra issue slot, which is what makes the
+  // double store cost only its dispatch bandwidth (§3.1).  Guarded stores
+  // never collapse: they must reach the AGU for the directory lookup.
+  // Neither the LSU booking nor the lookup touches the buffer, so the slot
+  // chosen here is the one the store takes at issue.
+  const auto n = static_cast<std::uint32_t>(st.sb_addr.size());
+  Cycle* sb_drains_at = st.sb_drains_at.data();
+  std::uint32_t slot = 0;
+  if (kind == OpKind::Store) {
+    slot = eq_gt_or_argmin_u64(st.sb_addr.data(), sb_drains_at, n, align_down(final_addr, 8),
+                               ready);
+    if (slot == n) {
+      ++stats_.collapsed_stores;
+      ++stats_.stores;
+      ++res.stores;
+      write_image();
+      return ready;  // folded into the older store
+    }
+  } else if (kind == OpKind::GuardedStore) {
+    slot = argmin_u64(sb_drains_at, n);
+  }
+
+  // Address generation happens in the issue cycle; for guarded ops the
+  // directory lookup is folded into the same cycle (§3.2).
+  Cycle access_start = ready;
+  if constexpr (kTimed) access_start = st.lsu_units.book(ready) + 1;
+
+  if (guarded) {
+    if (directory_ == nullptr)
+      throw std::logic_error("guarded instruction on a machine without a directory");
+    const auto look = directory_->lookup(addr, access_start);
+    if constexpr (kTimed) access_start = look.available_at;  // presence-bit stall, if any
+    if (look.hit) {
+      final_addr = look.address;
+      to_lm = true;
+    }
+    ++(is_load ? stats_.guarded_loads : stats_.guarded_stores);
+    (is_load ? res.guarded_loads : res.guarded_stores)++;
+  }
+
+  if (is_load) {
+    ++stats_.loads;
+    ++res.loads;
+    Cycle done;
+    if (to_lm) {
+      ++stats_.lm_loads;
+      done = lm_->access(access_start, final_addr, AccessType::Read);
+      res.load_latency.add(static_cast<double>(done - access_start));
+    } else if constexpr (kTimed) {
+      const AccessResult r = hierarchy_.access(access_start, final_addr, AccessType::Read, pc);
+      done = r.complete;
+      res.load_latency.add(static_cast<double>(r.latency));
+      if (r.served_by != ServedBy::CacheL1) {
+        // Scheduler replay of speculatively woken dependents
+        // (PTLsim-style): re-executed uops cost energy and dependents
+        // observe the extra wakeup/select round trip.
+        stats_.replay_uops += cfg_.fetch_width;
+        done += cfg_.replay_penalty;
+      }
+    } else {
+      done = hierarchy_.functional_access(access_start, final_addr, AccessType::Read, pc);
+      res.load_latency.add(static_cast<double>(done - access_start));
+    }
+    // The loaded value only matters when the uop asks for a check
+    // (functional_stores workloads); gating on check_value keeps the
+    // shared image off every plain load.
+    if (image_ != nullptr && check_value && image_->load64(final_addr) != value) {
+      ++stats_.value_mismatches;
+      ++res.value_mismatches;
+    }
+    return done;
+  }
+
+  ++stats_.stores;
+  ++res.stores;
+  Cycle sb_start = access_start;
+  if (sb_drains_at[slot] > access_start) {
+    // Store buffer full: structural stall.  Fast-forward charges it once
+    // per iteration instead, through the cycle returned below.
+    if constexpr (kTimed) stats_.store_buffer_stall_cycles += sb_drains_at[slot] - access_start;
+    sb_start = sb_drains_at[slot];
+  }
+  Cycle drain = sb_start + cfg_.store_drain_latency;
+  if (to_lm) {
+    ++stats_.lm_stores;
+    drain = std::max(drain, lm_->access(sb_start, final_addr, AccessType::Write));
+  } else if constexpr (kTimed) {
+    // The entry drains when the write actually lands downstream — a
+    // saturated L2 back-pressures the store buffer and, through it,
+    // dispatch.  This is the write-through cost the hybrid machine avoids
+    // for its regular stores.
+    drain = std::max(drain, hierarchy_.access(sb_start, final_addr, AccessType::Write, pc).complete);
+  } else {
+    drain = std::max(drain, hierarchy_.functional_access(sb_start, final_addr, AccessType::Write, pc));
+  }
+  st.sb_addr[slot] = align_down(final_addr, 8);
+  sb_drains_at[slot] = drain;
+  write_image();
+  return sb_start;  // the store retires as soon as it is in the buffer
+}
+
 bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block) {
   RunState& st = *run_state_;
   if (st.exhausted) return true;
@@ -89,7 +235,6 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block) {
   // ROB occupancy: retirement cycle of the uop that freed slot (i % size).
   // rob_pos carries uop_index % size through the slice without a divide.
   std::vector<Cycle>& rob_free = st.rob_free;
-  std::vector<StoreBufferEntry>& store_buffer = st.store_buffer;
 
   Cycle dispatch_cycle = st.dispatch_cycle;  // current fetch group's cycle
   unsigned dispatched_in_cycle = st.dispatched_in_cycle;
@@ -173,135 +318,10 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block) {
       case OpKind::Load:
       case OpKind::Store:
       case OpKind::GuardedLoad:
-      case OpKind::GuardedStore: {
-        const bool is_load = op.is_load();
-        Addr final_addr = op.addr;
-        bool to_lm = lm_ != nullptr && lm_->contains(op.addr);
-        bool oracle_diverted = false;
-
-        if (!op.is_guarded() && cfg_.oracle_divert && directory_ != nullptr && !to_lm) {
-          // Oracle baseline (§4.2): the incoherent machine's compiler "knows"
-          // where the valid copy is; divert with zero cost and zero
-          // directory activity.
-          if (auto diverted = directory_->peek(op.addr)) {
-            final_addr = *diverted;
-            to_lm = true;
-            oracle_diverted = true;
-          }
-        }
-
-        // Plain stores first try to collapse into a non-drained older store
-        // to the same address: the LSQ folds them into one access with no
-        // extra issue slot — this is what makes the double store cost only
-        // its dispatch bandwidth (§3.1).  Guarded stores always issue: they
-        // must reach the AGU for the directory lookup.
-        if (op.kind == OpKind::Store) {
-          const Addr sb_addr = align_down(final_addr, 8);
-          bool collapsed = false;
-          for (auto& e : store_buffer) {
-            if (e.addr == sb_addr && e.drains_at > ready) { collapsed = true; break; }
-          }
-          if (collapsed) {
-            ++stats_.collapsed_stores;
-            ++stats_.stores;
-            ++res.stores;
-            done = ready;  // folded into the older store
-            if (image_ != nullptr && op.has_value) {
-              image_->store64(final_addr, op.value);
-              if (oracle_diverted) image_->store64(op.addr, op.value);
-            }
-            break;
-          }
-        }
-
-        const Cycle issue = lsu_units.book(ready);
-        // Address generation happens in the issue cycle; for guarded ops the
-        // directory lookup is folded into the same cycle (§3.2).
-        Cycle access_start = issue + 1;
-
-        if (op.is_guarded()) {
-          if (directory_ == nullptr)
-            throw std::logic_error("guarded instruction on a machine without a directory");
-          const auto look = directory_->lookup(op.addr, access_start);
-          access_start = look.available_at;  // presence-bit stall, if any
-          if (look.hit) {
-            final_addr = look.address;
-            to_lm = true;
-          }
-          ++(is_load ? stats_.guarded_loads : stats_.guarded_stores);
-          (is_load ? res.guarded_loads : res.guarded_stores)++;
-        }
-
-        if (is_load) {
-          ++stats_.loads;
-          ++res.loads;
-          if (to_lm) {
-            ++stats_.lm_loads;
-            done = lm_->access(access_start, final_addr, AccessType::Read);
-            res.load_latency.add(static_cast<double>(done - access_start));
-          } else {
-            const AccessResult r = hierarchy_.access(access_start, final_addr,
-                                                     AccessType::Read, op.pc);
-            done = r.complete;
-            res.load_latency.add(static_cast<double>(r.latency));
-            if (r.served_by != ServedBy::CacheL1) {
-              // Scheduler replay of speculatively woken dependents
-              // (PTLsim-style): re-executed uops cost energy and dependents
-              // observe the extra wakeup/select round trip.
-              stats_.replay_uops += cfg_.fetch_width;
-              done += cfg_.replay_penalty;
-            }
-          }
-          // The loaded value only matters when the uop asks for a check
-          // (functional_stores workloads); gating on check_value keeps the
-          // shared image off every plain load.
-          if (image_ != nullptr && op.check_value) {
-            const std::uint64_t v = image_->load64(final_addr);
-            if (v != op.value) {
-              ++stats_.value_mismatches;
-              ++res.value_mismatches;
-            }
-          }
-        } else {
-          ++stats_.stores;
-          ++res.stores;
-          const Addr sb_addr = align_down(final_addr, 8);
-          StoreBufferEntry* slot = &store_buffer[0];
-          for (auto& e : store_buffer) {
-            if (e.drains_at < slot->drains_at) slot = &e;
-          }
-          Cycle sb_start = access_start;
-          if (slot->drains_at > access_start) {
-            // Store buffer full: structural stall.
-            stats_.store_buffer_stall_cycles += slot->drains_at - access_start;
-            sb_start = slot->drains_at;
-          }
-          Cycle drain = sb_start + cfg_.store_drain_latency;
-          if (to_lm) {
-            ++stats_.lm_stores;
-            drain = std::max(drain, lm_->access(sb_start, final_addr, AccessType::Write));
-          } else {
-            // The entry drains when the write actually lands downstream —
-            // a saturated L2 back-pressures the store buffer and, through
-            // it, dispatch.  This is the write-through cost the hybrid
-            // machine avoids for its regular stores.
-            const AccessResult wr = hierarchy_.access(sb_start, final_addr,
-                                                      AccessType::Write, op.pc);
-            drain = std::max(drain, wr.complete);
-          }
-          slot->addr = sb_addr;
-          slot->drains_at = drain;
-          // The store retires as soon as it is in the buffer.
-          done = sb_start;
-          if (image_ != nullptr && op.has_value) {
-            image_->store64(final_addr, op.value);
-            // An oracle-diverted store also keeps the SM copy current: the
-            // baseline machine is incoherent-but-correct by construction.
-            if (oracle_diverted) image_->store64(op.addr, op.value);
-          }
-        }
+      case OpKind::GuardedStore:
+        done = exec_mem<true>(st, op.kind, op.addr, op.pc, ready, op.has_value, op.value,
+                              op.check_value);
         break;
-      }
       case OpKind::DmaGet: {
         ++stats_.dma_commands;
         if (dmac_ == nullptr) throw std::logic_error("dma op on a machine without a DMAC");
@@ -394,125 +414,44 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
   if (!(cpi > 0.0)) cpi = 1.0;
   cpi = std::min(cpi, 10000.0);
 
-  std::uint64_t n_loads = 0, n_stores = 0, n_gld = 0, n_gst = 0;
-  std::uint64_t n_lm_loads = 0, n_lm_stores = 0, n_collapsed = 0;
-
-  // Mirror of step_impl's memory case for one descriptor, at functional
-  // time @p fnow.  Same content decisions — oracle/guard diversion, plain-
-  // store collapse against the REAL store buffer, store-buffer recycling,
-  // drain windows — with functional_access in place of the timed access.
-  // A store that must recycle a slot whose drain lies in the future is the
-  // back-pressure case detailed dispatch stalls on; the recycled slot's
-  // drain cycle is surfaced through `sb_blocked` so the iteration loop can
-  // stall the functional clock the same way (measured CPI comes from
-  // windows with an un-backlogged buffer, so this cost is otherwise lost).
-  Cycle sb_blocked = 0;
-  const auto exec_store = [&](Cycle fnow, Addr faddr, Addr oaddr, Addr pc,
-                              bool lm_target, bool diverted, bool allow_collapse,
-                              bool has_value, std::uint64_t value) {
-    ++n_stores;
-    const Addr sb_addr = align_down(faddr, 8);
-    // One pass finds both the collapse partner and the min-drain victim;
-    // the victim work is wasted only on a collapse hit.
-    StoreBufferEntry* slot = &st.store_buffer[0];
-    for (auto& e : st.store_buffer) {
-      if (allow_collapse && e.addr == sb_addr && e.drains_at > fnow) {
-        ++n_collapsed;
-        if (image_ != nullptr && has_value) {
-          image_->store64(faddr, value);
-          if (diverted) image_->store64(oaddr, value);
-        }
-        return;
-      }
-      if (e.drains_at < slot->drains_at) slot = &e;
-    }
-    const Cycle sb_start = std::max(fnow, slot->drains_at);
-    if (slot->drains_at > fnow) sb_blocked = std::max(sb_blocked, slot->drains_at);
-    Cycle drain = sb_start + cfg_.store_drain_latency;
-    if (lm_target) {
-      ++n_lm_stores;
-      drain = std::max(drain, lm_->access(sb_start, faddr, AccessType::Write));
-    } else {
-      drain = std::max(drain, hierarchy_.functional_access(sb_start, faddr,
-                                                           AccessType::Write, pc));
-    }
-    slot->addr = sb_addr;
-    slot->drains_at = drain;
-    if (image_ != nullptr && has_value) {
-      image_->store64(faddr, value);
-      if (diverted) image_->store64(oaddr, value);
-    }
-  };
-
+  // Each descriptor goes through step_impl's memory path at the functional
+  // clock, against the REAL store buffer.  A store that must recycle a
+  // slot whose drain lies in the future is the back-pressure case detailed
+  // dispatch stalls on; exec_mem returns that drain cycle, and the
+  // iteration loop stalls the functional clock to it (measured CPI comes
+  // from windows with an un-backlogged buffer, so this cost is otherwise
+  // lost).
   const Cycle start = st.dispatch_cycle;
   double fnow_d = static_cast<double>(start);
   const std::size_t S = b.slots.size();
 
   for (std::uint64_t g = first; g < first + count; ++g) {
     const Cycle fnow = static_cast<Cycle>(fnow_d);
+    Cycle sb_blocked = fnow;
     const Addr* addrs = b.iter_addrs(g);
     for (std::size_t s = 0; s < S; ++s) {
       const ReplaySlot& sl = b.slots[s];
-      const Addr orig = addrs[s];
-      Addr final_addr = orig;
-      bool to_lm = lm_ != nullptr && lm_->contains(orig);
-      bool oracle_diverted = false;
-      const bool guarded =
-          sl.kind == OpKind::GuardedLoad || sl.kind == OpKind::GuardedStore;
-      const bool is_load = sl.kind == OpKind::Load || sl.kind == OpKind::GuardedLoad;
-
-      if (!guarded && cfg_.oracle_divert && directory_ != nullptr && !to_lm) {
-        if (auto diverted = directory_->peek(orig)) {
-          final_addr = *diverted;
-          to_lm = true;
-          oracle_diverted = true;
-        }
-      }
-      if (guarded) {
-        if (directory_ == nullptr)
-          throw std::logic_error("guarded instruction on a machine without a directory");
-        const auto look = directory_->lookup(orig, fnow);
-        if (look.hit) {
-          final_addr = look.address;
-          to_lm = true;
-        }
-        (is_load ? n_gld : n_gst)++;
-      }
-
-      if (is_load) {
-        ++n_loads;
-        if (to_lm) {
-          ++n_lm_loads;
-          const Cycle done = lm_->access(fnow, final_addr, AccessType::Read);
-          res.load_latency.add(static_cast<double>(done - fnow));
-        } else {
-          const Cycle done =
-              hierarchy_.functional_access(fnow, final_addr, AccessType::Read, sl.pc);
-          res.load_latency.add(static_cast<double>(done - fnow));
-        }
-      } else {
-        const std::uint64_t value =
-            sl.has_value ? replay_store_value(sl.ref, g) : 0;
-        exec_store(fnow, final_addr, orig, sl.pc, to_lm, oracle_diverted,
-                   /*allow_collapse=*/sl.kind == OpKind::Store, sl.has_value, value);
-        if (sl.double_store) {
-          // The conventional twin of the double store: plain store to the SM
-          // address — collapsible iff the guarded store missed the directory
-          // and so occupied the same store-buffer address (§3.1).
-          exec_store(fnow, orig, orig, sl.extra_pc,
-                     lm_ != nullptr && lm_->contains(orig), /*diverted=*/false,
-                     /*allow_collapse=*/true, sl.has_value, value);
-        }
+      const std::uint64_t value = sl.has_value ? replay_store_value(sl.ref, g) : 0;
+      const Cycle done = exec_mem<false>(st, sl.kind, addrs[s], sl.pc, fnow, sl.has_value,
+                                         value, /*check_value=*/false);
+      if (sl.kind == OpKind::Store || sl.kind == OpKind::GuardedStore) {
+        sb_blocked = std::max(sb_blocked, done);
+        // The conventional twin of the double store: a plain store to the
+        // SM address, which collapses iff the guarded store missed the
+        // directory and so occupied the same store-buffer address (§3.1).
+        if (sl.double_store)
+          sb_blocked = std::max(sb_blocked, exec_mem<false>(st, OpKind::Store, addrs[s],
+                                                            sl.extra_pc, fnow, sl.has_value,
+                                                            value, /*check_value=*/false));
       }
     }
     // Store-buffer back-pressure: detailed dispatch cannot proceed past a
     // full buffer, so neither may the functional clock.  Stall to the
     // recycled slot's drain before charging the iteration's CPI advance.
-    if (sb_blocked > static_cast<Cycle>(fnow_d)) {
-      stats_.store_buffer_stall_cycles += sb_blocked - static_cast<Cycle>(fnow_d);
+    if (sb_blocked > fnow) {
+      stats_.store_buffer_stall_cycles += sb_blocked - fnow;
       fnow_d = static_cast<double>(sb_blocked);
     }
-    sb_blocked = 0;
     fnow_d += cpi * static_cast<double>(sh.uops + (b.db_code[g] != 0 ? 1u : 0u));
   }
 
@@ -524,21 +463,10 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
   stats_.int_ops += count * sh.int_ops;
   stats_.fp_ops += count * sh.fp_ops;
   stats_.branches += count * sh.branches + db_count;
-  stats_.loads += n_loads;
-  stats_.stores += n_stores;
-  stats_.guarded_loads += n_gld;
-  stats_.guarded_stores += n_gst;
-  stats_.collapsed_stores += n_collapsed;
-  stats_.lm_loads += n_lm_loads;
-  stats_.lm_stores += n_lm_stores;
   stats_.regfile_reads += count * sh.reg_reads + (computed_nz ? db_count : 0);
   stats_.regfile_writes += count * sh.reg_writes;
   stats_.fetch_groups += (uops + cfg_.fetch_width - 1) / cfg_.fetch_width;
   res.uops += uops;
-  res.loads += n_loads;
-  res.stores += n_stores;
-  res.guarded_loads += n_gld;
-  res.guarded_stores += n_gst;
 
   // Absorb the region into the pipeline clock: detailed execution resumes
   // exactly where the analytic clock left off, with clean pacing state.

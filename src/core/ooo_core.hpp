@@ -59,7 +59,7 @@ struct CoreConfig {
   /// speculatively woke them at L1-hit latency and must replay them
   /// (PTLsim-style), costing wakeup/select round trips.
   Cycle replay_penalty = 4;
-  unsigned store_buffer_entries = 32;
+  unsigned store_buffer_entries = 32;  ///< 1..64
   Cycle store_drain_latency = 8;   ///< cycles a store stays collapsible
   /// Oracle mode (§4.2 baseline): plain SM accesses are silently diverted by
   /// the directory at zero cost, modeling an incoherent hybrid machine whose
@@ -169,15 +169,17 @@ class OooCore {
   std::uint64_t uops_done() const;
 
   /// Functional fast-forward (sampled engine): replays descriptor-batch work
-  /// iterations [@p first, @p first+count) against the REAL memory system —
-  /// cache tags, directory, LM, prefetchers and the store buffer evolve
-  /// exactly as they would under detailed execution — while the pipeline
-  /// clock advances analytically at the measured @p cpi instead of being
-  /// simulated.  One unified time domain: the functional clock CONTINUES
-  /// the detailed clock, so store-buffer collapse windows, WCB merge
-  /// windows and directory presence stalls stay coherent across the
-  /// detailed/functional boundary.  Requires begin_run; the bound stream
-  /// must already have been advanced past the replayed iterations
+  /// iterations [@p first, @p first+count) against the REAL memory system,
+  /// running each descriptor — and a double store's plain twin — through
+  /// step_impl's memory path (exec_mem), so cache tags, directory, LM,
+  /// prefetchers and the store buffer evolve by the same rules as under
+  /// detailed execution, while the pipeline clock advances analytically at
+  /// the measured @p cpi instead of being simulated.  One unified time
+  /// domain: the functional clock CONTINUES the detailed clock, so
+  /// store-buffer collapse windows, WCB merge windows and directory
+  /// presence stalls stay coherent across the detailed/functional
+  /// boundary.  Requires begin_run; the bound stream must already have been
+  /// advanced past the replayed iterations
   /// (ReplayableStream::skip_work_iterations).
   void replay_functional(const ReplayBatch& batch, std::uint64_t first,
                          std::uint64_t count, double cpi);
@@ -233,11 +235,6 @@ class OooCore {
   const CoreConfig& config() const { return cfg_; }
 
  private:
-  struct StoreBufferEntry {
-    Addr addr = kNoAddr;   ///< 8-byte-aligned store address
-    Cycle drains_at = 0;   ///< after this cycle the entry is not collapsible
-  };
-
   /// Everything run()'s loop used to keep on the stack, so a run can pause
   /// at a cycle boundary and resume: scoreboard, issue pools, ROB/store-
   /// buffer occupancy, dispatch/retire pacing, and the accumulating result.
@@ -247,7 +244,8 @@ class OooCore {
           fp_units(cfg.fp_alus),
           lsu_units(cfg.lsu_ports),
           rob_free(cfg.rob_size, 0),
-          store_buffer(cfg.store_buffer_entries) {}
+          sb_addr(cfg.store_buffer_entries, kNoAddr),
+          sb_drains_at(cfg.store_buffer_entries, 0) {}
 
     InstrStream* program = nullptr;
     Cycle max_cycles = 0;  ///< cycle budget on the dispatch front; 0 = none
@@ -257,7 +255,11 @@ class OooCore {
     IssuePool fp_units;
     IssuePool lsu_units;
     std::vector<Cycle> rob_free;
-    std::vector<StoreBufferEntry> store_buffer;
+    // The store buffer, one array per field so a search is a few vector
+    // compares: each entry's 8-byte-aligned store address, and the cycle
+    // after which the entry is no longer collapsible.
+    std::vector<Addr> sb_addr;
+    std::vector<Cycle> sb_drains_at;
     Cycle dispatch_cycle = 0;  ///< current fetch group's cycle
     unsigned dispatched_in_cycle = 0;
     Cycle last_retire = 0;
@@ -270,8 +272,19 @@ class OooCore {
   /// Shared loop behind step_until/step_uops/step_block: suspends once the
   /// dispatch front passes @p limit OR @p stop_uop micro-ops have been
   /// processed OR, with @p one_block, the first block it read is done;
-  /// throws CycleBudgetExceeded once it passes the run's budget.
+  /// throws CycleBudgetExceeded once it passes the run's budget.  Loads and
+  /// stores go through exec_mem<true>, the path replay_functional shares.
   bool step_impl(Cycle limit, std::uint64_t stop_uop, bool one_block = false);
+
+  /// The core's one memory path — LM routing, oracle diversion, the
+  /// guarded directory lookup, store-buffer collapse and recycling, the
+  /// access and the image writes — for a load or store to @p addr whose
+  /// operands are ready at @p ready.  step_impl runs it timed; fast-forward
+  /// runs it functionally (!kTimed) at the replay clock.  Returns the op's
+  /// completion; for a store, the cycle it entered the store buffer.
+  template <bool kTimed>
+  Cycle exec_mem(RunState& st, OpKind kind, Addr addr, Addr pc, Cycle ready, bool has_value,
+                 std::uint64_t value, bool check_value);
 
   CoreConfig cfg_;
   MemoryHierarchy& hierarchy_;

@@ -1,8 +1,6 @@
 #include "driver/experiment.hpp"
 
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -96,61 +94,6 @@ std::vector<SweepPoint> expand(const ExperimentSpec& spec,
       p.seed = kPaperSeed;
       out.push_back(std::move(p));
     }
-  }
-  return out;
-}
-
-namespace {
-
-struct ExperimentRegistry {
-  std::mutex mu;
-  // unique_ptr: registered specs keep a stable address for the pointers
-  // find_experiment / all_experiments hand out.  Re-registering a name
-  // APPENDS a new spec (latest wins on lookup) instead of mutating the old
-  // one in place, so previously handed-out pointers stay valid and
-  // immutable even if another thread is mid-sweep on the old spec.
-  std::vector<std::unique_ptr<ExperimentSpec>> specs;
-};
-
-ExperimentRegistry& experiments() {
-  static ExperimentRegistry* r = new ExperimentRegistry();
-  return *r;
-}
-
-}  // namespace
-
-void register_experiment(ExperimentSpec spec) {
-  auto& reg = experiments();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  reg.specs.push_back(std::make_unique<ExperimentSpec>(std::move(spec)));
-}
-
-const ExperimentSpec* find_experiment(std::string_view name) {
-  register_paper_experiments();
-  auto& reg = experiments();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto it = reg.specs.rbegin(); it != reg.specs.rend(); ++it)
-    if ((*it)->name == name) return it->get();
-  return nullptr;
-}
-
-std::vector<const ExperimentSpec*> all_experiments() {
-  register_paper_experiments();
-  auto& reg = experiments();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  // Registration order, deduplicated by name with the latest registration
-  // winning (an override keeps its predecessor's position).
-  std::vector<const ExperimentSpec*> out;
-  for (const auto& s : reg.specs) {
-    bool replaced = false;
-    for (auto& existing : out) {
-      if (existing->name == s->name) {
-        existing = s.get();
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) out.push_back(s.get());
   }
   return out;
 }

@@ -92,15 +92,9 @@ const std::map<std::string, std::string>& default_knobs();
 std::vector<SweepPoint> expand(const ExperimentSpec& spec,
                                std::optional<double> scale_override = {});
 
-/// Experiment registry (paper specs are installed on first use).
-/// Registering an existing name shadows it — latest registration wins —
-/// while pointers previously returned for the old spec remain valid.
-void register_experiment(ExperimentSpec spec);
+/// The experiments: a constant table built on first use, in paper order
+/// (src/driver/paper_experiments.cpp).
 const ExperimentSpec* find_experiment(std::string_view name);
-std::vector<const ExperimentSpec*> all_experiments();  // registration order
-
-/// Installs the nine paper experiments (idempotent; the registry accessors
-/// call it automatically).
-void register_paper_experiments();
+std::vector<const ExperimentSpec*> all_experiments();
 
 }  // namespace hm::driver

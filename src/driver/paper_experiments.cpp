@@ -1,18 +1,15 @@
-// The registered experiments: the nine paper artifacts (Figs. 7-10,
-// Tables 1/3, the ablations in docs/EXPERIMENTS.md) plus the multicore
-// `scaling` suite,
-// all as declarative specs.  Each paper renderer regenerates exactly the
-// table its bench binary printed before the driver existed — that
-// byte-identity is the refactor's correctness anchor (tests/golden_test) —
-// while the points themselves are shared: Figs. 8/9/10 and Table 3 reuse
-// the same hybrid and cache-based runs through the memo/session caches.
+// The experiment table: the nine paper artifacts (Figs. 7-10, Tables 1/3,
+// the ablations in docs/EXPERIMENTS.md) plus the multicore and irregular
+// suites, all as declarative specs in one constant table.  Each paper
+// renderer's table is pinned byte for byte by tests/golden_test, while the
+// points themselves are shared: Figs. 8/9/10 and Table 3 reuse the same
+// hybrid and cache-based runs through the memo/session caches.
 //
 // Every point carries the historical global seed (kPaperSeed) the
 // published tables pin, which also makes physically identical points hash
 // identically across experiments.
 #include <cstdarg>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -523,25 +520,37 @@ ExperimentSpec irregular_mesh_spec() {
   return s;
 }
 
+const std::vector<ExperimentSpec>& experiments() {
+  static const std::vector<ExperimentSpec> specs = {
+      table1_spec(),
+      fig7_spec(),
+      fig8_spec(),
+      fig9_spec(),
+      fig10_spec(),
+      table3_spec(),
+      ablation_directory_spec(),
+      ablation_double_store_spec(),
+      ablation_prefetch_spec(),
+      scaling_spec(),
+      irregular_spec(),
+      scaling_mesh_spec(),
+      irregular_mesh_spec(),
+  };
+  return specs;
+}
+
 }  // namespace
 
-void register_paper_experiments() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    register_experiment(table1_spec());
-    register_experiment(fig7_spec());
-    register_experiment(fig8_spec());
-    register_experiment(fig9_spec());
-    register_experiment(fig10_spec());
-    register_experiment(table3_spec());
-    register_experiment(ablation_directory_spec());
-    register_experiment(ablation_double_store_spec());
-    register_experiment(ablation_prefetch_spec());
-    register_experiment(scaling_spec());
-    register_experiment(irregular_spec());
-    register_experiment(scaling_mesh_spec());
-    register_experiment(irregular_mesh_spec());
-  });
+const ExperimentSpec* find_experiment(std::string_view name) {
+  for (const ExperimentSpec& spec : experiments())
+    if (spec.name == name) return &spec;
+  return nullptr;
+}
+
+std::vector<const ExperimentSpec*> all_experiments() {
+  std::vector<const ExperimentSpec*> out;
+  for (const ExperimentSpec& spec : experiments()) out.push_back(&spec);
+  return out;
 }
 
 }  // namespace hm::driver

@@ -1,6 +1,5 @@
 #include "driver/registry.hpp"
 
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -11,102 +10,76 @@ namespace hm::driver {
 namespace {
 
 template <typename Factory>
-struct NamedRegistry {
-  std::mutex mu;
-  std::vector<std::pair<std::string, Factory>> entries;  // registration order
+using Table = std::vector<std::pair<std::string_view, Factory>>;
 
-  void put(std::string name, Factory make) {
-    const std::lock_guard<std::mutex> lock(mu);
-    for (auto& e : entries) {
-      if (e.first == name) {
-        e.second = std::move(make);
-        return;
-      }
-    }
-    entries.emplace_back(std::move(name), std::move(make));
-  }
+using MachineFactory = MachineConfig (*)();
+using WorkloadFactory = Workload (*)(WorkloadScale);
 
-  // Copy out under the lock; the factory runs unlocked so a slow factory
-  // (or one that re-enters the registry) cannot stall sweep workers.
-  Factory get(std::string_view name, const char* what) {
-    const std::lock_guard<std::mutex> lock(mu);
-    for (const auto& e : entries)
-      if (e.first == name) return e.second;
-    throw std::out_of_range(std::string("unknown ") + what + ": " + std::string(name));
-  }
-
-  bool contains(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mu);
-    for (const auto& e : entries)
-      if (e.first == name) return true;
-    return false;
-  }
-
-  std::vector<std::string> names() {
-    const std::lock_guard<std::mutex> lock(mu);
-    std::vector<std::string> out;
-    out.reserve(entries.size());
-    for (const auto& e : entries) out.push_back(e.first);
-    return out;
-  }
-};
-
-NamedRegistry<MachineFactory>& machines() {
-  static NamedRegistry<MachineFactory>* r = [] {
-    auto* reg = new NamedRegistry<MachineFactory>();
-    reg->put("hybrid_coherent", &MachineConfig::hybrid_coherent);
-    reg->put("hybrid_oracle", &MachineConfig::hybrid_oracle);
-    reg->put("cache_based", &MachineConfig::cache_based);
-    return reg;
-  }();
-  return *r;
+const Table<MachineFactory>& machines() {
+  static const Table<MachineFactory> table = {
+      {"hybrid_coherent", &MachineConfig::hybrid_coherent},
+      {"hybrid_oracle", &MachineConfig::hybrid_oracle},
+      {"cache_based", &MachineConfig::cache_based},
+  };
+  return table;
 }
 
-NamedRegistry<WorkloadFactory>& workloads() {
-  static NamedRegistry<WorkloadFactory>* r = [] {
-    auto* reg = new NamedRegistry<WorkloadFactory>();
-    reg->put("CG", &make_cg);
-    reg->put("EP", &make_ep);
-    reg->put("FT", &make_ft);
-    reg->put("IS", &make_is);
-    reg->put("MG", &make_mg);
-    reg->put("SP", &make_sp);
-    // The irregular suite (workloads/irregular.hpp), default parameters;
-    // custom footprint/sparsity/stride variants register their own names.
-    reg->put("SPMV", [](WorkloadScale s) { return make_spmv(s); });
-    reg->put("STENCIL", [](WorkloadScale s) { return make_stencil(s); });
-    reg->put("PCHASE", [](WorkloadScale s) { return make_pchase(s); });
-    reg->put("HIST", [](WorkloadScale s) { return make_hist(s); });
-    reg->put("TRIAD", [](WorkloadScale s) { return make_triad(s); });
-    reg->put("RADIX", [](WorkloadScale s) { return make_radix(s); });
-    return reg;
-  }();
-  return *r;
+const Table<WorkloadFactory>& workloads() {
+  static const Table<WorkloadFactory> table = {
+      {"CG", &make_cg},
+      {"EP", &make_ep},
+      {"FT", &make_ft},
+      {"IS", &make_is},
+      {"MG", &make_mg},
+      {"SP", &make_sp},
+      // The irregular suite (workloads/irregular.hpp) at its default
+      // parameters.
+      {"SPMV", [](WorkloadScale s) { return make_spmv(s); }},
+      {"STENCIL", [](WorkloadScale s) { return make_stencil(s); }},
+      {"PCHASE", [](WorkloadScale s) { return make_pchase(s); }},
+      {"HIST", [](WorkloadScale s) { return make_hist(s); }},
+      {"TRIAD", [](WorkloadScale s) { return make_triad(s); }},
+      {"RADIX", [](WorkloadScale s) { return make_radix(s); }},
+  };
+  return table;
+}
+
+template <typename Factory>
+const Factory* find(const Table<Factory>& table, std::string_view name) {
+  for (const auto& [n, make] : table)
+    if (n == name) return &make;
+  return nullptr;
+}
+
+template <typename Factory>
+const Factory& get(const Table<Factory>& table, std::string_view name, const char* what) {
+  if (const Factory* make = find(table, name)) return *make;
+  throw std::out_of_range(std::string("unknown ") + what + ": " + std::string(name));
+}
+
+template <typename Factory>
+std::vector<std::string> names(const Table<Factory>& table) {
+  std::vector<std::string> out;
+  out.reserve(table.size());
+  for (const auto& e : table) out.emplace_back(e.first);
+  return out;
 }
 
 }  // namespace
 
-void register_machine(std::string name, MachineFactory make) {
-  machines().put(std::move(name), std::move(make));
-}
-
-void register_workload(std::string name, WorkloadFactory make) {
-  workloads().put(std::move(name), std::move(make));
-}
-
-bool has_machine(std::string_view name) { return machines().contains(name); }
-bool has_workload(std::string_view name) { return workloads().contains(name); }
+bool has_machine(std::string_view name) { return find(machines(), name) != nullptr; }
+bool has_workload(std::string_view name) { return find(workloads(), name) != nullptr; }
 
 MachineConfig make_machine(std::string_view name) {
-  return machines().get(name, "machine")();
+  return get(machines(), name, "machine")();
 }
 
 Workload make_workload(std::string_view name, WorkloadScale scale) {
-  return workloads().get(name, "workload")(scale);
+  return get(workloads(), name, "workload")(scale);
 }
 
-std::vector<std::string> machine_names() { return machines().names(); }
-std::vector<std::string> workload_names() { return workloads().names(); }
+std::vector<std::string> machine_names() { return names(machines()); }
+std::vector<std::string> workload_names() { return names(workloads()); }
 
 const char* machine_name(MachineKind kind) {
   switch (kind) {

@@ -1,14 +1,11 @@
-// Named machine-configuration and workload registries — the single source
-// of truth the experiment specs (and the thin bench wrappers) reference,
-// replacing the per-binary copy-pasted config tables the paper benches
-// used to carry.
+// Named machine-configuration and workload tables — the single source of
+// truth the experiment specs reference.
 //
-// The built-ins (the three Table 1 machines, the six NAS-signature
-// kernels) are installed on first use; tests and future experiments can
-// register additional entries at runtime.
+// Both tables are constant: the three Table 1 machines and the twelve
+// workloads (six NAS-signature kernels, six irregular kernels), in paper
+// order.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,14 +15,6 @@
 
 namespace hm::driver {
 
-using MachineFactory = std::function<MachineConfig()>;
-using WorkloadFactory = std::function<Workload(WorkloadScale)>;
-
-/// Register a named machine/workload.  Re-registering a name replaces the
-/// previous entry (tests use this).  Thread-safe.
-void register_machine(std::string name, MachineFactory make);
-void register_workload(std::string name, WorkloadFactory make);
-
 bool has_machine(std::string_view name);
 bool has_workload(std::string_view name);
 
@@ -33,7 +22,7 @@ bool has_workload(std::string_view name);
 MachineConfig make_machine(std::string_view name);
 Workload make_workload(std::string_view name, WorkloadScale scale);
 
-/// Registered names in registration order (built-ins first, paper order).
+/// Names in table order (paper order).
 std::vector<std::string> machine_names();
 std::vector<std::string> workload_names();
 

@@ -577,17 +577,4 @@ std::string to_csv(const SweepOutcome& out) {
   return text;
 }
 
-int bench_main(const std::string& experiment) {
-  const ExperimentSpec* spec = find_experiment(experiment);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment: %s\n", experiment.c_str());
-    return 2;
-  }
-  SweepOptions opt;
-  opt.jobs = 0;  // all cores; results are identical for any jobs value
-  const SweepOutcome out = run_sweep(*spec, opt);
-  std::fputs(render(out).c_str(), stdout);
-  return out.failures == 0 ? 0 : 1;
-}
-
 }  // namespace hm::driver

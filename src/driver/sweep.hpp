@@ -35,8 +35,8 @@ namespace hm::driver {
 ///   micro_mode    Baseline/RD/WR/RDWR (workload "micro" only)
 ///   micro_pct     % of guarded references (workload "micro" only)
 /// Unknown knobs are inert axis markers.  NAS kernels compile against the
-/// hybrid machine's LM geometry on every machine kind, exactly like the
-/// original bench binaries, so address streams match across variants.
+/// hybrid machine's LM geometry on every machine kind, so address streams
+/// match across variants.
 PointResult run_point(const SweepPoint& p, const EngineConfig& engine = {});
 
 struct SweepOptions {
@@ -131,10 +131,5 @@ struct SweepView {
 std::string render(const SweepOutcome& out);
 std::string to_json(const SweepOutcome& out);
 std::string to_csv(const SweepOutcome& out);
-
-/// Thin main() for the paper bench binaries: run the named experiment on
-/// all cores (no cache — bench runs stay hermetic) and print the rendered
-/// table on stdout.  Returns a process exit code.
-int bench_main(const std::string& experiment);
 
 }  // namespace hm::driver

@@ -198,7 +198,7 @@ class System {
   Uncore& uncore() { return uncore_; }
 
   // Tile-0 accessors, kept for the (large) single-core surface: tests,
-  // examples and the paper benches address "the" core/LM/directory.
+  // examples and bench_engine address "the" core/LM/directory.
   MemoryHierarchy& hierarchy() { return tiles_.front()->hierarchy(); }
   LocalMemory* lm() { return tiles_.front()->lm(); }
   CoherenceDirectory* directory() { return tiles_.front()->directory(); }

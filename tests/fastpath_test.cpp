@@ -1,5 +1,6 @@
 // Tests for the engine fast-path primitives: magic-multiplier division
-// (common/bitops.hpp) and vectorized first-match scans (common/find64.hpp).
+// (common/bitops.hpp) and vectorized first-match and minimum scans
+// (common/find64.hpp).
 // Both must agree EXACTLY with their scalar definitions — the cache set
 // index and MSHR/tag matches feed the simulated metrics, which are required
 // to be bit-identical across hosts and SIMD availability.
@@ -76,6 +77,29 @@ TEST(Find64, GtMaskAgreesWithScalar) {
     for (std::uint32_t i = 0; i < n; ++i)
       expect |= static_cast<std::uint64_t>(keys[i] > bound) << i;
     ASSERT_EQ(gt_mask_s64(keys.data(), n, bound), expect) << "n=" << n;
+  }
+}
+
+TEST(Find64, StoreBufferSearchesAgreeWithScalar) {
+  // The store buffer's victim (first smallest drain cycle) and collapse
+  // (same address, not yet drained) searches, over every length the core
+  // accepts and with dense ties.
+  Rng rng(13);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.below(64));
+    std::vector<std::uint64_t> keys(n), vals(n);
+    for (auto& k : keys) k = rng.below(8);
+    for (auto& v : vals) v = rng.below(16);
+    std::uint32_t first_min = 0;
+    for (std::uint32_t i = 1; i < n; ++i)
+      if (vals[i] < vals[first_min]) first_min = i;
+    ASSERT_EQ(argmin_u64(vals.data(), n), first_min) << "n=" << n;
+    const std::uint64_t key = rng.below(8);
+    const std::uint64_t bound = rng.below(16);
+    bool any = false;
+    for (std::uint32_t i = 0; i < n; ++i) any = any || (keys[i] == key && vals[i] > bound);
+    ASSERT_EQ(eq_gt_or_argmin_u64(keys.data(), vals.data(), n, key, bound), any ? n : first_min)
+        << "n=" << n;
   }
 }
 

@@ -1,9 +1,10 @@
 // Unit tests for the out-of-order core model: dispatch pacing, dependencies,
-// functional units, guarded-access diversion, the double-store collapse, DMA
-// serialization and phase accounting.
+// functional units, guarded-access diversion, the double-store collapse and
+// the store buffer's recycling rule, DMA serialization and phase accounting.
 #include <gtest/gtest.h>
 
 #include "core/ooo_core.hpp"
+#include "core/replay.hpp"
 #include "test_util.hpp"
 
 namespace hm {
@@ -165,6 +166,49 @@ TEST(OooCore, DistantStoresDoNotCollapse) {
   VecStream prog(ops);
   core.run(prog);
   EXPECT_EQ(core.stats().collapsed_stores, 0u);
+}
+
+// Two stores that drain in the same cycle tie for the buffer's next free
+// slot; the first in index order is recycled.  With two entries the tie
+// decides which older store a later plain store can still collapse into:
+// A and B drain together, C recycles A's entry, so a store to B collapses
+// and a store to A would not.  Detailed stepping and fast-forward share the
+// rule.
+TEST(OooCore, StoreBufferRecyclesTheFirstOfTiedEntries) {
+  CoreConfig cfg;
+  cfg.store_buffer_entries = 2;
+  {
+    Rig rig;
+    OooCore core = rig.make_core(cfg);
+    const Addr lm = rig.lm.base();
+    // All four dispatch in cycle 0; A and B issue together on the two LSU
+    // ports and drain at the same cycle.
+    VecStream prog({VecStream::store(lm), VecStream::store(lm + 64), VecStream::store(lm + 128),
+                    VecStream::store(lm + 64)});
+    core.run(prog);
+    EXPECT_EQ(core.stats().collapsed_stores, 1u);
+    EXPECT_EQ(core.stats().lm_stores, 3u);
+  }
+  {
+    Rig rig;
+    OooCore core = rig.make_core(cfg);
+    const Addr lm = rig.lm.base();
+    ReplayBatch batch;
+    for (const Addr a : {lm, lm + 64, lm + 128, lm + 64}) {
+      batch.slots.push_back(ReplaySlot{.kind = OpKind::Store});
+      batch.addrs.push_back(a);
+    }
+    batch.shape.uops = 4;
+    batch.iterations = 1;
+    batch.db_code = {0};
+    batch.db_before = {0, 0};
+    VecStream empty;
+    core.begin_run(empty);
+    core.replay_functional(batch, 0, 1, /*cpi=*/1.0);
+    core.finish_run();
+    EXPECT_EQ(core.stats().collapsed_stores, 1u);
+    EXPECT_EQ(core.stats().lm_stores, 3u);
+  }
 }
 
 TEST(OooCore, MispredictDelaysDispatch) {
