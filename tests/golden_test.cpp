@@ -24,6 +24,10 @@
 //    sampling with budgets small enough that fast-forward engages at
 //    scale 0.05 — the full RunReport serialization plus the sampling
 //    estimate fields (sample_error, sampled_fraction).
+//  * The CSV export is pinned byte-for-byte: tests/golden/csv_export.txt
+//    holds to_csv of Fig. 8 plus a small spec covering a 4-tile mesh point,
+//    CSV quoting (a knob value and label with a comma and a double quote)
+//    and a quarantined point (error / error_class columns).
 //
 // If an intentional engine change alters simulated metrics, regenerate
 // every golden with scripts/update_goldens.sh (it reruns this binary with
@@ -326,6 +330,39 @@ TEST(SampledGolden, IntervalSampledReportsAreByteIdentical) {
   const std::string got = sampled_text();
   ASSERT_NE(got.rfind("FAILED:", 0), 0u) << got;
   expect_golden("sampled", got, "interval-sampled reports drifted");
+}
+
+// ---------------------------------------------------------------------------
+
+/// CSV capture: Fig. 8 at the golden scale, then a small spec with a 4-tile
+/// mesh CG point, an ok point whose inert knob (an axis, so it also lands
+/// in the label) needs CSV quoting, and the same point quarantined by
+/// fail=1, whose error message repeats the quoted label.
+std::string csv_export_text() {
+  SweepOptions opt;
+  opt.jobs = 2;
+  opt.scale_override = 0.05;
+  std::string text = to_csv(run_sweep(*find_experiment("fig8"), opt));
+
+  ExperimentSpec s;
+  s.name = "csv_golden";
+  s.title = "CSV export capture";
+  s.scale = 0.05;
+  Grid mesh, quoted, failed;
+  mesh.base = {{"cores", "4"}, {"topology", "mesh"}};
+  mesh.axes = {{"workload", {"CG"}}, {"machine", {"hybrid_coherent"}}};
+  quoted.axes = {{"workload", {"EP"}}, {"machine", {"cache_based"}}, {"note", {"a,\"b\""}}};
+  failed.base = {{"fail", "1"}};
+  failed.axes = quoted.axes;
+  s.grids = {mesh, quoted, failed};
+  const SweepOutcome out = run_sweep(s, opt);
+  EXPECT_EQ(out.failures, 1u);
+  text += to_csv(out);
+  return text;
+}
+
+TEST(CsvGolden, ToCsvIsByteIdentical) {
+  expect_golden("csv_export", csv_export_text(), "CSV export drifted");
 }
 
 }  // namespace
