@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -398,21 +397,7 @@ BENCHMARK(BM_SlotBook)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::printf("\n==== Engine throughput (simulated accesses/sec, cycles/sec) ====\n");
-  // Default to emitting BENCH_engine.json next to the working directory so
-  // the perf trajectory is tracked run over run; an explicit --benchmark_out
-  // on the command line wins.
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_engine.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
+  benchmark::Initialize(&argc, argv);
   // Recorded in the JSON context so scripts/perf_gate.py --obs-overhead can
   // assert that the measurement it scores really ran with tracing disabled
   // (the observability layer is compiled in but must cost ~nothing idle).

@@ -13,7 +13,9 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 if [ -x build/bench_engine ]; then
   # Plain-double seconds: the "0.01x" iteration-suffix form needs
   # google-benchmark >= 1.8, and the smoke must run on 1.7 too.
-  (cd build && ./bench_engine --benchmark_min_time=0.05)
+  # The JSON is CI's build/BENCH_engine.json artifact.
+  (cd build && ./bench_engine --benchmark_min_time=0.05 \
+    --benchmark_out=BENCH_engine.json --benchmark_out_format=json)
 else
   echo "bench_engine not built (HM_BUILD_BENCH=OFF?) — skipping perf smoke"
 fi

@@ -23,6 +23,7 @@ class Accumulator {
   double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
   void reset() noexcept { *this = Accumulator{}; }
+  bool operator==(const Accumulator&) const = default;
 
   /// Rebuild from serialized statistics (inverse of reading count/sum/min/
   /// max) — used when reports are rehydrated from the sweep memo cache.

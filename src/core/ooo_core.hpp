@@ -90,6 +90,7 @@ struct RunResult {
     return cycles == 0 ? 0.0 : static_cast<double>(uops) / static_cast<double>(cycles);
   }
   double amat() const { return load_latency.mean(); }
+  bool operator==(const RunResult&) const = default;
 };
 
 class OooCore {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/atomic_file.hpp"
 #include "common/hash.hpp"
 #include "obs/trace.hpp"
 
@@ -59,22 +60,10 @@ void SweepJournal::compact(const std::vector<PointResult>& results) {
   const std::lock_guard<std::mutex> lock(mu_);
   std::fclose(file_);
   file_ = nullptr;
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      file_ = std::fopen(path_.c_str(), "a");
-      return;
-    }
-    for (const PointResult& r : results) out << record_line(r);
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      file_ = std::fopen(path_.c_str(), "a");
-      return;
-    }
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) std::remove(tmp.c_str());
+  std::string text;
+  for (const PointResult& r : results) text += record_line(r);
+  // Whatever the outcome, appends resume on the (old or compacted) file.
+  write_file_atomic(path_, path_ + ".tmp", text);
   file_ = std::fopen(path_.c_str(), "a");
 }
 

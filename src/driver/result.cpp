@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "common/atomic_file.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
 
@@ -27,17 +29,6 @@ unsigned long process_id() {
 #endif
 }
 
-// Numeric/bool emitters come from sim/report.hpp (json_kv_*), shared with
-// append_report_fields so the point and report layers can never drift in
-// formatting; only string emission is driver-specific.
-void kv_str(std::string& out, const char* key, std::string_view v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  append_json_escaped(out, v);
-  out += "\",";
-}
-
 std::map<std::string, std::string> parse_knobs(std::string_view s) {
   std::map<std::string, std::string> out;
   std::size_t pos = 0;
@@ -51,6 +42,14 @@ std::map<std::string, std::string> parse_knobs(std::string_view s) {
     pos = end + 1;
   }
   return out;
+}
+
+constexpr char kVersionKey[] = "engine_version";
+
+std::optional<std::uint64_t> stored_engine_version(const FieldMap& f) {
+  const auto it = f.find(kVersionKey);
+  if (it == f.end()) return std::nullopt;
+  return std::strtoull(it->second.c_str(), nullptr, 10);
 }
 
 }  // namespace
@@ -72,39 +71,58 @@ ErrorClass error_class_from_name(std::string_view name) {
   return ErrorClass::None;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
+namespace {
+
+/// The point header: identity, status and classification.  The JSON record
+/// and the CSV row both start with it.
+template <class Result, class IO>
+void visit_header(Result& r, IO& io) {
+  io.field("experiment", r.point.experiment);
+  io.field("index", r.point.index);
+  io.field("label", r.point.label);
+  io.field("machine", r.point.machine);
+  io.field("workload", r.point.workload);
+  std::string knobs = r.point.knobs_string();
+  io.field("knobs", knobs);
+  io.field("scale", r.point.scale);
+  io.field("seed", r.point.seed);
+  io.field("ok", r.ok);
+  io.field("error", r.error);
+  std::string error_class(to_string(r.error_class));
+  io.field("error_class", error_class);
+  io.field("mapped_refs", r.mapped_refs);
+  io.field("demoted_refs", r.demoted_refs);
+  if constexpr (!std::is_const_v<Result>) {
+    r.point.knobs = parse_knobs(knobs);
+    r.error_class = error_class_from_name(error_class);
   }
 }
 
+/// The JSON point record: the engine version, the header, then the report.
+/// Writing and reading are the two instantiations.
+template <class Result, class IO>
+void visit_point(Result& r, IO& io) {
+  std::uint64_t version = kEngineVersion;
+  io.field(kVersionKey, version);  // read side: checked before the walk
+  visit_header(r, io);
+  visit_report(r.report, io);
+}
+
+/// point_from_json on already-parsed fields of the current engine version.
+PointResult point_from_fields(const FieldMap& f) {
+  PointResult r;
+  FieldReader io{f};
+  visit_point(r, io);
+  return r;
+}
+
+}  // namespace
+
 std::string point_json(const PointResult& r) {
   std::string out = "{";
-  json_kv_u64(out, "engine_version", kEngineVersion);
-  kv_str(out, "experiment", r.point.experiment);
-  json_kv_u64(out, "index", r.point.index);
-  kv_str(out, "label", r.point.label);
-  kv_str(out, "machine", r.point.machine);
-  kv_str(out, "workload", r.point.workload);
-  kv_str(out, "knobs", r.point.knobs_string());
-  json_kv_dbl(out, "scale", r.point.scale);
-  json_kv_u64(out, "seed", r.point.seed);
-  json_kv_bool(out, "ok", r.ok);
-  kv_str(out, "error", r.error);
-  kv_str(out, "error_class", to_string(r.error_class));
-  json_kv_u64(out, "mapped_refs", r.mapped_refs);
-  json_kv_u64(out, "demoted_refs", r.demoted_refs);
-  append_report_fields(out, r.report);
-  out += '}';
+  JsonWriter io{out};
+  visit_point(r, io);
+  out.back() = '}';  // replaces the trailing comma
   return out;
 }
 
@@ -191,101 +209,86 @@ bool parse_flat_json(std::string_view text, FieldMap& out) {
 
 std::optional<PointResult> point_from_json(std::string_view text) {
   FieldMap f;
-  if (!parse_flat_json(text, f)) return std::nullopt;
-  const auto it = f.find("engine_version");
-  if (it == f.end() ||
-      std::strtoull(it->second.c_str(), nullptr, 10) != kEngineVersion)
+  if (!parse_flat_json(text, f) || stored_engine_version(f) != kEngineVersion)
     return std::nullopt;
-  PointResult r;
-  r.point.experiment = f.count("experiment") ? f["experiment"] : "";
-  r.point.index = std::strtoull(f["index"].c_str(), nullptr, 10);
-  r.point.label = f.count("label") ? f["label"] : "";
-  r.point.machine = f.count("machine") ? f["machine"] : "";
-  r.point.workload = f.count("workload") ? f["workload"] : "";
-  r.point.knobs = parse_knobs(f.count("knobs") ? f["knobs"] : "");
-  r.point.scale = std::strtod(f["scale"].c_str(), nullptr);
-  r.point.seed = std::strtoull(f["seed"].c_str(), nullptr, 10);
-  r.ok = f.count("ok") && f["ok"] == "true";
-  r.error = f.count("error") ? f["error"] : "";
-  r.error_class = error_class_from_name(f.count("error_class") ? f["error_class"] : "");
-  r.mapped_refs = static_cast<unsigned>(std::strtoul(f["mapped_refs"].c_str(), nullptr, 10));
-  r.demoted_refs = static_cast<unsigned>(std::strtoul(f["demoted_refs"].c_str(), nullptr, 10));
-  r.report = report_from_fields(f);
-  return r;
+  return point_from_fields(f);
 }
 
+namespace {
+
+/// CSV sink: the column names (the header line) or the values (a row).
+/// Strings are quoted when they hold a comma, a quote or a newline.
+struct CsvSink {
+  std::string& out;
+  bool names;
+  template <class T>
+  void field(std::string_view name, const T& v) const {
+    if (names) {
+      out += name;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out += v ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, double>) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      out += buf;
+    } else if constexpr (std::is_integral_v<T>) {
+      out += std::to_string(v);
+    } else if (std::string_view(v).find_first_of(",\"\n") == std::string_view::npos) {
+      out += v;
+    } else {
+      out += '"';
+      for (const char c : std::string_view(v)) {
+        if (c == '"') out += '"';
+        out += c;
+      }
+      out += '"';
+    }
+    out += ',';
+  }
+};
+
+/// The CSV columns: the point header, then a selection of the report.
+template <class IO>
+void visit_csv(const PointResult& r, IO& io) {
+  visit_header(r, io);
+  const RunReport& rep = r.report;
+  io.field("cycles", rep.core.cycles);
+  io.field("work_cycles", rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Work)]);
+  io.field("control_cycles", rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Control)]);
+  io.field("synch_cycles", rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Synch)]);
+  io.field("uops", rep.core.uops);
+  io.field("amat", rep.amat);
+  io.field("l1_hit_pct", rep.l1_hit_ratio);
+  io.field("l1_accesses", rep.l1_accesses);
+  io.field("l2_accesses", rep.l2_accesses);
+  io.field("l3_accesses", rep.l3_accesses);
+  io.field("lm_accesses", rep.lm_accesses);
+  io.field("directory_accesses", rep.directory_accesses);
+  io.field("energy_cpu_pj", rep.energy.cpu);
+  io.field("energy_caches_pj", rep.energy.caches);
+  io.field("energy_lm_pj", rep.energy.lm);
+  io.field("energy_others_pj", rep.energy.others);
+  io.field("energy_total_pj", rep.energy.total());
+  for (const auto& [resource, member] : kSharedResources)
+    for (const auto& [sub, field] : kContentionFields)
+      io.field(std::string(resource) + '_' + sub, (rep.*member).*field);
+}
+
+}  // namespace
+
 std::string csv_header() {
-  std::string h =
-      "experiment,index,label,machine,workload,knobs,scale,seed,ok,error,"
-      "error_class,"
-      "mapped_refs,demoted_refs,cycles,work_cycles,control_cycles,synch_cycles,"
-      "uops,amat,l1_hit_pct,l1_accesses,l2_accesses,l3_accesses,lm_accesses,"
-      "directory_accesses,energy_cpu_pj,energy_caches_pj,energy_lm_pj,"
-      "energy_others_pj,energy_total_pj";
-  // Shared-resource contention columns (full-run occupancy model).
-  for (const char* res : {"l2_port", "l3_port", "dram", "dma_bus"})
-    for (const char* field : {"requests", "delayed", "queue_cycles",
-                              "peak_occupancy", "overflows"})
-      h += std::string(",") + res + "_" + field;
-  h += '\n';
+  std::string h;
+  CsvSink io{h, true};
+  visit_csv(PointResult{}, io);
+  h.back() = '\n';
   return h;
 }
 
 std::string csv_row(const PointResult& r) {
-  const auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (const char c : s) {
-      if (c == '"') q += '"';
-      q += c;
-    }
-    q += '"';
-    return q;
-  };
-  char buf[256];
   std::string out;
-  out += quote(r.point.experiment) + ',';
-  out += std::to_string(r.point.index) + ',';
-  out += quote(r.point.label) + ',';
-  out += quote(r.point.machine) + ',';
-  out += quote(r.point.workload) + ',';
-  out += quote(r.point.knobs_string()) + ',';
-  std::snprintf(buf, sizeof(buf), "%.17g,%llu,%d,", r.point.scale,
-                static_cast<unsigned long long>(r.point.seed), r.ok ? 1 : 0);
-  out += buf;
-  out += quote(r.error) + ',';
-  out += std::string(to_string(r.error_class)) + ',';
-  const RunReport& rep = r.report;
-  std::snprintf(buf, sizeof(buf), "%u,%u,%llu,%llu,%llu,%llu,%llu,", r.mapped_refs,
-                r.demoted_refs, static_cast<unsigned long long>(rep.core.cycles),
-                static_cast<unsigned long long>(
-                    rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Work)]),
-                static_cast<unsigned long long>(
-                    rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Control)]),
-                static_cast<unsigned long long>(
-                    rep.core.phase_cycles[static_cast<unsigned>(ExecPhase::Synch)]),
-                static_cast<unsigned long long>(rep.core.uops));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "%.17g,%.17g,%llu,%llu,%llu,%llu,%llu,", rep.amat,
-                rep.l1_hit_ratio, static_cast<unsigned long long>(rep.l1_accesses),
-                static_cast<unsigned long long>(rep.l2_accesses),
-                static_cast<unsigned long long>(rep.l3_accesses),
-                static_cast<unsigned long long>(rep.lm_accesses),
-                static_cast<unsigned long long>(rep.directory_accesses));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "%.17g,%.17g,%.17g,%.17g,%.17g", rep.energy.cpu,
-                rep.energy.caches, rep.energy.lm, rep.energy.others, rep.energy.total());
-  out += buf;
-  for (const ResourceContention* c : {&rep.l2_port, &rep.l3_port, &rep.dram, &rep.dma_bus}) {
-    std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%llu,%llu",
-                  static_cast<unsigned long long>(c->requests),
-                  static_cast<unsigned long long>(c->delayed),
-                  static_cast<unsigned long long>(c->queue_cycles),
-                  static_cast<unsigned long long>(c->peak_occupancy),
-                  static_cast<unsigned long long>(c->overflows));
-    out += buf;
-  }
-  out += '\n';
+  CsvSink io{out, false};
+  visit_csv(r, io);
+  out.back() = '\n';
   return out;
 }
 
@@ -335,33 +338,33 @@ std::optional<PointResult> MemoCache::lookup(const SweepPoint& p) const {
     note_corrupt(path);  // unparseable file: corruption, not a cold cache
     return std::nullopt;
   }
-  const auto it = f.find("engine_version");
-  if (it == f.end()) {
+  const std::optional<std::uint64_t> version = stored_engine_version(f);
+  if (!version) {
     note_corrupt(path);
     return std::nullopt;
   }
   // A stale engine version is the EXPECTED state after an engine bump —
   // a miss, never counted as corruption, but tallied so the sweep summary
   // can report how much of the cache predates the current engine.
-  if (std::strtoull(it->second.c_str(), nullptr, 10) != kEngineVersion) {
+  if (*version != kEngineVersion) {
     stale_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  std::optional<PointResult> r = point_from_json(text);
-  if (!r || !r->ok) {
+  PointResult r = point_from_fields(f);
+  if (!r.ok) {
     note_corrupt(path);  // parsed but failed/implausible: store() never writes these
     return std::nullopt;
   }
   // Guard against hash collisions and hand-edited files: the stored point
   // must describe the same simulation.
-  if (r->point.canonical() != p.canonical()) {
+  if (r.point.canonical() != p.canonical()) {
     note_corrupt(path);
     return std::nullopt;
   }
   // The report is the cached payload; the identity is the caller's (the
   // same simulation can belong to several experiments).
-  r->point = p;
-  r->from_cache = true;
+  r.point = p;
+  r.from_cache = true;
   return r;
 }
 
@@ -374,17 +377,7 @@ void MemoCache::store(const PointResult& r) const {
   const std::string tmp =
       path + ".tmp" + std::to_string(process_id()) + "." +
       std::to_string(tmp_counter.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    out << point_json(r) << '\n';
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
+  write_file_atomic(path, tmp, point_json(r) + '\n');
 }
 
 std::optional<PointResult> RunCache::lookup(const SweepPoint& p) const {

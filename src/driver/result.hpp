@@ -66,11 +66,9 @@ struct PointResult {
   RunReport report;
 };
 
-/// Append @p s JSON-string-escaped (quotes, backslashes, \u00XX control
-/// characters) to @p out.  The single escaper shared by the point/report
-/// serialization and the hm_sweep CLI's `list --format json`, so the two
-/// layers can never drift in escaping.
-void append_json_escaped(std::string& out, std::string_view s);
+/// The single JSON string escaper (common/json.hpp), shared by the point
+/// serialization and the hm_sweep CLI's `list --format json`.
+using hm::append_json_escaped;
 
 /// Compact single-line JSON object for one point.  Field order is fixed and
 /// doubles print at round-trip precision, so identical results serialize to
@@ -88,6 +86,8 @@ bool parse_flat_json(std::string_view text, FieldMap& out);
 /// records from older builds still load.
 std::optional<PointResult> point_from_json(std::string_view text);
 
+/// CSV export: the header line and one row per point, both derived from one
+/// column list.  Strings are quoted when they hold a comma, quote or newline.
 std::string csv_header();
 std::string csv_row(const PointResult& r);
 

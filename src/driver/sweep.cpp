@@ -9,8 +9,8 @@
 #include <unordered_map>
 
 #include <filesystem>
-#include <fstream>
 
+#include "common/atomic_file.hpp"
 #include "common/log.hpp"
 #include "compiler/codegen.hpp"
 #include "driver/journal.hpp"
@@ -246,18 +246,7 @@ void write_profile_json(const std::string& path, const SweepOutcome& out) {
     text += buf;
   }
   text += "\n]\n}\n";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) return;
-    f << text;
-    if (!f) {
-      f.close();
-      std::remove(tmp.c_str());
-      return;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
+  write_file_atomic(path, path + ".tmp", text);
 }
 
 }  // namespace

@@ -98,6 +98,8 @@ struct ActivityCounts {
   Bytes l1_size = 32 * 1024;
   bool has_lm = false;
   bool has_directory = false;
+
+  bool operator==(const ActivityCounts&) const = default;
 };
 
 /// Energy broken down by the Fig. 10 components, in picojoules.
@@ -107,6 +109,7 @@ struct EnergyBreakdown {
   PicoJoule lm = 0;
   PicoJoule others = 0;
   PicoJoule total() const { return cpu + caches + lm + others; }
+  bool operator==(const EnergyBreakdown&) const = default;
 };
 
 class EnergyModel {

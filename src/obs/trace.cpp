@@ -3,8 +3,9 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
 
+#include "common/atomic_file.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace hm::obs {
@@ -19,27 +20,6 @@ std::atomic<int> g_active{0};
 
 thread_local TraceSink* t_thread_sink = nullptr;
 std::atomic<TraceSink*> g_sweep_sink{nullptr};
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
 
 void append_double(std::string& out, double v) {
   char buf[32];
@@ -140,12 +120,12 @@ std::string TraceSink::to_json() const {
                   "\"tid\":%u,\"args\":{\"name\":\"",
                   static_cast<unsigned>(lanes_[i].first), i);
     out += buf;
-    append_escaped(out, lanes_[i].second.c_str());
+    append_json_escaped(out, lanes_[i].second);
     out += "\"}}";
   }
   for (const Event& e : events_) {
     out += ",{\"name\":\"";
-    append_escaped(out, e.name);
+    append_json_escaped(out, e.name);
     std::snprintf(buf, sizeof buf,
                   "\",\"ph\":\"%c\",\"pid\":%u,\"tid\":%u,\"ts\":%" PRIu64,
                   e.phase, static_cast<unsigned>(e.track), e.tid, e.ts);
@@ -157,7 +137,7 @@ std::string TraceSink::to_json() const {
     if (e.phase == 'i') out += ",\"s\":\"t\"";
     if (e.arg_key != nullptr) {
       out += ",\"args\":{\"";
-      append_escaped(out, e.arg_key);
+      append_json_escaped(out, e.arg_key);
       out += "\":";
       append_double(out, e.arg_val);
       out += "}";
@@ -173,29 +153,17 @@ std::string TraceSink::to_json() const {
 }
 
 bool TraceSink::write_file(const std::string& path) const {
-  const std::string json = to_json();
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    HM_WARN("trace: cannot open " << tmp << " for writing");
-    return false;
-  }
-  const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    HM_WARN("trace: short write to " << tmp);
-    std::remove(tmp.c_str());
-    return false;
-  }
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    HM_WARN("trace: rename " << tmp << " -> " << path
-                             << " failed: " << ec.message());
-    std::remove(tmp.c_str());
-    return false;
+  switch (write_file_atomic(path, tmp, to_json(), &ec)) {
+    case WriteStage::Ok: return true;
+    case WriteStage::Open: HM_WARN("trace: cannot open " << tmp << " for writing"); break;
+    case WriteStage::Write: HM_WARN("trace: short write to " << tmp); break;
+    case WriteStage::Rename:
+      HM_WARN("trace: rename " << tmp << " -> " << path << " failed: " << ec.message());
+      break;
   }
-  return true;
+  return false;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,269 +1,131 @@
 #include "sim/report.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 namespace hm {
 
-void json_kv_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu,", key, static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void json_kv_dbl(std::string& out, const char* key, double v) {
-  // %.17g round-trips every IEEE-754 double exactly through strtod.
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.17g,", key, v);
-  out += buf;
-}
-
-void json_kv_bool(std::string& out, const char* key, bool v) {
-  out += '"';
-  out += key;
-  out += v ? "\":true," : "\":false,";
-}
-
 namespace {
 
-std::uint64_t f_u64(const FieldMap& f, const char* key) {
-  const auto it = f.find(key);
-  return it == f.end() ? 0 : std::strtoull(it->second.c_str(), nullptr, 10);
+/// A key composed from a prefix or an index, e.g. "t3_cycles".
+template <class... Args>
+std::array<char, 64> key(const char* fmt, Args... args) {
+  std::array<char, 64> k{};
+  std::snprintf(k.data(), k.size(), fmt, args...);
+  return k;
 }
 
-double f_dbl(const FieldMap& f, const char* key) {
-  const auto it = f.find(key);
-  return it == f.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
+template <class IO, class C>
+void contention(IO& io, const char* resource, C& c) {
+  for (const auto& [sub, member] : kContentionFields)
+    io.field(key("%s_%s", resource, sub).data(), c.*member);
 }
 
-bool f_bool(const FieldMap& f, const char* key) {
-  const auto it = f.find(key);
-  return it != f.end() && it->second == "true";
+/// A list serialized as its length under @p len_key, then one entry each;
+/// read back with at most @p cap entries.
+template <class IO, class Vec, class Entry>
+void counted(IO& io, const char* len_key, Vec& v, std::uint64_t cap, Entry entry) {
+  std::uint64_t n = v.size();
+  io.field(len_key, n);
+  if constexpr (!std::is_const_v<Vec>) v.resize(std::min(n, cap));
+  for (std::size_t i = 0; i < v.size(); ++i) entry(i, v[i]);
+}
+
+/// The one RunReport field list; see visit_report.  Append-only: a new
+/// field goes at the end (or in a new presence-marked section), never
+/// between existing keys.
+template <class Report, class IO>
+void walk(Report& r, IO& io) {
+  auto& core = r.core;
+  io.field("cycles", core.cycles);
+  io.field("phase_work", core.phase_cycles[static_cast<unsigned>(ExecPhase::Work)]);
+  io.field("phase_control", core.phase_cycles[static_cast<unsigned>(ExecPhase::Control)]);
+  io.field("phase_synch", core.phase_cycles[static_cast<unsigned>(ExecPhase::Synch)]);
+  io.field("uops", core.uops);
+  io.field("loads", core.loads);
+  io.field("stores", core.stores);
+  io.field("guarded_loads", core.guarded_loads);
+  io.field("guarded_stores", core.guarded_stores);
+  io.field("value_mismatches", core.value_mismatches);
+  {
+    std::uint64_t count = core.load_latency.count();
+    double sum = core.load_latency.sum();
+    double min = core.load_latency.min();
+    double max = core.load_latency.max();
+    io.field("load_lat_count", count);
+    io.field("load_lat_sum", sum);
+    io.field("load_lat_min", min);
+    io.field("load_lat_max", max);
+    if constexpr (!std::is_const_v<Report>) core.load_latency.restore(count, sum, min, max);
+  }
+  io.field("amat", r.amat);
+  io.field("l1_hit_ratio", r.l1_hit_ratio);
+  io.field("l1_accesses", r.l1_accesses);
+  io.field("l2_accesses", r.l2_accesses);
+  io.field("l3_accesses", r.l3_accesses);
+  io.field("lm_accesses", r.lm_accesses);
+  io.field("directory_accesses", r.directory_accesses);
+  io.field("energy_cpu", r.energy.cpu);
+  io.field("energy_caches", r.energy.caches);
+  io.field("energy_lm", r.energy.lm);
+  io.field("energy_others", r.energy.others);
+  for (const auto& [name, member] : kActivityCounters) io.field(name, r.activity.*member);
+  io.field("act_cycles", r.activity.cycles);
+  io.field("act_l1_size", r.activity.l1_size);
+  io.field("act_has_lm", r.activity.has_lm);
+  io.field("act_has_directory", r.activity.has_directory);
+  for (const auto& [resource, member] : kSharedResources) contention(io, resource, r.*member);
+  // Interconnect section, topology machines only: flat runs (noc_nodes ==
+  // 0) skip it entirely, so their bytes — and every flat golden and cached
+  // report — predate the NoC.
+  if (io.present("noc_nodes", r.noc_nodes)) {
+    io.field("noc_mesh_x", r.noc_mesh_x);
+    io.field("noc_mesh_y", r.noc_mesh_y);
+    io.field("noc_msgs", r.noc_msgs);
+    io.field("noc_hops", r.noc_hops);
+    io.field("noc_flits", r.noc_flits);
+    io.field("noc_dir_filtered", r.noc_dir_filtered);
+    io.field("noc_dir_broadcasts", r.noc_dir_broadcasts);
+    contention(io, "noc_links", r.noc_links);
+    // Cap mirrors the mesh diameter bound for the largest allowed machine.
+    counted(io, "noc_hop_hist_len", r.noc_hop_hist, 1024,
+            [&](std::size_t h, auto& n) { io.field(key("noc_hop%zu", h).data(), n); });
+  }
+  // Per-tile sections, tile order; the key prefix carries the tile index so
+  // the object stays flat.  Cap against corrupt cache files; no real
+  // machine has this many tiles.
+  counted(io, "n_tiles", r.tiles, 4096, [&](std::size_t i, auto& t) {
+    const auto tile = [&](const char* name, auto& v) { io.field(key("t%zu_%s", i, name).data(), v); };
+    tile("cycles", t.cycles);
+    tile("uops", t.uops);
+    tile("loads", t.loads);
+    tile("stores", t.stores);
+    tile("l1_accesses", t.l1_accesses);
+    tile("lm_accesses", t.lm_accesses);
+    tile("directory_accesses", t.directory_accesses);
+    tile("dma_lines", t.dma_lines);
+    tile("energy", t.energy);
+  });
 }
 
 }  // namespace
 
-void append_report_fields(std::string& out, const RunReport& r) {
-  json_kv_u64(out, "cycles", r.core.cycles);
-  json_kv_u64(out, "phase_work", r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Work)]);
-  json_kv_u64(out, "phase_control", r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Control)]);
-  json_kv_u64(out, "phase_synch", r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Synch)]);
-  json_kv_u64(out, "uops", r.core.uops);
-  json_kv_u64(out, "loads", r.core.loads);
-  json_kv_u64(out, "stores", r.core.stores);
-  json_kv_u64(out, "guarded_loads", r.core.guarded_loads);
-  json_kv_u64(out, "guarded_stores", r.core.guarded_stores);
-  json_kv_u64(out, "value_mismatches", r.core.value_mismatches);
-  json_kv_u64(out, "load_lat_count", r.core.load_latency.count());
-  json_kv_dbl(out, "load_lat_sum", r.core.load_latency.sum());
-  json_kv_dbl(out, "load_lat_min", r.core.load_latency.min());
-  json_kv_dbl(out, "load_lat_max", r.core.load_latency.max());
-  json_kv_dbl(out, "amat", r.amat);
-  json_kv_dbl(out, "l1_hit_ratio", r.l1_hit_ratio);
-  json_kv_u64(out, "l1_accesses", r.l1_accesses);
-  json_kv_u64(out, "l2_accesses", r.l2_accesses);
-  json_kv_u64(out, "l3_accesses", r.l3_accesses);
-  json_kv_u64(out, "lm_accesses", r.lm_accesses);
-  json_kv_u64(out, "directory_accesses", r.directory_accesses);
-  json_kv_dbl(out, "energy_cpu", r.energy.cpu);
-  json_kv_dbl(out, "energy_caches", r.energy.caches);
-  json_kv_dbl(out, "energy_lm", r.energy.lm);
-  json_kv_dbl(out, "energy_others", r.energy.others);
-  json_kv_u64(out, "act_l1", r.activity.l1_activity);
-  json_kv_u64(out, "act_l2", r.activity.l2_activity);
-  json_kv_u64(out, "act_l3", r.activity.l3_activity);
-  json_kv_u64(out, "act_mem", r.activity.mem_accesses);
-  json_kv_u64(out, "act_lm", r.activity.lm_accesses);
-  json_kv_u64(out, "act_dir_lookups", r.activity.dir_lookups);
-  json_kv_u64(out, "act_dir_updates", r.activity.dir_updates);
-  json_kv_u64(out, "act_fetch_groups", r.activity.fetch_groups);
-  json_kv_u64(out, "act_uops", r.activity.uops);
-  json_kv_u64(out, "act_regfile_reads", r.activity.regfile_reads);
-  json_kv_u64(out, "act_regfile_writes", r.activity.regfile_writes);
-  json_kv_u64(out, "act_int_ops", r.activity.int_ops);
-  json_kv_u64(out, "act_fp_ops", r.activity.fp_ops);
-  json_kv_u64(out, "act_branches", r.activity.branches);
-  json_kv_u64(out, "act_mem_uops", r.activity.mem_uops);
-  json_kv_u64(out, "act_replay_uops", r.activity.replay_uops);
-  json_kv_u64(out, "act_flushed_slots", r.activity.flushed_slots);
-  json_kv_u64(out, "act_prefetch_trainings", r.activity.prefetch_trainings);
-  json_kv_u64(out, "act_prefetch_issues", r.activity.prefetch_issues);
-  json_kv_u64(out, "act_dma_lines", r.activity.dma_lines);
-  json_kv_u64(out, "act_bus_transfers", r.activity.bus_transfers);
-  json_kv_u64(out, "act_cycles", r.activity.cycles);
-  json_kv_u64(out, "act_l1_size", r.activity.l1_size);
-  json_kv_bool(out, "act_has_lm", r.activity.has_lm);
-  json_kv_bool(out, "act_has_directory", r.activity.has_directory);
-  // Shared-resource contention sections (full-run occupancy, machine-wide).
-  const auto contention = [&](const char* res, const ResourceContention& c) {
-    char key[64];
-    const auto kv = [&](const char* field, std::uint64_t v) {
-      std::snprintf(key, sizeof(key), "%s_%s", res, field);
-      json_kv_u64(out, key, v);
-    };
-    kv("requests", c.requests);
-    kv("delayed", c.delayed);
-    kv("queue_cycles", c.queue_cycles);
-    kv("peak_occupancy", c.peak_occupancy);
-    kv("overflows", c.overflows);
-  };
-  contention("l2_port", r.l2_port);
-  contention("l3_port", r.l3_port);
-  contention("dram", r.dram);
-  contention("dma_bus", r.dma_bus);
-  // Interconnect section, emitted only for topology machines.  Flat runs
-  // (noc_nodes == 0) skip it entirely so their serialization — and with it
-  // every existing golden and cached report — stays byte-identical.
-  if (r.noc_nodes != 0) {
-    json_kv_u64(out, "noc_nodes", r.noc_nodes);
-    json_kv_u64(out, "noc_mesh_x", r.noc_mesh_x);
-    json_kv_u64(out, "noc_mesh_y", r.noc_mesh_y);
-    json_kv_u64(out, "noc_msgs", r.noc_msgs);
-    json_kv_u64(out, "noc_hops", r.noc_hops);
-    json_kv_u64(out, "noc_flits", r.noc_flits);
-    json_kv_u64(out, "noc_dir_filtered", r.noc_dir_filtered);
-    json_kv_u64(out, "noc_dir_broadcasts", r.noc_dir_broadcasts);
-    contention("noc_links", r.noc_links);
-    json_kv_u64(out, "noc_hop_hist_len", r.noc_hop_hist.size());
-    for (std::size_t h = 0; h < r.noc_hop_hist.size(); ++h) {
-      char key[32];
-      std::snprintf(key, sizeof(key), "noc_hop%zu", h);
-      json_kv_u64(out, key, r.noc_hop_hist[h]);
-    }
-  }
-  // Per-tile sections (tile order).  The key prefix carries the tile index,
-  // so the object stays flat and the emission byte-stable for identical
-  // reports.
-  json_kv_u64(out, "n_tiles", r.tiles.size());
-  for (std::size_t i = 0; i < r.tiles.size(); ++i) {
-    const TileReport& t = r.tiles[i];
-    char key[48];
-    const auto kv_u64 = [&](const char* field, std::uint64_t v) {
-      std::snprintf(key, sizeof(key), "t%zu_%s", i, field);
-      json_kv_u64(out, key, v);
-    };
-    kv_u64("cycles", t.cycles);
-    kv_u64("uops", t.uops);
-    kv_u64("loads", t.loads);
-    kv_u64("stores", t.stores);
-    kv_u64("l1_accesses", t.l1_accesses);
-    kv_u64("lm_accesses", t.lm_accesses);
-    kv_u64("directory_accesses", t.directory_accesses);
-    kv_u64("dma_lines", t.dma_lines);
-    std::snprintf(key, sizeof(key), "t%zu_energy", i);
-    json_kv_dbl(out, key, t.energy);
-  }
+void visit_report(const RunReport& report, JsonWriter& io) { walk(report, io); }
+void visit_report(RunReport& report, FieldReader& io) { walk(report, io); }
+
+void append_report_fields(std::string& out, const RunReport& report) {
+  JsonWriter io{out};
+  visit_report(report, io);
   out.pop_back();  // drop the trailing comma
 }
 
-RunReport report_from_fields(const FieldMap& f) {
+RunReport report_from_fields(const FieldMap& fields) {
   RunReport r;
-  r.core.cycles = f_u64(f, "cycles");
-  r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Work)] = f_u64(f, "phase_work");
-  r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Control)] = f_u64(f, "phase_control");
-  r.core.phase_cycles[static_cast<unsigned>(ExecPhase::Synch)] = f_u64(f, "phase_synch");
-  r.core.uops = f_u64(f, "uops");
-  r.core.loads = f_u64(f, "loads");
-  r.core.stores = f_u64(f, "stores");
-  r.core.guarded_loads = f_u64(f, "guarded_loads");
-  r.core.guarded_stores = f_u64(f, "guarded_stores");
-  r.core.value_mismatches = f_u64(f, "value_mismatches");
-  r.core.load_latency.restore(f_u64(f, "load_lat_count"), f_dbl(f, "load_lat_sum"),
-                              f_dbl(f, "load_lat_min"), f_dbl(f, "load_lat_max"));
-  r.amat = f_dbl(f, "amat");
-  r.l1_hit_ratio = f_dbl(f, "l1_hit_ratio");
-  r.l1_accesses = f_u64(f, "l1_accesses");
-  r.l2_accesses = f_u64(f, "l2_accesses");
-  r.l3_accesses = f_u64(f, "l3_accesses");
-  r.lm_accesses = f_u64(f, "lm_accesses");
-  r.directory_accesses = f_u64(f, "directory_accesses");
-  r.energy.cpu = f_dbl(f, "energy_cpu");
-  r.energy.caches = f_dbl(f, "energy_caches");
-  r.energy.lm = f_dbl(f, "energy_lm");
-  r.energy.others = f_dbl(f, "energy_others");
-  r.activity.l1_activity = f_u64(f, "act_l1");
-  r.activity.l2_activity = f_u64(f, "act_l2");
-  r.activity.l3_activity = f_u64(f, "act_l3");
-  r.activity.mem_accesses = f_u64(f, "act_mem");
-  r.activity.lm_accesses = f_u64(f, "act_lm");
-  r.activity.dir_lookups = f_u64(f, "act_dir_lookups");
-  r.activity.dir_updates = f_u64(f, "act_dir_updates");
-  r.activity.fetch_groups = f_u64(f, "act_fetch_groups");
-  r.activity.uops = f_u64(f, "act_uops");
-  r.activity.regfile_reads = f_u64(f, "act_regfile_reads");
-  r.activity.regfile_writes = f_u64(f, "act_regfile_writes");
-  r.activity.int_ops = f_u64(f, "act_int_ops");
-  r.activity.fp_ops = f_u64(f, "act_fp_ops");
-  r.activity.branches = f_u64(f, "act_branches");
-  r.activity.mem_uops = f_u64(f, "act_mem_uops");
-  r.activity.replay_uops = f_u64(f, "act_replay_uops");
-  r.activity.flushed_slots = f_u64(f, "act_flushed_slots");
-  r.activity.prefetch_trainings = f_u64(f, "act_prefetch_trainings");
-  r.activity.prefetch_issues = f_u64(f, "act_prefetch_issues");
-  r.activity.dma_lines = f_u64(f, "act_dma_lines");
-  r.activity.bus_transfers = f_u64(f, "act_bus_transfers");
-  r.activity.cycles = f_u64(f, "act_cycles");
-  r.activity.l1_size = f_u64(f, "act_l1_size");
-  r.activity.has_lm = f_bool(f, "act_has_lm");
-  r.activity.has_directory = f_bool(f, "act_has_directory");
-  const auto contention = [&](const char* res, ResourceContention& c) {
-    char key[64];
-    const auto u64 = [&](const char* field) {
-      std::snprintf(key, sizeof(key), "%s_%s", res, field);
-      return f_u64(f, key);
-    };
-    c.requests = u64("requests");
-    c.delayed = u64("delayed");
-    c.queue_cycles = u64("queue_cycles");
-    c.peak_occupancy = u64("peak_occupancy");
-    c.overflows = u64("overflows");
-  };
-  contention("l2_port", r.l2_port);
-  contention("l3_port", r.l3_port);
-  contention("dram", r.dram);
-  contention("dma_bus", r.dma_bus);
-  r.noc_nodes = f_u64(f, "noc_nodes");
-  if (r.noc_nodes != 0) {
-    r.noc_mesh_x = f_u64(f, "noc_mesh_x");
-    r.noc_mesh_y = f_u64(f, "noc_mesh_y");
-    r.noc_msgs = f_u64(f, "noc_msgs");
-    r.noc_hops = f_u64(f, "noc_hops");
-    r.noc_flits = f_u64(f, "noc_flits");
-    r.noc_dir_filtered = f_u64(f, "noc_dir_filtered");
-    r.noc_dir_broadcasts = f_u64(f, "noc_dir_broadcasts");
-    contention("noc_links", r.noc_links);
-    // Cap mirrors the mesh diameter bound for the largest allowed machine.
-    const std::uint64_t hist = std::min<std::uint64_t>(f_u64(f, "noc_hop_hist_len"), 1024);
-    r.noc_hop_hist.resize(hist);
-    for (std::uint64_t h = 0; h < hist; ++h) {
-      char key[32];
-      std::snprintf(key, sizeof(key), "noc_hop%llu", static_cast<unsigned long long>(h));
-      r.noc_hop_hist[h] = f_u64(f, key);
-    }
-  }
-  // Cap against corrupt cache files; no real machine has this many tiles.
-  const std::uint64_t n_tiles = std::min<std::uint64_t>(f_u64(f, "n_tiles"), 4096);
-  r.tiles.resize(n_tiles);
-  for (std::uint64_t i = 0; i < n_tiles; ++i) {
-    TileReport& t = r.tiles[i];
-    char key[48];
-    const auto u64 = [&](const char* field) {
-      std::snprintf(key, sizeof(key), "t%llu_%s", static_cast<unsigned long long>(i), field);
-      return f_u64(f, key);
-    };
-    t.cycles = u64("cycles");
-    t.uops = u64("uops");
-    t.loads = u64("loads");
-    t.stores = u64("stores");
-    t.l1_accesses = u64("l1_accesses");
-    t.lm_accesses = u64("lm_accesses");
-    t.directory_accesses = u64("directory_accesses");
-    t.dma_lines = u64("dma_lines");
-    std::snprintf(key, sizeof(key), "t%llu_energy", static_cast<unsigned long long>(i));
-    t.energy = f_dbl(f, key);
-  }
+  FieldReader io{fields};
+  visit_report(r, io);
   return r;
 }
 

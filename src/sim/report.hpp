@@ -1,12 +1,12 @@
 // Formatting helpers that regenerate the paper's tables and figure series
-// from RunReports, plus the stable field-level serialization the sweep
-// driver's JSON/CSV emission and memo cache are built on.
+// from RunReports, plus the RunReport field list (visit_report) the sweep
+// driver's JSON/CSV emission, journal and memo cache are built on.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/system.hpp"
 
 namespace hm {
@@ -21,18 +21,64 @@ namespace hm {
 ///     window, and RunReport carries per-resource contention sections.
 inline constexpr std::uint64_t kEngineVersion = 3;
 
-/// Parsed flat JSON object: field name -> raw value token (strings already
-/// unescaped).  Shared between sim/report and the driver layer.
-using FieldMap = std::map<std::string, std::string, std::less<>>;
+/// A serialized member: its key and where it lives in @p T.
+template <class T, class M>
+struct FieldOf {
+  const char* key;
+  M T::*member;
+};
 
-/// Byte-stable JSON `"key":value,` emitters (trailing comma included).
-/// Doubles print as %.17g, which round-trips every IEEE-754 value exactly
-/// through strtod — the representation the memo cache and the
-/// `--jobs N == --jobs 1` invariant compare.  The sweep driver's point
-/// serialization shares these so the two layers can never drift.
-void json_kv_u64(std::string& out, const char* key, std::uint64_t v);
-void json_kv_dbl(std::string& out, const char* key, double v);
-void json_kv_bool(std::string& out, const char* key, bool v);
+/// Contention's sub-keys, in emission order.  A resource's JSON keys and
+/// CSV columns are `<resource>_<sub-key>`.
+inline constexpr FieldOf<Contention, std::uint64_t> kContentionFields[] = {
+    {"requests", &Contention::requests},
+    {"delayed", &Contention::delayed},
+    {"queue_cycles", &Contention::queue_cycles},
+    {"peak_occupancy", &Contention::peak_occupancy},
+    {"overflows", &Contention::overflows},
+};
+
+/// The machine-wide shared resources every report carries (JSON and CSV).
+inline constexpr FieldOf<RunReport, ResourceContention> kSharedResources[] = {
+    {"l2_port", &RunReport::l2_port},
+    {"l3_port", &RunReport::l3_port},
+    {"dram", &RunReport::dram},
+    {"dma_bus", &RunReport::dma_bus},
+};
+
+/// The activity counters, with their JSON keys.  System::run sums exactly
+/// these over the tiles.
+inline constexpr FieldOf<ActivityCounts, std::uint64_t> kActivityCounters[] = {
+    {"act_l1", &ActivityCounts::l1_activity},
+    {"act_l2", &ActivityCounts::l2_activity},
+    {"act_l3", &ActivityCounts::l3_activity},
+    {"act_mem", &ActivityCounts::mem_accesses},
+    {"act_lm", &ActivityCounts::lm_accesses},
+    {"act_dir_lookups", &ActivityCounts::dir_lookups},
+    {"act_dir_updates", &ActivityCounts::dir_updates},
+    {"act_fetch_groups", &ActivityCounts::fetch_groups},
+    {"act_uops", &ActivityCounts::uops},
+    {"act_regfile_reads", &ActivityCounts::regfile_reads},
+    {"act_regfile_writes", &ActivityCounts::regfile_writes},
+    {"act_int_ops", &ActivityCounts::int_ops},
+    {"act_fp_ops", &ActivityCounts::fp_ops},
+    {"act_branches", &ActivityCounts::branches},
+    {"act_mem_uops", &ActivityCounts::mem_uops},
+    {"act_replay_uops", &ActivityCounts::replay_uops},
+    {"act_flushed_slots", &ActivityCounts::flushed_slots},
+    {"act_prefetch_trainings", &ActivityCounts::prefetch_trainings},
+    {"act_prefetch_issues", &ActivityCounts::prefetch_issues},
+    {"act_dma_lines", &ActivityCounts::dma_lines},
+    {"act_bus_transfers", &ActivityCounts::bus_transfers},
+};
+
+/// The RunReport serialization, defined once: a walk over every serialized
+/// field in emission order, calling io.field(key, member).  Writing and
+/// reading are the two instantiations, so they cannot disagree on a key.
+/// The sampling diagnostics (sample_error, sampled_fraction) are not part
+/// of it.
+void visit_report(const RunReport& report, JsonWriter& io);
+void visit_report(RunReport& report, FieldReader& io);
 
 /// Append every RunReport field as `"key":value` pairs (comma-separated, no
 /// surrounding braces) in a fixed order, doubles printed at full round-trip

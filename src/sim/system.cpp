@@ -7,6 +7,7 @@
 
 #include "core/replay.hpp"
 #include "obs/trace.hpp"
+#include "sim/report.hpp"
 
 namespace hm {
 namespace {
@@ -170,24 +171,7 @@ RunReport System::run(const std::vector<InstrStream*>& programs) {
       t.energy = energy_model_.compute(pa).total();
     }
 
-    total.l1_activity += ta.l1_activity;
-    total.lm_accesses += ta.lm_accesses;
-    total.dir_lookups += ta.dir_lookups;
-    total.dir_updates += ta.dir_updates;
-    total.fetch_groups += ta.fetch_groups;
-    total.uops += ta.uops;
-    total.regfile_reads += ta.regfile_reads;
-    total.regfile_writes += ta.regfile_writes;
-    total.int_ops += ta.int_ops;
-    total.fp_ops += ta.fp_ops;
-    total.branches += ta.branches;
-    total.mem_uops += ta.mem_uops;
-    total.replay_uops += ta.replay_uops;
-    total.flushed_slots += ta.flushed_slots;
-    total.prefetch_trainings += ta.prefetch_trainings;
-    total.prefetch_issues += ta.prefetch_issues;
-    total.dma_lines += ta.dma_lines;
-    total.bus_transfers += ta.bus_transfers;
+    for (const auto& counter : kActivityCounters) total.*counter.member += ta.*counter.member;
 
     const SetAssocCache::Stats& l1s = tiles_[i]->hierarchy().l1d().stats();
     l1_hits += l1s.hits;

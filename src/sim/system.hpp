@@ -82,6 +82,8 @@ struct TileReport {
   std::uint64_t directory_accesses = 0;
   std::uint64_t dma_lines = 0;
   PicoJoule energy = 0.0;  ///< tile-private energy share (no shared levels)
+
+  bool operator==(const TileReport&) const = default;
 };
 
 /// Contention observed at one shared uncore resource over a whole run.
@@ -160,6 +162,8 @@ struct RunReport {
   /// Barrier time of the run — identical to cycles(), named for the
   /// scaling tables ("max-tile cycles").
   Cycle max_tile_cycles() const { return core.cycles; }
+
+  bool operator==(const RunReport&) const = default;
 };
 
 class System {

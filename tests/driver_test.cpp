@@ -314,6 +314,68 @@ TEST(Result, PointJsonRoundTripsExactly) {
   EXPECT_EQ(back->report.core.load_latency.mean(), run.report.core.load_latency.mean());
 }
 
+// Writing and reading walk one field list, so re-serialized bytes cannot
+// show a field left out of it: the field vanishes on both sides.  The
+// structs' defaulted operator== can, provided no field holds the value a
+// dropped key reads back as (0, "", or the member's default).  Real runs
+// cover most fields; the ones a healthy run leaves there are set here, and
+// so are the activity counters, because System::run sums them through the
+// same table the walk reads (drop a counter from it and the run reports
+// zero for it too).
+TEST(Result, PointJsonRoundTripsEveryField) {
+  const struct {
+    const char* machine;
+    const char* topology;
+  } cases[] = {{"hybrid_coherent", "flat"}, {"cache_based", "flat"}, {"hybrid_coherent", "mesh"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.machine) + "/" + c.topology);
+    SweepPoint p;
+    p.machine = c.machine;
+    p.workload = "CG";
+    p.scale = 0.05;
+    if (std::string(c.topology) == "mesh") {
+      p.knobs["cores"] = "4";
+      p.knobs["topology"] = "mesh";
+    }
+    PointResult run = run_point(p);
+    ASSERT_TRUE(run.ok) << run.error;
+    run.point.experiment = "test_roundtrip";
+    run.point.index = 7;
+    run.point.label = "test_roundtrip/" + p.machine;
+    run.point.seed += 1;
+    run.error = "note: \"quoted\", with a comma";
+    run.error_class = ErrorClass::Engine;
+    run.demoted_refs = 2;
+    RunReport& rep = run.report;
+    rep.core.guarded_stores += 1;
+    rep.core.value_mismatches = 3;
+    rep.activity = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,   13,   14,
+                    15, 16, 17, 18, 19, 20, 21, 22, 23, true, true};
+    for (Contention* r : {&rep.l2_port, &rep.l3_port, &rep.dram, &rep.dma_bus, &rep.noc_links})
+      *r = {r->requests + 1, r->delayed + 2, r->queue_cycles + 3, r->peak_occupancy + 4, 5};
+    if (rep.noc_nodes != 0) {
+      ASSERT_EQ(rep.tiles.size(), 4u);
+      ASSERT_FALSE(rep.noc_hop_hist.empty());
+      rep.noc_dir_filtered += 1;
+    } else {
+      rep.noc_links = {};  // flat runs carry no interconnect section
+    }
+
+    const std::optional<PointResult> back = point_from_json(point_json(run));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(back->report == rep);
+    EXPECT_EQ(back->point.experiment, run.point.experiment);
+    EXPECT_EQ(back->point.index, run.point.index);
+    EXPECT_EQ(back->point.label, run.point.label);
+    EXPECT_EQ(back->point.canonical(), run.point.canonical());
+    EXPECT_EQ(back->ok, run.ok);
+    EXPECT_EQ(back->error, run.error);
+    EXPECT_EQ(back->error_class, run.error_class);
+    EXPECT_EQ(back->mapped_refs, run.mapped_refs);
+    EXPECT_EQ(back->demoted_refs, run.demoted_refs);
+  }
+}
+
 TEST(Result, ParserRejectsGarbage) {
   FieldMap f;
   EXPECT_FALSE(parse_flat_json("", f));

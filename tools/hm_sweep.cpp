@@ -74,13 +74,13 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <chrono>
 
+#include "common/atomic_file.hpp"
 #include "driver/experiment.hpp"
 #include "driver/registry.hpp"
 #include "driver/result.hpp"
@@ -315,24 +315,11 @@ bool write_file(const std::filesystem::path& path, const std::string& content) {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
   }
-  // Temp file + atomic rename: a crash mid-write leaves the previous
-  // artifact intact (or nothing), never a half-written JSON/CSV that a
-  // downstream script would parse as truth.
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << content;
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  // A crash mid-write leaves the previous artifact intact (or nothing),
+  // never a half-written JSON/CSV that a downstream script would parse as
+  // truth.
+  return hm::write_file_atomic(path.string(), path.string() + ".tmp", content) ==
+         hm::WriteStage::Ok;
 }
 
 /// The distinct values of an experiment's core-count axis, in declaration
@@ -369,24 +356,21 @@ std::string list_json(const std::vector<const ExperimentSpec*>& selected) {
   std::string out = "{\n\"experiments\":[\n";
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const ExperimentSpec* spec = selected[i];
-    out += "{\"name\":\"";
-    append_json_escaped(out, spec->name);
-    out += "\",\"points\":" + std::to_string(expand(*spec).size());
-    out += ",\"scale\":";
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", spec->scale);
-    out += buf;
-    out += ",\"cores\":[";
+    const hm::JsonWriter io{out};
+    out += '{';
+    io.field("name", spec->name);
+    io.field("points", expand(*spec).size());
+    io.field("scale", spec->scale);
+    out += "\"cores\":[";
     const std::vector<std::string> cores = core_axis(*spec);
     for (std::size_t c = 0; c < cores.size(); ++c) {
       out += cores[c];
       if (c + 1 < cores.size()) out += ',';
     }
-    out += "],\"artifact\":\"";
-    append_json_escaped(out, spec->artifact);
-    out += "\",\"title\":\"";
-    append_json_escaped(out, spec->title);
-    out += "\"}";
+    out += "],";
+    io.field("artifact", spec->artifact);
+    io.field("title", spec->title);
+    out.back() = '}';
     if (i + 1 < selected.size()) out += ',';
     out += '\n';
   }
@@ -535,19 +519,15 @@ int main(int argc, char** argv) {
         for (const PointResult& r : out.points) {
           if (!r.ok) continue;
           std::string& line = sample_report_lines;
-          line += "{\"experiment\":\"";
-          append_json_escaped(line, spec->name);
-          line += "\",\"point\":\"";
-          append_json_escaped(line, r.point.canonical());
-          line += "\",\"cycles\":" + std::to_string(r.report.core.cycles);
-          char buf[64];
-          std::snprintf(buf, sizeof buf, ",\"sample_error\":%.17g",
-                        r.report.sample_error);
-          line += buf;
-          std::snprintf(buf, sizeof buf, ",\"sampled_fraction\":%.17g",
-                        r.report.sampled_fraction);
-          line += buf;
-          line += "}\n";
+          line += '{';
+          const hm::JsonWriter io{line};
+          io.field("experiment", spec->name);
+          io.field("point", r.point.canonical());
+          io.field("cycles", r.report.core.cycles);
+          io.field("sample_error", r.report.sample_error);
+          io.field("sampled_fraction", r.report.sampled_fraction);
+          line.back() = '}';
+          line += '\n';
         }
       }
       // Serialize each format at most once, shared between stdout and --out.
