@@ -29,6 +29,9 @@
 //    the mean and the port-bound request densities measured on
 //    perfbench's paper_suite).  Report messages (resp. bookings) per
 //    second.
+//  * BM_SystemConstruct — building (and destroying) a hybrid_coherent mesh
+//    System at 16, 64 and 256 tiles, the per-point setup every mesh sweep
+//    point pays before it simulates.  Reports Systems per second.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -392,6 +395,22 @@ void BM_SlotBook(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(booked), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SlotBook)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Construction of a whole mesh System, as run_point builds one for a
+// scaling_mesh point with cores=N (destruction is timed too: a sweep pays
+// both per point).
+void BM_SystemConstruct(benchmark::State& state) {
+  const auto tiles = static_cast<unsigned>(state.range(0));
+  MachineConfig cfg = driver::make_machine(driver::machine_name(MachineKind::HybridCoherent));
+  cfg.noc.topology = Topology::Mesh;
+  for (auto _ : state) {
+    System sys(cfg, tiles);
+    benchmark::DoNotOptimize(&sys);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SystemConstruct)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

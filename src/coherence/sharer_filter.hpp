@@ -28,9 +28,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
+#include "common/bitops.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -45,7 +46,9 @@ class SharerFilter {
   /// of one slice map to consecutive entries.
   SharerFilter(unsigned n_slices, unsigned line_shift, unsigned entries_per_slice = 1024)
       : n_slices_(n_slices), line_shift_(line_shift), entries_per_slice_(entries_per_slice),
-        entries_(static_cast<std::size_t>(n_slices) * entries_per_slice) {
+        entries_(std::make_unique_for_overwrite<Entry[]>(static_cast<std::size_t>(n_slices) *
+                                                          entries_per_slice)),
+        live_(static_cast<std::size_t>(n_slices) * entries_per_slice) {
     if (n_slices_ == 0 || entries_per_slice_ == 0)
       throw std::invalid_argument("SharerFilter: slices and entries must be nonzero");
   }
@@ -54,8 +57,9 @@ class SharerFilter {
   /// fill of a different line mapping to the same entry reclaims it (the
   /// old line becomes untracked -> broadcast on its next dma-put).
   void note_fill(unsigned slice, Addr line, unsigned tile) {
-    Entry& e = at(slice, line);
-    if (e.line != line) {
+    const std::size_t i = index(slice, line);
+    Entry& e = entries_[i];
+    if (!live_.test_and_set(i) || e.line != line) {
       e.line = line;
       e.mask = {};
     }
@@ -71,35 +75,38 @@ class SharerFilter {
   /// The entry is cleared either way — after the put the DMA data is the
   /// valid version and no L1 holds the line.
   Lookup invalidate(unsigned slice, Addr line) {
-    Entry& e = at(slice, line);
-    if (e.line != line) return {};
+    const std::size_t i = index(slice, line);
+    Entry& e = entries_[i];
+    if (!live_.test(i) || e.line != line) return {};
     Lookup r{true, e.mask};
     e.line = kNoAddr;
     e.mask = {};
     return r;
   }
 
-  void reset() {
-    for (Entry& e : entries_) e = Entry{};
-  }
+  void reset() { live_.clear(); }
 
   unsigned entries_per_slice() const { return entries_per_slice_; }
 
  private:
+  // No default member initializers: the table (10.5 MB at 256 slices) is
+  // allocated uninitialized, and an entry whose live_ bit is clear is an
+  // untracked line.
   struct Entry {
-    Addr line = kNoAddr;  ///< line base address, kNoAddr = invalid
-    Mask mask{};
+    Addr line;  ///< line base address, kNoAddr = invalid
+    Mask mask;
   };
 
-  Entry& at(unsigned slice, Addr line) {
+  std::size_t index(unsigned slice, Addr line) const {
     const std::uint64_t idx = ((line >> line_shift_) / n_slices_) % entries_per_slice_;
-    return entries_[static_cast<std::size_t>(slice) * entries_per_slice_ + idx];
+    return static_cast<std::size_t>(slice) * entries_per_slice_ + idx;
   }
 
   unsigned n_slices_;
   unsigned line_shift_;
   unsigned entries_per_slice_;
-  std::vector<Entry> entries_;
+  std::unique_ptr<Entry[]> entries_;
+  LiveBits live_;  ///< one bit per entry; set on the first note_fill
 };
 
 }  // namespace hm

@@ -6,14 +6,17 @@
 
 namespace hm {
 
-BranchPredictor::BranchPredictor(BranchPredictorConfig cfg) : cfg_(cfg) {
+BranchPredictor::BranchPredictor(BranchPredictorConfig cfg)
+    : cfg_(cfg),
+      btb_sets_(cfg_.btb_entries / cfg_.btb_ways),
+      btb_(std::make_unique_for_overwrite<BtbEntry[]>(btb_sets_ * cfg_.btb_ways)),
+      btb_live_(btb_sets_) {
   if (!is_pow2(cfg_.selector_entries) || !is_pow2(cfg_.gshare_entries) ||
       !is_pow2(cfg_.bimodal_entries) || !is_pow2(cfg_.btb_entries))
     throw std::invalid_argument("predictor table sizes must be powers of two");
   bimodal_.assign(cfg_.bimodal_entries, 2);   // weakly taken
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2); // weakly prefer gshare
-  btb_.resize(cfg_.btb_entries);              // btb_entries slots, btb_ways per set
   ras_.assign(cfg_.ras_entries, 0);
 }
 
@@ -37,14 +40,15 @@ BranchPredictor::Prediction BranchPredictor::predict(Addr pc) {
   const std::uint8_t ctr = use_gshare ? gshare_[gshare_index(pc)] : bimodal_[bimodal_index(pc)];
   p.taken = ctr >= 2;
 
-  // BTB: set-associative lookup for the target.
-  const std::size_t sets = cfg_.btb_entries / cfg_.btb_ways;
-  const std::size_t set = static_cast<std::size_t>((pc >> 2) & (sets - 1));
+  // BTB: set-associative lookup for the target.  A set never written since
+  // construction or reset() is empty.
+  const std::size_t set = btb_set(pc);
+  if (!btb_live_.test(set)) return p;
+  const BtbEntry* row = &btb_[set * cfg_.btb_ways];
   for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
-    BtbEntry& e = btb_[set * cfg_.btb_ways + w];
-    if (e.pc == pc) {
+    if (row[w].pc == pc) {
       p.btb_hit = true;
-      p.target = e.target;
+      p.target = row[w].target;
       ++stats_.btb_hits;
       break;
     }
@@ -61,17 +65,20 @@ bool BranchPredictor::update(Addr pc, bool taken, Addr target) {
   const bool b_pred = b >= 2;
   const bool predicted_taken = use_gshare ? g_pred : b_pred;
 
+  // Only a taken branch reads or writes the BTB here; its set is cleared
+  // on first touch.
   bool target_ok = true;
-  const std::size_t sets = cfg_.btb_entries / cfg_.btb_ways;
-  const std::size_t set = static_cast<std::size_t>((pc >> 2) & (sets - 1));
-  BtbEntry* hit = nullptr;
-  BtbEntry* victim = &btb_[set * cfg_.btb_ways];
-  for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
-    BtbEntry& e = btb_[set * cfg_.btb_ways + w];
-    if (e.pc == pc) { hit = &e; break; }
-    if (e.lru < victim->lru) victim = &e;
-  }
   if (taken) {
+    const std::size_t set = btb_set(pc);
+    BtbEntry* row = &btb_[set * cfg_.btb_ways];
+    if (!btb_live_.test_and_set(set))
+      for (unsigned w = 0; w < cfg_.btb_ways; ++w) row[w] = BtbEntry{kNoAddr, 0, 0};
+    BtbEntry* hit = nullptr;
+    BtbEntry* victim = row;
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      if (row[w].pc == pc) { hit = &row[w]; break; }
+      if (row[w].lru < victim->lru) victim = &row[w];
+    }
     if (hit == nullptr) {
       target_ok = false;  // taken branch with no BTB target: frontend stalls
       victim->pc = pc;
@@ -121,7 +128,7 @@ void BranchPredictor::reset() {
   bimodal_.assign(cfg_.bimodal_entries, 2);
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2);
-  for (auto& e : btb_) e = BtbEntry{};
+  btb_live_.clear();
   ras_top_ = 0;
   history_ = 0;
 }

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -29,6 +31,7 @@ class BranchPredictor {
     std::uint64_t target_misses = 0;
     std::uint64_t btb_hits = 0;
     std::uint64_t ras_overflows = 0;
+    bool operator==(const Stats&) const = default;
   };
 
   explicit BranchPredictor(BranchPredictorConfig cfg = {});
@@ -64,17 +67,25 @@ class BranchPredictor {
   std::size_t bimodal_index(Addr pc) const;
   std::size_t gshare_index(Addr pc) const;
   std::size_t selector_index(Addr pc) const;
+  std::size_t btb_set(Addr pc) const {
+    return static_cast<std::size_t>((pc >> 2) & (btb_sets_ - 1));
+  }
 
   BranchPredictorConfig cfg_;
   std::vector<std::uint8_t> bimodal_;   // 2-bit counters
   std::vector<std::uint8_t> gshare_;    // 2-bit counters
   std::vector<std::uint8_t> selector_;  // 2-bit: >=2 prefer gshare
+  // No default member initializers: the BTB is allocated uninitialized (96 KB
+  // per tile at the default geometry).  A set whose btb_live_ bit is clear
+  // is empty; its first write clears it to {kNoAddr, 0, 0} in every way.
   struct BtbEntry {
-    Addr pc = kNoAddr;
-    Addr target = 0;
-    std::uint64_t lru = 0;
+    Addr pc;
+    Addr target;
+    std::uint64_t lru;  ///< 0 = never used; the victim is the first minimum
   };
-  std::vector<BtbEntry> btb_;
+  std::size_t btb_sets_;
+  std::unique_ptr<BtbEntry[]> btb_;  ///< btb_sets_ x btb_ways, set-major
+  LiveBits btb_live_;
   std::vector<Addr> ras_;
   std::size_t ras_top_ = 0;
   std::uint64_t history_ = 0;

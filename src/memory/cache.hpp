@@ -97,12 +97,17 @@ class SetAssocCache {
 
   /// Single-pass silent lookup: no statistics, no LRU update.  Used where
   /// the caller needs residency *and* the would-be victim (prefetch fills).
-  /// Defined inline: this is the engine's innermost loop.  Dispatches to a
+  /// Always inlined: this is the engine's innermost loop.  Dispatches to a
   /// way-count-specialized scan — with a compile-time trip count the tag
   /// compare vectorizes and carries no data-dependent loop-exit branch
   /// (which costs a mispredict per lookup in the naive early-exit form).
-  /// The switch itself predicts perfectly: one case per cache instance.
-  LookupResult peek(Addr addr) const {
+  /// The switch predicts perfectly only where peek is inlined into a call
+  /// site that serves one cache; out of line, every cache's lookups share
+  /// one dispatch.  Inlining also keeps the LookupResult in registers: an
+  /// out-of-line peek assembles it on the stack (a byte store for `hit`)
+  /// and reloads 8 bytes spanning two stores, which store-to-load
+  /// forwarding cannot serve, so every lookup stalls.
+  [[gnu::always_inline]] LookupResult peek(Addr addr) const {
     switch (assoc_) {
       case 2: return peek_ways<2>(addr);
       case 4: return peek_ways<4>(addr);
@@ -116,8 +121,9 @@ class SetAssocCache {
 
   /// Single-pass lookup: counts a lookup and a hit/miss, updates LRU (and
   /// the dirty bit for write-back write hits) on a hit, and reports the
-  /// replacement victim on a miss.  Does not allocate.
-  LookupResult access(Addr addr, AccessType type) {
+  /// replacement victim on a miss.  Does not allocate.  Always inlined for
+  /// the same reason as peek().
+  [[gnu::always_inline]] LookupResult access(Addr addr, AccessType type) {
     ++stats_.lookups;
     LookupResult r = peek(addr);
     if (!r.hit) {
@@ -241,7 +247,7 @@ class SetAssocCache {
   }
 
   template <unsigned WS>
-  LookupResult peek_ways(Addr addr) const {
+  [[gnu::always_inline]] LookupResult peek_ways(Addr addr) const {
     const std::uint32_t ways = WS != 0 ? WS : assoc_;
     const Addr base = addr & ~line_mask_;
     LookupResult r;

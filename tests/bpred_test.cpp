@@ -1,6 +1,9 @@
 // Unit tests for the hybrid branch predictor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "core/bpred.hpp"
 
@@ -109,6 +112,139 @@ TEST(Bpred, IndependentBranchesDoNotInterfereViaBimodal) {
   }
   EXPECT_TRUE(bp.update(0x1000, true, 0x100));
   EXPECT_TRUE(bp.update(0x2000, false, 0));
+}
+
+// The predictor before its BTB was cleared lazily: every set starts at
+// {kNoAddr, 0, 0} and reset() rewrites the whole table.  Same direction
+// tables, selector and victim rule (first way with the smallest lru).
+class EagerPredictor {
+ public:
+  explicit EagerPredictor(BranchPredictorConfig cfg)
+      : cfg_(cfg), sets_(cfg.btb_entries / cfg.btb_ways), btb_(cfg.btb_entries) {
+    reset();
+  }
+
+  BranchPredictor::Prediction predict(Addr pc) {
+    ++stats_.predictions;
+    BranchPredictor::Prediction p;
+    const bool use_gshare = selector_[sel(pc)] >= 2;
+    p.taken = (use_gshare ? gshare_[gsh(pc)] : bimodal_[bim(pc)]) >= 2;
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      const Entry& e = btb_[set(pc) * cfg_.btb_ways + w];
+      if (e.pc == pc) {
+        p.btb_hit = true;
+        p.target = e.target;
+        ++stats_.btb_hits;
+        break;
+      }
+    }
+    return p;
+  }
+
+  bool update(Addr pc, bool taken, Addr target) {
+    const bool use_gshare = selector_[sel(pc)] >= 2;
+    std::uint8_t& g = gshare_[gsh(pc)];
+    std::uint8_t& b = bimodal_[bim(pc)];
+    const bool g_pred = g >= 2;
+    const bool b_pred = b >= 2;
+    const bool predicted_taken = use_gshare ? g_pred : b_pred;
+    bool target_ok = true;
+    Entry* hit = nullptr;
+    Entry* victim = &btb_[set(pc) * cfg_.btb_ways];
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      Entry& e = btb_[set(pc) * cfg_.btb_ways + w];
+      if (e.pc == pc) { hit = &e; break; }
+      if (e.lru < victim->lru) victim = &e;
+    }
+    if (taken) {
+      Entry& e = hit != nullptr ? *hit : *victim;
+      target_ok = hit != nullptr && hit->target == target;
+      e = Entry{pc, target, ++clock_};
+    }
+    if (g_pred != b_pred) {
+      std::uint8_t& s = selector_[sel(pc)];
+      if (g_pred == taken && s < 3) ++s;
+      if (b_pred == taken && s > 0) --s;
+    }
+    train(g, taken);
+    train(b, taken);
+    history_ = (history_ << 1) | (taken ? 1u : 0u);
+    const bool direction_ok = predicted_taken == taken;
+    const bool correct = direction_ok && (!taken || target_ok);
+    if (!direction_ok) ++stats_.direction_misses;
+    if (taken && !target_ok) ++stats_.target_misses;
+    if (!correct) ++stats_.mispredictions;
+    return correct;
+  }
+
+  void reset() {
+    bimodal_.assign(cfg_.bimodal_entries, 2);
+    gshare_.assign(cfg_.gshare_entries, 2);
+    selector_.assign(cfg_.selector_entries, 2);
+    for (Entry& e : btb_) e = Entry{};
+    history_ = 0;
+  }
+
+  const BranchPredictor::Stats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    Addr pc = kNoAddr;
+    Addr target = 0;
+    std::uint64_t lru = 0;
+  };
+  static void train(std::uint8_t& c, bool taken) {
+    if (taken && c < 3) ++c;
+    if (!taken && c > 0) --c;
+  }
+  std::size_t bim(Addr pc) const { return (pc >> 2) & (cfg_.bimodal_entries - 1); }
+  std::size_t sel(Addr pc) const { return (pc >> 2) & (cfg_.selector_entries - 1); }
+  std::size_t gsh(Addr pc) const {
+    return ((pc >> 2) ^ (history_ & low_mask(cfg_.history_bits))) & (cfg_.gshare_entries - 1);
+  }
+  std::size_t set(Addr pc) const { return (pc >> 2) & (sets_ - 1); }
+
+  BranchPredictorConfig cfg_;
+  std::size_t sets_;
+  std::vector<std::uint8_t> bimodal_, gshare_, selector_;
+  std::vector<Entry> btb_;
+  std::uint64_t history_ = 0;
+  std::uint64_t clock_ = 0;
+  BranchPredictor::Stats stats_;
+};
+
+// The lazily cleared BTB against the eager reference: six PCs per set on a
+// few sets (so sets fill and evict), taken and not-taken branches with a
+// per-PC target that sometimes changes, and reset() at random points (after
+// which a stale set must read as empty and be cleared on its first write).
+TEST(Bpred, LazyBtbMatchesEagerReference) {
+  for (const BranchPredictorConfig cfg :
+       {BranchPredictorConfig{}, BranchPredictorConfig{.btb_entries = 64, .btb_ways = 4}}) {
+    BranchPredictor bp(cfg);
+    EagerPredictor ref(cfg);
+    const std::size_t sets = cfg.btb_entries / cfg.btb_ways;
+    std::vector<Addr> pcs;
+    for (std::size_t set : {std::size_t{0}, std::size_t{5}, sets - 1})
+      for (Addr k = 0; k < 6; ++k) pcs.push_back(4 * (set + sets * (k + 1)));
+    Rng rng(0xB7Bu + cfg.btb_entries);
+    for (int step = 0; step < 40'000; ++step) {
+      const Addr pc = pcs[rng.below(pcs.size())];
+      const auto p = bp.predict(pc);
+      const auto q = ref.predict(pc);
+      ASSERT_EQ(p.taken, q.taken) << "step " << step;
+      ASSERT_EQ(p.btb_hit, q.btb_hit) << "step " << step;
+      ASSERT_EQ(p.target, q.target) << "step " << step;
+      const bool taken = rng.chance(0.7);
+      const Addr target = 0x9000 + pc * 2 + (rng.chance(0.05) ? 8 : 0);
+      ASSERT_EQ(bp.update(pc, taken, target), ref.update(pc, taken, target)) << "step " << step;
+      ASSERT_EQ(bp.stats(), ref.stats()) << "step " << step;
+      if (rng.chance(0.002)) {
+        bp.reset();
+        ref.reset();
+      }
+    }
+    EXPECT_GT(bp.stats().btb_hits, 1000u);
+  }
 }
 
 class BpredBias : public ::testing::TestWithParam<double> {};
