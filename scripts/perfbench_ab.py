@@ -21,39 +21,47 @@ pairs the change won (ties count for neither side), then two verdicts:
          wider than the bound (relative to the parent's median), unless every
          change run beats every parent run; "ok" otherwise.
 
---json FILE also writes every run's metrics and the summary.
+Both sides check their digests against this checkout's perfbench/pins.txt.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUN_SLACK_S = 170  # perfbench/run.py's hang bound past --seconds
+sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import PINS, RUN_TIMEOUT_S, validate  # noqa: E402
 
 
 def run_once(binary, args, seed, work_root):
     """One untraced run; returns its result object or raises RuntimeError."""
     work = tempfile.mkdtemp(prefix="ab-", dir=work_root)
     cmd = [binary, "--work-dir", work, "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", "0", "--pins", args.pins]
+           "--seconds", str(args.seconds), "--trace", "0", "--pins", PINS]
     if args.scale is not None:
         cmd += ["--scale", repr(args.scale)]
+    timeout = max(RUN_TIMEOUT_S, args.seconds + 110)  # perfbench/run.py's hang bound
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=args.seconds + RUN_SLACK_S)
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        raise RuntimeError(f"{binary}: no result within {args.seconds + RUN_SLACK_S} s")
+        raise RuntimeError(f"{binary}: no result within {timeout} s")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise RuntimeError(f"{binary}: no result line (exit {proc.returncode})")
-    if proc.returncode != 0 or not result.get("correct") or result.get("failed", 1) != 0:
+    problems = validate(result, 0)
+    if problems:
+        raise RuntimeError(f"{binary} seed {seed}: " + "; ".join(problems))
+    if proc.returncode != 0 or not result["correct"] or result["failed"] != 0:
         raise RuntimeError(f"{binary} seed {seed}: exit {proc.returncode}, correct "
                            f"{result.get('correct')}, failed {result.get('failed')}/"
                            f"{result.get('attempted')}; details: {lines[-2] if len(lines) > 1 else ''}")
@@ -109,8 +117,6 @@ def main():
     ap.add_argument("--seconds", type=float, default=60.0)
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed + i")
     ap.add_argument("--scale", type=float, help="override every point's scale (smoke runs)")
-    ap.add_argument("--pins", default=os.path.join(ROOT, "perfbench", "pins.txt"))
-    ap.add_argument("--json", help="also write every run and the summary here")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -146,11 +152,6 @@ def main():
         print(f"{r['metric']:<16} {r['unit']:<7} {spread(r['parent']):<30} "
               f"{spread(r['change']):<30} {ratio:>6} {wins:>6}  "
               f"{'yes' if r['gain'] else 'no':<4}  {r['bound']}")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-                       "scale": args.scale, "seed": args.seed, "summary": rows,
-                       "parent_runs": parent_runs, "change_runs": change_runs}, f, indent=1)
     return 0
 
 
