@@ -31,12 +31,15 @@
 //    second.
 //  * BM_SystemConstruct — building (and destroying) a hybrid_coherent mesh
 //    System at 16, 64 and 256 tiles, the per-point setup every mesh sweep
-//    point pays before it simulates.  Reports Systems per second.
+//    point pays before it simulates.  Reports Systems per second, and
+//    heap_mb: the bytes one construction requests through operator new.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,26 @@
 #include "obs/trace.hpp"
 #include "sim/system.hpp"
 #include "../tests/test_util.hpp"
+
+namespace {
+// Bytes requested through operator new while g_count_heap is set (only
+// inside BM_SystemConstruct; every other bench pays one untaken branch per
+// allocation, and their timed loops allocate nothing).
+bool g_count_heap = false;
+std::uint64_t g_heap_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_heap) g_heap_bytes += n;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// Out of line, so gcc does not pair an inlined free() with operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -403,12 +426,17 @@ void BM_SystemConstruct(benchmark::State& state) {
   const auto tiles = static_cast<unsigned>(state.range(0));
   MachineConfig cfg = driver::make_machine(driver::machine_name(MachineKind::HybridCoherent));
   cfg.noc.topology = Topology::Mesh;
+  g_heap_bytes = 0;
+  g_count_heap = true;
   for (auto _ : state) {
     System sys(cfg, tiles);
     benchmark::DoNotOptimize(&sys);
     benchmark::ClobberMemory();
   }
+  g_count_heap = false;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["heap_mb"] =
+      static_cast<double>(g_heap_bytes) / static_cast<double>(state.iterations()) / 1e6;
 }
 BENCHMARK(BM_SystemConstruct)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 

@@ -28,10 +28,9 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
-#include "common/bitops.hpp"
+#include "common/paged_table.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -46,9 +45,7 @@ class SharerFilter {
   /// of one slice map to consecutive entries.
   SharerFilter(unsigned n_slices, unsigned line_shift, unsigned entries_per_slice = 1024)
       : n_slices_(n_slices), line_shift_(line_shift), entries_per_slice_(entries_per_slice),
-        entries_(std::make_unique_for_overwrite<Entry[]>(static_cast<std::size_t>(n_slices) *
-                                                          entries_per_slice)),
-        live_(static_cast<std::size_t>(n_slices) * entries_per_slice) {
+        entries_(static_cast<std::size_t>(n_slices) * entries_per_slice) {
     if (n_slices_ == 0 || entries_per_slice_ == 0)
       throw std::invalid_argument("SharerFilter: slices and entries must be nonzero");
   }
@@ -57,9 +54,8 @@ class SharerFilter {
   /// fill of a different line mapping to the same entry reclaims it (the
   /// old line becomes untracked -> broadcast on its next dma-put).
   void note_fill(unsigned slice, Addr line, unsigned tile) {
-    const std::size_t i = index(slice, line);
-    Entry& e = entries_[i];
-    if (!live_.test_and_set(i) || e.line != line) {
+    Entry& e = entries_.write(index(slice, line));
+    if (e.line != line) {
       e.line = line;
       e.mask = {};
     }
@@ -76,25 +72,23 @@ class SharerFilter {
   /// valid version and no L1 holds the line.
   Lookup invalidate(unsigned slice, Addr line) {
     const std::size_t i = index(slice, line);
-    Entry& e = entries_[i];
-    if (!live_.test(i) || e.line != line) return {};
+    if (entries_[i].line != line) return {};
+    Entry& e = entries_.write(i);  // present: it holds the line
     Lookup r{true, e.mask};
-    e.line = kNoAddr;
-    e.mask = {};
+    e = Entry{};
     return r;
   }
 
-  void reset() { live_.clear(); }
+  void reset() { entries_.clear(); }
 
   unsigned entries_per_slice() const { return entries_per_slice_; }
+  /// The most entry pages a run can allocate (one per page of the table).
+  std::size_t max_pages() const { return entries_.max_pages(); }
 
  private:
-  // No default member initializers: the table (10.5 MB at 256 slices) is
-  // allocated uninitialized, and an entry whose live_ bit is clear is an
-  // untracked line.
   struct Entry {
-    Addr line;  ///< line base address, kNoAddr = invalid
-    Mask mask;
+    Addr line = kNoAddr;  ///< line base address, kNoAddr = invalid
+    Mask mask{};
   };
 
   std::size_t index(unsigned slice, Addr line) const {
@@ -105,8 +99,9 @@ class SharerFilter {
   unsigned n_slices_;
   unsigned line_shift_;
   unsigned entries_per_slice_;
-  std::unique_ptr<Entry[]> entries_;
-  LiveBits live_;  ///< one bit per entry; set on the first note_fill
+  /// n_slices x entries_per_slice, slice-major, paged (10 MB in full at
+  /// 256 slices; a run writes a small part of it).
+  PagedTable<Entry> entries_;
 };
 
 }  // namespace hm

@@ -5,9 +5,7 @@
 
 #include <bit>
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -45,33 +43,6 @@ constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t align) noexcept 
 constexpr std::uint64_t low_mask(unsigned bits) noexcept {
   return bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
 }
-
-/// One "live" bit per slot of a table that is allocated without
-/// initialization (std::make_unique_for_overwrite).  A slot holds garbage
-/// until its first write after construction or clear(); the owner treats a
-/// non-live slot as empty on reads and clears it on first touch.  A many-
-/// tile System thereby pays for table memory only where a run uses it, and
-/// a reset clears n/8 bytes instead of the table.
-class LiveBits {
- public:
-  explicit LiveBits(std::size_t n) : words_((n + 63) / 64, 0) {}
-
-  bool test(std::size_t i) const { return ((words_[i >> 6] >> (i & 63)) & 1u) != 0; }
-
-  /// Marks slot @p i live and returns whether it already was.
-  bool test_and_set(std::size_t i) {
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    const bool was = (w & bit) != 0;
-    w |= bit;
-    return was;
-  }
-
-  void clear() { words_.assign(words_.size(), 0); }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
 
 /// Precomputed magic-multiplier division/modulo by a runtime 64-bit constant
 /// (Granlund-Montgomery / Hacker's Delight 10-9, the transform compilers

@@ -9,6 +9,7 @@
 // tests).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <span>
@@ -57,13 +58,23 @@ class ByteStore {
   }
 
   /// Copy @p size bytes from @p src in @p from into @p dst here.  Used by the
-  /// DMA controller's functional side.
+  /// DMA controller's functional side; the two ranges must not overlap.
+  /// The copy walks spans that stay inside one source and one destination
+  /// page.  A span whose two pages are both absent is skipped: both read
+  /// as zero, and allocating the destination would only store zeros.
   void copy_from(const ByteStore& from, Addr src, Addr dst, Bytes size) {
-    std::array<std::byte, 256> buf;
     for (Bytes i = 0; i < size;) {
-      const Bytes chunk = std::min<Bytes>(buf.size(), size - i);
-      from.read(src + i, std::span{buf.data(), static_cast<std::size_t>(chunk)});
-      write(dst + i, std::span{buf.data(), static_cast<std::size_t>(chunk)});
+      const std::size_t src_off = static_cast<std::size_t>((src + i) % kPageSize);
+      const std::size_t dst_off = static_cast<std::size_t>((dst + i) % kPageSize);
+      const std::size_t chunk = static_cast<std::size_t>(
+          std::min<Bytes>(size - i, kPageSize - std::max(src_off, dst_off)));
+      const auto s = from.pages_.find((src + i) / kPageSize);
+      if (s != from.pages_.end()) {
+        const std::byte* in = s->second.data() + src_off;  // before page_for may rehash
+        std::memcpy(page_for(dst + i).data() + dst_off, in, chunk);
+      } else if (const auto d = pages_.find((dst + i) / kPageSize); d != pages_.end()) {
+        std::memset(d->second.data() + dst_off, 0, chunk);
+      }
       i += chunk;
     }
   }

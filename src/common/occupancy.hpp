@@ -26,9 +26,9 @@
 //    word; when the word is full, the summary word jumps to the first open
 //    row of the block, and a per-lane full-block bitmap skips a run of up
 //    to 64 saturated blocks in one test.
-//  * A span booking (book, any length) runs one forward word scan for the
-//    first free run of @c len buckets: a shift-AND for runs inside a word,
-//    a carried run counter across words, and a popcount of the busy
+//  * A span booking (book, two or more buckets) runs one forward word scan
+//    for the first free run of @c len buckets: a shift-AND for runs inside
+//    a word, a carried run counter across words, and a popcount of the busy
 //    buckets it steps over.
 //  * Blocks are allocated lazily as simulated time reaches them, from
 //    slabs of 16 one-lane blocks (fewer blocks for a set of more lanes).
@@ -96,6 +96,7 @@ class SpanLanes {
   /// nothing.
   Booking book(unsigned lane, std::uint64_t when, std::uint64_t len) {
     assert(lane < lanes_);
+    if (len == 1) return book_one(lane, when);  // a one-flit NoC hop, say
     // Fast path: the span sits inside one word of the block the previous
     // booking touched and that word is free there — most span bookings.
     const unsigned lo = static_cast<unsigned>(when & 63);

@@ -9,11 +9,14 @@ namespace hm {
 BranchPredictor::BranchPredictor(BranchPredictorConfig cfg)
     : cfg_(cfg),
       btb_sets_(cfg_.btb_entries / cfg_.btb_ways),
-      btb_(std::make_unique_for_overwrite<BtbEntry[]>(btb_sets_ * cfg_.btb_ways)),
-      btb_live_(btb_sets_) {
+      btb_(cfg_.btb_entries) {
+  // Power-of-two ways of at most one page keep every set inside one page.
   if (!is_pow2(cfg_.selector_entries) || !is_pow2(cfg_.gshare_entries) ||
-      !is_pow2(cfg_.bimodal_entries) || !is_pow2(cfg_.btb_entries))
+      !is_pow2(cfg_.bimodal_entries) || !is_pow2(cfg_.btb_entries) ||
+      !is_pow2(cfg_.btb_ways))
     throw std::invalid_argument("predictor table sizes must be powers of two");
+  if (cfg_.btb_ways > PagedTable<BtbEntry>::kPageSlots)
+    throw std::invalid_argument("BTB ways must fit in one table page");
   bimodal_.assign(cfg_.bimodal_entries, 2);   // weakly taken
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2); // weakly prefer gshare
@@ -40,15 +43,13 @@ BranchPredictor::Prediction BranchPredictor::predict(Addr pc) {
   const std::uint8_t ctr = use_gshare ? gshare_[gshare_index(pc)] : bimodal_[bimodal_index(pc)];
   p.taken = ctr >= 2;
 
-  // BTB: set-associative lookup for the target.  A set never written since
-  // construction or reset() is empty.
-  const std::size_t set = btb_set(pc);
-  if (!btb_live_.test(set)) return p;
-  const BtbEntry* row = &btb_[set * cfg_.btb_ways];
+  // BTB: set-associative lookup for the target.
+  const std::size_t row = btb_set(pc) * cfg_.btb_ways;
   for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
-    if (row[w].pc == pc) {
+    const BtbEntry& e = btb_[row + w];
+    if (e.pc == pc) {
       p.btb_hit = true;
-      p.target = row[w].target;
+      p.target = e.target;
       ++stats_.btb_hits;
       break;
     }
@@ -65,14 +66,10 @@ bool BranchPredictor::update(Addr pc, bool taken, Addr target) {
   const bool b_pred = b >= 2;
   const bool predicted_taken = use_gshare ? g_pred : b_pred;
 
-  // Only a taken branch reads or writes the BTB here; its set is cleared
-  // on first touch.
+  // Only a taken branch reads or writes the BTB here.
   bool target_ok = true;
   if (taken) {
-    const std::size_t set = btb_set(pc);
-    BtbEntry* row = &btb_[set * cfg_.btb_ways];
-    if (!btb_live_.test_and_set(set))
-      for (unsigned w = 0; w < cfg_.btb_ways; ++w) row[w] = BtbEntry{kNoAddr, 0, 0};
+    BtbEntry* row = &btb_.write(btb_set(pc) * cfg_.btb_ways);
     BtbEntry* hit = nullptr;
     BtbEntry* victim = row;
     for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
@@ -128,7 +125,7 @@ void BranchPredictor::reset() {
   bimodal_.assign(cfg_.bimodal_entries, 2);
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2);
-  btb_live_.clear();
+  btb_.clear();
   ras_top_ = 0;
   history_ = 0;
 }

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/paged_table.hpp"
 #include "common/types.hpp"
 
 namespace hm {
@@ -75,17 +75,15 @@ class BranchPredictor {
   std::vector<std::uint8_t> bimodal_;   // 2-bit counters
   std::vector<std::uint8_t> gshare_;    // 2-bit counters
   std::vector<std::uint8_t> selector_;  // 2-bit: >=2 prefer gshare
-  // No default member initializers: the BTB is allocated uninitialized (96 KB
-  // per tile at the default geometry).  A set whose btb_live_ bit is clear
-  // is empty; its first write clears it to {kNoAddr, 0, 0} in every way.
   struct BtbEntry {
-    Addr pc;
-    Addr target;
-    std::uint64_t lru;  ///< 0 = never used; the victim is the first minimum
+    Addr pc = kNoAddr;
+    Addr target = 0;
+    std::uint64_t lru = 0;  ///< 0 = never used; the victim is the first minimum
   };
   std::size_t btb_sets_;
-  std::unique_ptr<BtbEntry[]> btb_;  ///< btb_sets_ x btb_ways, set-major
-  LiveBits btb_live_;
+  /// btb_sets_ x btb_ways, set-major, paged (96 KB per tile in full at the
+  /// default geometry; a run writes a few pages).  A page holds whole sets.
+  PagedTable<BtbEntry> btb_;
   std::vector<Addr> ras_;
   std::size_t ras_top_ = 0;
   std::uint64_t history_ = 0;

@@ -179,6 +179,8 @@ class Uncore {
 
   /// The interconnect, or null when flat.
   const Noc* noc() const { return noc_.get(); }
+  /// The DMA sharer filter; null when flat.
+  const SharerFilter* sharers() const { return sharers_.get(); }
 
   /// Move a @p flits-flit message from node @p src to node @p dst starting
   /// at @p now; returns the arrival cycle.  The only way into the NoC:

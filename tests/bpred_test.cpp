@@ -103,6 +103,17 @@ TEST(Bpred, RejectsNonPow2Tables) {
   EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
 }
 
+TEST(Bpred, RejectsBtbSetsOutsideOnePage) {
+  BranchPredictorConfig cfg;
+  cfg.btb_ways = 3;  // a set would straddle a table page
+  EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
+  cfg.btb_ways = 256;  // a set larger than a page
+  cfg.btb_entries = 1024;
+  EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
+  cfg.btb_ways = 128;  // exactly one page
+  EXPECT_NO_THROW(BranchPredictor{cfg});
+}
+
 TEST(Bpred, IndependentBranchesDoNotInterfereViaBimodal) {
   BranchPredictor bp;
   // Two distant PCs with opposite biases must both be predictable.

@@ -3,6 +3,7 @@
 
 #include "common/bitops.hpp"
 #include "common/byte_store.hpp"
+#include "common/paged_table.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -130,6 +131,25 @@ TEST(Rng, ChanceRoughlyCalibrated) {
   EXPECT_NEAR(hits / 10'000.0, 0.25, 0.03);
 }
 
+TEST(PagedTable, UnwrittenSlotsReadEmpty) {
+  constexpr std::size_t kPage = PagedTable<std::uint64_t>::kPageSlots;  // 512
+  constexpr std::size_t kSlots = 3 * kPage + 100;  // the last page partial
+  PagedTable<std::uint64_t> t(kSlots);
+  EXPECT_EQ(t.max_pages(), 4u);
+  EXPECT_EQ(t[5], 0u);  // absent page
+  t.write(kPage + 6) = 1;
+  t.write(kSlots - 1) = 3;
+  for (std::size_t i = 0; i < kSlots; ++i)
+    EXPECT_EQ(t[i], i == kPage + 6 ? 1u : i == kSlots - 1 ? 3u : 0u) << i;
+  // clear() drops every page; a page allocated afterwards (likely on the
+  // memory just freed, slot kPage + 6's 1 included) holds empty entries.
+  t.clear();
+  t.write(kPage) = 2;
+  EXPECT_EQ(t[kPage], 2u);
+  EXPECT_EQ(t[kPage + 6], 0u);
+  EXPECT_EQ(t[kSlots - 1], 0u);
+}
+
 TEST(ByteStore, ReadBackWritten) {
   ByteStore s;
   s.store64(0x1000, 0xDEADBEEFCAFEBABEull);
@@ -163,6 +183,54 @@ TEST(ByteStore, CopyLargerThanInternalChunk) {
   for (Addr off = 0; off < 1024; off += 8) s.store64(0x1000 + off, off * 3 + 1);
   s.copy_from(s, 0x1000, 0x40'0000, 1024);  // > the 256-byte internal buffer
   for (Addr off = 0; off < 1024; off += 8) EXPECT_EQ(s.load64(0x40'0000 + off), off * 3 + 1);
+}
+
+TEST(ByteStore, CopyOfAbsentOntoAbsentAllocatesNothing) {
+  ByteStore s;
+  s.store64(0x1000, 1);
+  s.copy_from(s, 0x10'0000, 0x20'0000, 3 * ByteStore::kPageSize);
+  EXPECT_EQ(s.touched_pages(), 1u);
+  for (Addr off = 0; off < 3 * ByteStore::kPageSize; off += 8) EXPECT_EQ(s.load64(0x20'0000 + off), 0u);
+}
+
+TEST(ByteStore, CopyOfAbsentOntoPresentZeroes) {
+  ByteStore s;
+  for (Addr off = 0; off < 256; off += 8) s.store64(0x20'0000 + off, 0xFFu);
+  s.copy_from(s, 0x10'0000, 0x20'0000 + 64, 128);
+  EXPECT_EQ(s.touched_pages(), 1u);
+  for (Addr off = 0; off < 256; off += 8)
+    EXPECT_EQ(s.load64(0x20'0000 + off), off >= 64 && off < 192 ? 0u : 0xFFu) << off;
+}
+
+TEST(ByteStore, CopyOfPresentOntoAbsentCreatesThePage) {
+  ByteStore s;
+  s.store64(0x1008, 0xABCDu);
+  s.copy_from(s, 0x1000, 0x20'0000, 16);
+  EXPECT_EQ(s.touched_pages(), 2u);
+  EXPECT_EQ(s.load64(0x20'0000), 0u);
+  EXPECT_EQ(s.load64(0x20'0008), 0xABCDu);
+}
+
+TEST(ByteStore, CopyStraddlingPresentAndAbsentPages) {
+  // Source pages S0 (present), S1 (absent), S2 (absent), S3 (present) onto
+  // destination pages D0 (absent), D1 (present), D2 (absent), D3 (absent),
+  // D4 (absent), misaligned by 0x100 so every span ends at one side's page
+  // boundary.  The absent S2 lands on D2 and D3: skipped, nothing allocated.
+  constexpr Bytes P = ByteStore::kPageSize;
+  constexpr Addr src = 0x10'0000, dst = 0x80'0000 - 0x100;
+  ByteStore s;
+  const auto pattern = [](Addr a) { return a * 0x9E37u + 1; };
+  for (Addr off = 0; off < P; off += 8) s.store64(src + off, pattern(off));
+  for (Addr off = 3 * P; off < 4 * P; off += 8) s.store64(src + off, pattern(off));
+  for (Addr off = 0; off < P; off += 8) s.store64(0x80'0000 + off, 0x77u);  // D1
+  ASSERT_EQ(s.touched_pages(), 3u);
+  s.copy_from(s, src, dst, 4 * P);
+  for (Addr off = 0; off < 4 * P; off += 8) {
+    const bool present = off < P || off >= 3 * P;
+    EXPECT_EQ(s.load64(dst + off), present ? pattern(off) : 0u) << off;
+  }
+  // New pages: D0, D3 and D4, where S0 and S3 land; not D2.
+  EXPECT_EQ(s.touched_pages(), 3u + 3u);
 }
 
 TEST(ByteStore, ClearDropsEverything) {

@@ -230,16 +230,17 @@ Cycle edgy_cycle(Rng& rng, std::uint64_t lo, std::uint64_t range) {
 }
 
 /// Books @p n random requests on both bitmaps — about half one-bucket
-/// slots, the rest spans of 2..300 — and requires identical
+/// slots, the rest spans of 1..@p max_len — and requires identical
 /// start/skipped/overflow for every booking.
 void expect_same_bookings(SpanLanes& real, NaiveLanes& ref, Rng& rng, unsigned lanes,
-                          std::uint64_t lo, std::uint64_t range, int n) {
+                          std::uint64_t lo, std::uint64_t range, int n,
+                          std::uint64_t max_len = 300) {
   for (int i = 0; i < n; ++i) {
     const unsigned lane = static_cast<unsigned>(rng.below(lanes));
     const Cycle when = edgy_cycle(rng, lo, range);
     // Half are one-bucket slot bookings; spans include len 1 too.
     const bool slot = rng.chance(0.5);
-    const Cycle len = slot ? 1 : 1 + rng.below(300);
+    const Cycle len = slot ? 1 : 1 + rng.below(max_len);
     const Booking a = slot ? real.book_one(lane, when) : real.book(lane, when, len);
     const Booking b = ref.book(lane, when, len);
     ASSERT_EQ(a.start, b.start) << "booking " << i << " lane " << lane << " at " << when
@@ -282,6 +283,50 @@ TEST(SpanLanes, MatchesPerCycleReferenceAtTheHorizon) {
   const Booking far = real.book(0, h + 17, 1);
   EXPECT_TRUE(far.overflow);
   EXPECT_EQ(far.start, h + 17);  // served as if free — but never silently
+}
+
+TEST(SpanLanes, SpanScanOverSaturatedRowsAndBlocksMatchesPerCycleReference) {
+  constexpr unsigned kLanes = 3;
+  constexpr std::uint64_t kBlock = 4096;
+  SpanLanes real(kLanes);
+  NaiveLanes ref(kLanes, 0, 128 * kBlock);
+  const auto same = [&](unsigned lane, Cycle when, Cycle len) {
+    const Booking a = real.book(lane, when, len);
+    const Booking b = ref.book(lane, when, len);
+    EXPECT_EQ(a.start, b.start) << "lane " << lane << " at " << when << " len " << len;
+    EXPECT_EQ(a.skipped, b.skipped) << "lane " << lane << " at " << when << " len " << len;
+    EXPECT_FALSE(a.overflow);
+    return a;
+  };
+  // Lane 0: word 0 busy from bucket 40 to its end, then rows 1..10 full.
+  // A span of 8 at 35 cannot fit before 40, so it steps over the rest of
+  // word 0 and the ten full rows to land on row 11.
+  same(0, 40, 24);
+  same(0, 64, 10 * 64);
+  Booking b = same(0, 35, 8);
+  EXPECT_EQ(b.start, 11u * 64);
+  EXPECT_EQ(b.skipped, 24u + 10 * 64);
+  // Lane 1: blocks 0..2 full and block 3 booked up to bucket 100: a span
+  // steps over three whole blocks, counting every bucket as skipped.
+  same(1, 0, 3 * kBlock + 100);
+  b = same(1, 10, 5);
+  EXPECT_EQ(b.start, 3 * kBlock + 100);
+  EXPECT_EQ(b.skipped, 3 * kBlock + 90);
+  // Lane 2: blocks 60..67 full (a run crossing the full-block bitmap's
+  // 64-block word), every row of block 68 but its last full, and a single
+  // free bucket in the last row — too small for a span of 2.
+  same(2, 60 * kBlock, 9 * kBlock - 64);
+  same(2, 69 * kBlock - 64, 31);
+  same(2, 69 * kBlock - 32, 32);
+  b = same(2, 60 * kBlock + 7, 2);
+  EXPECT_EQ(b.start, 69 * kBlock);
+  EXPECT_EQ(b.skipped, 9 * kBlock - 8);
+  // Lane 0 still holds row 0's free head: a fitting span lands there.
+  EXPECT_EQ(same(0, 0, 30).start, 0u);
+  // Dense random traffic on top: spans up to two blocks long saturate
+  // more rows and blocks, and every booking must still match.
+  Rng rng(0x5A7Fu);
+  expect_same_bookings(real, ref, rng, kLanes, 0, 24 * kBlock, 300, 2 * kBlock);
 }
 
 /// Per-bucket reference for gap-G slot booking: a request at cycle c takes
