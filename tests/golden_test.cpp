@@ -28,6 +28,11 @@
 //    holds to_csv of Fig. 8 plus a small spec covering a 4-tile mesh point,
 //    CSV quoting (a knob value and label with a comma and a double quote)
 //    and a quarantined point (error / error_class columns).
+//  * The workload generators are pinned structurally:
+//    tests/golden/workload_loops.txt lists every registered loop workload
+//    at scales 1 and 0.05 — iterations, op mix, arrays (name, base, size)
+//    and every field of every reference the engine reads (ref names, which
+//    nothing outside the builders reads, are left out).
 //
 // If an intentional engine change alters simulated metrics, regenerate
 // every golden with scripts/update_goldens.sh (it reruns this binary with
@@ -42,6 +47,7 @@
 #include <string>
 
 #include "driver/experiment.hpp"
+#include "driver/registry.hpp"
 #include "driver/sweep.hpp"
 #include "sim/report.hpp"
 
@@ -363,6 +369,69 @@ std::string csv_export_text() {
 
 TEST(CsvGolden, ToCsvIsByteIdentical) {
   expect_golden("csv_export", csv_export_text(), "CSV export drifted");
+}
+
+// ---------------------------------------------------------------------------
+
+const char* pattern_name(hm::PatternKind k) {
+  switch (k) {
+    case hm::PatternKind::Strided: return "strided";
+    case hm::PatternKind::Indirect: return "indirect";
+    case hm::PatternKind::PointerChase: return "chase";
+  }
+  return "?";
+}
+
+/// Structural dump of one workload: everything the classifier, codegen and
+/// engine read from the LoopNest, in declaration order.
+std::string loop_text(const hm::Workload& w) {
+  const hm::LoopNest& l = w.loop;
+  std::string text;
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "loop %s (%s) iterations=%llu int_ops=%u fp_ops=%u "
+                "data_branch_fraction=%.17g reported=%u/%u\n",
+                w.name.c_str(), l.name.c_str(),
+                static_cast<unsigned long long>(l.iterations), l.int_ops_per_iter,
+                l.fp_ops_per_iter, l.data_branch_fraction, w.reported_guarded,
+                w.reported_total);
+  text += buf;
+  for (const hm::ArrayDecl& a : l.arrays) {
+    std::snprintf(buf, sizeof buf, "  array %s base=0x%llx elem_size=%llu elements=%llu\n",
+                  a.name.c_str(), static_cast<unsigned long long>(a.base),
+                  static_cast<unsigned long long>(a.elem_size),
+                  static_cast<unsigned long long>(a.elements));
+    text += buf;
+  }
+  for (const hm::MemRef& r : l.refs) {
+    std::snprintf(buf, sizeof buf,
+                  "  ref array=%u %s stride=%lld write=%d range_known=%d seed=%llu "
+                  "hot_bytes=%llu in_chunk_fraction=%.17g\n",
+                  r.array, pattern_name(r.pattern), static_cast<long long>(r.stride),
+                  r.is_write ? 1 : 0, r.range_known ? 1 : 0,
+                  static_cast<unsigned long long>(r.irregular.seed),
+                  static_cast<unsigned long long>(r.irregular.hot_bytes),
+                  r.irregular.in_chunk_fraction);
+    text += buf;
+  }
+  for (const hm::AliasFact& f : l.alias_facts) {
+    std::snprintf(buf, sizeof buf, "  alias %u %u verdict=%d\n", f.ref_a, f.ref_b,
+                  static_cast<int>(f.verdict));
+    text += buf;
+  }
+  return text;
+}
+
+TEST(WorkloadGolden, LoopStructureIsByteIdentical) {
+  std::string text;
+  for (const double scale : {1.0, 0.05}) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "== scale %g\n", scale);
+    text += buf;
+    for (const std::string& name : workload_names())
+      text += loop_text(make_workload(name, {.factor = scale}));
+  }
+  expect_golden("workload_loops", text, "workload loop structure drifted");
 }
 
 }  // namespace
