@@ -185,7 +185,6 @@ struct ReplayCache {
   };
   std::unordered_map<std::uint64_t, Entry> map;
   Bytes bytes = 0;
-  ReplayCacheStats stats;
 };
 
 ReplayCache& cache() {
@@ -203,10 +202,8 @@ std::shared_ptr<const ReplayBatch> cached_replay_batch(const CompiledKernel& ker
     auto it = c.map.find(key);
     if (it != c.map.end()) {
       c.lru.splice(c.lru.begin(), c.lru, it->second.pos);
-      ++c.stats.hits;
       return it->second.batch;
     }
-    ++c.stats.misses;
   }
   // Build outside the lock: batch compilation is the expensive part and
   // concurrent sweep workers must not serialize on it.  A racing double
@@ -226,15 +223,8 @@ std::shared_ptr<const ReplayBatch> cached_replay_batch(const CompiledKernel& ker
     c.bytes -= vit->second.batch->bytes();
     c.map.erase(vit);
     c.lru.pop_back();
-    ++c.stats.evictions;
   }
   return batch;
-}
-
-ReplayCacheStats replay_cache_stats() {
-  ReplayCache& c = cache();
-  std::lock_guard<std::mutex> lk(c.mu);
-  return c.stats;
 }
 
 void clear_replay_cache() {
@@ -243,7 +233,6 @@ void clear_replay_cache() {
   c.map.clear();
   c.lru.clear();
   c.bytes = 0;
-  c.stats = ReplayCacheStats{};
 }
 
 }  // namespace hm

@@ -10,7 +10,6 @@
 // the IR.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "compiler/codegen.hpp"
@@ -28,13 +27,7 @@ ReplayBatch build_replay_batch(const CompiledKernel& kernel);
 /// sweeps cannot hoard memory.
 std::shared_ptr<const ReplayBatch> cached_replay_batch(const CompiledKernel& kernel);
 
-/// Descriptor-cache observability (tests and the sweep summary).
-struct ReplayCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-};
-ReplayCacheStats replay_cache_stats();
+/// Drop every cached batch (benchmarks measuring cold compilation).
 void clear_replay_cache();
 
 }  // namespace hm

@@ -39,8 +39,8 @@ std::string SweepPoint::canonical() const {
 }
 
 const std::map<std::string, std::string>& default_knobs() {
-  // Keep in sync with run_point (sweep.cpp): each entry is the value the
-  // runner assumes when the knob is absent.
+  // The one statement of each default: run_point reads every knob through
+  // SweepPoint::knob, which falls back to these.
   static const std::map<std::string, std::string> defaults = {
       {"cores", "1"},          // tile count (single-core == the paper tables)
       {"dir_entries", "32"},   // DirectoryConfig::entries default (Table 1)
@@ -53,7 +53,8 @@ const std::map<std::string, std::string>& default_knobs() {
 }
 
 std::vector<SweepPoint> expand(const ExperimentSpec& spec,
-                               std::optional<double> scale_override) {
+                               std::optional<double> scale_override,
+                               const std::map<std::string, std::string>& overrides) {
   std::vector<SweepPoint> out;
   const auto& defaults = default_knobs();
   for (const Grid& grid : spec.grids) {
@@ -86,6 +87,7 @@ std::vector<SweepPoint> expand(const ExperimentSpec& spec,
         p.workload = it->second;
         p.knobs.erase(it);
       }
+      for (const auto& [k, v] : overrides) p.knobs[k] = v;
       // Elide knobs pinned to their canonical default.
       for (const auto& [k, v] : defaults) {
         const auto it = p.knobs.find(k);

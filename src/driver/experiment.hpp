@@ -89,8 +89,12 @@ const std::map<std::string, std::string>& default_knobs();
 
 /// Expand a spec into its points.  @p scale_override rescales every point
 /// (CI smoke / quick looks; the paper tables use the spec's own scale).
+/// @p overrides set knobs on every point after the grid's own (hm_sweep
+/// --topology / --mesh-dim); like any knob, one equal to its default is
+/// elided, so `--topology flat` leaves every canonical identity unchanged.
 std::vector<SweepPoint> expand(const ExperimentSpec& spec,
-                               std::optional<double> scale_override = {});
+                               std::optional<double> scale_override = {},
+                               const std::map<std::string, std::string>& overrides = {});
 
 /// The experiments: a constant table built on first use, in paper order
 /// (src/driver/paper_experiments.cpp).

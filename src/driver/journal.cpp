@@ -5,10 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <unordered_map>
 
 #include "common/atomic_file.hpp"
 #include "common/hash.hpp"
-#include "obs/trace.hpp"
 
 namespace hm::driver {
 
@@ -48,11 +48,6 @@ void SweepJournal::append(const PointResult& r) {
   const std::lock_guard<std::mutex> lock(mu_);
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
-  if (obs::TraceSink* s = obs::sweep_sink()) {
-    const auto lane = s->lane(obs::TraceSink::Track::Wall, "journal");
-    s->instant(obs::TraceSink::Track::Wall, lane, "journal.append",
-               s->now_us(), "bytes", static_cast<double>(line.size()));
-  }
 }
 
 void SweepJournal::compact(const std::vector<PointResult>& results) {
@@ -76,8 +71,9 @@ std::vector<PointResult> SweepJournal::load(const std::string& dir,
     std::ifstream in(journal_path(dir, experiment));
     std::string line;
     // Records are keyed by canonical identity; keep the LAST intact record
-    // per canonical (re-appends from an interrupted resume supersede).
-    std::vector<std::string> canon;
+    // per canonical (re-appends from an interrupted resume supersede) at
+    // the position of its first appearance.
+    std::unordered_map<std::string, std::size_t> slot;
     while (in && std::getline(in, line)) {
       // getline strips '\n'; a torn tail shows up as a line that fails the
       // magic/checksum below, never as silent truncation.
@@ -91,19 +87,11 @@ std::vector<PointResult> SweepJournal::load(const std::string& dir,
           // from an older engine replays nothing rather than wrong bytes.
           if (std::optional<PointResult> r = point_from_json(payload)) {
             intact = true;
-            const std::string c = r->point.canonical();
-            bool replaced = false;
-            for (std::size_t i = 0; i < canon.size(); ++i) {
-              if (canon[i] == c) {
-                out[i] = std::move(*r);
-                replaced = true;
-                break;
-              }
-            }
-            if (!replaced) {
-              canon.push_back(c);
+            const auto [it, fresh] = slot.try_emplace(r->point.canonical(), out.size());
+            if (fresh)
               out.push_back(std::move(*r));
-            }
+            else
+              out[it->second] = std::move(*r);
           }
         }
       }

@@ -77,16 +77,16 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine) {
 
   MachineConfig cfg = make_machine(p.machine);
   const unsigned dir_entries =
-      static_cast<unsigned>(std::stoul(p.knob("dir_entries", "32")));
+      static_cast<unsigned>(std::stoul(p.knob("dir_entries")));
   cfg.directory.entries = dir_entries;
-  const bool prefetch = p.knob("prefetch", "on") != "off";
+  const bool prefetch = p.knob("prefetch") != "off";
   cfg.hierarchy.pf_l1.enabled = prefetch;
   cfg.hierarchy.pf_l2.enabled = prefetch;
   cfg.hierarchy.pf_l3.enabled = prefetch;
-  const unsigned cores = static_cast<unsigned>(std::stoul(p.knob("cores", "1")));
+  const unsigned cores = static_cast<unsigned>(std::stoul(p.knob("cores")));
   if (cores == 0 || cores > 256)
     throw std::invalid_argument("cores knob out of range (1..256) at " + p.label);
-  const std::string topology = p.knob("topology", "flat");
+  const std::string topology = p.knob("topology");
   if (topology == "mesh") {
     cfg.noc.topology = Topology::Mesh;
   } else if (topology == "ring") {
@@ -94,7 +94,7 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine) {
   } else if (topology != "flat") {
     throw std::invalid_argument("unknown topology knob '" + topology + "' at " + p.label);
   }
-  const unsigned mesh_dim = static_cast<unsigned>(std::stoul(p.knob("mesh_dim", "0")));
+  const unsigned mesh_dim = static_cast<unsigned>(std::stoul(p.knob("mesh_dim")));
   if (mesh_dim != 0) {
     if (cfg.noc.topology != Topology::Mesh)
       throw std::invalid_argument("mesh_dim requires topology=mesh at " + p.label);
@@ -122,7 +122,7 @@ PointResult run_point(const SweepPoint& p, const EngineConfig& engine) {
     CodegenOptions co;
     co.variant = variant_for(cfg.kind);
     co.global_seed = p.seed;
-    co.disable_readonly_opt = p.knob("readonly_opt", "on") == "off";
+    co.disable_readonly_opt = p.knob("readonly_opt") == "off";
     // Compile against the hybrid machine's LM geometry on every machine
     // kind (like the original benches) so address streams match across
     // variants and runs stay directly comparable.
@@ -253,22 +253,8 @@ void write_profile_json(const std::string& path, const SweepOutcome& out) {
 
 SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<SweepPoint> points = expand(spec, opt.scale_override);
-  if (!opt.knob_overrides.empty()) {
-    // Machine-changing overrides (topology, mesh_dim, ...) enter the knob
-    // map — and with it the canonical identity — exactly like a grid axis
-    // would; values equal to the canonical default are elided so a
-    // `--topology flat` invocation stays byte-identical to no flag at all.
-    const auto& defaults = default_knobs();
-    for (SweepPoint& p : points)
-      for (const auto& [k, v] : opt.knob_overrides) {
-        const auto d = defaults.find(k);
-        if (d != defaults.end() && d->second == v)
-          p.knobs.erase(k);
-        else
-          p.knobs[k] = v;
-      }
-  }
+  const std::vector<SweepPoint> points =
+      expand(spec, opt.scale_override, opt.knob_overrides);
 
   SweepOutcome out;
   out.spec = spec;
@@ -288,9 +274,10 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
   const MemoCache disk(engine_alters ? std::string{} : opt.cache_dir);
   std::vector<char> resolved(points.size(), 0);
 
-  // Observability setup.  The sweep sink collects driver-level events; each
-  // executed point gets its own sink (and file) inside the pool body so
-  // concurrent points never interleave their engine timelines.
+  // Observability setup.  The sweep's own sink holds one span per executed
+  // point on its worker's lane; each executed point gets its own sink (and
+  // file) inside the pool body so concurrent points never interleave their
+  // engine timelines.
   std::string trace_exp_dir;
   std::unique_ptr<obs::TraceSink> sweep_trace;
   if (!opt.trace_dir.empty()) {
@@ -305,7 +292,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
       sweep_trace = std::make_unique<obs::TraceSink>();
     }
   }
-  obs::ScopedSweepSink sweep_sink_guard(sweep_trace.get());
 
   // Resume pass: replay intact journal records (ok AND quarantined — a
   // finished point is a finished point) before consulting any cache, so an
@@ -324,11 +310,6 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
       out.points[i].point = points[i];
       resolved[i] = 1;
       ++out.resumed;
-      if (sweep_trace) {
-        const auto lane = sweep_trace->lane(obs::TraceSink::Track::Wall, "journal");
-        sweep_trace->instant(obs::TraceSink::Track::Wall, lane, "journal.replay",
-                             sweep_trace->now_us());
-      }
       if (out.points[i].ok && session_cache) session_cache->store(out.points[i]);
     }
   }
@@ -348,18 +329,8 @@ SweepOutcome run_sweep(const ExperimentSpec& spec, const SweepOptions& opt) {
     if (hit) {
       out.points[i] = std::move(*hit);
       ++out.cache_hits;
-      if (sweep_trace) {
-        const auto lane = sweep_trace->lane(obs::TraceSink::Track::Wall, "cache");
-        sweep_trace->instant(obs::TraceSink::Track::Wall, lane, "cache.hit",
-                             sweep_trace->now_us());
-      }
     } else {
       todo.push_back(i);
-      if (sweep_trace) {
-        const auto lane = sweep_trace->lane(obs::TraceSink::Track::Wall, "cache");
-        sweep_trace->instant(obs::TraceSink::Track::Wall, lane, "cache.miss",
-                             sweep_trace->now_us());
-      }
     }
   }
 

@@ -19,7 +19,6 @@ namespace {
 std::atomic<int> g_active{0};
 
 thread_local TraceSink* t_thread_sink = nullptr;
-std::atomic<TraceSink*> g_sweep_sink{nullptr};
 
 void append_double(std::string& out, double v) {
   char buf[32];
@@ -177,17 +176,6 @@ TraceSink* thread_sink() noexcept { return t_thread_sink; }
 TraceSink* set_thread_sink(TraceSink* sink) noexcept {
   TraceSink* prev = t_thread_sink;
   t_thread_sink = sink;
-  if (sink != nullptr && prev == nullptr) g_active.fetch_add(1, std::memory_order_relaxed);
-  if (sink == nullptr && prev != nullptr) g_active.fetch_sub(1, std::memory_order_relaxed);
-  return prev;
-}
-
-TraceSink* sweep_sink() noexcept {
-  return g_sweep_sink.load(std::memory_order_acquire);
-}
-
-TraceSink* set_sweep_sink(TraceSink* sink) noexcept {
-  TraceSink* prev = g_sweep_sink.exchange(sink, std::memory_order_acq_rel);
   if (sink != nullptr && prev == nullptr) g_active.fetch_add(1, std::memory_order_relaxed);
   if (sink == nullptr && prev != nullptr) g_active.fetch_sub(1, std::memory_order_relaxed);
   return prev;

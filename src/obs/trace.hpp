@@ -10,15 +10,13 @@
 // --obs-overhead).  Tracing must NEVER perturb simulated results: sinks
 // only observe cycle numbers the engine already computed.
 //
-// Two installation scopes:
-//   * thread sink  (thread_local) — one per in-flight sweep point, so
-//     events from concurrently running points never interleave and each
-//     point gets its own trace file;
-//   * sweep sink   (process-global, atomic pointer) — driver-level events
-//     (scheduler job lifecycle, journal appends, cache hits) that span
-//     the whole sweep.
-// Engine emit helpers (sim_span / sim_instant / sim_resource_delay) write
-// to the thread sink; driver code talks to a TraceSink it owns directly.
+// One owner per sink:
+//   * the thread sink (thread_local) is installed for one in-flight sweep
+//     point, so events from concurrently running points never interleave
+//     and each point gets its own trace file.  Engine emit helpers
+//     (sim_span / sim_instant / sim_resource_delay) write to it;
+//   * run_sweep owns the sweep's TraceSink and writes the per-worker point
+//     spans to it directly; nothing else reaches it.
 #pragma once
 
 #include <atomic>
@@ -113,8 +111,8 @@ class TraceSink {
 // ---------------------------------------------------------------------------
 // Global enablement + installation.
 
-// True iff at least one sink (thread or sweep, anywhere in the process) is
-// installed.  Single relaxed load: THE hot-path check.
+// True iff at least one thread sink (on any thread) is installed.  Single
+// relaxed load: THE hot-path check.
 bool tracing_active() noexcept;
 
 // Per-thread sink (the in-flight sweep point's).  May be null.
@@ -122,28 +120,13 @@ TraceSink* thread_sink() noexcept;
 // Installs/uninstalls; pass nullptr to clear.  Returns the previous sink.
 TraceSink* set_thread_sink(TraceSink* sink) noexcept;
 
-// Process-wide sweep sink for driver-level events.  May be null.
-TraceSink* sweep_sink() noexcept;
-TraceSink* set_sweep_sink(TraceSink* sink) noexcept;
-
-// RAII installers (restore the previous sink on destruction).
+// RAII installer (restores the previous sink on destruction).
 class ScopedThreadSink {
  public:
   explicit ScopedThreadSink(TraceSink* sink) : prev_(set_thread_sink(sink)) {}
   ~ScopedThreadSink() { set_thread_sink(prev_); }
   ScopedThreadSink(const ScopedThreadSink&) = delete;
   ScopedThreadSink& operator=(const ScopedThreadSink&) = delete;
-
- private:
-  TraceSink* prev_;
-};
-
-class ScopedSweepSink {
- public:
-  explicit ScopedSweepSink(TraceSink* sink) : prev_(set_sweep_sink(sink)) {}
-  ~ScopedSweepSink() { set_sweep_sink(prev_); }
-  ScopedSweepSink(const ScopedSweepSink&) = delete;
-  ScopedSweepSink& operator=(const ScopedSweepSink&) = delete;
 
  private:
   TraceSink* prev_;

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "workloads/kernel_builder.hpp"
-#include "workloads/nas.hpp"
 
 namespace hm {
 

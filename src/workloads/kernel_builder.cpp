@@ -9,9 +9,9 @@ namespace hm {
 
 namespace {
 
-// Same SM layout convention as the NAS builders: bases from 256 MB up,
-// advanced in 64 KB steps so chunk bases stay aligned to any LM buffer
-// size the tiling transformation can pick.
+// The SM layout convention of every kernel: bases from 256 MB up, advanced
+// in 64 KB steps so chunk bases stay aligned to any LM buffer size the
+// tiling transformation can pick.
 constexpr Addr kArrayRegionBase = 0x1000'0000;
 constexpr Bytes kArrayAlign = 64 * 1024;
 
@@ -37,7 +37,7 @@ unsigned KernelBuilder::array(const std::string& name, std::uint64_t elements,
   return static_cast<unsigned>(w_.loop.arrays.size() - 1);
 }
 
-unsigned KernelBuilder::push_ref(MemRef ref) {
+unsigned KernelBuilder::push_ref(MemRef ref, std::uint64_t seed) {
   if (ref.array >= w_.loop.arrays.size())
     throw std::invalid_argument(w_.name + ": ref targets unknown array");
   if (ref.name.empty()) {
@@ -45,9 +45,11 @@ unsigned KernelBuilder::push_ref(MemRef ref) {
                std::to_string(w_.loop.refs.size());
   }
   if (ref.pattern != PatternKind::Strided) {
-    // Deterministic per-reference stream: (kernel, ref index) fixes it.
+    // Deterministic per-reference stream: the caller's seed, or one fixed
+    // by (kernel, ref index).
     ref.irregular.seed =
-        splitmix64_mix(base_seed_ + kGoldenGamma * (w_.loop.refs.size() + 1));
+        seed != 0 ? seed
+                  : splitmix64_mix(base_seed_ + kGoldenGamma * (w_.loop.refs.size() + 1));
   }
   w_.loop.refs.push_back(std::move(ref));
   return static_cast<unsigned>(w_.loop.refs.size() - 1);
@@ -70,13 +72,14 @@ unsigned KernelBuilder::write(unsigned array, std::int64_t stride) {
   return push_ref(std::move(r));
 }
 
-unsigned KernelBuilder::gather(unsigned target, Bytes hot_bytes, double in_chunk) {
+unsigned KernelBuilder::gather(unsigned target, Bytes hot_bytes, double in_chunk,
+                               std::uint64_t seed) {
   MemRef r;
   r.array = target;
   r.pattern = PatternKind::Indirect;
   r.irregular.hot_bytes = hot_bytes;
   r.irregular.in_chunk_fraction = in_chunk;
-  return push_ref(std::move(r));
+  return push_ref(std::move(r), seed);
 }
 
 unsigned KernelBuilder::scatter(unsigned target, Bytes hot_bytes, double in_chunk) {
@@ -90,7 +93,7 @@ unsigned KernelBuilder::scatter(unsigned target, Bytes hot_bytes, double in_chun
 }
 
 unsigned KernelBuilder::chase(unsigned target, bool range_known, bool is_write,
-                              Bytes hot_bytes, double in_chunk) {
+                              Bytes hot_bytes, double in_chunk, std::uint64_t seed) {
   MemRef r;
   r.array = target;
   r.pattern = PatternKind::PointerChase;
@@ -98,7 +101,7 @@ unsigned KernelBuilder::chase(unsigned target, bool range_known, bool is_write,
   r.is_write = is_write;
   r.irregular.hot_bytes = hot_bytes;
   r.irregular.in_chunk_fraction = in_chunk;
-  return push_ref(std::move(r));
+  return push_ref(std::move(r), seed);
 }
 
 KernelBuilder& KernelBuilder::compute(unsigned int_ops, unsigned fp_ops) {
@@ -141,6 +144,33 @@ Workload KernelBuilder::build() const {
                          : static_cast<unsigned>(w.loop.refs.size());
   w.loop.validate();
   return w;
+}
+
+Workload make_spmd_slice(const Workload& w, unsigned tile, unsigned n_tiles) {
+  if (n_tiles == 0 || tile >= n_tiles)
+    throw std::invalid_argument("make_spmd_slice: tile index out of range");
+  Workload slice = w;
+  if (n_tiles == 1) return slice;
+
+  // Balanced iteration slice: floor(I/N) everywhere, remainder to the first
+  // tiles — tile 0 is always a longest tile, so max-tile work is
+  // monotonically non-increasing in the tile count, and the slices sum to
+  // exactly I.  With more tiles than iterations the trailing tiles receive
+  // zero iterations (the caller runs nothing there): the partition never
+  // fabricates extra work.
+  const std::uint64_t iters = w.loop.iterations;
+  const std::uint64_t base = iters / n_tiles;
+  const std::uint64_t rem = iters % n_tiles;
+  slice.loop.iterations = base + (tile < rem ? 1 : 0);
+
+  // Block-distributed private arrays: 64 GB per tile keeps every shifted
+  // base aligned to kArrayAlign (and thus to any LM buffer size) and the
+  // regions disjoint across tiles, well below the LM virtual range.
+  constexpr Addr kTileRegionStride = 0x10'0000'0000ull;
+  static_assert(kTileRegionStride % kArrayAlign == 0);
+  const Addr offset = static_cast<Addr>(tile) * kTileRegionStride;
+  for (ArrayDecl& a : slice.loop.arrays) a.base += offset;
+  return slice;
 }
 
 }  // namespace hm

@@ -1,94 +1,19 @@
 #include "workloads/nas.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <string>
 
 namespace hm {
 
 namespace {
 
-constexpr Addr kArrayRegionBase = 0x1000'0000;
-constexpr Bytes kArrayAlign = 64 * 1024;  // >= any LM buffer size
-
-/// Incrementally lay out arrays in the SM, aligned so chunk bases stay
-/// aligned to every possible LM buffer size.
-class Layout {
- public:
-  Addr place(Bytes size_bytes) {
-    const Addr base = next_;
-    next_ += ((size_bytes + kArrayAlign - 1) / kArrayAlign) * kArrayAlign;
-    return base;
-  }
-
- private:
-  Addr next_ = kArrayRegionBase;
-};
-
-std::uint64_t scaled(std::uint64_t base_iters, WorkloadScale scale) {
-  const double v = static_cast<double>(base_iters) * scale.factor;
-  return std::max<std::uint64_t>(static_cast<std::uint64_t>(v), 1024);
-}
-
 /// Add @p n unit-stride arrays of @p elems elements and one strided ref per
 /// array; the first @p writes of them are written.
-void add_streams(LoopNest& loop, Layout& layout, unsigned n, unsigned writes,
-                 std::uint64_t elems, const std::string& prefix) {
+void add_streams(KernelBuilder& b, unsigned n, unsigned writes, std::uint64_t elems,
+                 const std::string& prefix) {
   for (unsigned i = 0; i < n; ++i) {
-    ArrayDecl arr;
-    arr.name = prefix + std::to_string(i);
-    arr.elem_size = 8;
-    arr.elements = elems;
-    arr.base = layout.place(arr.size_bytes());
-    const unsigned arr_idx = static_cast<unsigned>(loop.arrays.size());
-    loop.arrays.push_back(arr);
-
-    MemRef ref;
-    ref.name = prefix + std::to_string(i);
-    ref.array = arr_idx;
-    ref.pattern = PatternKind::Strided;
-    ref.stride = 1;
-    ref.is_write = i < writes;
-    loop.refs.push_back(ref);
+    const unsigned a = b.array(prefix + std::to_string(i), elems);
+    if (i < writes) b.write(a); else b.read(a);
   }
-}
-
-/// Add an irregular (indirect) read over a dedicated array with a hot
-/// working set of @p hot_bytes.
-void add_irregular_read(LoopNest& loop, Layout& layout, std::uint64_t elems,
-                        Bytes hot_bytes, std::uint64_t seed, const std::string& name) {
-  ArrayDecl arr;
-  arr.name = name + "_data";
-  arr.elem_size = 8;
-  arr.elements = elems;
-  arr.base = layout.place(arr.size_bytes());
-  const unsigned arr_idx = static_cast<unsigned>(loop.arrays.size());
-  loop.arrays.push_back(arr);
-
-  MemRef ref;
-  ref.name = name;
-  ref.array = arr_idx;
-  ref.pattern = PatternKind::Indirect;
-  ref.is_write = false;
-  ref.irregular.hot_bytes = hot_bytes;
-  ref.irregular.seed = seed;
-  loop.refs.push_back(ref);
-}
-
-/// Add a potentially incoherent reference: a pointer-chase access whose
-/// addresses fall into regular array @p target (so the directory actually
-/// hits) with the given in-chunk fraction and hot set.
-void add_pointer_chase(LoopNest& loop, unsigned target, bool is_write,
-                       double in_chunk, Bytes hot_bytes, std::uint64_t seed,
-                       const std::string& name) {
-  MemRef ref;
-  ref.name = name;
-  ref.array = target;
-  ref.pattern = PatternKind::PointerChase;
-  ref.is_write = is_write;
-  ref.irregular.in_chunk_fraction = in_chunk;
-  ref.irregular.hot_bytes = hot_bytes;
-  ref.irregular.seed = seed;
-  loop.refs.push_back(ref);
 }
 
 }  // namespace
@@ -98,21 +23,14 @@ Workload make_cg(WorkloadScale scale) {
   // vector, and a pointer access the compiler cannot disambiguate from the
   // streamed vectors (§4.3: "critical path contains a potentially incoherent
   // access with a high degree of reuse").
-  Workload w;
-  w.name = "CG";
-  w.loop.name = "CG";
-  Layout layout;
-  const std::uint64_t iters = scaled(131'072, scale);
-  add_streams(w.loop, layout, 5, 1, iters, "cg_s");
-  add_irregular_read(w.loop, layout, iters, 16 * 1024, 11, "cg_x");
-  add_pointer_chase(w.loop, /*target=*/1, /*is_write=*/false, /*in_chunk=*/0.15,
-                    /*hot=*/16 * 1024, 12, "cg_ptr");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 2;
-  w.loop.fp_ops_per_iter = 4;
-  w.reported_guarded = 1;
-  w.reported_total = 7;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(131'072, scale);
+  KernelBuilder b("CG");
+  add_streams(b, 5, 1, iters, "cg_s");
+  b.gather(b.array("cg_x_data", iters), 16 * 1024, 0.0, 11);
+  b.chase(/*target=*/1, /*range_known=*/false, /*is_write=*/false, /*hot=*/16 * 1024,
+          /*in_chunk=*/0.15, 12);
+  b.compute(2, 4).iterations(iters).reported(1, 7);
+  return b.build();
 }
 
 Workload make_ep(WorkloadScale scale) {
@@ -120,135 +38,72 @@ Workload make_ep(WorkloadScale scale) {
   // traffic, one potentially incoherent write (double store fully hidden by
   // the issue width, §4.2).  The paper counts 16 register-resident local
   // variables among its 20 references; they generate no memory traffic.
-  Workload w;
-  w.name = "EP";
-  w.loop.name = "EP";
-  Layout layout;
-  const std::uint64_t iters = scaled(65'536, scale);
-  add_streams(w.loop, layout, 3, 1, iters, "ep_s");
-  add_pointer_chase(w.loop, /*target=*/0, /*is_write=*/true, /*in_chunk=*/0.05,
-                    /*hot=*/16 * 1024, 21, "ep_ptr");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 6;
-  w.loop.fp_ops_per_iter = 12;
-  w.reported_guarded = 1;
-  w.reported_total = 20;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(65'536, scale);
+  KernelBuilder b("EP");
+  add_streams(b, 3, 1, iters, "ep_s");
+  b.chase(0, false, /*is_write=*/true, 16 * 1024, 0.05, 21);
+  b.compute(6, 12).iterations(iters).reported(1, 20);
+  return b.build();
 }
 
 Workload make_ft(WorkloadScale scale) {
   // FFT shape: many concurrent streams (they overflow the prefetcher history
   // tables of the cache-based machine), complex FP work, 2 potentially
   // incoherent reads and 2 writes treated with the double store.
-  Workload w;
-  w.name = "FT";
-  w.loop.name = "FT";
-  Layout layout;
-  const std::uint64_t iters = scaled(32'768, scale);
-  add_streams(w.loop, layout, 30, 8, iters, "ft_s");
-  add_pointer_chase(w.loop, 0, false, 0.10, 8 * 1024, 31, "ft_p0");
-  add_pointer_chase(w.loop, 2, false, 0.10, 8 * 1024, 32, "ft_p1");
-  add_pointer_chase(w.loop, 1, true, 0.05, 8 * 1024, 33, "ft_q0");
-  add_pointer_chase(w.loop, 3, true, 0.05, 8 * 1024, 34, "ft_q1");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 2;
-  w.loop.fp_ops_per_iter = 10;
-  w.reported_guarded = 4;
-  w.reported_total = 34;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(32'768, scale);
+  KernelBuilder b("FT");
+  add_streams(b, 30, 8, iters, "ft_s");
+  b.chase(0, false, false, 8 * 1024, 0.10, 31);
+  b.chase(2, false, false, 8 * 1024, 0.10, 32);
+  b.chase(1, false, true, 8 * 1024, 0.05, 33);
+  b.chase(3, false, true, 8 * 1024, 0.05, 34);
+  b.compute(2, 10).iterations(iters).reported(4, 34);
+  return b.build();
 }
 
 Workload make_is(WorkloadScale scale) {
   // Integer sort shape: trivial integer computation, data-dependent
   // branches, and the double store on 2 of its 5 references — the paper's
   // worst case for protocol overhead (§4.2: IS pays ~5% energy).
-  Workload w;
-  w.name = "IS";
-  w.loop.name = "IS";
-  Layout layout;
-  const std::uint64_t iters = scaled(131'072, scale);
-  add_streams(w.loop, layout, 4, 2, iters, "is_s");
-  add_irregular_read(w.loop, layout, iters, 14 * 1024, 41, "is_keys");
-  add_irregular_read(w.loop, layout, iters, 14 * 1024, 44, "is_rank");
-  add_pointer_chase(w.loop, 0, true, 0.30, 16 * 1024, 42, "is_b0");
-  add_pointer_chase(w.loop, 1, true, 0.30, 16 * 1024, 43, "is_b1");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 3;
-  w.loop.fp_ops_per_iter = 0;
-  w.loop.data_branch_fraction = 0.4;
-  w.reported_guarded = 2;
-  w.reported_total = 5;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(131'072, scale);
+  KernelBuilder b("IS");
+  add_streams(b, 4, 2, iters, "is_s");
+  b.gather(b.array("is_keys_data", iters), 14 * 1024, 0.0, 41);
+  b.gather(b.array("is_rank_data", iters), 14 * 1024, 0.0, 44);
+  b.chase(0, false, true, 16 * 1024, 0.30, 42);
+  b.chase(1, false, true, 16 * 1024, 0.30, 43);
+  b.compute(3, 0).data_branches(0.4).iterations(iters).reported(2, 5);
+  return b.build();
 }
 
 Workload make_mg(WorkloadScale scale) {
   // Multigrid shape: massive regular traffic plus one reused potentially
   // incoherent read.  The stream count stresses both the prefetcher tables
   // (cache-based) and the LM buffer partitioning (hybrid).
-  Workload w;
-  w.name = "MG";
-  w.loop.name = "MG";
-  Layout layout;
-  const std::uint64_t iters = scaled(32'768, scale);
-  add_streams(w.loop, layout, 30, 6, iters, "mg_s");
-  add_pointer_chase(w.loop, 0, false, 0.20, 16 * 1024, 51, "mg_ptr");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 2;
-  w.loop.fp_ops_per_iter = 6;
-  w.reported_guarded = 1;
-  w.reported_total = 60;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(32'768, scale);
+  KernelBuilder b("MG");
+  add_streams(b, 30, 6, iters, "mg_s");
+  b.chase(0, false, false, 16 * 1024, 0.20, 51);
+  b.compute(2, 6).iterations(iters).reported(1, 60);
+  return b.build();
 }
 
 Workload make_sp(WorkloadScale scale) {
   // Scalar pentadiagonal shape: the most regular of the six — only strided
   // and provably-irregular references, so no guards at all (Table 3: SP row
   // has zero guarded references and zero directory accesses).
-  Workload w;
-  w.name = "SP";
-  w.loop.name = "SP";
-  Layout layout;
-  const std::uint64_t iters = scaled(32'768, scale);
-  add_streams(w.loop, layout, 32, 8, iters, "sp_s");
-  add_irregular_read(w.loop, layout, iters, 16 * 1024, 61, "sp_i0");
-  add_irregular_read(w.loop, layout, iters, 16 * 1024, 62, "sp_i1");
-  w.loop.iterations = iters;
-  w.loop.int_ops_per_iter = 2;
-  w.loop.fp_ops_per_iter = 8;
-  w.reported_guarded = 0;
-  w.reported_total = 497;
-  return w;
+  const std::uint64_t iters = KernelBuilder::scaled(32'768, scale);
+  KernelBuilder b("SP");
+  add_streams(b, 32, 8, iters, "sp_s");
+  b.gather(b.array("sp_i0_data", iters), 16 * 1024, 0.0, 61);
+  b.gather(b.array("sp_i1_data", iters), 16 * 1024, 0.0, 62);
+  b.compute(2, 8).iterations(iters).reported(0, 497);
+  return b.build();
 }
 
 std::vector<Workload> all_nas_workloads(WorkloadScale scale) {
   return {make_cg(scale), make_ep(scale), make_ft(scale),
           make_is(scale), make_mg(scale), make_sp(scale)};
-}
-
-Workload make_spmd_slice(const Workload& w, unsigned tile, unsigned n_tiles) {
-  if (n_tiles == 0 || tile >= n_tiles)
-    throw std::invalid_argument("make_spmd_slice: tile index out of range");
-  Workload slice = w;
-  if (n_tiles == 1) return slice;
-
-  // Balanced iteration slice: floor(I/N) everywhere, remainder to the first
-  // tiles — tile 0 is always a longest tile, so max-tile work is
-  // monotonically non-increasing in the tile count, and the slices sum to
-  // exactly I.  With more tiles than iterations the trailing tiles receive
-  // zero iterations (the caller runs nothing there): the partition never
-  // fabricates extra work.
-  const std::uint64_t iters = w.loop.iterations;
-  const std::uint64_t base = iters / n_tiles;
-  const std::uint64_t rem = iters % n_tiles;
-  slice.loop.iterations = base + (tile < rem ? 1 : 0);
-
-  // Block-distributed private arrays: 64 GB per tile keeps every shifted
-  // base aligned to kArrayAlign (and thus to any LM buffer size) and the
-  // regions disjoint across tiles, well below the LM virtual range.
-  constexpr Addr kTileRegionStride = 0x10'0000'0000ull;
-  const Addr offset = static_cast<Addr>(tile) * kTileRegionStride;
-  for (ArrayDecl& a : slice.loop.arrays) a.base += offset;
-  return slice;
 }
 
 }  // namespace hm

@@ -93,6 +93,32 @@ TEST(Experiment, DefaultKnobValuesAreElided) {
   EXPECT_EQ(pts[1].canonical(), plain[0].canonical());  // 32-entry CG/hybrid
 }
 
+TEST(Experiment, KnobOverridesAtTheirDefaultAreElided) {
+  // `--topology flat` leaves every canonical identity unchanged.
+  const auto plain = expand(tiny_spec());
+  const auto flat = expand(tiny_spec(), {}, {{"topology", "flat"}});
+  ASSERT_EQ(flat.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    EXPECT_EQ(flat[i].canonical(), plain[i].canonical());
+
+  // A grid pinned to mesh and overridden to flat is the flat point: the
+  // override replaces the pin and is then elided like any default.
+  ExperimentSpec pinned = tiny_spec();
+  pinned.grids[0].base["topology"] = "mesh";
+  EXPECT_EQ(expand(pinned)[0].knobs.at("topology"), "mesh");
+  const auto overridden = expand(pinned, {}, {{"topology", "flat"}});
+  ASSERT_EQ(overridden.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(overridden[i].knobs.count("topology"), 0u);
+    EXPECT_EQ(overridden[i].canonical(), plain[i].canonical());
+  }
+
+  // A non-default override enters the identity.
+  const auto ring = expand(tiny_spec(), {}, {{"topology", "ring"}});
+  EXPECT_EQ(ring[0].knobs.at("topology"), "ring");
+  EXPECT_NE(ring[0].canonical(), plain[0].canonical());
+}
+
 // ------------------------------------------------------------ scheduler ----
 
 TEST(Scheduler, RunsEveryJobExactlyOnce) {

@@ -159,6 +159,46 @@ TEST_F(FaultTmpDir, JournalRoundTripsAndToleratesATornTail) {
   EXPECT_EQ(recs.size(), out.points.size());
 }
 
+TEST_F(FaultTmpDir, RepeatedRecordsKeepTheLastInFirstAppearanceOrder) {
+  // An interrupted resume re-appends points already in the journal: the
+  // last record per canonical point wins, at its first position.
+  const ExperimentSpec spec = tiny_spec();
+  SweepOptions opt;
+  opt.jobs = 1;
+  const SweepOutcome out = run_sweep(spec, opt);
+  ASSERT_EQ(out.points.size(), 4u);
+  PointResult superseded = out.points[0];
+  superseded.ok = false;
+  superseded.error = "superseded";
+  superseded.error_class = ErrorClass::Engine;
+  {
+    SweepJournal j(dir_, spec.name);
+    ASSERT_TRUE(j.enabled());
+    for (const std::size_t i : {0, 1, 2}) j.append(out.points[i]);
+    j.append(superseded);
+    j.append(out.points[1]);
+    j.append(out.points[3]);
+    j.append(out.points[1]);
+  }
+  std::size_t skipped = 0;
+  std::vector<PointResult> recs = SweepJournal::load(dir_, spec.name, &skipped);
+  EXPECT_EQ(skipped, 0u);
+  ASSERT_EQ(recs.size(), 4u);
+  EXPECT_EQ(point_json(recs[0]), point_json(superseded));
+  for (std::size_t i = 1; i < 4; ++i)
+    EXPECT_EQ(point_json(recs[i]), point_json(out.points[i])) << i;
+
+  // A later record of the first point supersedes the superseding one.
+  {
+    SweepJournal j(dir_, spec.name);
+    j.append(out.points[0]);
+  }
+  recs = SweepJournal::load(dir_, spec.name, &skipped);
+  ASSERT_EQ(recs.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(point_json(recs[i]), point_json(out.points[i])) << i;
+}
+
 TEST_F(FaultTmpDir, InjectedTornAppendIsSkippedOnLoad) {
   // Run the sweep cleanly, append the first three records through the
   // journal, then write half of the LAST record straight into the file —

@@ -324,8 +324,9 @@ bool write_file(const std::filesystem::path& path, const std::string& content) {
 
 /// The distinct values of an experiment's core-count axis, in declaration
 /// order: `cores` axis values and any grid-base pin, with the canonical
-/// default of 1 when a grid leaves the knob unset.
+/// default (default_knobs()) when a grid leaves the knob unset.
 std::vector<std::string> core_axis(const ExperimentSpec& spec) {
+  const std::string& fallback = default_knobs().at("cores");
   std::vector<std::string> cores;
   const auto add = [&](const std::string& v) {
     for (const std::string& have : cores)
@@ -341,10 +342,10 @@ std::vector<std::string> core_axis(const ExperimentSpec& spec) {
       }
     if (!pinned) {
       const auto base = g.base.find("cores");
-      add(base != g.base.end() ? base->second : "1");
+      add(base != g.base.end() ? base->second : fallback);
     }
   }
-  if (cores.empty()) cores.push_back("1");  // grid-less spec: canonical default
+  if (cores.empty()) cores.push_back(fallback);  // grid-less spec
   return cores;
 }
 
