@@ -17,7 +17,7 @@
 //    the functional fast-forward loop in isolation, and the same CG point
 //    as BM_SystemRun through the interval-sampling engine.  The
 //    BM_SystemRunSampled : BM_SystemRun throughput ratio is the sampled
-//    point speedup perf_gate.py --sampled-speedup enforces.
+//    point speedup scripts/perf_gate.py requires to stay at least 1.5.
 //  * BM_KernelEmit / BM_CoreStep — the two halves of the micro-op path:
 //    a hybrid CG kernel's emission drained through next(op), and the
 //    core's per-uop loop on ALU and branch ops from an in-memory stream
@@ -210,7 +210,7 @@ void BM_FunctionalReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalReplay)->Unit(benchmark::kMillisecond);
 
-// The sampled-vs-detailed pair perf_gate.py --sampled-speedup scores: the
+// The sampled-vs-detailed pair scripts/perf_gate.py scores: the
 // SAME hybrid-coherent CG point as BM_SystemRun, run through the interval-
 // sampling engine (default warmup/detail/ff budgets).  Both report simulated
 // cycles/second and the sampled estimate targets the same total, so the
@@ -445,9 +445,9 @@ BENCHMARK(BM_SystemConstruct)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMill
 int main(int argc, char** argv) {
   std::printf("\n==== Engine throughput (simulated accesses/sec, cycles/sec) ====\n");
   benchmark::Initialize(&argc, argv);
-  // Recorded in the JSON context so scripts/perf_gate.py --obs-overhead can
-  // assert that the measurement it scores really ran with tracing disabled
-  // (the observability layer is compiled in but must cost ~nothing idle).
+  // Recorded in the JSON context so scripts/perf_gate.py can assert that
+  // every run it scores really ran with tracing disabled (the
+  // observability layer is compiled in but must cost ~nothing idle).
   benchmark::AddCustomContext(
       "hm_observability", hm::obs::tracing_active() ? "enabled" : "disabled");
   benchmark::RunSpecifiedBenchmarks();

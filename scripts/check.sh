@@ -20,6 +20,10 @@ else
   echo "bench_engine not built (HM_BUILD_BENCH=OFF?) — skipping perf smoke"
 fi
 
+# The engine perf gate's scoring on synthetic rounds (CI runs the gate
+# itself against the parent commit's bench_engine).
+python3 scripts/perf_gate_test.py
+
 # Sweep-driver smoke: the Fig. 7 experiment on two workers exercises the
 # point pool, the registries and the renderer end to end.  The `run`
 # subcommand is mandatory (hm_sweep errors without it), so this invocation

@@ -32,18 +32,6 @@ bool SetAssocCache::probe(Addr addr) const {
   return peek(addr).hit;
 }
 
-std::optional<EvictedLine> SetAssocCache::fill(Addr addr, bool from_prefetch) {
-  const LookupResult r = peek(addr);
-  if (r.hit) return std::nullopt;  // already resident
-  return fill_at(r, addr, from_prefetch);
-}
-
-void SetAssocCache::set_dirty(Addr addr) {
-  if (cfg_.write_policy != WritePolicy::WriteBack) return;
-  const LookupResult r = peek(addr);
-  if (r.hit) meta_[slot(r.set, r.way)] |= 1u;
-}
-
 std::optional<EvictedLine> SetAssocCache::invalidate(Addr addr) {
   ++stats_.invalidations;
   const LookupResult r = peek(addr);

@@ -13,10 +13,7 @@
 // contiguous run of Addr words per set (one host cache line for an 8-way
 // set), and set indexing uses a precomputed shift (+ mask for power-of-two
 // set counts) instead of division.  The single-pass API — access() /
-// peek() / fill_at() — resolves hit way and replacement victim in one scan;
-// the legacy touch()/fill() entry points are thin wrappers over it and must
-// produce bit-identical statistics (tests/cache_test.cpp enforces this on
-// randomized traces).
+// peek() / fill_at() — resolves hit way and replacement victim in one scan.
 #pragma once
 
 #include <cstdint>
@@ -172,21 +169,9 @@ class SetAssocCache {
     meta_[slot(at.set, at.way)] |= 1u;
   }
 
-  /// Lookup with LRU update.  Returns true on hit.  Counts a lookup and a
-  /// hit/miss.  Does not allocate.  (Legacy wrapper over access().)
-  bool touch(Addr addr, AccessType type) { return access(addr, type).hit; }
-
   /// Lookup without LRU update and without statistics side effects on
   /// hit/miss counters (counts a snoop).  Used by coherent DMA bus requests.
   bool probe(Addr addr) const;
-
-  /// Insert the line containing @p addr (does nothing if already present).
-  /// Returns the victim line if a valid line was evicted.
-  std::optional<EvictedLine> fill(Addr addr, bool from_prefetch = false);
-
-  /// Mark the line containing @p addr dirty (write-back caches).  No-op if
-  /// the line is absent or the cache is write-through.
-  void set_dirty(Addr addr);
 
   /// Invalidate the line containing @p addr, returning it if present.
   /// Counts an invalidation.  Used by dma-put bus requests (§2.1).

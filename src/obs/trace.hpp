@@ -7,8 +7,9 @@
 // guards on tracing_active(), a single relaxed atomic load of a global
 // sink count.  No sink installed -> one predictable-not-taken branch on
 // the hot path, A/B-verified within bench noise (scripts/perf_gate.py
-// --obs-overhead).  Tracing must NEVER perturb simulated results: sinks
-// only observe cycle numbers the engine already computed.
+// scores only tracing-disabled runs).  Tracing must NEVER perturb
+// simulated results: sinks only observe cycle numbers the engine already
+// computed.
 //
 // One owner per sink:
 //   * the thread sink (thread_local) is installed for one in-flight sweep

@@ -59,8 +59,10 @@
 //     --trace-dir DIR     Chrome trace_event JSON + profile.json per
 //                         experiment under DIR/<name>/ (chrome://tracing,
 //                         Perfetto); never perturbs simulated results
-//     --progress          live one-line progress on stderr: executed/total,
-//                         ok/quarantined counts, ETA
+//     --progress          the live progress line (executed/total,
+//                         ok/quarantined counts, ETA) on stderr even when
+//                         it is not a terminal (on a terminal it is always
+//                         shown unless --quiet)
 //   Every sweep prints a summary line on stderr (points, cached, resumed,
 //   failed, timeouts, corrupt/stale cache entries, skipped journal
 //   records, wall time, workers) plus the per-phase wall times of the
@@ -455,7 +457,7 @@ int main(int argc, char** argv) {
                  "note: engine config alters results (--sample interval or "
                  "--quantum > 0): memo cache, session cache "
                  "and journal are disabled for these sweeps\n");
-  const bool tty = !opt.quiet && progress_to_tty();
+  const bool show_progress = opt.live_progress || (!opt.quiet && progress_to_tty());
   RunCache session;
   std::size_t total_failures = 0;
   // --sample-report side-channel: sample_error/sampled_fraction are
@@ -489,7 +491,7 @@ int main(int argc, char** argv) {
       // elapsed/done.
       std::size_t live_ok = 0, live_fail = 0;
       const auto sweep_t0 = std::chrono::steady_clock::now();
-      if (opt.live_progress) {
+      if (show_progress) {
         sweep_opt.progress = [&](const PointResult& r, std::size_t done,
                                  std::size_t total) {
           ++(r.ok ? live_ok : live_fail);
@@ -505,15 +507,10 @@ int main(int argc, char** argv) {
                        "\r\033[K%s [%zu/%zu] ok %zu quarantined %zu eta %.1fs",
                        spec->name.c_str(), done, total, live_ok, live_fail, eta);
         };
-      } else if (tty) {
-        sweep_opt.progress = [&](const PointResult&, std::size_t done,
-                                 std::size_t total) {
-          std::fprintf(stderr, "\r%s [%zu/%zu]", spec->name.c_str(), done, total);
-        };
       }
 
       const SweepOutcome out = run_sweep(*spec, sweep_opt);
-      if (tty || opt.live_progress) std::fprintf(stderr, "\r\033[K");
+      if (show_progress) std::fprintf(stderr, "\r\033[K");
 
       total_failures += out.failures;
       if (!opt.sample_report.empty()) {
